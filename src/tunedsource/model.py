@@ -6,6 +6,12 @@ k = sign(epsilon_r) * omega * sqrt(epsilon_r * mu_r).  All theorem-level
 statements only depend on the dimensionless products k*a and K*a, so this
 loses no generality.
 
+Radial integrals are computed in closed form from one Bessel table per cell
+(``radial_integrals``).  The adaptive-quadrature route
+(``radial_integrals_quadrature``) is kept as the independent oracle; the
+closed form falls back to it for the cross integral only where its own
+rounding error estimate exceeds the requested tolerance, near the diagonal.
+
 Per-mode energy weights R are normalized with the per-mode constant set
 to 1 (energies are "up to a fixed positive per-mode normalization"); every
 inequality certified here is invariant under such rescaling, because each
@@ -16,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -29,7 +34,7 @@ from .errors import (
     InvalidInputError,
     UnsupportedMediumError,
 )
-from .quadrature import integrate_radial
+from .quadrature import integrate_radial, validate_tol
 
 __all__ = [
     "Substrate",
@@ -40,6 +45,9 @@ __all__ = [
     "classify_substrate",
     "tuned_wavenumber",
     "radial_integrals",
+    "radial_integrals_quadrature",
+    "mode_ratio",
+    "mode_ratio_quadrature",
     "mode_coefficient",
     "source_energy",
 ]
@@ -200,43 +208,136 @@ def _integrand_j1(l: int, k: float, K: float) -> Callable[[np.ndarray], np.ndarr
     return f
 
 
-@lru_cache(maxsize=None)
-def _cross_integral(j: int, l: int, k: float, K: float, a: float, rel_tol: float) -> float:
-    osc = max(abs(k), abs(K))
-    if j == 2:
-        f = _integrand_j2(l, k, K)
-    else:
-        f = _integrand_j1(l, k, K)
-    return integrate_radial(f, a, rel_tol, osc_scale=osc).value
-
-
-@lru_cache(maxsize=None)
-def _self_integral(j: int, l: int, alpha: float, a: float, rel_tol: float) -> float:
-    alpha = abs(alpha)  # self integrals are even in the wavenumber
-    if j == 2:
-        return specfun.lommel_first(l, alpha, a)
-    return _cross_integral(1, l, alpha, alpha, a, rel_tol)
-
-
-def radial_integrals(mode: Mode, k: float, K: float, a: float, rel_tol: float = 1e-12) -> RadialIntegrals:
-    """Self and cross radial integrals of one mode at wavenumbers (k, K).
-
-    j=2 kernels are r j_l(alpha r); j=1 kernels combine j_l and u_l from the
-    curl of the mode field.  Self integrals use the Lommel closed form where
-    available (j=2) and quadrature otherwise; the cross integral is always
-    computed by adaptive quadrature.
-    """
+def _validate(mode: Mode, k: float, K: float, a: float, rel_tol: float) -> None:
     if mode.l < 1:
         raise InvalidInputError("radial integrals need l >= 1")
     if k == 0.0 or K == 0.0:
         raise InvalidInputError("wavenumbers must be nonzero")
     if a <= 0.0:
         raise InvalidInputError(f"radius a must be > 0, got {a}")
+    validate_tol(rel_tol)
+
+
+def _cross_quadrature(mode: Mode, k: float, K: float, a: float, rel_tol: float) -> float:
+    integrand = _integrand_j2 if mode.j == 2 else _integrand_j1
+    f = integrand(mode.l, k, K)
+    return integrate_radial(f, a, rel_tol, osc_scale=max(abs(k), abs(K))).value
+
+
+def _self_quadrature(mode: Mode, alpha: float, a: float, rel_tol: float) -> float:
+    alpha = abs(alpha)  # self integrals are even in the wavenumber
+    if mode.j == 2:
+        return specfun.lommel_first(mode.l, alpha, a)
+    return _cross_quadrature(mode, alpha, alpha, a, rel_tol)
+
+
+def radial_integrals_quadrature(
+    mode: Mode, k: float, K: float, a: float, rel_tol: float = 1e-12
+) -> RadialIntegrals:
+    """The quadrature route to ``radial_integrals``: the independent oracle.
+
+    The cross integral, and the j=1 self integrals, are integrated by
+    adaptive Gauss--Kronrod quadrature to ``rel_tol``; the j=2 self
+    integrals use ``specfun.lommel_first``.  The finite-difference expansion
+    oracle and the tests use this route, and ``radial_integrals`` takes its
+    cross integral near the diagonal.
+    """
+    _validate(mode, k, K, a, rel_tol)
     return RadialIntegrals(
-        n_self_k=_self_integral(mode.j, mode.l, k, a, rel_tol),
-        n_self_K=_self_integral(mode.j, mode.l, K, a, rel_tol),
-        m_cross=_cross_integral(mode.j, mode.l, k, K, a, rel_tol),
+        n_self_k=_self_quadrature(mode, k, a, rel_tol),
+        n_self_K=_self_quadrature(mode, K, a, rel_tol),
+        m_cross=_cross_quadrature(mode, k, K, a, rel_tol),
     )
+
+
+def _j1_from_j2(l: int, a: float, K: float, m2: float, j_k: float, u_K: float) -> float:
+    """Green-identity reduction l(l+1) M_1(k, K) = K^2 M_2(k, K) + a^2 K j_l(ka) u_l(Ka)."""
+    return (K * K * m2 + a * a * K * j_k * u_K) / (l * (l + 1))
+
+
+def _closed_form(j: int, l: int, k: float, K: float, a: float):
+    """N_j(k), N_j(K), M_j(k, K) at 0 < k, K from one Bessel table of order l+1.
+
+    Returns the integrals and the rounding error estimate of M relative to
+    sqrt(N_j(k) N_j(K)).  At k == K, M equals N exactly.
+    """
+    x = np.array([k * a, K * a])
+    table = specfun._jl_table(l + 1, x)
+    u_k, u_K = specfun._u_from_table(l, table, np.ones(2, dtype=bool), x).tolist()
+    (jm_k, jm_K), (j_k, j_K), (jp_k, jp_K) = table[l - 1:].tolist()
+    n_k = specfun._lommel_first_from(a, jm_k, j_k, jp_k)
+    n_K = specfun._lommel_first_from(a, jm_K, j_K, jp_K)
+    m, err = (0.0, 0.0) if k == K else specfun._lommel_second_from(a, k, K, j_k, jp_k, j_K, jp_K)
+    if j == 1:
+        if k != K:
+            # M_2's error, plus the rounding of the two terms of the reduction
+            terms = abs(K * K * m) + abs(a * a * K * j_k * u_K)
+            err = (K * K * err + specfun._EPS * terms) / (l * (l + 1))
+            m = _j1_from_j2(l, a, K, m, j_k, u_K)
+        n_k = _j1_from_j2(l, a, k, n_k, j_k, u_k)
+        n_K = _j1_from_j2(l, a, K, n_K, j_K, u_K)
+    if k == K:
+        m = n_k
+    scale = math.sqrt(n_k) * math.sqrt(n_K)  # N can be as small as 1e-300 for l >> k a
+    return RadialIntegrals(n_self_k=n_k, n_self_K=n_K, m_cross=m), err / scale if scale > 0.0 else math.inf
+
+
+def radial_integrals(mode: Mode, k: float, K: float, a: float, rel_tol: float = 1e-12) -> RadialIntegrals:
+    """Self and cross radial integrals of one mode at wavenumbers (k, K).
+
+    j=2 kernels are r j_l(alpha r); j=1 kernels combine j_l and u_l from the
+    curl of the mode field.  All three integrals come in closed form from one
+    Bessel table of order l+1 at |k| a and |K| a: Lommel's integrals for
+    j=2, and for j=1 the Green-identity reduction
+    l(l+1) M_1(k, K) = K^2 M_2(k, K) + a^2 K j_l(ka) u_l(Ka), whose diagonal
+    k = K gives N_1.  Negative wavenumbers enter only through the parity
+    factor (-1)^l of M; at |K| = |k|, M = +-N exactly.
+
+    Near the diagonal the closed form for M divides a cancelling difference
+    t1 - t2 by K^2 - k^2.  Its rounding error is estimated as
+    eps a (|t1| + |t2|) / |K^2 - k^2|, plus the rounding of the two terms of
+    the j=1 reduction.  When that exceeds ``rel_tol`` sqrt(N_j(k) N_j(K)),
+    M is integrated by the quadrature route of ``radial_integrals_quadrature``
+    instead.  The self integrals have no such cancellation and stay in
+    closed form.
+    """
+    _validate(mode, k, K, a, rel_tol)
+    ri, err = _closed_form(mode.j, mode.l, abs(k), abs(K), a)
+    if err > rel_tol:
+        return RadialIntegrals(ri.n_self_k, ri.n_self_K, _cross_quadrature(mode, k, K, a, rel_tol))
+    if mode.l % 2 == 1 and (k < 0.0) != (K < 0.0):
+        return RadialIntegrals(ri.n_self_k, ri.n_self_K, -ri.m_cross)
+    return ri
+
+
+def _weight(mode: Mode, k: float, K: float, n_self_K: float, m_cross: float) -> float:
+    if m_cross == 0.0:
+        raise DegenerateModeError(
+            f"cross integral vanished for {mode} at k={k}, K={K}; "
+            "the prescription constraint cannot be met at this tuning"
+        )
+    return n_self_K / (m_cross * m_cross)
+
+
+def mode_ratio(mode: Mode, k: float, K: float, a: float, rel_tol: float = 1e-12) -> float:
+    """The per-mode weight ratio N_j(K) / M_j(k, K)^2 at explicit wavenumbers.
+
+    Raises
+    ------
+    DegenerateModeError
+        If the cross integral vanishes (no finite weight at this tuning).
+    """
+    ri = radial_integrals(mode, k, K, a, rel_tol)
+    return _weight(mode, k, K, ri.n_self_K, ri.m_cross)
+
+
+def mode_ratio_quadrature(mode: Mode, k: float, K: float, a: float, rel_tol: float = 1e-12) -> float:
+    """``mode_ratio`` by the quadrature route, computing only N_j(K) and M_j(k, K)."""
+    _validate(mode, k, K, a, rel_tol)
+    n_K = _self_quadrature(mode, K, a, rel_tol)
+    # for j=1 at k == K the cross integral is the self integral's own quadrature
+    m = n_K if mode.j == 1 and k == K else _cross_quadrature(mode, k, K, a, rel_tol)
+    return _weight(mode, k, K, n_K, m)
 
 
 def mode_coefficient(mode: Mode, s: Substrate, t: TuningState, rel_tol: float = 1e-12) -> float:
@@ -245,13 +346,7 @@ def mode_coefficient(mode: Mode, s: Substrate, t: TuningState, rel_tol: float = 
     At chi = 0 this reduces to 1 / N_j(|k|).  The per-mode normalization
     constant is fixed to 1 (see module docstring).
     """
-    ri = radial_integrals(mode, s.k, t.K, s.a, rel_tol)
-    if ri.m_cross == 0.0:
-        raise DegenerateModeError(
-            f"cross integral vanished for {mode} at k={s.k}, K={t.K}; "
-            "the prescription constraint cannot be met at this tuning"
-        )
-    return ri.n_self_K / (ri.m_cross * ri.m_cross)
+    return mode_ratio(mode, s.k, t.K, s.a, rel_tol)
 
 
 def source_energy(spec: SourceSpec, coefficients: Mapping[Mode, float]) -> float:

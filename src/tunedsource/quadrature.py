@@ -9,8 +9,11 @@ so products of spherical Bessel kernels are resolved from the first pass.
 Every node is interior, so integrands only ever see r in (0, a); removable
 endpoint singularities (such as u_0 at the origin) are never sampled.
 
-The same routine is both the production integrator for the mode integrals
-and the brute-force oracle used by the test-suite against the closed forms.
+The mode integrals are computed in closed form in production
+(``model.radial_integrals``).  This routine is the independent oracle the
+test-suite and the finite-difference expansion check them against, and it
+integrates the cross integral in the near-diagonal band where the closed
+form's estimated rounding error exceeds the requested tolerance.
 """
 
 from __future__ import annotations
@@ -127,7 +130,8 @@ def _adaptive(f, a, rel_tol, osc_scale, max_panels):
         resabs = np.concatenate([resabs[~split], child_res])
 
 
-def _validate_tol(rel_tol):
+def validate_tol(rel_tol):
+    """Reject a relative tolerance outside [1e-14, 1e-3]."""
     if not (1e-14 <= rel_tol <= 1e-3):
         raise InvalidInputError(f"rel_tol must lie in [1e-14, 1e-3], got {rel_tol}")
 
@@ -158,7 +162,7 @@ def integrate_radial(f, a, rel_tol=1e-12, *, osc_scale=1.0, max_panels=8192):
     """
     if not (np.isfinite(a) and a > 0.0):
         raise InvalidInputError(f"upper limit a must be finite and > 0, got {a}")
-    _validate_tol(rel_tol)
+    validate_tol(rel_tol)
     return _adaptive(f, float(a), float(rel_tol), osc_scale, int(max_panels))
 
 
@@ -171,5 +175,5 @@ def integrate_extended(f, tail_cut, rel_tol=1e-12, *, osc_scale=1.0, max_panels=
     """
     if not (np.isfinite(tail_cut) and tail_cut > 0.0):
         raise InvalidInputError(f"tail_cut must be finite and > 0, got {tail_cut}")
-    _validate_tol(rel_tol)
+    validate_tol(rel_tol)
     return _adaptive(f, float(tail_cut), float(rel_tol), osc_scale, int(max_panels))

@@ -41,6 +41,7 @@ __all__ = [
 _MILLER_MARGIN = 60
 _SERIES_CUTOFF = 0.1
 _RESCALE_LIMIT = 1e250
+_EPS = float(np.finfo(float).eps)
 
 
 def _double_factorial(n: int) -> float:
@@ -261,6 +262,30 @@ def bessel_j_and_u(l: int, x):
     return jv.reshape(arr.shape), uv.reshape(arr.shape)
 
 
+def _lommel_first_from(a: float, jm: float, j: float, jp: float) -> float:
+    """(a^3 / 2) [j_l^2 - j_{l+1} j_{l-1}] from (j_{l-1}, j_l, j_{l+1}) at |alpha| a."""
+    return 0.5 * a**3 * (j * j - jp * jm)
+
+
+def _lommel_second_from(a, k, K, j_k, jp_k, j_K, jp_K):
+    """Cross integral of the j=2 kernel at 0 < k != K from table values.
+
+    Takes j_l and j_{l+1} at k a and at K a, and returns the value
+
+        a [ K a j_l(ka) j_{l+1}(Ka) - k a j_{l+1}(ka) j_l(Ka) ] / (K^2 - k^2)
+
+    with its rounding error, eps a (|t1| + |t2|) / |K^2 - k^2| for the two
+    numerator terms t1, t2.  This is Lommel's second integral with
+    x j_l' = l j_l - x j_{l+1}, which drops the l j_l(ka) j_l(Ka) terms that
+    would cancel.  Swapping (k, K) swaps t1 and t2 and negates (K - k), so the
+    value is symmetric to the bit; K - k is exact when K and k are close.
+    """
+    t1 = K * a * jp_K * j_k
+    t2 = k * a * jp_k * j_K
+    den = (K - k) * (K + k)
+    return a * (t1 - t2) / den, _EPS * a * (abs(t1) + abs(t2)) / abs(den)
+
+
 def lommel_first(l: int, alpha: float, a: float) -> float:
     """Closed form of the radial self-integral of the j=2 kernel.
 
@@ -282,12 +307,9 @@ def lommel_first(l: int, alpha: float, a: float) -> float:
     if alpha == 0.0:
         raise InvalidInputError("alpha must be nonzero")
     x = abs(alpha) * a  # the integrand is even in alpha
-    flat = np.array([x])
-    table = _jl_table(l + 1, flat)
-    jl = table[l, 0]
-    jlp1 = table[l + 1, 0]
-    jlm1 = math.cos(x) / x if l == 0 else table[l - 1, 0]
-    return float(0.5 * a**3 * (jl * jl - jlp1 * jlm1))
+    table = _jl_table(l + 1, np.array([x]))[:, 0].tolist()
+    jlm1 = math.cos(x) / x if l == 0 else table[l - 1]
+    return _lommel_first_from(a, jlm1, table[l], table[l + 1])
 
 
 def lommel_second(l: int, k: float, K: float, a: float) -> float:
@@ -298,7 +320,8 @@ def lommel_second(l: int, k: float, K: float, a: float) -> float:
         integral_0^a r^2 j_l(k r) j_l(K r) dr
             = a^2 [ k j_l'(k a) j_l(K a) - K j_l(k a) j_l'(K a) ] / (K^2 - k^2)
 
-    for K^2 != k^2 (the diagonal limit is ``lommel_first``).
+    for K^2 != k^2 (the diagonal limit is ``lommel_first``).  Negative
+    wavenumbers enter through the parity j_l(-x) = (-1)^l j_l(x).
     """
     l = _validate_order(l)
     if l < 0:
@@ -311,5 +334,9 @@ def lommel_second(l: int, k: float, K: float, a: float) -> float:
         raise InvalidInputError("wavenumbers must be nonzero")
     if K * K == k * k:
         raise InvalidInputError("lommel_second requires K^2 != k^2; use lommel_first")
-    num = k * bessel_j_prime(l, k * a) * bessel_j(l, K * a) - K * bessel_j(l, k * a) * bessel_j_prime(l, K * a)
-    return float(a * a * num / (K * K - k * k))
+    ak, aK = abs(k), abs(K)
+    (j_k, j_K), (jp_k, jp_K) = _jl_table(l + 1, np.array([ak * a, aK * a]))[l:].tolist()
+    value, _ = _lommel_second_from(a, ak, aK, j_k, jp_k, j_K, jp_K)
+    if l % 2 == 1 and (k < 0.0) != (K < 0.0):
+        value = -value
+    return value

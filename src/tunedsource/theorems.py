@@ -25,13 +25,12 @@ suite for the frozen oracle values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import specfun
 from .errors import DegenerateModeError, IllConditionedExpansionError, InvalidInputError
-from .model import Mode, radial_integrals, tuned_wavenumber
+from .model import Mode, _integrand_j1, mode_ratio, mode_ratio_quadrature, radial_integrals, tuned_wavenumber
 from .quadrature import integrate_radial
 
 __all__ = [
@@ -96,19 +95,6 @@ class F1VanishingReport:
     f1: float
 
 
-@lru_cache(maxsize=None)
-def _ratio_cached(j: int, l: int, k: float, K: float, a: float, rel_tol: float) -> float:
-    ri = radial_integrals(Mode(j, l), k, K, a, rel_tol)
-    if ri.m_cross == 0.0:
-        raise DegenerateModeError(f"cross integral vanished at j={j}, l={l}, k={k}, K={K}")
-    return ri.n_self_K / (ri.m_cross * ri.m_cross)
-
-
-def mode_ratio(mode: Mode, k: float, K: float, a: float, rel_tol: float = 1e-12) -> float:
-    """The per-mode weight ratio N_j(K) / M_j(k, K)^2 at explicit wavenumbers."""
-    return _ratio_cached(mode.j, mode.l, k, K, a, rel_tol)
-
-
 def boundedness_margin(
     mode: Mode, k: float, chi: float, mu_omega: float, a: float, rel_tol: float = 1e-12
 ) -> MarginReport:
@@ -143,8 +129,8 @@ def minimality_margin(
     """
     t = tuned_wavenumber(k, mu_omega, chi)
     t0 = tuned_wavenumber(k, mu_omega, chi0)
-    r_chi = _ratio_cached(mode.j, mode.l, k, t.K, a, rel_tol)
-    r_chi0 = _ratio_cached(mode.j, mode.l, k, t0.K, a, rel_tol)
+    r_chi = mode_ratio(mode, k, t.K, a, rel_tol)
+    r_chi0 = mode_ratio(mode, k, t0.K, a, rel_tol)
     return MarginReport(
         mode=mode, chi=chi, margin=r_chi - r_chi0, kind=MINIMALITY, scale=r_chi0
     )
@@ -172,13 +158,8 @@ def curl_identity_check(l: int, k: float, K: float, a: float, rel_tol: float = 1
         jK, uK = specfun.bessel_j_and_u(l, K * r)
         return ll1 * ll1 * jk * jK + ll1 * k * K * r * r * uk * uK
 
-    def kernel_side(r):
-        jk, uk = specfun.bessel_j_and_u(l, k * r)
-        jK, uK = specfun.bessel_j_and_u(l, K * r)
-        return jk * jK + k * K * r * r * uk * uK / ll1
-
     A = integrate_radial(curl_side, a, rel_tol, osc_scale=osc).value
-    B = integrate_radial(kernel_side, a, rel_tol, osc_scale=osc).value
+    B = integrate_radial(_integrand_j1(l, k, K), a, rel_tol, osc_scale=osc).value
     denom = max(abs(A), abs(ll1 * ll1 * B), 1e-300)
     return abs(A - ll1 * ll1 * B) / denom
 
@@ -237,13 +218,6 @@ def expansion_j2(l: int, k: float, a: float, mu_omega: float) -> ExpansionCoeffs
     return ExpansionCoeffs(j=2, f0=f0, f1=0.0, f2=f2, method="closed-form")
 
 
-def _richardson(v1: float, v2: float, v4: float) -> float:
-    """Two-level Richardson extrapolation for an h^2 error series (h, h/2, h/4)."""
-    r1 = (4.0 * v2 - v1) / 3.0
-    r2 = (4.0 * v4 - v2) / 3.0
-    return (16.0 * r2 - r1) / 15.0
-
-
 # halving ladder of chi steps in units of k^2 / mu_omega; the wide end keeps
 # quadrature noise out of the second difference when the curvature is huge
 # (small |ka|), the narrow end keeps truncation out when it is gentle
@@ -271,18 +245,21 @@ def expansion_fd(
 
     Central differences on the halving step ladder h = t k^2 / mu_omega,
     t in {4e-2 .. 2.5e-3}, Richardson-extrapolated with plateau selection
-    (the triple whose two extrapolation levels agree best wins).  Serves as
-    the independent oracle for the closed forms, and as the only f2 route
-    for j=1.
+    (the triple whose two extrapolation levels agree best wins).  The ratios
+    come from the quadrature route (``mode_ratio_quadrature``), so this is
+    the independent oracle for the closed forms, and the only f2 route for
+    j=1.
     """
     if j not in (1, 2):
         raise InvalidInputError(f"j must be 1 or 2, got {j}")
     if k == 0.0:
         raise InvalidInputError("k must be nonzero")
 
+    mode = Mode(j, l)
+
     def ratio(chi: float) -> float:
         K = tuned_wavenumber(k, mu_omega, chi).K
-        return _ratio_cached(j, l, k, K, a, rel_tol)
+        return mode_ratio_quadrature(mode, k, K, a, rel_tol)
 
     scale = k * k / mu_omega
     r0 = ratio(0.0)

@@ -106,10 +106,20 @@ class TestVerify:
         payload = base_config()
         payload["modes"] = {"j": [2], "l": {"lo": 1, "hi": 2}}
         payload["tolerances"]["margin_tol"] = 0.0
+        payload["tolerances"]["f2_tol"] = 0.0
         path = write_config(tmp_path, payload)
         out = tmp_path / "strict.csv"
         assert cli.main(["verify", "--config", path, "--out", str(out)]) == 1
         assert "false" in out.read_text()
+        # the exact diagonal meets even a zero margin tolerance: f2_tol = 0 fails the run
+        lines = out.read_text().splitlines()
+        columns = lines[1].split(",")
+        rows = [dict(zip(columns, line.split(","))) for line in lines[2:]]
+        diagonal = [row for row in rows if float(row["chi"]) == 0.0]
+        assert len(diagonal) == 2
+        for row in diagonal:
+            assert float(row["boundedness_margin"]) == 0.0
+            assert row["pass_bound"] == "true"
 
     def test_exit_2_and_no_partial_file(self, tmp_path):
         payload = base_config()

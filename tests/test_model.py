@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad as scipy_quad
+from scipy.special import spherical_jn
 
 from tunedsource import model, specfun
 from tunedsource.errors import (
@@ -146,6 +148,115 @@ class TestRadialIntegrals:
             assert ri.n_self_k * ri.n_self_K - ri.m_cross**2 >= -1e-9 * ri.n_self_k * ri.n_self_K
 
 
+def _scipy_integral(j, l, k, K, a):
+    """Independent oracle: scipy quad with no absolute floor."""
+    def u(x):
+        return spherical_jn(l, x) / x + spherical_jn(l, x, derivative=True)
+
+    if j == 2:
+        def f(r):
+            return r * r * spherical_jn(l, k * r) * spherical_jn(l, K * r)
+    else:
+        def f(r):
+            return spherical_jn(l, k * r) * spherical_jn(l, K * r) + k * K * r * r * u(k * r) * u(K * r) / (l * (l + 1))
+    return scipy_quad(f, 0.0, a, epsabs=0.0, epsrel=1e-13, limit=1000)[0]
+
+
+def _sweep_cells(j, rho, n=3):
+    """Seeded sweep-shaped cells: l <= 30, k of either sign, |k| a in [0.5, 30],
+    K^2 = k^2 (1 + rho) for the first two cells and k^2 (1 - rho) for the third."""
+    rng = np.random.default_rng(round(1e6 * rho) + j)
+    cells = []
+    for i in range(n):
+        l = int(rng.integers(1, 31))
+        ka = math.exp(rng.uniform(math.log(0.5), math.log(30.0)))
+        a = float(rng.uniform(0.5, 4.0))
+        k = ka / a * (-1.0 if i % 2 else 1.0)
+        K = abs(k) * math.sqrt(1.0 + (rho if i < 2 else -rho))
+        cells.append((l, k, K, a))
+    return cells
+
+
+class TestClosedFormAccuracy:
+    """Closed-form N and M against scipy quad, and the near-diagonal fallback rule."""
+
+    @staticmethod
+    def check(j, l, k, K, a):
+        ri = model.radial_integrals(Mode(j, l), k, K, a)
+        n_k = _scipy_integral(j, l, abs(k), abs(k), a)
+        n_K = _scipy_integral(j, l, K, K, a)
+        m = _scipy_integral(j, l, k, K, a)
+        assert ri.n_self_k == pytest.approx(n_k, rel=1e-12)
+        assert ri.n_self_K == pytest.approx(n_K, rel=1e-12)
+        assert abs(ri.m_cross - m) <= 1e-12 * math.sqrt(n_k) * math.sqrt(n_K)
+
+    @pytest.mark.parametrize("j", [1, 2])
+    @pytest.mark.parametrize("rho", [1e-3, 1e-2, 0.1, 0.9])
+    def test_off_diagonal(self, j, rho):
+        for l, k, K, a in _sweep_cells(j, rho):
+            self.check(j, l, k, K, a)
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_floor_accept_regression(self, j):
+        # l >> k a: quadrature accepted its first pass through the absolute
+        # floor here and returned M off by 1e-6 to 2e-6 of sqrt(N_k N_K)
+        self.check(j, 24, 0.82, 0.82 * math.sqrt(1.5), 1.0)
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_tiny_integrals(self, j):
+        # N_k N_K underflows (N ~ 1e-207 and 1e-197); the scale must not
+        self.check(j, 30, 0.01, 0.015, 1.0)
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_agrees_with_quadrature_route(self, j):
+        rng = np.random.default_rng(21 + j)
+        for _ in range(10):
+            l = int(rng.integers(1, 7))
+            k = float(rng.uniform(0.3, 4.0)) * (1 if rng.random() < 0.5 else -1)
+            K = float(rng.uniform(0.3, 4.0))
+            a = float(rng.uniform(0.4, 4.0))
+            closed = model.radial_integrals(Mode(j, l), k, K, a)
+            oracle = model.radial_integrals_quadrature(Mode(j, l), k, K, a)
+            assert closed.n_self_k == pytest.approx(oracle.n_self_k, rel=1e-10)
+            assert closed.n_self_K == pytest.approx(oracle.n_self_K, rel=1e-10)
+            assert abs(closed.m_cross - oracle.m_cross) <= 1e-10 * math.sqrt(oracle.n_self_k * oracle.n_self_K)
+
+    @pytest.mark.parametrize("j", [1, 2])
+    @pytest.mark.parametrize("l", [1, 6, 24])
+    def test_exact_diagonal(self, j, l):
+        for k in (0.82, -3.1, 17.0):
+            ri = model.radial_integrals(Mode(j, l), k, abs(k), 1.0)
+            assert ri.n_self_K == ri.n_self_k
+            assert ri.m_cross == (-1.0 if k < 0 and l % 2 else 1.0) * ri.n_self_k
+            assert ri.n_self_k * ri.n_self_K - ri.m_cross**2 == 0.0
+            assert ri.n_self_k == pytest.approx(_scipy_integral(j, l, abs(k), abs(k), 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_near_diagonal_takes_quadrature(self, j, monkeypatch):
+        calls = []
+        cross = model._cross_quadrature
+
+        def spy(*args):
+            calls.append(args)
+            return cross(*args)
+
+        monkeypatch.setattr(model, "_cross_quadrature", spy)
+        mode, k, a = Mode(j, 3), 1.3, 2.0
+        K = k * math.sqrt(1.0 + 1e-3)
+        closed = model.radial_integrals(mode, k, K, a)
+        assert calls == []
+        fallback = model.radial_integrals(mode, k, K, a, rel_tol=1e-14)
+        assert len(calls) == 1
+        assert fallback.n_self_k == closed.n_self_k and fallback.n_self_K == closed.n_self_K
+        assert fallback.m_cross == pytest.approx(closed.m_cross, rel=1e-12)
+
+    def test_j2_symmetric_to_the_bit(self):
+        for l, k, K, a in _sweep_cells(2, 0.1):
+            m_kK = model.radial_integrals(Mode(2, l), k, K, a).m_cross
+            m_Kk = model.radial_integrals(Mode(2, l), K, k, a).m_cross
+            assert m_kK == m_Kk
+
+
 class TestModeCoefficient:
     def test_untuned_value_l1(self):
         s = Substrate(epsilon_r=1.0, mu_r=1.0, omega=1.0, a=math.pi)
@@ -180,16 +291,13 @@ class TestModeCoefficient:
         assert len(vals) == 1
 
     def test_degenerate_cross_integral(self, monkeypatch):
-        monkeypatch.setattr(model, "_cross_integral", lambda *args: 0.0)
-        try:
-            s = Substrate(epsilon_r=1.0, mu_r=1.0, omega=1.0, a=1.0)
-            t = model.tuned_wavenumber(s.k, s.mu_omega, 0.0)
-            with pytest.raises(DegenerateModeError):
-                model.mode_coefficient(Mode(1, 1), s, t)
-        finally:
-            # the self-integral cache memoized results of the patched cross
-            # integral; drop them so later tests see honest values
-            model._self_integral.cache_clear()
+        monkeypatch.setattr(
+            model, "_closed_form", lambda *args: (model.RadialIntegrals(1.0, 1.0, 0.0), 0.0)
+        )
+        s = Substrate(epsilon_r=1.0, mu_r=1.0, omega=1.0, a=1.0)
+        t = model.tuned_wavenumber(s.k, s.mu_omega, 0.0)
+        with pytest.raises(DegenerateModeError):
+            model.mode_coefficient(Mode(1, 1), s, t)
 
 
 class TestSourceEnergy:
