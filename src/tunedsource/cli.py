@@ -34,7 +34,7 @@ from .errors import (
     NoTunedSolutionError,
     TunedSourceError,
 )
-from .model import Mode, Substrate, radial_integrals, tuned_wavenumber
+from .model import Mode, SourceSpec, Substrate, radial_integrals, source_energy, tuned_wavenumber
 
 __all__ = ["RunConfig", "load_config", "run_verify", "run_energies", "run_sweep", "run_tune", "main"]
 
@@ -204,7 +204,7 @@ def _load_chis(raw, substrate: Substrate):
     return tuple(values)
 
 
-def _load_xi_search(raw, substrate: Substrate):
+def _load_xi_search(raw):
     if "xi_search" not in raw:
         return None
     block = _expect(raw, "", "xi_search", "dict")
@@ -356,7 +356,7 @@ def load_config(path: str, *, command: str, overrides=None) -> RunConfig:
     need_modes = command in ("verify", "sweep")
     j_list, l_values = _load_modes(raw, need_modes)
     chi_values = _load_chis(raw, substrate)
-    xi_search = _load_xi_search(raw, substrate)
+    xi_search = _load_xi_search(raw)
     amplitudes = _load_amplitudes(raw)
     sweep_axis, sweep_values = _load_sweep(raw, substrate)
     tols = _load_tolerances(raw, overrides)
@@ -506,19 +506,19 @@ def _mode_expansion(cfg: RunConfig, j: int, l: int):
     return f0, f1_res, f2_closed, fd.f2, pass_f1, pass_f2
 
 
-def _margin_cells(cfg: RunConfig, mode: Mode, chi: float, chi0: float):
-    """Shared verify/sweep numerics for one (mode, chi) cell."""
-    s = cfg.substrate
-    t = tuned_wavenumber(s.k, s.mu_omega, chi)
-    ri = radial_integrals(mode, s.k, t.K, s.a, cfg.quad_rel_tol)
+def _margin_cells(cfg: RunConfig, mode: Mode, k: float, a: float, chi: float, chi0: float):
+    """Shared verify/sweep numerics and pass rules for one (mode, k, a, chi) cell."""
+    mw = cfg.substrate.mu_omega
+    t = tuned_wavenumber(k, mw, chi)
+    ri = radial_integrals(mode, k, t.K, a, cfg.quad_rel_tol)
     bound_scale = ri.n_self_k * ri.n_self_K
     bound_margin = bound_scale - ri.m_cross * ri.m_cross
     pass_bound = bound_margin >= -cfg.margin_tol * bound_scale
     if chi == 0.0:
         pass_bound = pass_bound and abs(bound_margin) <= cfg.margin_tol * bound_scale
-    min_rep = theorems.minimality_margin(mode, s.k, chi, chi0, s.mu_omega, s.a, cfg.quad_rel_tol)
-    regime_cap = _REGIME * s.k * s.k
-    in_regime = abs(chi * s.mu_omega) <= regime_cap and abs(chi0 * s.mu_omega) <= regime_cap
+    min_rep = theorems.minimality_margin(mode, k, chi, chi0, mw, a, cfg.quad_rel_tol)
+    regime_cap = _REGIME * k * k
+    in_regime = abs(chi * mw) <= regime_cap and abs(chi0 * mw) <= regime_cap
     if in_regime and chi * chi > chi0 * chi0:
         pass_min = bool(min_rep.margin > _MIN_STRICT * min_rep.scale)
     else:
@@ -550,7 +550,8 @@ def run_verify(cfg: RunConfig):
             return [j, l, cfg.substrate.k, None, chi] + [None] * 13 + [f"error: {exp}"]
         f0, f1_res, f2_closed, f2_fd, pass_f1, pass_f2 = exp
         try:
-            t, ri, bm, _bs, mrep, pb, pm = _margin_cells(cfg, mode, chi, chi0)
+            t, ri, bm, _bs, mrep, pb, pm = _margin_cells(
+                cfg, mode, cfg.substrate.k, cfg.substrate.a, chi, chi0)
         except TunedSourceError as exc:
             return [j, l, cfg.substrate.k, None, chi, None, None, None, None, None,
                     f0, f1_res, f2_closed, f2_fd, None, None, pass_f1, pass_f2,
@@ -586,15 +587,13 @@ ENERGIES_COLUMNS = ("chi", "K", "E_untuned", "E_tuned", "delta", "selected", "pa
 def run_energies(cfg: RunConfig):
     """Untuned vs tuned source energies; returns (exit_code, columns, rows)."""
     s = cfg.substrate
-    modes = [mode for mode, _ in cfg.amplitudes]
+    spec = SourceSpec(dict(cfg.amplitudes))
 
     def energy(chi: float) -> float:
         t = tuned_wavenumber(s.k, s.mu_omega, chi)
-        total = 0.0
-        for mode, amp in cfg.amplitudes:
-            ratio = theorems.mode_ratio(mode, s.k, t.K, s.a, cfg.quad_rel_tol)
-            total += ratio * abs(amp) ** 2
-        return total
+        return source_energy(spec, {
+            mode: theorems.mode_ratio(mode, s.k, t.K, s.a, cfg.quad_rel_tol) for mode in spec.amplitudes
+        })
 
     e_untuned = energy(0.0)
 
@@ -678,22 +677,8 @@ def run_sweep(cfg: RunConfig):
     def cell(args):
         value, j, l, k, a, chi = args
         try:
-            mode = Mode(j, int(l))
-            t = tuned_wavenumber(k, s.mu_omega, chi)
-            ri = radial_integrals(mode, k, t.K, a, cfg.quad_rel_tol)
-            bound_scale = ri.n_self_k * ri.n_self_K
-            bound_margin = bound_scale - ri.m_cross * ri.m_cross
-            pass_bound = bool(bound_margin >= -cfg.margin_tol * bound_scale)
-            if chi == 0.0:
-                pass_bound = pass_bound and bool(abs(bound_margin) <= cfg.margin_tol * bound_scale)
-            mrep = theorems.minimality_margin(mode, k, chi, chi0, s.mu_omega, a, cfg.quad_rel_tol)
-            regime_cap = _REGIME * k * k
-            in_regime = abs(chi * s.mu_omega) <= regime_cap and abs(chi0 * s.mu_omega) <= regime_cap
-            pass_min = (
-                bool(mrep.margin > _MIN_STRICT * mrep.scale)
-                if in_regime and chi * chi > chi0 * chi0
-                else None
-            )
+            t, ri, bound_margin, bound_scale, mrep, pass_bound, pass_min = _margin_cells(
+                cfg, Mode(j, int(l)), k, a, chi, chi0)
         except TunedSourceError as exc:
             return [axis, value, j, l, k, None, a, s.mu_omega, chi] + [None] * 7 + [
                 None, None, f"error: {exc}"]

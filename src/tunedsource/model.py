@@ -192,17 +192,25 @@ def tuned_wavenumber(k: float, mu_omega: float, chi: float) -> TuningState:
 
 def _integrand_j2(l: int, k: float, K: float) -> Callable[[np.ndarray], np.ndarray]:
     def f(r):
-        return r * r * specfun.bessel_j(l, k * r) * specfun.bessel_j(l, K * r)
+        # one table for k r and K r together; a point's value does not depend on the others
+        jk, jK = np.split(specfun.bessel_j(l, np.concatenate([k * r, K * r])), 2)
+        return r * r * jk * jK
 
     return f
+
+
+def _j_and_u_pair(l: int, k: float, K: float, r: np.ndarray):
+    """(j_l(kr), u_l(kr), j_l(Kr), u_l(Kr)) from one table for k r and K r together."""
+    j, u = specfun.bessel_j_and_u(l, np.concatenate([k * r, K * r]))
+    (jk, jK), (uk, uK) = np.split(j, 2), np.split(u, 2)
+    return jk, uk, jK, uK
 
 
 def _integrand_j1(l: int, k: float, K: float) -> Callable[[np.ndarray], np.ndarray]:
     ll1 = l * (l + 1)
 
     def f(r):
-        jk, uk = specfun.bessel_j_and_u(l, k * r)
-        jK, uK = specfun.bessel_j_and_u(l, K * r)
+        jk, uk, jK, uK = _j_and_u_pair(l, k, K, r)
         return jk * jK + k * K * r * r * uk * uK / ll1
 
     return f

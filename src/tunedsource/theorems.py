@@ -30,7 +30,15 @@ import numpy as np
 
 from . import specfun
 from .errors import DegenerateModeError, IllConditionedExpansionError, InvalidInputError
-from .model import Mode, _integrand_j1, mode_ratio, mode_ratio_quadrature, radial_integrals, tuned_wavenumber
+from .model import (
+    Mode,
+    _integrand_j1,
+    _j_and_u_pair,
+    mode_ratio,
+    mode_ratio_quadrature,
+    radial_integrals,
+    tuned_wavenumber,
+)
 from .quadrature import integrate_radial
 
 __all__ = [
@@ -154,8 +162,7 @@ def curl_identity_check(l: int, k: float, K: float, a: float, rel_tol: float = 1
     osc = max(abs(k), abs(K))
 
     def curl_side(r):
-        jk, uk = specfun.bessel_j_and_u(l, k * r)
-        jK, uK = specfun.bessel_j_and_u(l, K * r)
+        jk, uk, jK, uK = _j_and_u_pair(l, k, K, r)
         return ll1 * ll1 * jk * jK + ll1 * k * K * r * r * uk * uK
 
     A = integrate_radial(curl_side, a, rel_tol, osc_scale=osc).value

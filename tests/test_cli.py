@@ -1,13 +1,23 @@
 """Config validation, report determinism, exit codes, and subcommand behavior."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from tunedsource import cli
 from tunedsource.errors import ConfigError
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def package_env():
+    """The environment with the imported package's source directory on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -150,10 +160,26 @@ class TestVerify:
         path = write_config(tmp_path, base_config())
         proc = subprocess.run(
             [sys.executable, "-m", "tunedsource.cli", "verify", "--config", path],
-            capture_output=True, text=True,
+            env=package_env(), capture_output=True, text=True,
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("# tuned-source v1")
+
+    def test_identical_across_processes(self, tmp_path):
+        # two fresh processes and one in-process run give the same report bytes
+        config = str(CONFIG_DIR / "verify_vacuum.json")
+        reports = []
+        for run in (1, 2):
+            out = tmp_path / f"process{run}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "tunedsource", "verify", "--config", config, "--out", str(out)],
+                env=package_env(), capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append(out.read_bytes())
+        out = tmp_path / "in_process.csv"
+        assert cli.main(["verify", "--config", config, "--out", str(out)]) == 0
+        assert reports[0] == reports[1] == out.read_bytes()
 
 
 class TestEnergies:

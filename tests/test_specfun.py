@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.special import spherical_jn
 
-from tunedsource import specfun
+from tunedsource import model, specfun
 from tunedsource.errors import InvalidInputError, SingularityError
 from tunedsource.quadrature import integrate_radial
 
@@ -240,3 +240,150 @@ class TestLommelSecond:
     def test_diagonal_rejected(self):
         with pytest.raises(InvalidInputError):
             specfun.lommel_second(1, 2.0, -2.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# table kernels: the per-order loops they replaced, kept as bit-level references
+
+
+def reference_series(lmax, x):
+    """Ascending series, one order at a time."""
+    block = np.empty((lmax + 1, x.size))
+    x2 = x * x
+    for order in range(lmax + 1):
+        pref = x**order / specfun._double_factorial(2 * order + 1)
+        term = np.ones_like(x)
+        total = np.ones_like(x)
+        for m in range(1, 12):
+            term = term * (-x2) / (2.0 * m * (2 * order + 2 * m + 1))
+            total = total + term
+        block[order] = pref * total
+    return block
+
+
+def reference_miller(lmax, x, rescaled=None):
+    """Downward recurrence with the rescale check at every order.
+
+    Appends the boolean column mask of each rescale to ``rescaled``.
+    """
+    start = lmax + specfun._MILLER_MARGIN
+    block = np.zeros((lmax + 1, x.size))
+    f_up = np.zeros_like(x)
+    f_cur = np.full_like(x, 1e-30)
+    for order in range(start, 0, -1):
+        f_down = (2 * order + 1) / x * f_cur - f_up
+        f_up, f_cur = f_cur, f_down
+        big = np.abs(f_cur) > specfun._RESCALE_LIMIT
+        if big.any():
+            if rescaled is not None:
+                rescaled.append(big)
+            scale = np.where(big, 1e-250, 1.0)
+            f_cur = f_cur * scale
+            f_up = f_up * scale
+            if order <= lmax:
+                block[order:, :] *= scale
+        if order - 1 <= lmax:
+            block[order - 1] = f_cur
+    sx, cx = np.sin(x), np.cos(x)
+    j0 = sx / x
+    j1 = sx / (x * x) - cx / x
+    use0 = np.abs(j0) >= np.abs(j1)
+    reference = np.where(use0, j0, j1)
+    raw = np.where(use0, block[0], block[1] if lmax >= 1 else block[0])
+    block *= reference / raw
+    return block
+
+
+class TestTableKernelsBitIdentical:
+    def test_series(self):
+        rng = np.random.default_rng(20)
+        for lmax in range(1, 51):
+            x = rng.uniform(0.0, specfun._SERIES_CUTOFF, int(rng.integers(1, 40)))
+            assert np.array_equal(specfun._jl_series(lmax, x), reference_series(lmax, x)), lmax
+
+    def test_miller(self):
+        rng = np.random.default_rng(21)
+        for lmax in range(1, 51):
+            for size in (1, 2, 33):
+                x = np.exp(rng.uniform(math.log(specfun._SERIES_CUTOFF), math.log(lmax), size))
+                assert np.array_equal(specfun._jl_miller(lmax, x), reference_miller(lmax, x)), (lmax, size)
+
+    def test_miller_rescale_of_one_column(self):
+        # a deep table at small x rescales; the column at x = 30 does not
+        x = np.array([0.1, 30.0])
+        rescaled = []
+        want = reference_miller(50, x, rescaled)
+        assert rescaled and all(big.tolist() == [True, False] for big in rescaled)
+        assert np.array_equal(specfun._jl_miller(50, x), want)
+
+    @pytest.mark.parametrize("l", [1, 2, 6, 24])
+    def test_merged_integrand_tables(self, l):
+        # one table for k r and K r together gives each point's value unchanged
+        rng = np.random.default_rng(22 + l)
+        for k, K in [(0.7, 0.71), (-1.3, 2.4), (5.0, 0.02)]:
+            r = rng.uniform(0.0, 3.0, 45)
+            r[0] = 1e-4
+            jk, jK = specfun.bessel_j(l, k * r), specfun.bessel_j(l, K * r)
+            assert np.array_equal(model._integrand_j2(l, k, K)(r), r * r * jk * jK)
+            want = specfun.bessel_j_and_u(l, k * r) + specfun.bessel_j_and_u(l, K * r)
+            got = model._j_and_u_pair(l, k, K, r)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+class TestAccuracyMap:
+    """The module docstring's accuracy claim, checked against mpmath.
+
+    For x < l + 1, where j_l has no zeros, the error is relative to |j_l(x)|;
+    beyond, it is relative to the envelope sqrt(j_l^2 + y_l^2).  Values below
+    1e-300 underflow and are left out.
+    """
+
+    TOL = 1e-12
+
+    @staticmethod
+    def reference(l, x):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            x = mp.mpf(float(x))
+            pre = mp.sqrt(mp.pi / (2 * x))
+            nu = l + mp.mpf(1) / 2
+            j, y = pre * mp.besselj(nu, x), pre * mp.bessely(nu, x)
+            return float(j), float(mp.hypot(j, y))
+
+    def arguments(self, rng, l):
+        cut = specfun._SERIES_CUTOFF
+        xs = [*np.exp(rng.uniform(math.log(1e-8), math.log(cut), 4)), np.nextafter(cut, 0.0), cut]
+        if l >= 1:
+            xs += [*np.exp(rng.uniform(math.log(cut), math.log(l), 4)), np.nextafter(float(l), 0.0), float(l)]
+        xs += [*np.exp(rng.uniform(math.log(max(l, cut)), math.log(1e3), 4)), 1e3]
+        return np.array(xs)
+
+    def errors(self, l, x, got):
+        out = []
+        for xi, gi in zip(x, got):
+            want, envelope = self.reference(l, xi)
+            if abs(want) < 1e-300:
+                assert abs(gi) < 1e-290, (l, xi, gi)
+                continue
+            out.append(abs(gi - want) / (abs(want) if xi < l + 1 else envelope))
+        return np.array(out)
+
+    def test_bessel_j(self):
+        rng = np.random.default_rng(30)
+        for l in range(51):
+            x = self.arguments(rng, l)
+            err = self.errors(l, x, specfun.bessel_j(l, x))
+            assert err.max() <= self.TOL, (l, err.max())
+            # negative arguments take the parity, exactly
+            assert np.array_equal(specfun.bessel_j(l, -x), (-1) ** l * specfun.bessel_j(l, x))
+
+    @pytest.mark.parametrize("lmax", [8, 50])
+    def test_table_rows(self, lmax):
+        # every order of one table, around the switch at x = lmax: orders
+        # below x come from the Miller recurrence there
+        rng = np.random.default_rng(31 + lmax)
+        x = self.arguments(rng, lmax)
+        table = specfun._jl_table(lmax, x)
+        for l in range(lmax + 1):
+            err = self.errors(l, x, table[l])
+            assert err.max() <= self.TOL, (l, err.max())
