@@ -11,6 +11,12 @@ Radial integrals are computed in closed form from one Bessel table per cell
 (``radial_integrals_quadrature``) is kept as the independent oracle; the
 closed form falls back to it for the cross integral only where its own
 rounding error estimate exceeds the requested tolerance, near the diagonal.
+The oracle runs the integrals of one call as one lockstep batch
+(``quadrature.integrate_radial_batch``), and ``_mode_ratios_quadrature``
+does so for the ratios at a whole list of K, as ``theorems.expansion_fd``
+needs them.  Each refinement round evaluates every active integral from one
+Bessel table; a self integral puts its points into it once.  Every value is
+identical to the bit to a lone integration of the same integrand.
 
 Per-mode energy weights R are normalized with the per-mode constant set
 to 1 (energies are "up to a fixed positive per-mode normalization"); every
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -34,7 +40,8 @@ from .errors import (
     InvalidInputError,
     UnsupportedMediumError,
 )
-from .quadrature import integrate_radial, validate_tol
+from .quadrature import integrate_radial_batch, validate_tol
+from .quadrature import integrate_radial  # noqa: F401  (bench/spans.py traces this name)
 
 __all__ = [
     "Substrate",
@@ -190,28 +197,52 @@ def tuned_wavenumber(k: float, mu_omega: float, chi: float) -> TuningState:
     return TuningState(chi=chi, K=math.sqrt(K2), mu_omega=mu_omega)
 
 
-def _integrand_j2(l: int, k: float, K: float) -> Callable[[np.ndarray], np.ndarray]:
-    def f(r):
-        # one table for k r and K r together; a point's value does not depend on the others
-        jk, jK = np.split(specfun.bessel_j(l, np.concatenate([k * r, K * r])), 2)
-        return r * r * jk * jK
+def _kernel_values(j: int, l: int, pairs, points):
+    """Kernel values at k r and K r for every pair (k, K), from one Bessel table.
 
-    return f
+    ``points[n]`` are the radii of ``pairs[n]``.  Returns one
+    ``(at_k, at_K)`` per pair, each ``(j_l,)`` for j=2 or ``(j_l, u_l)`` for
+    j=1.  A self pair (k == K) puts its points into the table once.  A
+    point's value does not depend on the other points of its table.
+    """
+    args = []
+    for (k, K), r in zip(pairs, points):
+        args.append(k * r)
+        if K != k:
+            args.append(K * r)
+    x = np.concatenate(args)
+    columns = (specfun.bessel_j(l, x),) if j == 2 else specfun.bessel_j_and_u(l, x)
+    cuts = np.cumsum([v.size for v in args[:-1]])
+    pieces = zip(*(np.split(c, cuts) for c in columns))
+    out = []
+    for k, K in pairs:
+        at_k = next(pieces)
+        out.append((at_k, at_k if K == k else next(pieces)))
+    return out
 
 
-def _j_and_u_pair(l: int, k: float, K: float, r: np.ndarray):
-    """(j_l(kr), u_l(kr), j_l(Kr), u_l(Kr)) from one table for k r and K r together."""
-    j, u = specfun.bessel_j_and_u(l, np.concatenate([k * r, K * r]))
-    (jk, jK), (uk, uK) = np.split(j, 2), np.split(u, 2)
-    return jk, uk, jK, uK
+def _j1_integrand(ll1: int, k: float, K: float, r, jk, uk, jK, uK):
+    """The j=1 kernel product j_l(kr) j_l(Kr) + k K r^2 u_l(kr) u_l(Kr) / (l(l+1))."""
+    return jk * jK + k * K * r * r * uk * uK / ll1
 
 
-def _integrand_j1(l: int, k: float, K: float) -> Callable[[np.ndarray], np.ndarray]:
-    ll1 = l * (l + 1)
+def _mode_integrand(mode: Mode, pairs):
+    """Lockstep integrand of the mode integrals at the wavenumber pairs (k, K).
 
-    def f(r):
-        jk, uk, jK, uK = _j_and_u_pair(l, k, K, r)
-        return jk * jK + k * K * r * r * uk * uK / ll1
+    Each call evaluates the active integrals of a refinement round from one
+    Bessel table (see ``quadrature.integrate_radial_batch``).
+    """
+    ll1 = mode.l * (mode.l + 1)
+
+    def f(active, points):
+        chosen = [pairs[i] for i in active]
+        out = []
+        for (k, K), r, (at_k, at_K) in zip(chosen, points, _kernel_values(mode.j, mode.l, chosen, points)):
+            if mode.j == 2:
+                out.append(r * r * at_k[0] * at_K[0])
+            else:
+                out.append(_j1_integrand(ll1, k, K, r, *at_k, *at_K))
+        return out
 
     return f
 
@@ -226,17 +257,19 @@ def _validate(mode: Mode, k: float, K: float, a: float, rel_tol: float) -> None:
     validate_tol(rel_tol)
 
 
+def _mode_quadrature(mode: Mode, pairs, a: float, rel_tol: float):
+    """Mode integrals at each wavenumber pair (k, K) by quadrature, as one lockstep batch.
+
+    A pair (alpha, alpha) is the self integral N_j(alpha).
+    """
+    f = _mode_integrand(mode, pairs)
+    results = integrate_radial_batch(f, a, rel_tol, osc_scales=[max(abs(k), abs(K)) for k, K in pairs])
+    return [res.value for res in results]
+
+
 def _cross_quadrature(mode: Mode, k: float, K: float, a: float, rel_tol: float) -> float:
-    integrand = _integrand_j2 if mode.j == 2 else _integrand_j1
-    f = integrand(mode.l, k, K)
-    return integrate_radial(f, a, rel_tol, osc_scale=max(abs(k), abs(K))).value
-
-
-def _self_quadrature(mode: Mode, alpha: float, a: float, rel_tol: float) -> float:
-    alpha = abs(alpha)  # self integrals are even in the wavenumber
-    if mode.j == 2:
-        return specfun.lommel_first(mode.l, alpha, a)
-    return _cross_quadrature(mode, alpha, alpha, a, rel_tol)
+    (m,) = _mode_quadrature(mode, [(k, K)], a, rel_tol)
+    return m
 
 
 def radial_integrals_quadrature(
@@ -245,17 +278,19 @@ def radial_integrals_quadrature(
     """The quadrature route to ``radial_integrals``: the independent oracle.
 
     The cross integral, and the j=1 self integrals, are integrated by
-    adaptive Gauss--Kronrod quadrature to ``rel_tol``; the j=2 self
-    integrals use ``specfun.lommel_first``.  The finite-difference expansion
-    oracle and the tests use this route, and ``radial_integrals`` takes its
-    cross integral near the diagonal.
+    adaptive Gauss--Kronrod quadrature to ``rel_tol``, as one lockstep
+    batch; the j=2 self integrals use ``specfun.lommel_first``.  The
+    finite-difference expansion oracle and the tests use this route, and
+    ``radial_integrals`` takes its cross integral near the diagonal.
     """
     _validate(mode, k, K, a, rel_tol)
-    return RadialIntegrals(
-        n_self_k=_self_quadrature(mode, k, a, rel_tol),
-        n_self_K=_self_quadrature(mode, K, a, rel_tol),
-        m_cross=_cross_quadrature(mode, k, K, a, rel_tol),
-    )
+    if mode.j == 2:
+        n_k, n_K = specfun.lommel_first(mode.l, k, a), specfun.lommel_first(mode.l, K, a)
+        m = _cross_quadrature(mode, k, K, a, rel_tol)
+    else:
+        # self integrals are even in the wavenumber
+        n_k, n_K, m = _mode_quadrature(mode, [(abs(k), abs(k)), (abs(K), abs(K)), (k, K)], a, rel_tol)
+    return RadialIntegrals(n_self_k=n_k, n_self_K=n_K, m_cross=m)
 
 
 def _j1_from_j2(l: int, a: float, K: float, m2: float, j_k: float, u_K: float) -> float:
@@ -339,13 +374,39 @@ def mode_ratio(mode: Mode, k: float, K: float, a: float, rel_tol: float = 1e-12)
     return _weight(mode, k, K, ri.n_self_K, ri.m_cross)
 
 
+def _mode_ratios_quadrature(mode: Mode, k: float, Ks, a: float, rel_tol: float = 1e-12):
+    """``mode_ratio_quadrature`` at every K of ``Ks``, from one lockstep batch.
+
+    The batch holds, for each K in turn, N_j(K) (j=1 only) and M_j(k, K);
+    for j=1 at k == K the cross integral is the self integral.  The N_2(K)
+    values come in closed form from one Bessel table for all of ``Ks``.
+    """
+    for K in Ks:
+        _validate(mode, k, K, a, rel_tol)
+    if mode.j == 2:
+        l = mode.l
+        table = specfun._jl_table(l + 1, np.array([abs(K) * a for K in Ks]))
+        n_self = [specfun._lommel_first_from(a, *column) for column in zip(*table[l - 1:].tolist())]
+        m_cross = _mode_quadrature(mode, [(k, K) for K in Ks], a, rel_tol)
+        return [_weight(mode, k, K, n_K, m) for K, n_K, m in zip(Ks, n_self, m_cross)]
+    pairs = []
+    for K in Ks:
+        pairs.append((abs(K), abs(K)))
+        if k != K:
+            pairs.append((k, K))
+    values = iter(_mode_quadrature(mode, pairs, a, rel_tol))
+    ratios = []
+    for K in Ks:
+        n_K = next(values)
+        m = n_K if k == K else next(values)
+        ratios.append(_weight(mode, k, K, n_K, m))
+    return ratios
+
+
 def mode_ratio_quadrature(mode: Mode, k: float, K: float, a: float, rel_tol: float = 1e-12) -> float:
     """``mode_ratio`` by the quadrature route, computing only N_j(K) and M_j(k, K)."""
-    _validate(mode, k, K, a, rel_tol)
-    n_K = _self_quadrature(mode, K, a, rel_tol)
-    # for j=1 at k == K the cross integral is the self integral's own quadrature
-    m = n_K if mode.j == 1 and k == K else _cross_quadrature(mode, k, K, a, rel_tol)
-    return _weight(mode, k, K, n_K, m)
+    (ratio,) = _mode_ratios_quadrature(mode, k, [K], a, rel_tol)
+    return ratio
 
 
 def mode_coefficient(mode: Mode, s: Substrate, t: TuningState, rel_tol: float = 1e-12) -> float:

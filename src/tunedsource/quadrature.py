@@ -9,6 +9,13 @@ so products of spherical Bessel kernels are resolved from the first pass.
 Every node is interior, so integrands only ever see r in (0, a); removable
 endpoint singularities (such as u_0 at the origin) are never sampled.
 
+One adaptive loop advances a batch of integrals over [0, a] in lockstep
+(``integrate_radial_batch``).  Each integral keeps its own panels, split
+decisions, panel order and result; only the integrand evaluation of a
+refinement round is shared, so a caller with several integrals at one
+Bessel order builds one table per round for all of them.
+``integrate_radial`` and ``integrate_extended`` are batches of one.
+
 The mode integrals are computed in closed form in production
 (``model.radial_integrals``).  This routine is the independent oracle the
 test-suite and the finite-difference expansion check them against, and it
@@ -25,7 +32,7 @@ import numpy as np
 
 from .errors import ConvergenceError, IntegrandDomainError, InvalidInputError
 
-__all__ = ["QuadratureResult", "integrate_radial", "integrate_extended"]
+__all__ = ["QuadratureResult", "integrate_radial", "integrate_radial_batch", "integrate_extended"]
 
 # Gauss-Kronrod (7, 15) nodes and weights on [-1, 1]
 _XGK = np.array([
@@ -75,59 +82,111 @@ class QuadratureResult:
     panels_used: int
 
 
-def _eval_panels(f, lo, hi):
-    """Apply the (7,15) rule to each [lo_i, hi_i]; returns (I, err, resabs)."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    pts = mid[:, None] + half[:, None] * _NODES[None, :]
-    flat = pts.ravel()
-    try:
-        vals = np.asarray(f(flat), dtype=float)
-        if vals.shape != flat.shape:
-            raise TypeError("integrand is not vectorized")
-    except (TypeError, ValueError, IndexError):
-        # scalar-only integrand: fall back to a per-point loop
-        vals = np.fromiter((float(f(p)) for p in flat), dtype=float, count=flat.size)
-    if not np.all(np.isfinite(vals)):
-        raise IntegrandDomainError("integrand returned a non-finite sample")
-    vals = vals.reshape(pts.shape)
-    integral = half * (vals @ _W_KRONROD)
-    err = np.abs(integral - half * (vals @ _W_GAUSS))
-    resabs = half * (np.abs(vals) @ _W_KRONROD)
-    return integral, err, resabs
+def _eval_panels(f, active, lo, hi):
+    """Apply the (7,15) rule to the panels [lo_i, hi_i] of each active integral.
+
+    One call of f evaluates the nodes of all of them.  Returns, per
+    integral, (I, err, resabs) per panel, or an IntegrandDomainError when
+    its samples are not all finite.  The rule is applied to each integral's
+    own (panels x 15) array: one stacked matrix product rounds differently.
+    """
+    halves = [0.5 * (h - l) for l, h in zip(lo, hi)]
+    pts = [0.5 * (h + l)[:, None] + half[:, None] * _NODES[None, :] for l, h, half in zip(lo, hi, halves)]
+    values = f(active, [p.ravel() for p in pts])
+    out = []
+    for p, half, vals in zip(pts, halves, values):
+        vals = np.asarray(vals, dtype=float)
+        if not np.all(np.isfinite(vals)):
+            out.append(IntegrandDomainError("integrand returned a non-finite sample"))
+            continue
+        vals = vals.reshape(p.shape)
+        integral = half * (vals @ _W_KRONROD)
+        err = np.abs(integral - half * (vals @ _W_GAUSS))
+        resabs = half * (np.abs(vals) @ _W_KRONROD)
+        out.append((integral, err, resabs))
+    return out
 
 
-def _adaptive(f, a, rel_tol, osc_scale, max_panels):
-    n0 = max(1, math.ceil(a * max(abs(osc_scale), 1.0) / math.pi))
-    n0 = min(n0, max_panels)
-    edges = np.linspace(0.0, a, n0 + 1)
-    lo, hi = edges[:-1], edges[1:]
-    integral, err, resabs = _eval_panels(f, lo, hi)
+def _adaptive(f, a, rel_tol, osc_scales, max_panels):
+    """Advance a batch of integrals over [0, a] in lockstep.
+
+    Each integral keeps its own panels, split decisions, panel order and
+    rule sums, so its result does not depend on the rest of the batch; only
+    the integrand call of a refinement round is shared.  When integrals
+    fail, the error of the lowest-index one is raised, and integrals after
+    it stop refining.
+    """
+    lo, hi = [], []
+    for osc in osc_scales:
+        n0 = min(max(1, math.ceil(a * max(abs(osc), 1.0) / math.pi)), max_panels)
+        edges = np.linspace(0.0, a, n0 + 1)
+        lo.append(edges[:-1])
+        hi.append(edges[1:])
+    results, failures = [None] * len(lo), {}
+    active = list(range(len(lo)))
+    sums = dict(zip(active, _eval_panels(f, active, lo, hi)))
 
     while True:
-        total = float(integral.sum())
-        total_err = float(err.sum())
-        threshold = max(rel_tol * abs(total), _ABS_FLOOR, 100.0 * _EPS * float(resabs.sum()))
-        if total_err <= threshold:
-            return QuadratureResult(total, total_err, lo.size)
-        if lo.size >= max_panels:
-            raise ConvergenceError(
-                f"no convergence within {max_panels} panels "
-                f"(estimate {total_err:.3e} > threshold {threshold:.3e})",
-                QuadratureResult(total, total_err, lo.size),
-            )
-        split = err > threshold / lo.size
-        if not split.any():  # numerical safety; always split the worst panel
-            split = err == err.max()
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[split], mid])
-        new_hi = np.concatenate([mid, hi[split]])
-        child_int, child_err, child_res = _eval_panels(f, new_lo, new_hi)
-        lo = np.concatenate([lo[~split], new_lo])
-        hi = np.concatenate([hi[~split], new_hi])
-        integral = np.concatenate([integral[~split], child_int])
-        err = np.concatenate([err[~split], child_err])
-        resabs = np.concatenate([resabs[~split], child_res])
+        children = {}
+        for i in active:
+            if isinstance(sums[i], Exception):
+                failures[i] = sums[i]
+                continue
+            integral, err, resabs = sums[i]
+            total = float(integral.sum())
+            total_err = float(err.sum())
+            threshold = max(rel_tol * abs(total), _ABS_FLOOR, 100.0 * _EPS * float(resabs.sum()))
+            if total_err <= threshold:
+                results[i] = QuadratureResult(total, total_err, lo[i].size)
+                continue
+            if lo[i].size >= max_panels:
+                failures[i] = ConvergenceError(
+                    f"no convergence within {max_panels} panels "
+                    f"(estimate {total_err:.3e} > threshold {threshold:.3e})",
+                    QuadratureResult(total, total_err, lo[i].size),
+                )
+                continue
+            split = err > threshold / lo[i].size
+            if not split.any():  # numerical safety; always split the worst panel
+                split = err == err.max()
+            mid = 0.5 * (lo[i][split] + hi[i][split])
+            # kept panels, then left halves, then right halves
+            children[i] = (~split, np.concatenate([lo[i][split], mid]), np.concatenate([mid, hi[i][split]]))
+        if failures:
+            first = min(failures)
+            children = {i: child for i, child in children.items() if i < first}
+        if not children:
+            break
+        active = list(children)
+        new_sums = _eval_panels(f, active, [children[i][1] for i in active], [children[i][2] for i in active])
+        for i, child_sums in zip(active, new_sums):
+            keep, new_lo, new_hi = children[i]
+            lo[i] = np.concatenate([lo[i][keep], new_lo])
+            hi[i] = np.concatenate([hi[i][keep], new_hi])
+            if isinstance(child_sums, Exception):
+                sums[i] = child_sums
+            else:
+                sums[i] = tuple(np.concatenate([old[keep], new]) for old, new in zip(sums[i], child_sums))
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
+def _lone(f):
+    """A single integrand as a batch of one; a scalar-only f is sampled point by point."""
+
+    def batch(active, points):
+        (flat,) = points
+        try:
+            vals = np.asarray(f(flat), dtype=float)
+            if vals.shape != flat.shape:
+                raise TypeError("integrand is not vectorized")
+        except (TypeError, ValueError, IndexError):
+            # scalar-only integrand: fall back to a per-point loop
+            vals = np.fromiter((float(f(p)) for p in flat), dtype=float, count=flat.size)
+        return [vals]
+
+    return batch
 
 
 def validate_tol(rel_tol):
@@ -136,14 +195,44 @@ def validate_tol(rel_tol):
         raise InvalidInputError(f"rel_tol must lie in [1e-14, 1e-3], got {rel_tol}")
 
 
+def _validate_limit(a, name):
+    if not (np.isfinite(a) and a > 0.0):
+        raise InvalidInputError(f"{name} must be finite and > 0, got {a}")
+
+
+def integrate_radial_batch(f, a, rel_tol=1e-12, *, osc_scales, max_panels=8192):
+    """Integrate a batch of integrands over [0, a] in lockstep.
+
+    Each integral i is refined exactly as ``integrate_radial`` would refine
+    it alone, with ``osc_scale=osc_scales[i]``, and its QuadratureResult is
+    the same to the bit.  Only the integrand evaluation is shared: each
+    refinement round makes one call ``f(active, points)``, where ``active``
+    lists the indices of the integrals still refining (ascending) and
+    ``points[n]`` holds the nodes of integral ``active[n]``.  It must return
+    one value array per entry of ``points``, of the same shape, so that one
+    Bessel table can serve the whole round.
+
+    Returns the list of QuadratureResults in batch order.  If integrals fail
+    (ConvergenceError, IntegrandDomainError), the error of the lowest-index
+    one is raised, as a lone run of it would raise it.
+    """
+    _validate_limit(a, "upper limit a")
+    validate_tol(rel_tol)
+    return _adaptive(f, float(a), float(rel_tol), list(osc_scales), int(max_panels))
+
+
 def integrate_radial(f, a, rel_tol=1e-12, *, osc_scale=1.0, max_panels=8192):
     """Integrate f over [0, a] to the requested relative tolerance.
+
+    A batch of one of ``integrate_radial_batch``: the module has one
+    adaptive loop.
 
     Parameters
     ----------
     f : callable
-        Real integrand of r; preferably vectorized over numpy arrays.
-        Never sampled at r = 0 or r = a (all nodes are interior).
+        Real integrand of r; preferably vectorized over numpy arrays (a
+        scalar-only f is sampled point by point).  Never sampled at r = 0
+        or r = a (all nodes are interior).
     a : float
         Upper limit, > 0.
     rel_tol : float
@@ -160,10 +249,8 @@ def integrate_radial(f, a, rel_tol=1e-12, *, osc_scale=1.0, max_panels=8192):
     -------
     QuadratureResult
     """
-    if not (np.isfinite(a) and a > 0.0):
-        raise InvalidInputError(f"upper limit a must be finite and > 0, got {a}")
-    validate_tol(rel_tol)
-    return _adaptive(f, float(a), float(rel_tol), osc_scale, int(max_panels))
+    (res,) = integrate_radial_batch(_lone(f), a, rel_tol, osc_scales=[osc_scale], max_panels=max_panels)
+    return res
 
 
 def integrate_extended(f, tail_cut, rel_tol=1e-12, *, osc_scale=1.0, max_panels=65536):
@@ -173,7 +260,7 @@ def integrate_extended(f, tail_cut, rel_tol=1e-12, *, osc_scale=1.0, max_panels=
     ``tail_cut``; the error contract is the same as ``integrate_radial``
     (the truncation tail itself is the caller's business).
     """
-    if not (np.isfinite(tail_cut) and tail_cut > 0.0):
-        raise InvalidInputError(f"tail_cut must be finite and > 0, got {tail_cut}")
+    _validate_limit(tail_cut, "tail_cut")
     validate_tol(rel_tol)
-    return _adaptive(f, float(tail_cut), float(rel_tol), osc_scale, int(max_panels))
+    (res,) = _adaptive(_lone(f), float(tail_cut), float(rel_tol), [osc_scale], int(max_panels))
+    return res

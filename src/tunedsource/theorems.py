@@ -32,14 +32,15 @@ from . import specfun
 from .errors import DegenerateModeError, IllConditionedExpansionError, InvalidInputError
 from .model import (
     Mode,
-    _integrand_j1,
-    _j_and_u_pair,
+    _j1_integrand,
+    _kernel_values,
+    _mode_ratios_quadrature,
     mode_ratio,
-    mode_ratio_quadrature,
     radial_integrals,
     tuned_wavenumber,
 )
-from .quadrature import integrate_radial
+from .quadrature import integrate_radial_batch
+from .quadrature import integrate_radial  # noqa: F401  (bench/spans.py traces this name)
 
 __all__ = [
     "MarginReport",
@@ -161,22 +162,20 @@ def curl_identity_check(l: int, k: float, K: float, a: float, rel_tol: float = 1
     ll1 = l * (l + 1)
     osc = max(abs(k), abs(K))
 
-    def curl_side(r):
-        jk, uk, jK, uK = _j_and_u_pair(l, k, K, r)
-        return ll1 * ll1 * jk * jK + ll1 * k * K * r * r * uk * uK
+    def sides(active, points):
+        # A and B share one table per round
+        kernels = _kernel_values(1, l, [(k, K)] * len(points), points)
+        out = []
+        for i, r, ((jk, uk), (jK, uK)) in zip(active, points, kernels):
+            if i == 0:
+                out.append(ll1 * ll1 * jk * jK + ll1 * k * K * r * r * uk * uK)
+            else:
+                out.append(_j1_integrand(ll1, k, K, r, jk, uk, jK, uK))
+        return out
 
-    A = integrate_radial(curl_side, a, rel_tol, osc_scale=osc).value
-    B = integrate_radial(_integrand_j1(l, k, K), a, rel_tol, osc_scale=osc).value
+    A, B = (res.value for res in integrate_radial_batch(sides, a, rel_tol, osc_scales=[osc, osc]))
     denom = max(abs(A), abs(ll1 * ll1 * B), 1e-300)
     return abs(A - ll1 * ll1 * B) / denom
-
-
-def _expansion_bracket(l: int, x: float) -> float:
-    """j_l(x)^2 - j_{l-1}(x) j_{l+1}(x), the positive Lommel bracket."""
-    jm = specfun.bessel_j(l - 1, x)
-    j = specfun.bessel_j(l, x)
-    jp = specfun.bessel_j(l + 1, x)
-    return j * j - jm * jp
 
 
 def expansion_j2(l: int, k: float, a: float, mu_omega: float) -> ExpansionCoeffs:
@@ -192,7 +191,8 @@ def expansion_j2(l: int, k: float, a: float, mu_omega: float) -> ExpansionCoeffs
     if k == 0.0:
         raise InvalidInputError("k must be nonzero")
     x = k * a
-    bracket = _expansion_bracket(l, x)
+    jm1, j, jp1 = (specfun.bessel_j(order, x) for order in (l - 1, l, l + 1))
+    bracket = j * j - jm1 * jp1  # the positive Lommel bracket
     if bracket <= 0.0:
         raise IllConditionedExpansionError(
             f"expansion bracket j_l^2 - j_(l-1) j_(l+1) = {bracket} <= 0 at ka = {x}"
@@ -204,9 +204,6 @@ def expansion_j2(l: int, k: float, a: float, mu_omega: float) -> ExpansionCoeffs
     # (using the exact identity x j_l' - l j_l = -x j_{l+1}) it becomes a
     # quartic in v = -x j_{l+1} with coefficients C_m in (l, x^2) whose
     # leading cancellations are already carried out symbolically.
-    j = specfun.bessel_j(l, x)
-    jp1 = specfun.bessel_j(l + 1, x)
-    jm1 = specfun.bessel_j(l - 1, x)
     X = x * x
     ll = float(l)
     c0 = 4.0 * X**3 + X**2 * (-4.0 * ll**2 + 12.0 * ll + 7.0)
@@ -255,27 +252,24 @@ def expansion_fd(
     (the triple whose two extrapolation levels agree best wins).  The ratios
     come from the quadrature route (``mode_ratio_quadrature``), so this is
     the independent oracle for the closed forms, and the only f2 route for
-    j=1.
+    j=1.  The tuned wavenumbers of the whole ladder are computed first, and
+    all its integrals run as one lockstep batch: 21 for j=1 (N_1(K) and
+    M_1(k, K) per step, one integral at chi = 0), 11 cross integrals for j=2,
+    whose N_2(K) come from one Bessel table.
     """
     if j not in (1, 2):
         raise InvalidInputError(f"j must be 1 or 2, got {j}")
     if k == 0.0:
         raise InvalidInputError("k must be nonzero")
 
-    mode = Mode(j, l)
-
-    def ratio(chi: float) -> float:
-        K = tuned_wavenumber(k, mu_omega, chi).K
-        return mode_ratio_quadrature(mode, k, K, a, rel_tol)
-
     scale = k * k / mu_omega
-    r0 = ratio(0.0)
+    steps = [t * scale for t in _FD_STEPS]
+    chis = [0.0] + [chi for h in steps for chi in (h, -h)]
+    Ks = [tuned_wavenumber(k, mu_omega, chi).K for chi in chis]
+    r0, *ladder = _mode_ratios_quadrature(Mode(j, l), k, Ks, a, rel_tol)
     d1 = []
     d2 = []
-    for t in _FD_STEPS:
-        h = t * scale
-        rp = ratio(h)
-        rm = ratio(-h)
+    for h, rp, rm in zip(steps, ladder[0::2], ladder[1::2]):
         d1.append((rp - rm) / (2.0 * h))
         d2.append((rp - 2.0 * r0 + rm) / (h * h))
     f1 = _scan_richardson(d1)
@@ -293,6 +287,11 @@ def series_integrals_j1(
     their exact |k| and k^(2-l) |k|^l prefactors (which encode the parity
     bookkeeping for negative k).  c0 equals the j=1 self integral N_1(|k|);
     for k > 0, d0 = c0 and c1 = 2 d1 hold pointwise.
+
+    The four run as one lockstep batch.  Each round builds the tables of
+    orders l-1, l and l+1 at |k| r once for all of them; the kernels at k r
+    are those values with the parity sign (-1)^n of order n for k < 0, an
+    exact negation.
     """
     if l < 1:
         raise InvalidInputError("series integrals need l >= 1")
@@ -306,10 +305,12 @@ def series_integrals_j1(
     pref_d0 = k ** (2 - l) * ak**l
     pref_d1 = k ** (-l - 2) * ak**l
 
-    def c0_f(r):
-        jm = specfun.bessel_j(l - 1, ak * r)
-        j = specfun.bessel_j(l, ak * r)
-        jp = specfun.bessel_j(l + 1, ak * r)
+    def signed(order, values):
+        """j_order(k r) from j_order(|k| r)."""
+        return -values if k < 0.0 and order % 2 == 1 else values
+
+    # each form takes r and j_{l-1}, j_l, j_{l+1} at |k| r
+    def c0_f(r, jm, j, jp):
         r2 = r * r
         return (
             k2 * (l + 1) ** 2 * r2 * jm * jm
@@ -317,32 +318,32 @@ def series_integrals_j1(
             + l * (k2 * l * r2 * jp * jp + (l + 1) * two_l1_sq * j * j)
         ) / (ll1 * two_l1_sq)
 
-    def c1_f(r):
-        j = specfun.bessel_j(l, ak * r)
-        jp = specfun.bessel_j(l + 1, ak * r)
+    def c1_f(r, jm, j, jp):
         r2 = r * r
         bracket = (l + 1) * (-k2 * r2 + 2 * l * l + l) * j + r * ak * (k2 * r2 - 2 * l * l - 2 * l) * jp
         return -(mu_omega / (ll1 * k2)) * j * bracket
 
-    def d0_f(r):
-        jm_s = specfun.bessel_j(l - 1, k * r)
-        j_s = specfun.bessel_j(l, k * r)
-        jp_s = specfun.bessel_j(l + 1, k * r)
-        j_a = specfun.bessel_j(l, ak * r)
+    def d0_f(r, jm, j, jp):
+        jm_s, j_s, jp_s = signed(l - 1, jm), signed(l, j), signed(l + 1, jp)
         comb = (l + 1) * jm_s - l * jp_s
-        return r * r * pref_d0 * comb * comb / (ll1 * two_l1_sq) + j_s * j_a
+        return r * r * pref_d0 * comb * comb / (ll1 * two_l1_sq) + j_s * j
 
-    def d1_f(r):
-        j_s = specfun.bessel_j(l, k * r)
-        jp_s = specfun.bessel_j(l + 1, k * r)
+    def d1_f(r, jm, j, jp):
+        j_s, jp_s = signed(l, j), signed(l + 1, jp)
         r2 = r * r
         bracket = (l + 1) * (-k2 * r2 + 2 * l * l + l) * j_s + k * r * (k2 * r2 - 2 * l * l - 2 * l) * jp_s
         return -(mu_omega * pref_d1 / (2.0 * ll1)) * j_s * bracket
 
-    c0 = integrate_radial(c0_f, a, rel_tol, osc_scale=ak).value
-    c1 = integrate_radial(c1_f, a, rel_tol, osc_scale=ak).value
-    d0 = integrate_radial(d0_f, a, rel_tol, osc_scale=ak).value
-    d1 = integrate_radial(d1_f, a, rel_tol, osc_scale=ak).value
+    forms = (c0_f, c1_f, d0_f, d1_f)
+
+    def integrands(active, points):
+        x = ak * np.concatenate(points)
+        cuts = np.cumsum([r.size for r in points[:-1]])
+        tables = zip(*(np.split(specfun.bessel_j(order, x), cuts) for order in (l - 1, l, l + 1)))
+        return [forms[i](r, *values) for i, r, values in zip(active, points, tables)]
+
+    results = integrate_radial_batch(integrands, a, rel_tol, osc_scales=[ak] * 4)
+    c0, c1, d0, d1 = (res.value for res in results)
     return SeriesIntegralsJ1(c0=c0, c1=c1, d0=d0, d1=d1)
 
 

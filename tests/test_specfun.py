@@ -10,6 +10,7 @@ from scipy.special import spherical_jn
 
 from tunedsource import model, specfun
 from tunedsource.errors import InvalidInputError, SingularityError
+from tunedsource.model import Mode
 from tunedsource.quadrature import integrate_radial
 
 
@@ -318,16 +319,21 @@ class TestTableKernelsBitIdentical:
 
     @pytest.mark.parametrize("l", [1, 2, 6, 24])
     def test_merged_integrand_tables(self, l):
-        # one table for k r and K r together gives each point's value unchanged
+        # one table for the points of several pairs, at k r and K r, gives
+        # each point's value unchanged; a self pair enters its points once
         rng = np.random.default_rng(22 + l)
-        for k, K in [(0.7, 0.71), (-1.3, 2.4), (5.0, 0.02)]:
-            r = rng.uniform(0.0, 3.0, 45)
-            r[0] = 1e-4
-            jk, jK = specfun.bessel_j(l, k * r), specfun.bessel_j(l, K * r)
-            assert np.array_equal(model._integrand_j2(l, k, K)(r), r * r * jk * jK)
+        pairs = [(0.7, 0.71), (-1.3, 2.4), (5.0, 0.02), (1.9, 1.9)]
+        points = [rng.uniform(0.0, 3.0, n) for n in (45, 30, 15, 60)]
+        points[0][0] = 1e-4
+        merged_j = model._kernel_values(2, l, pairs, points)
+        merged_ju = model._kernel_values(1, l, pairs, points)
+        integrand = model._mode_integrand(Mode(2, l), pairs)([0, 1, 2, 3], points)
+        for (k, K), r, ((jk,), (jK,)), (at_k, at_K), f in zip(pairs, points, merged_j, merged_ju, integrand):
+            assert np.array_equal(jk, specfun.bessel_j(l, k * r))
+            assert np.array_equal(jK, specfun.bessel_j(l, K * r))
+            assert np.array_equal(f, r * r * jk * jK)
             want = specfun.bessel_j_and_u(l, k * r) + specfun.bessel_j_and_u(l, K * r)
-            got = model._j_and_u_pair(l, k, K, r)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert all(np.array_equal(g, w) for g, w in zip(at_k + at_K, want))
 
 
 class TestAccuracyMap:

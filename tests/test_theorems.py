@@ -7,9 +7,10 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 from scipy.special import spherical_jn
 
-from tunedsource import specfun, theorems
+from tunedsource import quadrature, specfun, theorems
 from tunedsource.errors import InvalidInputError
-from tunedsource.model import Mode, radial_integrals
+from tunedsource.model import Mode, radial_integrals, tuned_wavenumber
+from tunedsource.quadrature import integrate_radial
 
 
 def _u(l, x):
@@ -276,3 +277,189 @@ class TestDefaultChiGrid:
             theorems.default_chi_grid(1.0, 1.0, n=20)
         with pytest.raises(InvalidInputError):
             theorems.default_chi_grid(1.0, 1.0, span=1.5)
+
+
+# -- the one-integral-at-a-time oracle routes the lockstep batches replaced --
+
+
+def _reference_integrand(j, l, k, K):
+    ll1 = l * (l + 1)
+
+    def f(r):
+        x = np.concatenate([k * r, K * r])
+        if j == 2:
+            jk, jK = np.split(specfun.bessel_j(l, x), 2)
+            return r * r * jk * jK
+        jv, uv = specfun.bessel_j_and_u(l, x)
+        (jk, jK), (uk, uK) = np.split(jv, 2), np.split(uv, 2)
+        return jk * jK + k * K * r * r * uk * uK / ll1
+
+    return f
+
+
+def _reference_quadrature(j, l, k, K, a, rel_tol):
+    return integrate_radial(_reference_integrand(j, l, k, K), a, rel_tol, osc_scale=max(abs(k), abs(K))).value
+
+
+def reference_ratio(j, l, k, K, a, rel_tol):
+    if j == 2:
+        n_K = specfun.lommel_first(l, abs(K), a)
+    else:
+        n_K = _reference_quadrature(1, l, abs(K), abs(K), a, rel_tol)
+    m = n_K if j == 1 and k == K else _reference_quadrature(j, l, k, K, a, rel_tol)
+    return n_K / (m * m)
+
+
+def reference_expansion_fd(j, l, k, a, mu_omega, rel_tol):
+    def ratio(chi):
+        return reference_ratio(j, l, k, tuned_wavenumber(k, mu_omega, chi).K, a, rel_tol)
+
+    scale = k * k / mu_omega
+    r0 = ratio(0.0)
+    d1, d2 = [], []
+    for t in theorems._FD_STEPS:
+        h = t * scale
+        rp, rm = ratio(h), ratio(-h)
+        d1.append((rp - rm) / (2.0 * h))
+        d2.append((rp - 2.0 * r0 + rm) / (h * h))
+    f2 = 0.5 * theorems._scan_richardson(d2)
+    return theorems.ExpansionCoeffs(j, r0, theorems._scan_richardson(d1), f2, "finite-difference")
+
+
+def reference_series_integrals_j1(l, k, a, mu_omega, rel_tol):
+    ak, k2, ll1, two_l1_sq = abs(k), k * k, l * (l + 1), (2 * l + 1) ** 2
+    pref_d0 = k ** (2 - l) * ak**l
+    pref_d1 = k ** (-l - 2) * ak**l
+
+    def c0_f(r):
+        jm, j, jp = (specfun.bessel_j(n, ak * r) for n in (l - 1, l, l + 1))
+        r2 = r * r
+        return (
+            k2 * (l + 1) ** 2 * r2 * jm * jm
+            - 2.0 * k2 * ll1 * r2 * jm * jp
+            + l * (k2 * l * r2 * jp * jp + (l + 1) * two_l1_sq * j * j)
+        ) / (ll1 * two_l1_sq)
+
+    def c1_f(r):
+        j, jp = specfun.bessel_j(l, ak * r), specfun.bessel_j(l + 1, ak * r)
+        r2 = r * r
+        bracket = (l + 1) * (-k2 * r2 + 2 * l * l + l) * j + r * ak * (k2 * r2 - 2 * l * l - 2 * l) * jp
+        return -(mu_omega / (ll1 * k2)) * j * bracket
+
+    def d0_f(r):
+        jm_s, j_s, jp_s = (specfun.bessel_j(n, k * r) for n in (l - 1, l, l + 1))
+        j_a = specfun.bessel_j(l, ak * r)
+        comb = (l + 1) * jm_s - l * jp_s
+        return r * r * pref_d0 * comb * comb / (ll1 * two_l1_sq) + j_s * j_a
+
+    def d1_f(r):
+        j_s, jp_s = specfun.bessel_j(l, k * r), specfun.bessel_j(l + 1, k * r)
+        r2 = r * r
+        bracket = (l + 1) * (-k2 * r2 + 2 * l * l + l) * j_s + k * r * (k2 * r2 - 2 * l * l - 2 * l) * jp_s
+        return -(mu_omega * pref_d1 / (2.0 * ll1)) * j_s * bracket
+
+    values = [integrate_radial(f, a, rel_tol, osc_scale=ak).value for f in (c0_f, c1_f, d0_f, d1_f)]
+    return theorems.SeriesIntegralsJ1(*values)
+
+
+def reference_curl_identity_check(l, k, K, a, rel_tol):
+    ll1 = l * (l + 1)
+
+    def curl_side(r):
+        jv, uv = specfun.bessel_j_and_u(l, np.concatenate([k * r, K * r]))
+        (jk, jK), (uk, uK) = np.split(jv, 2), np.split(uv, 2)
+        return ll1 * ll1 * jk * jK + ll1 * k * K * r * r * uk * uK
+
+    osc = max(abs(k), abs(K))
+    A = integrate_radial(curl_side, a, rel_tol, osc_scale=osc).value
+    B = integrate_radial(_reference_integrand(1, l, k, K), a, rel_tol, osc_scale=osc).value
+    return abs(A - ll1 * ll1 * B) / max(abs(A), abs(ll1 * ll1 * B), 1e-300)
+
+
+def _fd_oracle_bundles(seed, n):
+    """Seeded (l, k, a, mu_omega, K_near) in the shape of the fd_oracle bundles."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        l = 1 + i % 6
+        k = (1.0 if i % 2 == 0 else -1.0) * float(rng.uniform(0.5, 2.0))
+        a = float(rng.uniform(1.0, math.pi))
+        mw = float(rng.uniform(0.5, 1.0))
+        K_near = abs(k) * (1.0 + float(rng.choice([1.0, -1.0]) * rng.uniform(1e-3, 2e-2)))
+        yield l, k, a, mw, K_near
+
+
+# expansion_fd's default, and the CLI's quad_rel_tol / 10 at the default quad_rel_tol
+_ORACLE_TOLS = (1e-13, 1e-12 / 10.0, 1e-12)
+
+
+class TestLockstepOracleBitIdentical:
+    """The lockstep batches give every oracle value of the one-at-a-time route, to the bit."""
+
+    @pytest.mark.parametrize("rel_tol", _ORACLE_TOLS)
+    def test_expansion_fd(self, rel_tol):
+        for l, k, a, mw, _ in _fd_oracle_bundles(7, 12):
+            for j in (1, 2):
+                assert theorems.expansion_fd(j, l, k, a, mw, rel_tol) == reference_expansion_fd(j, l, k, a, mw, rel_tol)
+
+    @pytest.mark.parametrize("rel_tol", _ORACLE_TOLS)
+    def test_series_integrals_j1(self, rel_tol):
+        for l, k, a, mw, _ in _fd_oracle_bundles(11, 12):
+            got = theorems.series_integrals_j1(l, k, a, mw, rel_tol)
+            assert got == reference_series_integrals_j1(l, k, a, mw, rel_tol)
+
+    @pytest.mark.parametrize("rel_tol", _ORACLE_TOLS)
+    def test_curl_identity_check(self, rel_tol):
+        for l, k, a, _, K_near in _fd_oracle_bundles(22, 12):
+            for K in (K_near, k, abs(k)):
+                assert theorems.curl_identity_check(l, k, K, a, rel_tol) == reference_curl_identity_check(l, k, K, a, rel_tol)
+
+    def test_expansion_j2_shares_its_bessel_values(self):
+        for l, k, a, mw, _ in _fd_oracle_bundles(3, 12):
+            x = k * a
+            jm, j, jp = (specfun.bessel_j(n, x) for n in (l - 1, l, l + 1))
+            assert theorems.expansion_j2(l, k, a, mw).f0 == 2.0 / (a**3 * (j * j - jm * jp))
+
+
+class TestTableBuildsPerRound:
+    """Each lockstep round builds one Bessel table per order for all integrals of a theorem call."""
+
+    @staticmethod
+    def _count(monkeypatch, call):
+        tables, rounds = [], []
+        table, eval_panels = specfun._jl_table, quadrature._eval_panels
+
+        def counted_table(lmax, x):
+            tables.append(lmax)
+            return table(lmax, x)
+
+        def counted_round(f, active, lo, hi):
+            rounds.append(len(active))
+            return eval_panels(f, active, lo, hi)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(specfun, "_jl_table", counted_table)
+            patch.setattr(quadrature, "_eval_panels", counted_round)
+            call()
+        return tables, rounds
+
+    def _check(self, monkeypatch, call, batch, orders, extra, expected):
+        tables, rounds = self._count(monkeypatch, call)
+        assert rounds[0] == batch  # every integral in one batch
+        assert sorted(tables) == sorted(orders * len(rounds) + extra)  # one table per round and order
+        assert (len(tables), len(rounds)) == expected
+        assert self._count(monkeypatch, call) == (tables, rounds)  # repeats exactly
+
+    def test_expansion_fd_j1(self, monkeypatch):
+        # N_1(K) and M_1(k, K) at ten steps, one integral at chi = 0; j_l and u_l from order l+1
+        call = lambda: theorems.expansion_fd(1, 2, 1.9, 3.0, 0.9, 1e-14)
+        self._check(monkeypatch, call, batch=21, orders=[3], extra=[], expected=(3, 3))
+
+    def test_expansion_fd_j2(self, monkeypatch):
+        # eleven cross integrals of order l, plus one order-(l+1) table for the eleven N_2(K)
+        call = lambda: theorems.expansion_fd(2, 2, -1.9, 3.0, 0.9, 1e-14)
+        self._check(monkeypatch, call, batch=11, orders=[2], extra=[3], expected=(4, 3))
+
+    def test_series_integrals_j1(self, monkeypatch):
+        # orders l-1, l and l+1 at |k| r; d1 finishes a round before the others
+        call = lambda: theorems.series_integrals_j1(2, -1.9, 3.0, 0.9, 1e-14)
+        self._check(monkeypatch, call, batch=4, orders=[1, 2, 3], extra=[], expected=(9, 3))
