@@ -21,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -88,7 +87,6 @@ class RunConfig:
     f2_tol: float
     out_format: str
     out_path: Optional[str]
-    jobs: int
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +400,6 @@ def load_config(path: str, *, command: str, overrides=None) -> RunConfig:
         f2_tol=tols["f2_tol"],
         out_format=out_format,
         out_path=out_path,
-        jobs=max(1, int(overrides.get("jobs") or 1)),
     )
 
 
@@ -542,8 +539,7 @@ def run_verify(cfg: RunConfig):
             except TunedSourceError as exc:
                 expansions[(j, l)] = exc
 
-    def cell(args):
-        j, l, chi = args
+    def cell(j, l, chi):
         mode = Mode(j, l)
         exp = expansions[(j, l)]
         if isinstance(exp, TunedSourceError):
@@ -560,12 +556,7 @@ def run_verify(cfg: RunConfig):
                 bm, mrep.margin, f0, f1_res, f2_closed, f2_fd,
                 pb, pm, pass_f1, pass_f2, "ok"]
 
-    cells = [(j, l, chi) for j in cfg.j_list for l in cfg.l_values for chi in cfg.chi_values]
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows.extend(pool.map(cell, cells))
-    else:
-        rows.extend(map(cell, cells))
+    rows.extend(cell(j, l, chi) for j in cfg.j_list for l in cfg.l_values for chi in cfg.chi_values)
 
     code = 0
     for row in rows:
@@ -674,8 +665,7 @@ def run_sweep(cfg: RunConfig):
 
     cells.sort(key=lambda c: (c[0], c[1], c[2], c[5]))
 
-    def cell(args):
-        value, j, l, k, a, chi = args
+    def cell(value, j, l, k, a, chi):
         try:
             t, ri, bound_margin, bound_scale, mrep, pass_bound, pass_min = _margin_cells(
                 cfg, Mode(j, int(l)), k, a, chi, chi0)
@@ -686,11 +676,7 @@ def run_sweep(cfg: RunConfig):
                 ri.n_self_k, ri.n_self_K, ri.m_cross, bound_margin, bound_scale,
                 mrep.margin, mrep.scale, pass_bound, pass_min, "ok"]
 
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(cell, cells))
-    else:
-        rows = list(map(cell, cells))
+    rows = [cell(*args) for args in cells]
 
     code = 0
     for row in rows:
@@ -752,7 +738,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default=None, help="report format override")
         p.add_argument("--tol-quad", type=float, default=None, help="quadrature relative tolerance override")
         p.add_argument("--tol-margin", type=float, default=None, help="margin tolerance override")
-        p.add_argument("--jobs", type=int, default=1, help="concurrent cell evaluations")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility and ignored; cells run in order in one thread")
     return parser
 
 
@@ -763,7 +750,6 @@ def main(argv=None) -> int:
         "format": args.format,
         "quad_rel_tol": args.tol_quad,
         "margin_tol": args.tol_margin,
-        "jobs": args.jobs,
     }
     try:
         cfg = load_config(args.config, command=args.command, overrides=overrides)

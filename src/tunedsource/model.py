@@ -250,6 +250,8 @@ def _mode_integrand(mode: Mode, pairs):
 def _validate(mode: Mode, k: float, K: float, a: float, rel_tol: float) -> None:
     if mode.l < 1:
         raise InvalidInputError("radial integrals need l >= 1")
+    if not all(math.isfinite(v) for v in (k, K, a)):
+        raise InvalidInputError(f"k, K and a must be finite, got k={k}, K={K}, a={a}")
     if k == 0.0 or K == 0.0:
         raise InvalidInputError("wavenumbers must be nonzero")
     if a <= 0.0:
@@ -304,10 +306,9 @@ def _closed_form(j: int, l: int, k: float, K: float, a: float):
     Returns the integrals and the rounding error estimate of M relative to
     sqrt(N_j(k) N_j(K)).  At k == K, M equals N exactly.
     """
-    x = np.array([k * a, K * a])
-    table = specfun._jl_table(l + 1, x)
-    u_k, u_K = specfun._u_from_table(l, table, np.ones(2, dtype=bool), x).tolist()
-    (jm_k, jm_K), (j_k, j_K), (jp_k, jp_K) = table[l - 1:].tolist()
+    (jm_k, jm_K), (j_k, j_K), (jp_k, jp_K) = specfun._jl_rows(l + 1, [k * a, K * a])[l - 1:]
+    u_k = specfun._u_from_neighbors(l, jm_k, jp_k)
+    u_K = specfun._u_from_neighbors(l, jm_K, jp_K)
     n_k = specfun._lommel_first_from(a, jm_k, j_k, jp_k)
     n_K = specfun._lommel_first_from(a, jm_K, j_K, jp_K)
     m, err = (0.0, 0.0) if k == K else specfun._lommel_second_from(a, k, K, j_k, jp_k, j_K, jp_K)

@@ -13,11 +13,21 @@ integral) and of the cross integral of two kernels at different wavenumbers
 Evaluation strategy: one table of orders 0..lmax per call.  Arguments below
 0.1 take an ascending series, evaluated on the whole (orders x points) block
 at once.  Arguments below lmax take the downward (Miller) recurrence with
-normalization; its overflow check runs only when a Python-float growth bound
-allows an overflow, so a recurrence step costs two numpy calls (three for
-the orders it stores).  Other arguments take the upward recurrence.  Each
-point's value depends only on its own argument and lmax, not on the other
-points of the table.
+normalization.  Other arguments take the upward recurrence.  Each point's
+value depends only on its own argument and lmax, not on the other points of
+the table.
+
+Two builders make such a table, with the same bits.  ``_jl_table`` runs
+each recurrence order as numpy calls over all points; its Miller overflow
+check runs only when a Python-float growth bound allows an overflow, so a
+step costs two numpy calls (three for the orders it stores).  The array
+kernels (``bessel_j`` and friends) and the quadrature integrands use it,
+where a call holds hundreds of points.  ``_jl_rows`` runs the Miller and
+upward recurrences on Python floats, one point at a time, and returns
+lists.  The callers that hold a fixed handful of scalars use it:
+``lommel_first``, ``lommel_second``, the closed-form cell of
+``model.radial_integrals`` and ``theorems.expansion_j2``.  For one or two
+points it costs a fraction of ``_jl_table``'s per-order numpy calls.
 
 Accuracy, all arithmetic binary64, checked against mpmath for l <= 50 and
 |x| <= 1e3: the relative error is <= 1e-12 for |x| < l + 1, where j_l has no
@@ -157,6 +167,74 @@ def _jl_table(lmax: int, x: np.ndarray) -> np.ndarray:
     return block
 
 
+def _miller_column(lmax: int, x: float, sx: float, cx: float) -> list:
+    """``_jl_miller`` for one point on Python floats: the same operations in the same order.
+
+    The rescale check runs at every order; ``_jl_miller`` rescales a column
+    at exactly those orders (see its docstring), so the values are the same
+    to the bit.
+    """
+    limit = _RESCALE_LIMIT
+    f_up, f_cur = 0.0, 1e-30
+    for order in range(lmax + _MILLER_MARGIN, lmax, -1):    # above the table
+        f_up, f_cur = f_cur, (2 * order + 1) / x * f_cur - f_up
+        if abs(f_cur) > limit:
+            f_cur *= 1e-250
+            f_up *= 1e-250
+    column = [0.0] * lmax + [f_cur]
+    for order in range(lmax, 0, -1):
+        f_up, f_cur = f_cur, (2 * order + 1) / x * f_cur - f_up
+        if abs(f_cur) > limit:
+            f_cur *= 1e-250
+            f_up *= 1e-250
+            column[order:] = [v * 1e-250 for v in column[order:]]
+        column[order - 1] = f_cur
+    j0 = sx / x
+    j1 = sx / (x * x) - cx / x
+    ratio = j0 / column[0] if abs(j0) >= abs(j1) else j1 / column[1]
+    return [v * ratio for v in column]
+
+
+def _upward_column(lmax: int, x: float, sx: float, cx: float) -> list:
+    """``_jl_upward`` for one point on Python floats."""
+    column = [sx / x]
+    if lmax >= 1:
+        column.append(sx / (x * x) - cx / x)
+    for order in range(1, lmax):
+        column.append((2 * order + 1) / x * column[order] - column[order - 1])
+    return column
+
+
+def _jl_rows(lmax: int, xs) -> list:
+    """``_jl_table(lmax, np.array(xs)).tolist()`` to the bit, for a handful of points.
+
+    The Miller and upward recurrences run on Python floats, one point at a
+    time, which for a few points costs a fraction of ``_jl_table``'s numpy
+    calls per order.  sin and cos come from one numpy call over the points,
+    and arguments below the series cutoff still take ``_jl_series``: numpy's
+    ``x**order`` rounds differently from Python's.
+    """
+    x = np.asarray(xs, dtype=float)
+    xs = x.tolist()
+    small = [xi for xi in xs if xi < _SERIES_CUTOFF]
+    series = iter(_jl_series(lmax, np.array(small)).T.tolist()) if small else None
+    columns = []
+    for xi, sx, cx in zip(xs, np.sin(x).tolist(), np.cos(x).tolist()):
+        if xi < _SERIES_CUTOFF:
+            columns.append(next(series))
+        elif xi < lmax:
+            columns.append(_miller_column(lmax, xi, sx, cx))
+        else:
+            columns.append(_upward_column(lmax, xi, sx, cx))
+    return [list(row) for row in zip(*columns)]
+
+
+def _jl_value(l: int, x: float) -> float:
+    """``bessel_j(l, x)`` to the bit at one finite float, from ``_jl_rows``."""
+    value = _jl_rows(l, [abs(x)])[l][0]
+    return -value if x < 0.0 and l % 2 == 1 else value
+
+
 def _validate_order(l: int) -> int:
     if not isinstance(l, (int, np.integer)) or isinstance(l, bool):
         raise InvalidInputError(f"order l must be an integer, got {l!r}")
@@ -235,6 +313,11 @@ def bessel_j_prime(l: int, x):
     return vals.reshape(arr.shape)
 
 
+def _u_from_neighbors(l: int, jm, jp):
+    """u_l = [(l+1) j_{l-1} - l j_{l+1}] / (2l+1), l >= 1; floats or arrays."""
+    return ((l + 1) * jm - l * jp) / (2 * l + 1)
+
+
 def _u_from_table(l: int, table: np.ndarray, nonzero: np.ndarray, ax: np.ndarray) -> np.ndarray:
     """u_l at |x| from a j-table that reaches order l+1."""
     if l == 0:
@@ -242,7 +325,7 @@ def _u_from_table(l: int, table: np.ndarray, nonzero: np.ndarray, ax: np.ndarray
         out[nonzero] = np.cos(ax[nonzero]) / ax[nonzero]
         out[~nonzero] = np.nan
         return out
-    vals = ((l + 1) * table[l - 1] - l * table[l + 1]) / (2 * l + 1)
+    vals = _u_from_neighbors(l, table[l - 1], table[l + 1])
     if not nonzero.all():
         vals[~nonzero] = (2.0 / 3.0) if l == 1 else 0.0
     return vals
@@ -341,9 +424,9 @@ def lommel_first(l: int, alpha: float, a: float) -> float:
     if alpha == 0.0:
         raise InvalidInputError("alpha must be nonzero")
     x = abs(alpha) * a  # the integrand is even in alpha
-    table = _jl_table(l + 1, np.array([x]))[:, 0].tolist()
-    jlm1 = math.cos(x) / x if l == 0 else table[l - 1]
-    return _lommel_first_from(a, jlm1, table[l], table[l + 1])
+    column = [row[0] for row in _jl_rows(l + 1, [x])]
+    jlm1 = math.cos(x) / x if l == 0 else column[l - 1]
+    return _lommel_first_from(a, jlm1, column[l], column[l + 1])
 
 
 def lommel_second(l: int, k: float, K: float, a: float) -> float:
@@ -369,7 +452,7 @@ def lommel_second(l: int, k: float, K: float, a: float) -> float:
     if K * K == k * k:
         raise InvalidInputError("lommel_second requires K^2 != k^2; use lommel_first")
     ak, aK = abs(k), abs(K)
-    (j_k, j_K), (jp_k, jp_K) = _jl_table(l + 1, np.array([ak * a, aK * a]))[l:].tolist()
+    (j_k, j_K), (jp_k, jp_K) = _jl_rows(l + 1, [ak * a, aK * a])[l:]
     value, _ = _lommel_second_from(a, ak, aK, j_k, jp_k, j_K, jp_K)
     if l % 2 == 1 and (k < 0.0) != (K < 0.0):
         value = -value

@@ -24,6 +24,7 @@ suite for the frozen oracle values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,7 +192,9 @@ def expansion_j2(l: int, k: float, a: float, mu_omega: float) -> ExpansionCoeffs
     if k == 0.0:
         raise InvalidInputError("k must be nonzero")
     x = k * a
-    jm1, j, jp1 = (specfun.bessel_j(order, x) for order in (l - 1, l, l + 1))
+    if not (a > 0.0 and math.isfinite(x)):
+        raise InvalidInputError(f"expansion needs a > 0 and finite k a, got k={k}, a={a}")
+    jm1, j, jp1 = (specfun._jl_value(order, x) for order in (l - 1, l, l + 1))
     bracket = j * j - jm1 * jp1  # the positive Lommel bracket
     if bracket <= 0.0:
         raise IllConditionedExpansionError(

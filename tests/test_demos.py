@@ -1,0 +1,22 @@
+"""Every demo script runs to completion in a fresh process."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from test_cli import package_env
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    proc = subprocess.run([sys.executable, str(demo)], env=package_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

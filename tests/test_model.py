@@ -147,6 +147,20 @@ class TestRadialIntegrals:
             assert ri.n_self_k > 0.0 and ri.n_self_K > 0.0
             assert ri.n_self_k * ri.n_self_K - ri.m_cross**2 >= -1e-9 * ri.n_self_k * ri.n_self_K
 
+    @pytest.mark.parametrize("j", [1, 2])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_inputs_rejected(self, j, bad, monkeypatch):
+        # rejected before any Bessel table is built
+        def no_table(*args):
+            raise AssertionError("a Bessel table was built")
+
+        monkeypatch.setattr(specfun, "_jl_rows", no_table)
+        monkeypatch.setattr(specfun, "_jl_table", no_table)
+        for k, K, a in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+            for route in (model.radial_integrals, model.radial_integrals_quadrature, model.mode_ratio):
+                with pytest.raises(InvalidInputError):
+                    route(Mode(j, 2), k, K, a)
+
 
 def _scipy_integral(j, l, k, K, a):
     """Independent oracle: scipy quad with no absolute floor."""

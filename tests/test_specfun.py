@@ -336,6 +336,52 @@ class TestTableKernelsBitIdentical:
             assert all(np.array_equal(g, w) for g, w in zip(at_k + at_K, want))
 
 
+class TestRowsBitIdentical:
+    """``_jl_rows`` (Python floats, one point at a time) against ``_jl_table``."""
+
+    @staticmethod
+    def arguments(rng, lmax):
+        cut = specfun._SERIES_CUTOFF
+        return [
+            *np.exp(rng.uniform(math.log(1e-6), math.log(cut), 2)),
+            float(np.nextafter(cut, 0.0)), cut,
+            *np.exp(rng.uniform(math.log(cut), math.log(lmax), 2)),
+            float(np.nextafter(float(lmax), 0.0)), float(lmax),
+            *np.exp(rng.uniform(math.log(lmax), math.log(1e3), 2)),
+        ]
+
+    def test_all_regimes_and_boundaries(self):
+        rng = np.random.default_rng(40)
+        for lmax in range(1, 51):
+            xs = self.arguments(rng, lmax)
+            for size in (1, 2, 3):
+                for start in range(len(xs)):
+                    chosen = [xs[(start + 3 * i) % len(xs)] for i in range(size)]
+                    want = specfun._jl_table(lmax, np.array(chosen)).tolist()
+                    assert specfun._jl_rows(lmax, chosen) == want, (lmax, chosen)
+
+    def test_rescaling_column(self):
+        # the column at x = 0.1 of a table of order 50 rescales on the way down
+        rescaled = []
+        reference_miller(50, np.array([0.1]), rescaled)
+        assert rescaled
+        for xs in ([0.1], [0.1, 30.0], [60.0, 0.1, 0.05]):
+            assert specfun._jl_rows(50, xs) == specfun._jl_table(50, np.array(xs)).tolist()
+
+    def test_random_cells(self):
+        rng = np.random.default_rng(41)
+        for _ in range(2000):
+            lmax = int(rng.integers(0, 52))
+            xs = np.exp(rng.uniform(math.log(1e-3), math.log(200.0), int(rng.integers(1, 4)))).tolist()
+            assert specfun._jl_rows(lmax, xs) == specfun._jl_table(lmax, np.array(xs)).tolist(), (lmax, xs)
+
+    def test_signed_value(self):
+        rng = np.random.default_rng(42)
+        for l in range(0, 31):
+            for x in (0.0, -0.0, 0.05, -0.05, *rng.uniform(-40.0, 40.0, 6)):
+                assert specfun._jl_value(l, float(x)) == specfun.bessel_j(l, float(x)), (l, x)
+
+
 class TestAccuracyMap:
     """The module docstring's accuracy claim, checked against mpmath.
 

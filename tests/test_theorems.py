@@ -181,6 +181,10 @@ class TestExpansionJ2:
             theorems.expansion_j2(0, 1.0, 1.0, 1.0)
         with pytest.raises(InvalidInputError):
             theorems.expansion_j2(1, 0.0, 1.0, 1.0)
+        # a <= 0 gave f0 = -1/N_2 (a < 0) or an ill-conditioning error (a = 0)
+        for k, a in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan), (1.0, 0.0), (1.0, -1.5)):
+            with pytest.raises(InvalidInputError):
+                theorems.expansion_j2(2, k, a, 1.0)
 
 
 class TestExpansionFd:
