@@ -9,7 +9,10 @@ sweep     long-format report over a swept axis (chi, k, a, or l)
 tune      roots of a tabulated tuning constraint and the selected chi0
 
 Exit codes: 0 all assertions pass, 1 any violation or per-row failure,
-2 input/config error (no output file is written in that case).
+2 input/config error (no output file is written in that case).  A tuning
+search with no admissible root is a failure for verify and sweep, whose
+checks need chi0 (exit 1), but a diagnosis for energies and tune, which
+report it as a ``no-tuned-solution`` row and exit 0.
 
 Reports are byte-identical across runs for identical configs: floats are
 rendered with 17 significant digits and all iteration orders are fixed.
@@ -27,12 +30,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import theorems, tuning
-from .errors import (
-    ConfigError,
-    EvanescentRegimeError,
-    NoTunedSolutionError,
-    TunedSourceError,
-)
+from .errors import ConfigError, NoTunedSolutionError, TunedSourceError
 from .model import Mode, SourceSpec, Substrate, radial_integrals, source_energy, tuned_wavenumber
 
 __all__ = ["RunConfig", "load_config", "run_verify", "run_energies", "run_sweep", "run_tune", "main"]
@@ -93,6 +91,13 @@ class RunConfig:
 # config loading
 
 
+def _number(value, where: str) -> float:
+    """``value`` as a float; ConfigError at ``where`` unless it is a finite number."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return float(value)
+
+
 def _expect(block, path, key, kinds, required=True, default=None):
     if key not in block:
         if required:
@@ -100,9 +105,7 @@ def _expect(block, path, key, kinds, required=True, default=None):
         return default
     value = block[key]
     if kinds == "number":
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-            raise ConfigError(f"{path}.{key}: expected a finite number, got {value!r}")
-        return float(value)
+        return _number(value, f"{path}.{key}")
     if kinds == "int":
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
@@ -142,7 +145,7 @@ def _load_modes(raw, need_modes: bool):
     block = _expect(raw, "", "modes", "dict")
     j_list = tuple(_expect(block, "modes", "j", "list", required=False, default=[1, 2]))
     for j in j_list:
-        if j not in (1, 2):
+        if not isinstance(j, int) or isinstance(j, bool) or j not in (1, 2):
             raise ConfigError(f"modes.j: entries must be 1 or 2, got {j!r}")
     if not j_list:
         raise ConfigError("modes.j: must not be empty")
@@ -178,11 +181,7 @@ def _load_chis(raw, substrate: Substrate):
         values = [_expect(raw, "", "chi", "number")]
     elif key == "chi_values":
         entries = _expect(raw, "", "chi_values", "list")
-        values = []
-        for i, v in enumerate(entries):
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                raise ConfigError(f"chi_values[{i}]: expected a finite number, got {v!r}")
-            values.append(float(v))
+        values = [_number(v, f"chi_values[{i}]") for i, v in enumerate(entries)]
     else:
         block = _expect(raw, "", "chi_grid", "dict")
         lo = _expect(block, "chi_grid", "lo", "number")
@@ -223,11 +222,8 @@ def _load_xi_search(raw):
     for i, pair in enumerate(table):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ConfigError(f"xi_search.table[{i}]: expected a [chi, g] pair, got {pair!r}")
-        for v in pair:
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                raise ConfigError(f"xi_search.table[{i}]: entries must be finite numbers")
-        chis.append(float(pair[0]))
-        gs.append(float(pair[1]))
+        chis.append(_number(pair[0], f"xi_search.table[{i}]"))
+        gs.append(_number(pair[1], f"xi_search.table[{i}]"))
     if any(b <= a for a, b in zip(chis, chis[1:])):
         raise ConfigError("xi_search.table: chi entries must be strictly increasing")
     if lo < chis[0] or hi > chis[-1]:
@@ -280,9 +276,7 @@ def _load_sweep(raw, substrate: Substrate):
                     raise ConfigError(f"sweep.values[{i}]: l values must be integers >= 1")
                 values.append(v)
             else:
-                if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                    raise ConfigError(f"sweep.values[{i}]: expected a finite number")
-                values.append(float(v))
+                values.append(_number(v, f"sweep.values[{i}]"))
     else:
         lo = _expect(block, "sweep", "lo", "number")
         hi = _expect(block, "sweep", "hi", "number")
@@ -317,10 +311,9 @@ def _load_tolerances(raw, overrides):
     tols = {}
     for name, default in _DEFAULT_TOLS.items():
         tols[name] = _expect(block, "tolerances", name, "number", required=False, default=default)
-    if overrides.get("quad_rel_tol") is not None:
-        tols["quad_rel_tol"] = overrides["quad_rel_tol"]
-    if overrides.get("margin_tol") is not None:
-        tols["margin_tol"] = overrides["margin_tol"]
+    for name, flag in (("quad_rel_tol", "--tol-quad"), ("margin_tol", "--tol-margin")):
+        if overrides.get(name) is not None:
+            tols[name] = _number(overrides[name], flag)
     if not (1e-14 <= tols["quad_rel_tol"] <= 1e-3):
         raise ConfigError(
             f"tolerances.quad_rel_tol: must lie in [1e-14, 1e-3], got {tols['quad_rel_tol']}"
@@ -470,6 +463,33 @@ def _chi0_for(cfg: RunConfig):
 
 
 # ---------------------------------------------------------------------------
+# rows
+
+
+_NO_TUNED = {"status": "no-tuned-solution"}
+
+
+def _row(columns: Sequence[str], values: dict) -> list:
+    """A report row holding ``values`` by column name; every other column is blank."""
+    return [values.get(name) for name in columns]
+
+
+def _or_error(cells, *args) -> dict:
+    """``cells(*args)``, or the status of the library error it raises, which merges into the row."""
+    try:
+        return cells(*args)
+    except TunedSourceError as exc:
+        return {"status": f"error: {exc}"}
+
+
+def _exit_code(columns: Sequence[str], rows) -> int:
+    """1 when a row's status is not ok or any of its pass flags is False, else 0."""
+    status = columns.index("status")
+    flags = [i for i, name in enumerate(columns) if name.startswith("pass")]
+    return int(any(row[status] != "ok" or any(row[i] is False for i in flags) for row in rows))
+
+
+# ---------------------------------------------------------------------------
 # verify
 
 
@@ -481,91 +501,58 @@ VERIFY_COLUMNS = (
 )
 
 
-def _mode_expansion(cfg: RunConfig, j: int, l: int):
-    """Per-mode expansion columns: f0, f1_residual, f2_closed, f2_fd, pass flags."""
-    k = cfg.substrate.k
-    a = cfg.substrate.a
-    mw = cfg.substrate.mu_omega
-    fd = theorems.expansion_fd(j, l, k, a, mw, rel_tol=max(1e-14, cfg.quad_rel_tol / 10.0))
+def _mode_expansion(cfg: RunConfig, j: int, l: int) -> dict:
+    """Per-mode expansion columns: f0, f1_residual, f2_closed, f2_fd and their pass flags."""
+    s = cfg.substrate
+    fd = theorems.expansion_fd(j, l, s.k, s.a, s.mu_omega, rel_tol=max(1e-14, cfg.quad_rel_tol / 10.0))
     if j == 2:
-        cf = theorems.expansion_j2(l, k, a, mw)
-        f0 = cf.f0
-        f1_res = abs(fd.f1) / f0
-        f2_closed = cf.f2
+        cf = theorems.expansion_j2(l, s.k, s.a, s.mu_omega)
+        f0, f1_res, f2_closed = cf.f0, abs(fd.f1) / cf.f0, cf.f2
         pass_f2 = bool(abs(f2_closed - fd.f2) <= cfg.f2_tol * abs(f2_closed))
     else:
-        check = theorems.f1_vanishing_check(l, k, a, mw, tol=cfg.f1_tol, rel_tol=cfg.quad_rel_tol)
-        f0 = check.f0
-        f1_res = check.residual
-        f2_closed = None
-        pass_f2 = None
-    pass_f1 = bool(f1_res <= cfg.f1_tol)
-    return f0, f1_res, f2_closed, fd.f2, pass_f1, pass_f2
+        check = theorems.f1_vanishing_check(l, s.k, s.a, s.mu_omega, tol=cfg.f1_tol, rel_tol=cfg.quad_rel_tol)
+        f0, f1_res, f2_closed, pass_f2 = check.f0, check.residual, None, None
+    return {"f0": f0, "f1_residual": f1_res, "f2_closed": f2_closed, "f2_fd": fd.f2,
+            "pass_f1": bool(f1_res <= cfg.f1_tol), "pass_f2": pass_f2}
 
 
-def _margin_cells(cfg: RunConfig, mode: Mode, k: float, a: float, chi: float, chi0: float):
-    """Shared verify/sweep numerics and pass rules for one (mode, k, a, chi) cell."""
+def _margin_cells(cfg: RunConfig, mode: Mode, k: float, a: float, chi: float, chi0: float) -> dict:
+    """Margin columns and pass rules of one (mode, k, a, chi) cell, shared by verify and sweep."""
     mw = cfg.substrate.mu_omega
     t = tuned_wavenumber(k, mw, chi)
     ri = radial_integrals(mode, k, t.K, a, cfg.quad_rel_tol)
-    bound_scale = ri.n_self_k * ri.n_self_K
-    bound_margin = bound_scale - ri.m_cross * ri.m_cross
-    pass_bound = bound_margin >= -cfg.margin_tol * bound_scale
+    margin, scale = theorems._boundedness_slack(ri)
+    pass_bound = margin >= -cfg.margin_tol * scale
     if chi == 0.0:
-        pass_bound = pass_bound and abs(bound_margin) <= cfg.margin_tol * bound_scale
+        pass_bound = pass_bound and abs(margin) <= cfg.margin_tol * scale
     min_rep = theorems.minimality_margin(mode, k, chi, chi0, mw, a, cfg.quad_rel_tol)
     regime_cap = _REGIME * k * k
-    in_regime = abs(chi * mw) <= regime_cap and abs(chi0 * mw) <= regime_cap
-    if in_regime and chi * chi > chi0 * chi0:
+    pass_min = None
+    if abs(chi * mw) <= regime_cap and abs(chi0 * mw) <= regime_cap and chi * chi > chi0 * chi0:
         pass_min = bool(min_rep.margin > _MIN_STRICT * min_rep.scale)
-    else:
-        pass_min = None
-    return t, ri, bound_margin, bound_scale, min_rep, bool(pass_bound), pass_min
+    return {"K": t.K, "N_k": ri.n_self_k, "N_K": ri.n_self_K, "M": ri.m_cross,
+            "boundedness_margin": margin, "bound_scale": scale,
+            "minimality_margin": min_rep.margin, "min_scale": min_rep.scale,
+            "pass_bound": bool(pass_bound), "pass_min": pass_min, "status": "ok"}
 
 
 def run_verify(cfg: RunConfig):
     """Theorem-verification run; returns (exit_code, columns, rows)."""
+    s = cfg.substrate
     chi0, _ = _chi0_for(cfg)
-    rows = []
     if chi0 is None:
-        rows.append([None] * (len(VERIFY_COLUMNS) - 1) + ["no-tuned-solution"])
-        return 1, VERIFY_COLUMNS, rows
-
-    expansions = {}
-    for j in cfg.j_list:
-        for l in cfg.l_values:
-            try:
-                expansions[(j, l)] = _mode_expansion(cfg, j, l)
-            except TunedSourceError as exc:
-                expansions[(j, l)] = exc
-
-    def cell(j, l, chi):
-        mode = Mode(j, l)
-        exp = expansions[(j, l)]
-        if isinstance(exp, TunedSourceError):
-            return [j, l, cfg.substrate.k, None, chi] + [None] * 13 + [f"error: {exp}"]
-        f0, f1_res, f2_closed, f2_fd, pass_f1, pass_f2 = exp
-        try:
-            t, ri, bm, _bs, mrep, pb, pm = _margin_cells(
-                cfg, mode, cfg.substrate.k, cfg.substrate.a, chi, chi0)
-        except TunedSourceError as exc:
-            return [j, l, cfg.substrate.k, None, chi, None, None, None, None, None,
-                    f0, f1_res, f2_closed, f2_fd, None, None, pass_f1, pass_f2,
-                    f"error: {exc}"]
-        return [j, l, cfg.substrate.k, t.K, chi, ri.n_self_k, ri.n_self_K, ri.m_cross,
-                bm, mrep.margin, f0, f1_res, f2_closed, f2_fd,
-                pb, pm, pass_f1, pass_f2, "ok"]
-
-    rows.extend(cell(j, l, chi) for j in cfg.j_list for l in cfg.l_values for chi in cfg.chi_values)
-
-    code = 0
-    for row in rows:
-        if row[-1] != "ok":
-            code = 1
-        for flag in row[14:18]:
-            if flag is False:
-                code = 1
-    return code, VERIFY_COLUMNS, rows
+        rows = [_row(VERIFY_COLUMNS, _NO_TUNED)]
+    else:
+        expansions = {(j, l): _or_error(_mode_expansion, cfg, j, l) for j in cfg.j_list for l in cfg.l_values}
+        rows = []
+        for j in cfg.j_list:
+            for l in cfg.l_values:
+                for chi in cfg.chi_values:
+                    row = {"j": j, "l": l, "k": s.k, "chi": chi, **expansions[(j, l)]}
+                    if "status" not in row:
+                        row.update(_or_error(_margin_cells, cfg, Mode(j, l), s.k, s.a, chi, chi0))
+                    rows.append(_row(VERIFY_COLUMNS, row))
+    return _exit_code(VERIFY_COLUMNS, rows), VERIFY_COLUMNS, rows
 
 
 # ---------------------------------------------------------------------------
@@ -590,34 +577,25 @@ def run_energies(cfg: RunConfig):
 
     chi_list = list(cfg.chi_values)
     selected = None
-    chi_set = None
     if cfg.xi_search is not None:
         selected, chi_set = _chi0_for(cfg)
-        if chi_set is not None:
-            chi_list = list(chi_set.roots)
-
-    rows = []
-    code = 0
+        chi_list = list(chi_set.roots)
     if not chi_list:
-        rows.append([None, None, e_untuned, None, None, None, None, "no-tuned-solution"])
-        return code, ENERGIES_COLUMNS, rows
+        # an empty tuning set is reported, not failed
+        return 0, ENERGIES_COLUMNS, [_row(ENERGIES_COLUMNS, {"E_untuned": e_untuned, **_NO_TUNED})]
 
-    for chi in chi_list:
-        try:
-            t = tuned_wavenumber(s.k, s.mu_omega, chi)
-            e_tuned = energy(chi)
-        except TunedSourceError as exc:
-            rows.append([chi, None, e_untuned, None, None, None, None, f"error: {exc}"])
-            code = 1
-            continue
+    def tuned(chi: float) -> dict:
+        t = tuned_wavenumber(s.k, s.mu_omega, chi)
+        e_tuned = energy(chi)
         delta = e_tuned - e_untuned
         scale = max(abs(e_untuned), abs(e_tuned))
-        ok = bool(delta >= -cfg.margin_tol * scale)
-        if not ok:
-            code = 1
-        is_sel = (selected is not None and chi == selected) or None
-        rows.append([chi, t.K, e_untuned, e_tuned, delta, is_sel, ok, "ok"])
-    return code, ENERGIES_COLUMNS, rows
+        return {"K": t.K, "E_tuned": e_tuned, "delta": delta,
+                "selected": (selected is not None and chi == selected) or None,
+                "pass": bool(delta >= -cfg.margin_tol * scale), "status": "ok"}
+
+    rows = [_row(ENERGIES_COLUMNS, {"chi": chi, "E_untuned": e_untuned, **_or_error(tuned, chi)})
+            for chi in chi_list]
+    return _exit_code(ENERGIES_COLUMNS, rows), ENERGIES_COLUMNS, rows
 
 
 # ---------------------------------------------------------------------------
@@ -637,52 +615,22 @@ def run_sweep(cfg: RunConfig):
     axis = cfg.sweep_axis
     chi0, _ = _chi0_for(cfg)
     if chi0 is None:
-        return 1, SWEEP_COLUMNS, [[None] * (len(SWEEP_COLUMNS) - 1) + ["no-tuned-solution"]]
-
-    cells = []
-    if axis == "chi":
-        for value in cfg.sweep_values:
-            for j in cfg.j_list:
-                for l in cfg.l_values:
-                    cells.append((value, j, l, s.k, s.a, value))
-    elif axis == "k":
-        for value in cfg.sweep_values:
-            for j in cfg.j_list:
-                for l in cfg.l_values:
-                    for chi in cfg.chi_values:
-                        cells.append((value, j, l, value, s.a, chi))
-    elif axis == "a":
-        for value in cfg.sweep_values:
-            for j in cfg.j_list:
-                for l in cfg.l_values:
-                    for chi in cfg.chi_values:
-                        cells.append((value, j, l, s.k, value, chi))
-    else:  # axis == "l"
-        for value in cfg.sweep_values:
-            for j in cfg.j_list:
-                for chi in cfg.chi_values:
-                    cells.append((value, j, value, s.k, s.a, chi))
-
-    cells.sort(key=lambda c: (c[0], c[1], c[2], c[5]))
-
-    def cell(value, j, l, k, a, chi):
-        try:
-            t, ri, bound_margin, bound_scale, mrep, pass_bound, pass_min = _margin_cells(
-                cfg, Mode(j, int(l)), k, a, chi, chi0)
-        except TunedSourceError as exc:
-            return [axis, value, j, l, k, None, a, s.mu_omega, chi] + [None] * 7 + [
-                None, None, f"error: {exc}"]
-        return [axis, value, j, l, k, t.K, a, s.mu_omega, chi,
-                ri.n_self_k, ri.n_self_K, ri.m_cross, bound_margin, bound_scale,
-                mrep.margin, mrep.scale, pass_bound, pass_min, "ok"]
-
-    rows = [cell(*args) for args in cells]
-
-    code = 0
-    for row in rows:
-        if row[-1] != "ok" or row[16] is False or row[17] is False:
-            code = 1
-    return code, SWEEP_COLUMNS, rows
+        rows = [_row(SWEEP_COLUMNS, _NO_TUNED)]
+    else:
+        fixed = {"axis": axis, "k": s.k, "a": s.a, "mu_omega": s.mu_omega}
+        # the swept value stands in for one of k, a, l, chi; the sort is stable,
+        # so duplicate sweep values keep the order they were made in
+        points = sorted(
+            ({**fixed, "value": value, "j": j, "l": l, "chi": chi, axis: value}
+             for value in cfg.sweep_values for j in cfg.j_list
+             for l in ([value] if axis == "l" else cfg.l_values)
+             for chi in ([value] if axis == "chi" else cfg.chi_values)),
+            key=lambda p: (p["value"], p["j"], p["l"], p["chi"]),
+        )
+        rows = [_row(SWEEP_COLUMNS, {**p, **_or_error(
+                    _margin_cells, cfg, Mode(p["j"], p["l"]), p["k"], p["a"], p["chi"], chi0)})
+                for p in points]
+    return _exit_code(SWEEP_COLUMNS, rows), SWEEP_COLUMNS, rows
 
 
 # ---------------------------------------------------------------------------
@@ -693,18 +641,17 @@ TUNE_COLUMNS = ("chi_root", "admissible", "selected", "status")
 
 
 def run_tune(cfg: RunConfig):
-    """Roots of the tabulated constraint and the selected chi0."""
+    """Roots of the tabulated constraint and the selected chi0; an empty tuning set exits 0."""
     chi0, chi_set = _chi0_for(cfg)
-    rows = []
     if chi_set is None or (not chi_set.roots and not chi_set.excluded):
-        rows.append([None, None, None, "no-tuned-solution"])
-        return 0, TUNE_COLUMNS, rows
+        return 0, TUNE_COLUMNS, [_row(TUNE_COLUMNS, _NO_TUNED)]
+    rows = []
     for root in sorted(chi_set.roots + chi_set.excluded):
         admissible = root in chi_set.roots
         rows.append([root, admissible, (chi0 is not None and root == chi0) or None,
                      "ok" if admissible else "inadmissible"])
     if chi0 is None:
-        rows.append([None, None, None, "no-tuned-solution"])
+        rows.append(_row(TUNE_COLUMNS, _NO_TUNED))
     return 0, TUNE_COLUMNS, rows
 
 
@@ -738,8 +685,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default=None, help="report format override")
         p.add_argument("--tol-quad", type=float, default=None, help="quadrature relative tolerance override")
         p.add_argument("--tol-margin", type=float, default=None, help="margin tolerance override")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility and ignored; cells run in order in one thread")
     return parser
 
 

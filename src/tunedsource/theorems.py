@@ -33,6 +33,7 @@ from . import specfun
 from .errors import DegenerateModeError, IllConditionedExpansionError, InvalidInputError
 from .model import (
     Mode,
+    RadialIntegrals,
     _j1_integrand,
     _kernel_values,
     _mode_ratios_quadrature,
@@ -105,6 +106,12 @@ class F1VanishingReport:
     f1: float
 
 
+def _boundedness_slack(ri: RadialIntegrals):
+    """(margin, scale) = (N_j(k) N_j(K) - M_j(k, K)^2, N_j(k) N_j(K)) of one cell's integrals."""
+    scale = ri.n_self_k * ri.n_self_K
+    return scale - ri.m_cross * ri.m_cross, scale
+
+
 def boundedness_margin(
     mode: Mode, k: float, chi: float, mu_omega: float, a: float, rel_tol: float = 1e-12
 ) -> MarginReport:
@@ -115,9 +122,7 @@ def boundedness_margin(
     expected (within quadrature error) exactly at chi = 0.
     """
     t = tuned_wavenumber(k, mu_omega, chi)
-    ri = radial_integrals(mode, k, t.K, a, rel_tol)
-    scale = ri.n_self_k * ri.n_self_K
-    margin = scale - ri.m_cross * ri.m_cross
+    margin, scale = _boundedness_slack(radial_integrals(mode, k, t.K, a, rel_tol))
     return MarginReport(mode=mode, chi=chi, margin=margin, kind=BOUNDEDNESS, scale=scale)
 
 
@@ -264,6 +269,8 @@ def expansion_fd(
         raise InvalidInputError(f"j must be 1 or 2, got {j}")
     if k == 0.0:
         raise InvalidInputError("k must be nonzero")
+    if mu_omega == 0.0 or not math.isfinite(mu_omega):
+        raise InvalidInputError(f"mu_omega must be finite and nonzero, got {mu_omega}")
 
     scale = k * k / mu_omega
     steps = [t * scale for t in _FD_STEPS]
@@ -379,6 +386,8 @@ def default_chi_grid(k: float, mu_omega: float, n: int = 21, span: float = 0.9) 
         raise InvalidInputError(f"n must be a positive odd integer, got {n}")
     if not (0.0 < span < 1.0):
         raise InvalidInputError(f"span must lie in (0, 1), got {span}")
+    if mu_omega == 0.0 or not math.isfinite(mu_omega):
+        raise InvalidInputError(f"mu_omega must be finite and nonzero, got {mu_omega}")
     half = (n - 1) // 2
     offsets = np.arange(-half, half + 1, dtype=float)
     if half == 0:

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from tunedsource import cli
-from tunedsource.errors import ConfigError
+from tunedsource import cli, theorems
+from tunedsource.errors import ConfigError, DegenerateModeError
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -65,6 +65,14 @@ class TestConfigValidation:
     def test_bad_mode_j(self, tmp_path):
         payload = base_config()
         payload["modes"]["j"] = [1, 3]
+        with pytest.raises(ConfigError, match=r"modes\.j"):
+            cli.load_config(write_config(tmp_path, payload), command="verify")
+
+    @pytest.mark.parametrize("bad", [True, 1.0])
+    def test_mode_j_must_be_integer(self, tmp_path, bad):
+        # JSON true equals 1 in Python and used to print as a "true" j column
+        payload = base_config()
+        payload["modes"]["j"] = [bad, 2]
         with pytest.raises(ConfigError, match=r"modes\.j"):
             cli.load_config(write_config(tmp_path, payload), command="verify")
 
@@ -148,13 +156,74 @@ class TestVerify:
         assert payload["columns"][0] == "j"
         assert len(payload["rows"]) == 2 * 2 * 3
 
-    def test_jobs_parallel_identical(self, tmp_path):
+    def test_jobs_option_rejected(self, tmp_path):
         path = write_config(tmp_path, base_config())
-        out1 = tmp_path / "serial.csv"
-        out2 = tmp_path / "parallel.csv"
-        assert cli.main(["verify", "--config", path, "--out", str(out1)]) == 0
-        assert cli.main(["verify", "--config", path, "--out", str(out2), "--jobs", "4"]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        out = tmp_path / "never.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--config", path, "--out", str(out), "--jobs", "4"])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--tol-margin", "--tol-quad"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_tolerance_override_rejected(self, tmp_path, capsys, flag, value):
+        # nan used to fail every pass_bound, inf to switch the boundedness check off
+        path = write_config(tmp_path, base_config())
+        out = tmp_path / "never.csv"
+        assert cli.main(["verify", "--config", path, "--out", str(out), f"{flag}={value}"]) == 2
+        assert not out.exists()
+        assert f"{flag}: expected a finite number" in capsys.readouterr().err
+
+    def test_failing_expansion_blanks_only_its_mode(self, tmp_path, monkeypatch):
+        cfg = cli.load_config(write_config(tmp_path, base_config()), command="verify")
+        _, columns, clean = cli.run_verify(cfg)
+        expansion_fd = theorems.expansion_fd
+
+        def failing(j, l, *args, **kwargs):
+            if (j, l) == (1, 2):
+                raise DegenerateModeError("stand-in failure")
+            return expansion_fd(j, l, *args, **kwargs)
+
+        monkeypatch.setattr(theorems, "expansion_fd", failing)
+        code, columns, rows = cli.run_verify(cfg)
+        assert code == 1
+        inputs = {"j", "l", "k", "chi", "status"}
+        for before, row in zip(clean, rows):
+            named = dict(zip(columns, row))
+            if (named["j"], named["l"]) != (1, 2):
+                assert row == before
+                continue
+            assert named["status"] == "error: stand-in failure"
+            assert all(named[c] == before[columns.index(c)] for c in ("j", "l", "k", "chi"))
+            assert all(named[c] is None for c in columns if c not in inputs)
+
+    def test_failing_margin_cell_keeps_expansion_columns(self, tmp_path, monkeypatch):
+        cfg = cli.load_config(write_config(tmp_path, base_config()), command="verify")
+        _, columns, clean = cli.run_verify(cfg)
+        minimality_margin = theorems.minimality_margin
+
+        def failing(mode, k, chi, *args, **kwargs):
+            if chi == 0.08:
+                raise DegenerateModeError("stand-in failure")
+            return minimality_margin(mode, k, chi, *args, **kwargs)
+
+        monkeypatch.setattr(theorems, "minimality_margin", failing)
+        code, columns, rows = cli.run_verify(cfg)
+        assert code == 1
+        kept = ("j", "l", "k", "chi", "f0", "f1_residual", "f2_closed", "f2_fd", "pass_f1", "pass_f2")
+        blank = ("K", "N_k", "N_K", "M", "boundedness_margin", "minimality_margin", "pass_bound", "pass_min")
+        failed = 0
+        for before, row in zip(clean, rows):
+            named = dict(zip(columns, row))
+            if named["chi"] != 0.08:
+                assert row == before
+                continue
+            failed += 1
+            assert named["status"] == "error: stand-in failure"
+            assert all(named[c] == before[columns.index(c)] for c in kept)
+            assert named["f0"] > 0.0 and named["pass_f1"] is True
+            assert all(named[c] is None for c in blank)
+        assert failed == 4
 
     def test_module_entry_point(self, tmp_path):
         path = write_config(tmp_path, base_config())
@@ -331,6 +400,56 @@ class TestSweep:
         code, columns, rows = cli.run_sweep(cli.load_config(path, command="sweep"))
         assert code == 0
         assert len(rows) == 3 * 2 * 2 * 2
+
+    def test_k_sweep_inadmissible_chi_gives_error_rows(self, tmp_path):
+        # at k = 0.5, chi = 0.3 makes K^2 = 0.25 - 0.3 negative
+        payload = base_config(chi_values=[0.3, 0.0])
+        payload["sweep"] = {"axis": "k", "values": [0.5, 1.0]}
+        path = write_config(tmp_path, payload)
+        code, columns, rows = cli.run_sweep(cli.load_config(path, command="sweep"))
+        assert code == 1
+        inputs = ("axis", "value", "j", "l", "k", "a", "mu_omega", "chi")
+        errors = 0
+        for row in rows:
+            assert len(row) == len(columns)
+            named = dict(zip(columns, row))
+            if named["status"] == "ok":
+                continue
+            errors += 1
+            assert (named["value"], named["chi"]) == (0.5, 0.3)
+            assert named["status"].startswith("error: chi=0.3")
+            assert all(named[c] is not None for c in inputs)
+            assert all(named[c] is None for c in columns if c not in inputs and c != "status")
+        assert errors == 2 * 2
+        lines = cli.render_csv("sweep", columns, rows).splitlines()
+        assert all(line.count(",") == len(columns) - 1 for line in lines[1:])
+
+    @pytest.mark.parametrize("axis,values,modes,chis,want", [
+        ("k", [2.0, -1.0, 2.0], {"j": [2], "l": [1]}, [0.05, 0.0],
+         [(-1.0, 2, 1, 0.0), (-1.0, 2, 1, 0.05), (2.0, 2, 1, 0.0), (2.0, 2, 1, 0.0),
+          (2.0, 2, 1, 0.05), (2.0, 2, 1, 0.05)]),
+        ("a", [3.0, 0.5, 3.0], {"j": [1], "l": [2, 1]}, [0.05],
+         [(0.5, 1, 1, 0.05), (0.5, 1, 2, 0.05), (3.0, 1, 1, 0.05), (3.0, 1, 1, 0.05),
+          (3.0, 1, 2, 0.05), (3.0, 1, 2, 0.05)]),
+        ("l", [3, 1, 3], {"j": [2, 1], "l": [1]}, [0.05, 0.0],
+         [(1, 1, 1, 0.0), (1, 1, 1, 0.05), (1, 2, 1, 0.0), (1, 2, 1, 0.05),
+          (3, 1, 3, 0.0), (3, 1, 3, 0.0), (3, 1, 3, 0.05), (3, 1, 3, 0.05),
+          (3, 2, 3, 0.0), (3, 2, 3, 0.0), (3, 2, 3, 0.05), (3, 2, 3, 0.05)]),
+    ])
+    def test_unsorted_duplicate_values_row_order(self, tmp_path, axis, values, modes, chis, want):
+        payload = base_config(chi_values=chis, modes=modes)
+        payload["sweep"] = {"axis": axis, "values": values}
+        path = write_config(tmp_path, payload)
+        code, columns, rows = cli.run_sweep(cli.load_config(path, command="sweep"))
+        assert code == 0
+        named = [dict(zip(columns, row)) for row in rows]
+        assert [(r["value"], r["j"], r["l"], r["chi"]) for r in named] == want
+        assert all(r[axis] == r["value"] for r in named)
+        # a duplicated value repeats its rows exactly
+        groups = {}
+        for r, row in zip(named, rows):
+            groups.setdefault((r["value"], r["j"], r["l"], r["chi"]), set()).add(tuple(row))
+        assert all(len(group) == 1 for group in groups.values())
 
     def test_sweep_without_tuned_solution_is_diagnosed(self, tmp_path):
         payload = base_config()

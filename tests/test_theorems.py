@@ -205,6 +205,12 @@ class TestExpansionFd:
         assert theorems.expansion_fd(2, 1, 1.0, 1.0, 1.0).method == "finite-difference"
         assert theorems.expansion_j2(1, 1.0, 1.0, 1.0).method == "closed-form"
 
+    @pytest.mark.parametrize("mw", [0.0, -0.0, math.inf, -math.inf, math.nan])
+    def test_rejects_zero_or_nonfinite_mu_omega(self, mw):
+        # the step ladder is in units of k^2 / mu_omega
+        with pytest.raises(InvalidInputError, match="mu_omega"):
+            theorems.expansion_fd(1, 1, 1.0, 1.0, mw)
+
 
 class TestSeriesIntegralsJ1:
     def test_c0_equals_self_integral(self):
@@ -281,6 +287,12 @@ class TestDefaultChiGrid:
             theorems.default_chi_grid(1.0, 1.0, n=20)
         with pytest.raises(InvalidInputError):
             theorems.default_chi_grid(1.0, 1.0, span=1.5)
+
+    @pytest.mark.parametrize("mw", [0.0, -0.0, math.inf, -math.inf, math.nan])
+    def test_rejects_zero_or_nonfinite_mu_omega(self, mw):
+        # a NaN mu_omega used to return a grid of NaNs, a zero one to divide by zero
+        with pytest.raises(InvalidInputError, match="mu_omega"):
+            theorems.default_chi_grid(1.0, mw)
 
 
 # -- the one-integral-at-a-time oracle routes the lockstep batches replaced --
