@@ -11,12 +11,13 @@ Radial integrals are computed in closed form from one Bessel table per cell
 (``radial_integrals_quadrature``) is kept as the independent oracle; the
 closed form falls back to it for the cross integral only where its own
 rounding error estimate exceeds the requested tolerance, near the diagonal.
-The oracle runs the integrals of one call as one lockstep batch
-(``quadrature.integrate_radial_batch``), and ``_mode_ratios_quadrature``
-does so for the ratios at a whole list of K, as ``theorems.expansion_fd``
-needs them.  Each refinement round evaluates every active integral from one
-Bessel table; a self integral puts its points into it once.  Every value is
-identical to the bit to a lone integration of the same integrand.
+The oracle has one route, ``_quadrature_integrals``: the integrals at a
+whole list of K (``theorems.expansion_fd`` needs its step ladder), each
+distinct one integrated once, all in one lockstep batch
+(``quadrature.integrate_radial_batch``); ``radial_integrals_quadrature`` is
+its batch of one.  Each refinement round evaluates every active integral
+from one Bessel table; a self integral puts its points into it once.  Every
+value is identical to the bit to a lone integration of the same integrand.
 
 Per-mode energy weights R are normalized with the per-mode constant set
 to 1 (energies are "up to a fixed positive per-mode normalization"); every
@@ -54,7 +55,6 @@ __all__ = [
     "radial_integrals",
     "radial_integrals_quadrature",
     "mode_ratio",
-    "mode_ratio_quadrature",
     "mode_coefficient",
     "source_energy",
 ]
@@ -247,9 +247,7 @@ def _mode_integrand(mode: Mode, pairs):
     return f
 
 
-def _validate(mode: Mode, k: float, K: float, a: float, rel_tol: float) -> None:
-    if mode.l < 1:
-        raise InvalidInputError("radial integrals need l >= 1")
+def _validate(k: float, K: float, a: float, rel_tol: float) -> None:
     if not all(math.isfinite(v) for v in (k, K, a)):
         raise InvalidInputError(f"k, K and a must be finite, got k={k}, K={K}, a={a}")
     if k == 0.0 or K == 0.0:
@@ -269,9 +267,30 @@ def _mode_quadrature(mode: Mode, pairs, a: float, rel_tol: float):
     return [res.value for res in results]
 
 
-def _cross_quadrature(mode: Mode, k: float, K: float, a: float, rel_tol: float) -> float:
-    (m,) = _mode_quadrature(mode, [(k, K)], a, rel_tol)
-    return m
+def _quadrature_integrals(mode: Mode, k: float, Ks, a: float, rel_tol: float):
+    """RadialIntegrals(N_j(|k|), N_j(|K|), M_j(k, K)) for each K of ``Ks``: the oracle route.
+
+    Every distinct integral is integrated once, and all of them as one
+    lockstep batch.  The self integrals are even in the wavenumber: for j=1
+    they are the quadrature pairs (|alpha|, |alpha|), and the cross integral
+    at K == k is the self integral N_1(|k|), whose integrand is the same to
+    the bit.  For j=2 the self integrals come in closed form from one Bessel
+    table for all wavenumbers, and only the cross pairs are integrated, so
+    M_2(k, k) stays a quadrature value.
+    """
+    for K in Ks:
+        _validate(k, K, a, rel_tol)
+    alphas = list(dict.fromkeys([abs(k)] + [abs(K) for K in Ks]))
+    crosses = [(abs(k), abs(k)) if mode.j == 1 and K == k else (k, K) for K in Ks]
+    if mode.j == 2:
+        table = specfun._jl_table(mode.l + 1, np.array([alpha * a for alpha in alphas]))
+        self_values = [specfun._lommel_first_from(a, *column) for column in zip(*table[mode.l - 1:].tolist())]
+        pairs = list(dict.fromkeys(crosses))
+    else:
+        pairs = list(dict.fromkeys([(alpha, alpha) for alpha in alphas] + crosses))
+    values = dict(zip(pairs, _mode_quadrature(mode, pairs, a, rel_tol)))
+    n_self = dict(zip(alphas, self_values)) if mode.j == 2 else {alpha: values[alpha, alpha] for alpha in alphas}
+    return [RadialIntegrals(n_self[abs(k)], n_self[abs(K)], values[cross]) for K, cross in zip(Ks, crosses)]
 
 
 def radial_integrals_quadrature(
@@ -281,18 +300,12 @@ def radial_integrals_quadrature(
 
     The cross integral, and the j=1 self integrals, are integrated by
     adaptive Gauss--Kronrod quadrature to ``rel_tol``, as one lockstep
-    batch; the j=2 self integrals use ``specfun.lommel_first``.  The
+    batch; the j=2 self integrals are Lommel's closed form.  The
     finite-difference expansion oracle and the tests use this route, and
     ``radial_integrals`` takes its cross integral near the diagonal.
     """
-    _validate(mode, k, K, a, rel_tol)
-    if mode.j == 2:
-        n_k, n_K = specfun.lommel_first(mode.l, k, a), specfun.lommel_first(mode.l, K, a)
-        m = _cross_quadrature(mode, k, K, a, rel_tol)
-    else:
-        # self integrals are even in the wavenumber
-        n_k, n_K, m = _mode_quadrature(mode, [(abs(k), abs(k)), (abs(K), abs(K)), (k, K)], a, rel_tol)
-    return RadialIntegrals(n_self_k=n_k, n_self_K=n_K, m_cross=m)
+    (ri,) = _quadrature_integrals(mode, k, [K], a, rel_tol)
+    return ri
 
 
 def _j1_from_j2(l: int, a: float, K: float, m2: float, j_k: float, u_K: float) -> float:
@@ -345,22 +358,26 @@ def radial_integrals(mode: Mode, k: float, K: float, a: float, rel_tol: float = 
     instead.  The self integrals have no such cancellation and stay in
     closed form.
     """
-    _validate(mode, k, K, a, rel_tol)
+    _validate(k, K, a, rel_tol)
     ri, err = _closed_form(mode.j, mode.l, abs(k), abs(K), a)
     if err > rel_tol:
-        return RadialIntegrals(ri.n_self_k, ri.n_self_K, _cross_quadrature(mode, k, K, a, rel_tol))
+        (m,) = _mode_quadrature(mode, [(k, K)], a, rel_tol)
+        return RadialIntegrals(ri.n_self_k, ri.n_self_K, m)
     if mode.l % 2 == 1 and (k < 0.0) != (K < 0.0):
         return RadialIntegrals(ri.n_self_k, ri.n_self_K, -ri.m_cross)
     return ri
 
 
 def _weight(mode: Mode, k: float, K: float, n_self_K: float, m_cross: float) -> float:
-    if m_cross == 0.0:
+    """N_j(K) / M_j(k, K)^2; M^2 that is 0 (M vanished or its square underflowed) has no finite weight."""
+    m2 = m_cross * m_cross
+    ratio = n_self_K / m2 if m2 != 0.0 else math.inf
+    if not math.isfinite(ratio):
         raise DegenerateModeError(
             f"cross integral vanished for {mode} at k={k}, K={K}; "
             "the prescription constraint cannot be met at this tuning"
         )
-    return n_self_K / (m_cross * m_cross)
+    return ratio
 
 
 def mode_ratio(mode: Mode, k: float, K: float, a: float, rel_tol: float = 1e-12) -> float:
@@ -369,45 +386,11 @@ def mode_ratio(mode: Mode, k: float, K: float, a: float, rel_tol: float = 1e-12)
     Raises
     ------
     DegenerateModeError
-        If the cross integral vanishes (no finite weight at this tuning).
+        If the cross integral vanishes, or its square underflows so that the
+        ratio is not finite (no finite weight at this tuning).
     """
     ri = radial_integrals(mode, k, K, a, rel_tol)
     return _weight(mode, k, K, ri.n_self_K, ri.m_cross)
-
-
-def _mode_ratios_quadrature(mode: Mode, k: float, Ks, a: float, rel_tol: float = 1e-12):
-    """``mode_ratio_quadrature`` at every K of ``Ks``, from one lockstep batch.
-
-    The batch holds, for each K in turn, N_j(K) (j=1 only) and M_j(k, K);
-    for j=1 at k == K the cross integral is the self integral.  The N_2(K)
-    values come in closed form from one Bessel table for all of ``Ks``.
-    """
-    for K in Ks:
-        _validate(mode, k, K, a, rel_tol)
-    if mode.j == 2:
-        l = mode.l
-        table = specfun._jl_table(l + 1, np.array([abs(K) * a for K in Ks]))
-        n_self = [specfun._lommel_first_from(a, *column) for column in zip(*table[l - 1:].tolist())]
-        m_cross = _mode_quadrature(mode, [(k, K) for K in Ks], a, rel_tol)
-        return [_weight(mode, k, K, n_K, m) for K, n_K, m in zip(Ks, n_self, m_cross)]
-    pairs = []
-    for K in Ks:
-        pairs.append((abs(K), abs(K)))
-        if k != K:
-            pairs.append((k, K))
-    values = iter(_mode_quadrature(mode, pairs, a, rel_tol))
-    ratios = []
-    for K in Ks:
-        n_K = next(values)
-        m = n_K if k == K else next(values)
-        ratios.append(_weight(mode, k, K, n_K, m))
-    return ratios
-
-
-def mode_ratio_quadrature(mode: Mode, k: float, K: float, a: float, rel_tol: float = 1e-12) -> float:
-    """``mode_ratio`` by the quadrature route, computing only N_j(K) and M_j(k, K)."""
-    (ratio,) = _mode_ratios_quadrature(mode, k, [K], a, rel_tol)
-    return ratio
 
 
 def mode_coefficient(mode: Mode, s: Substrate, t: TuningState, rel_tol: float = 1e-12) -> float:

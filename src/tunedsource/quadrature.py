@@ -14,7 +14,8 @@ One adaptive loop advances a batch of integrals over [0, a] in lockstep
 decisions, panel order and result; only the integrand evaluation of a
 refinement round is shared, so a caller with several integrals at one
 Bessel order builds one table per round for all of them.
-``integrate_radial`` and ``integrate_extended`` are batches of one.
+``integrate_radial`` is a batch of one; a larger ``max_panels`` serves
+truncated half-line integrals over [0, L].
 
 The mode integrals are computed in closed form in production
 (``model.radial_integrals``).  This routine is the independent oracle the
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import ConvergenceError, IntegrandDomainError, InvalidInputError
 
-__all__ = ["QuadratureResult", "integrate_radial", "integrate_radial_batch", "integrate_extended"]
+__all__ = ["QuadratureResult", "integrate_radial", "integrate_radial_batch"]
 
 # Gauss-Kronrod (7, 15) nodes and weights on [-1, 1]
 _XGK = np.array([
@@ -195,11 +196,6 @@ def validate_tol(rel_tol):
         raise InvalidInputError(f"rel_tol must lie in [1e-14, 1e-3], got {rel_tol}")
 
 
-def _validate_limit(a, name):
-    if not (np.isfinite(a) and a > 0.0):
-        raise InvalidInputError(f"{name} must be finite and > 0, got {a}")
-
-
 def integrate_radial_batch(f, a, rel_tol=1e-12, *, osc_scales, max_panels=8192):
     """Integrate a batch of integrands over [0, a] in lockstep.
 
@@ -216,9 +212,13 @@ def integrate_radial_batch(f, a, rel_tol=1e-12, *, osc_scales, max_panels=8192):
     (ConvergenceError, IntegrandDomainError), the error of the lowest-index
     one is raised, as a lone run of it would raise it.
     """
-    _validate_limit(a, "upper limit a")
+    if not (np.isfinite(a) and a > 0.0):
+        raise InvalidInputError(f"upper limit a must be finite and > 0, got {a}")
     validate_tol(rel_tol)
-    return _adaptive(f, float(a), float(rel_tol), list(osc_scales), int(max_panels))
+    osc_scales = [float(osc) for osc in osc_scales]
+    if not all(math.isfinite(osc) for osc in osc_scales):
+        raise InvalidInputError("osc_scales must be finite")
+    return _adaptive(f, float(a), float(rel_tol), osc_scales, int(max_panels))
 
 
 def integrate_radial(f, a, rel_tol=1e-12, *, osc_scale=1.0, max_panels=8192):
@@ -234,7 +234,8 @@ def integrate_radial(f, a, rel_tol=1e-12, *, osc_scale=1.0, max_panels=8192):
         scalar-only f is sampled point by point).  Never sampled at r = 0
         or r = a (all nodes are interior).
     a : float
-        Upper limit, > 0.
+        Upper limit, > 0; for a truncated half-line integral, the cutoff L
+        (with a larger ``max_panels``; the tail is the caller's business).
     rel_tol : float
         Requested relative accuracy, in [1e-14, 1e-3]; an absolute floor
         of 1e-15 applies near zero values.
@@ -250,17 +251,4 @@ def integrate_radial(f, a, rel_tol=1e-12, *, osc_scale=1.0, max_panels=8192):
     QuadratureResult
     """
     (res,) = integrate_radial_batch(_lone(f), a, rel_tol, osc_scales=[osc_scale], max_panels=max_panels)
-    return res
-
-
-def integrate_extended(f, tail_cut, rel_tol=1e-12, *, osc_scale=1.0, max_panels=65536):
-    """Truncated version of the half-line integral: integrate f over [0, L].
-
-    Used to check convergent extended integrals by truncation at L =
-    ``tail_cut``; the error contract is the same as ``integrate_radial``
-    (the truncation tail itself is the caller's business).
-    """
-    _validate_limit(tail_cut, "tail_cut")
-    validate_tol(rel_tol)
-    (res,) = _adaptive(_lone(f), float(tail_cut), float(rel_tol), [osc_scale], int(max_panels))
     return res

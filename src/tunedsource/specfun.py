@@ -22,7 +22,10 @@ each recurrence order as numpy calls over all points; its Miller overflow
 check runs only when a Python-float growth bound allows an overflow, so a
 step costs two numpy calls (three for the orders it stores).  The array
 kernels (``bessel_j`` and friends) and the quadrature integrands use it,
-where a call holds hundreds of points.  ``_jl_rows`` runs the Miller and
+where a call holds hundreds of points.  The four array kernels share one
+evaluator, ``_on_table``: it rejects non-finite x, builds the table at |x|
+(x = 0 included) and applies each kernel's parity, so a kernel only says
+which table rows it combines.  ``_jl_rows`` runs the Miller and
 upward recurrences on Python floats, one point at a time, and returns
 lists.  The callers that hold a fixed handful of scalars use it:
 ``lommel_first``, ``lommel_second``, the closed-form cell of
@@ -235,29 +238,40 @@ def _jl_value(l: int, x: float) -> float:
     return -value if x < 0.0 and l % 2 == 1 else value
 
 
-def _validate_order(l: int) -> int:
+def _validate_order(l: int, lowest: int = 0) -> int:
     if not isinstance(l, (int, np.integer)) or isinstance(l, bool):
         raise InvalidInputError(f"order l must be an integer, got {l!r}")
+    if l < lowest:
+        raise InvalidInputError(f"order l must be >= {lowest}, got {l}")
     return int(l)
 
 
-def _prepare_argument(x):
+def _on_table(x, lmax: int, kernels) -> list:
+    """Kernel values at x from one table of j_0..j_lmax at |x|: the array kernels' one evaluator.
+
+    Rejects non-finite x, builds the table at |x| (at x = 0, j_0 = 1 and the
+    higher orders vanish) and calls ``kernels(table, ax, nonzero)``.  That
+    returns a list of (values at |x|, odd) pairs; an odd kernel changes sign
+    at negative x.  Returns the list of kernel values, floats for a scalar x
+    and arrays of x's shape otherwise.
+    """
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("argument must be finite")
-    return arr
-
-
-def _tables_with_sign(lmax: int, x: np.ndarray):
-    """j-table at |x| plus the sign pattern of x (parity handled by callers)."""
-    ax = np.abs(x)
+    flat = arr.ravel()
+    ax = np.abs(flat)
     nonzero = ax > 0.0
-    table = np.zeros((lmax + 1, x.size))
+    table = np.zeros((lmax + 1, flat.size))
     if nonzero.any():
         table[:, nonzero] = _jl_table(lmax, ax[nonzero])
     if not nonzero.all():
-        table[0, ~nonzero] = 1.0  # j_0(0) = 1; higher orders vanish
-    return table, nonzero
+        table[0, ~nonzero] = 1.0
+    out = []
+    for vals, odd in kernels(table, ax, nonzero):
+        if odd:
+            vals = np.where(flat < 0.0, -vals, vals)
+        out.append(float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape))
+    return out
 
 
 def bessel_j(l: int, x):
@@ -275,42 +289,25 @@ def bessel_j(l: int, x):
     float or ndarray
     """
     l = _validate_order(l)
-    if l < 0:
-        raise InvalidInputError(f"order l must be >= 0, got {l}")
-    arr = _prepare_argument(x)
-    flat = np.atleast_1d(arr).ravel()
-    table, _ = _tables_with_sign(l, flat)
-    vals = table[l].copy()
-    if l % 2 == 1:
-        vals[flat < 0.0] *= -1.0
-    if arr.ndim == 0:
-        return float(vals[0])
-    return vals.reshape(arr.shape)
+    (vals,) = _on_table(x, l, lambda table, ax, nonzero: [(table[l].copy(), l % 2 == 1)])
+    return vals
 
 
 def bessel_j_prime(l: int, x):
     """Derivative j_l'(x), via j_l' = j_{l-1} - (l+1) j_l / x (and j_0' = -j_1)."""
     l = _validate_order(l)
-    if l < 0:
-        raise InvalidInputError(f"order l must be >= 0, got {l}")
-    arr = _prepare_argument(x)
-    flat = np.atleast_1d(arr).ravel()
-    table, nonzero = _tables_with_sign(l + 1, flat)
-    ax = np.abs(flat)
-    vals = np.empty_like(flat)
-    if l == 0:
-        vals[:] = -table[1]
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(nonzero, table[l - 1] - (l + 1) * table[l] / np.where(nonzero, ax, 1.0), 0.0)
+
+    def kernels(table, ax, nonzero):
+        # parity: j_l' is even for odd l, odd for even l
+        if l == 0:
+            return [(-table[1], True)]
+        vals = table[l - 1] - (l + 1) * table[l] / np.where(nonzero, ax, 1.0)
         # exact limits at x = 0: j_1'(0) = 1/3, higher orders 0
         vals[~nonzero] = (1.0 / 3.0) if l == 1 else 0.0
-    # parity: j_l' is even for odd l, odd for even l
-    if l % 2 == 0:
-        vals = np.where(flat < 0.0, -vals, vals)
-    if arr.ndim == 0:
-        return float(vals[0])
-    return vals.reshape(arr.shape)
+        return [(vals, l % 2 == 0)]
+
+    (vals,) = _on_table(x, l + 1, kernels)
+    return vals
 
 
 def _u_from_neighbors(l: int, jm, jp):
@@ -318,13 +315,12 @@ def _u_from_neighbors(l: int, jm, jp):
     return ((l + 1) * jm - l * jp) / (2 * l + 1)
 
 
-def _u_from_table(l: int, table: np.ndarray, nonzero: np.ndarray, ax: np.ndarray) -> np.ndarray:
+def _u_from_table(l: int, table: np.ndarray, ax: np.ndarray, nonzero: np.ndarray) -> np.ndarray:
     """u_l at |x| from a j-table that reaches order l+1."""
     if l == 0:
-        out = np.empty(ax.shape)
-        out[nonzero] = np.cos(ax[nonzero]) / ax[nonzero]
-        out[~nonzero] = np.nan
-        return out
+        if not nonzero.all():
+            raise SingularityError("u_0(x) = cos(x)/x is singular at x = 0")
+        return np.cos(ax) / ax
     vals = _u_from_neighbors(l, table[l - 1], table[l + 1])
     if not nonzero.all():
         vals[~nonzero] = (2.0 / 3.0) if l == 1 else 0.0
@@ -339,20 +335,9 @@ def bessel_u(l: int, x):
     singular at the origin.
     """
     l = _validate_order(l)
-    if l < 0:
-        raise InvalidInputError(f"order l must be >= 0, got {l}")
-    arr = _prepare_argument(x)
-    flat = np.atleast_1d(arr).ravel()
-    if l == 0 and np.any(flat == 0.0):
-        raise SingularityError("u_0(x) = cos(x)/x is singular at x = 0")
-    table, nonzero = _tables_with_sign(max(l + 1, 1), flat)
-    vals = _u_from_table(l, table, nonzero, np.abs(flat))
     # parity: u_l(-x) = (-1)^{l+1} u_l(x)
-    if l % 2 == 0:
-        vals = np.where(flat < 0.0, -vals, vals)
-    if arr.ndim == 0:
-        return float(vals[0])
-    return vals.reshape(arr.shape)
+    (vals,) = _on_table(x, l + 1, lambda table, ax, nonzero: [(_u_from_table(l, table, ax, nonzero), l % 2 == 0)])
+    return vals
 
 
 def bessel_j_and_u(l: int, x):
@@ -361,22 +346,12 @@ def bessel_j_and_u(l: int, x):
     The mode integrands need both kernels at the same points; this avoids
     building the order table twice.  Requires l >= 1.
     """
-    l = _validate_order(l)
-    if l < 1:
-        raise InvalidInputError(f"bessel_j_and_u requires l >= 1, got {l}")
-    arr = _prepare_argument(x)
-    flat = np.atleast_1d(arr).ravel()
-    table, nonzero = _tables_with_sign(l + 1, flat)
-    jv = table[l].copy()
-    uv = _u_from_table(l, table, nonzero, np.abs(flat))
-    neg = flat < 0.0
-    if l % 2 == 1:
-        jv[neg] *= -1.0
-    else:
-        uv = np.where(neg, -uv, uv)
-    if arr.ndim == 0:
-        return float(jv[0]), float(uv[0])
-    return jv.reshape(arr.shape), uv.reshape(arr.shape)
+    l = _validate_order(l, 1)
+
+    def kernels(table, ax, nonzero):
+        return [(table[l].copy(), l % 2 == 1), (_u_from_table(l, table, ax, nonzero), l % 2 == 0)]
+
+    return tuple(_on_table(x, l + 1, kernels))
 
 
 def _lommel_first_from(a: float, jm: float, j: float, jp: float) -> float:
@@ -415,8 +390,6 @@ def lommel_first(l: int, alpha: float, a: float) -> float:
     closed form uses j_{-1}(x) = cos(x)/x.
     """
     l = _validate_order(l)
-    if l < 0:
-        raise InvalidInputError(f"order l must be >= 0, got {l}")
     if not (np.isfinite(alpha) and np.isfinite(a)):
         raise InvalidInputError("alpha and a must be finite")
     if a <= 0.0:
@@ -441,8 +414,6 @@ def lommel_second(l: int, k: float, K: float, a: float) -> float:
     wavenumbers enter through the parity j_l(-x) = (-1)^l j_l(x).
     """
     l = _validate_order(l)
-    if l < 0:
-        raise InvalidInputError(f"order l must be >= 0, got {l}")
     if not all(np.isfinite(v) for v in (k, K, a)):
         raise InvalidInputError("k, K and a must be finite")
     if a <= 0.0:

@@ -36,7 +36,9 @@ from .model import (
     RadialIntegrals,
     _j1_integrand,
     _kernel_values,
-    _mode_ratios_quadrature,
+    _quadrature_integrals,
+    _validate,
+    _weight,
     mode_ratio,
     radial_integrals,
     tuned_wavenumber,
@@ -165,6 +167,7 @@ def curl_identity_check(l: int, k: float, K: float, a: float, rel_tol: float = 1
     """
     if l < 1:
         raise InvalidInputError("curl identity needs l >= 1")
+    _validate(k, K, a, rel_tol)
     ll1 = l * (l + 1)
     osc = max(abs(k), abs(K))
 
@@ -258,12 +261,13 @@ def expansion_fd(
     Central differences on the halving step ladder h = t k^2 / mu_omega,
     t in {4e-2 .. 2.5e-3}, Richardson-extrapolated with plateau selection
     (the triple whose two extrapolation levels agree best wins).  The ratios
-    come from the quadrature route (``mode_ratio_quadrature``), so this is
+    are N_j(K) / M_j(k, K)^2 from the quadrature route
+    (``model.radial_integrals_quadrature`` at the whole ladder), so this is
     the independent oracle for the closed forms, and the only f2 route for
     j=1.  The tuned wavenumbers of the whole ladder are computed first, and
     all its integrals run as one lockstep batch: 21 for j=1 (N_1(K) and
-    M_1(k, K) per step, one integral at chi = 0), 11 cross integrals for j=2,
-    whose N_2(K) come from one Bessel table.
+    M_1(k, K) per step, one integral at chi = 0 for k > 0), 11 cross
+    integrals for j=2, whose N_2(K) come from one Bessel table.
     """
     if j not in (1, 2):
         raise InvalidInputError(f"j must be 1 or 2, got {j}")
@@ -276,7 +280,9 @@ def expansion_fd(
     steps = [t * scale for t in _FD_STEPS]
     chis = [0.0] + [chi for h in steps for chi in (h, -h)]
     Ks = [tuned_wavenumber(k, mu_omega, chi).K for chi in chis]
-    r0, *ladder = _mode_ratios_quadrature(Mode(j, l), k, Ks, a, rel_tol)
+    mode = Mode(j, l)
+    integrals = _quadrature_integrals(mode, k, Ks, a, rel_tol)
+    r0, *ladder = (_weight(mode, k, K, ri.n_self_K, ri.m_cross) for K, ri in zip(Ks, integrals))
     d1 = []
     d2 = []
     for h, rp, rm in zip(steps, ladder[0::2], ladder[1::2]):
@@ -305,8 +311,7 @@ def series_integrals_j1(
     """
     if l < 1:
         raise InvalidInputError("series integrals need l >= 1")
-    if k == 0.0:
-        raise InvalidInputError("k must be nonzero")
+    _validate(k, k, a, rel_tol)
     ak = abs(k)
     k2 = k * k
     ll1 = l * (l + 1)

@@ -15,7 +15,7 @@ import pytest
 
 from tunedsource import cli, specfun, theorems, tuning
 from tunedsource.model import Mode, radial_integrals
-from tunedsource.quadrature import integrate_extended, integrate_radial
+from tunedsource.quadrature import integrate_radial
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -54,8 +54,8 @@ def test_criterion_02_extended_integral():
     for l in range(0, 5):
         for alpha in (0.5, 1.0, 3.0):
             L = 2000.0 / alpha
-            got = integrate_extended(
-                lambda r: specfun.bessel_j(l, alpha * r) ** 2, L, 1e-10, osc_scale=alpha
+            got = integrate_radial(
+                lambda r: specfun.bessel_j(l, alpha * r) ** 2, L, 1e-10, osc_scale=alpha, max_panels=65536
             ).value
             want = math.pi / (2.0 * (2 * l + 1) * alpha)
             rel = abs(got - want) / want

@@ -451,6 +451,22 @@ class TestSweep:
             groups.setdefault((r["value"], r["j"], r["l"], r["chi"]), set()).add(tuple(row))
         assert all(len(group) == 1 for group in groups.values())
 
+    def test_underflowing_cross_integral_gives_error_rows(self, tmp_path):
+        # at l = 40, k a = 0.025, M ~ 2e-252 and M^2 underflows to 0
+        payload = base_config(chi_values=[1e-4, 0.0], modes={"j": [1, 2], "l": [1]})
+        payload["substrate"] = {"epsilon_r": 1.0, "mu_r": 1.0, "omega": 0.05, "a": 0.5}
+        payload["sweep"] = {"axis": "l", "values": [40]}
+        path = write_config(tmp_path, payload)
+        proc = subprocess.run(
+            [sys.executable, "-m", "tunedsource", "sweep", "--config", path],
+            env=package_env(), capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        rows = proc.stdout.splitlines()[2:]
+        assert len(rows) == 4
+        assert all('"error: cross integral vanished' in row for row in rows)
+
     def test_sweep_without_tuned_solution_is_diagnosed(self, tmp_path):
         payload = base_config()
         del payload["chi_values"]

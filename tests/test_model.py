@@ -248,19 +248,19 @@ class TestClosedFormAccuracy:
     @pytest.mark.parametrize("j", [1, 2])
     def test_near_diagonal_takes_quadrature(self, j, monkeypatch):
         calls = []
-        cross = model._cross_quadrature
+        quadrature = model._mode_quadrature
 
         def spy(*args):
             calls.append(args)
-            return cross(*args)
+            return quadrature(*args)
 
-        monkeypatch.setattr(model, "_cross_quadrature", spy)
+        monkeypatch.setattr(model, "_mode_quadrature", spy)
         mode, k, a = Mode(j, 3), 1.3, 2.0
         K = k * math.sqrt(1.0 + 1e-3)
         closed = model.radial_integrals(mode, k, K, a)
         assert calls == []
         fallback = model.radial_integrals(mode, k, K, a, rel_tol=1e-14)
-        assert len(calls) == 1
+        assert len(calls) == 1 and calls[0][1] == [(k, K)]  # M alone
         assert fallback.n_self_k == closed.n_self_k and fallback.n_self_K == closed.n_self_K
         assert fallback.m_cross == pytest.approx(closed.m_cross, rel=1e-12)
 
@@ -312,6 +312,25 @@ class TestModeCoefficient:
         t = model.tuned_wavenumber(s.k, s.mu_omega, 0.0)
         with pytest.raises(DegenerateModeError):
             model.mode_coefficient(Mode(1, 1), s, t)
+
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_underflowing_cross_integral(self, j):
+        # l = 40, k a = 0.025: M ~ 2e-252 is nonzero, but M^2 underflows to 0
+        mode, k, a = Mode(j, 40), 0.05, 0.5
+        K = math.sqrt(k * k - 1e-4 * k)
+        assert 0.0 < model.radial_integrals(mode, k, K, a).m_cross < 1e-200
+        with pytest.raises(DegenerateModeError):
+            model.mode_ratio(mode, k, K, a)
+
+    @pytest.mark.parametrize("m_cross", [1e-170, -1e-160])
+    def test_nonfinite_weight_is_degenerate(self, m_cross, monkeypatch):
+        # M^2 underflows to 0, or N_K / M^2 overflows to inf
+        monkeypatch.setattr(
+            model, "_closed_form", lambda *args: (model.RadialIntegrals(1.0, 1.0, m_cross), 0.0)
+        )
+        with pytest.raises(DegenerateModeError):
+            model.mode_ratio(Mode(2, 1), 1.0, 1.0, 1.0)
 
 
 class TestSourceEnergy:

@@ -9,7 +9,6 @@ from tunedsource import quadrature, specfun
 from tunedsource.errors import ConvergenceError, IntegrandDomainError, InvalidInputError
 from tunedsource.quadrature import (
     QuadratureResult,
-    integrate_extended,
     integrate_radial,
     integrate_radial_batch,
 )
@@ -71,18 +70,24 @@ class TestIntegrateRadial:
         assert res.value == pytest.approx(math.sin(1.0), rel=1e-13)
 
 
+# the panel budget of truncated half-line integrals, as in acceptance criterion 02
+_HALF_LINE_PANELS = 65536
+
+
 class TestIntegrateExtended:
+    """Truncated half-line integrals: ``integrate_radial`` over [0, L] with a larger panel budget."""
+
     def test_exponential(self):
-        res = integrate_extended(lambda r: np.exp(-r), 100.0, 1e-12)
+        res = integrate_radial(lambda r: np.exp(-r), 100.0, 1e-12, max_panels=_HALF_LINE_PANELS)
         assert res.value == pytest.approx(1.0, rel=1e-12)
 
     def test_j0_squared_half_line(self):
-        res = integrate_extended(lambda r: specfun.bessel_j(0, r) ** 2, 2000.0, 1e-10)
+        res = integrate_radial(lambda r: specfun.bessel_j(0, r) ** 2, 2000.0, 1e-10, max_panels=_HALF_LINE_PANELS)
         assert res.value == pytest.approx(math.pi / 2, rel=1e-2)
 
     def test_j2_squared_alpha3(self):
-        res = integrate_extended(
-            lambda r: specfun.bessel_j(2, 3.0 * r) ** 2, 500.0, 1e-10, osc_scale=3.0
+        res = integrate_radial(
+            lambda r: specfun.bessel_j(2, 3.0 * r) ** 2, 500.0, 1e-10, osc_scale=3.0, max_panels=_HALF_LINE_PANELS
         )
         assert res.value == pytest.approx(math.pi / 30.0, rel=2e-2)
 
@@ -93,8 +98,8 @@ class TestIntegrateExtended:
         def f(r):
             return (r * specfun.bessel_u(2, 1.0 * r)) ** 2
 
-        i1 = integrate_extended(f, 200.0, 1e-9).value
-        i2 = integrate_extended(f, 400.0, 1e-9).value
+        i1 = integrate_radial(f, 200.0, 1e-9, max_panels=_HALF_LINE_PANELS).value
+        i2 = integrate_radial(f, 400.0, 1e-9, max_panels=_HALF_LINE_PANELS).value
         assert i2 > 1.5 * i1
 
 
@@ -272,10 +277,19 @@ class TestLockstepBatch:
         scalar = lambda r: float(r) * float(r) * 3.0 + 1.0
         vector = lambda r: r * r * 3.0 + 1.0
         assert integrate_radial(scalar, 2.0, 1e-13, osc_scale=4.0) == integrate_radial(vector, 2.0, 1e-13, osc_scale=4.0)
-        assert integrate_extended(scalar, 2.0, 1e-13) == integrate_extended(vector, 2.0, 1e-13)
+        assert integrate_radial(scalar, 2.0, 1e-13, max_panels=_HALF_LINE_PANELS) == integrate_radial(
+            vector, 2.0, 1e-13, max_panels=_HALF_LINE_PANELS
+        )
 
     def test_invalid_batch_limits(self):
         with pytest.raises(InvalidInputError):
             integrate_radial_batch(_batch_of([np.sin]), 0.0, osc_scales=[1.0])
         with pytest.raises(InvalidInputError):
             integrate_radial_batch(_batch_of([np.sin]), 1.0, 1e-15, osc_scales=[1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_osc_scale_rejected(self, bad):
+        with pytest.raises(InvalidInputError):
+            integrate_radial(lambda r: r, 1.0, osc_scale=bad)
+        with pytest.raises(InvalidInputError):
+            integrate_radial_batch(_batch_of([np.sin, np.cos]), 1.0, osc_scales=[1.0, bad])

@@ -7,10 +7,13 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 from scipy.special import spherical_jn
 
-from tunedsource import quadrature, specfun, theorems
+from tunedsource import model, quadrature, specfun, theorems
 from tunedsource.errors import InvalidInputError
 from tunedsource.model import Mode, radial_integrals, tuned_wavenumber
 from tunedsource.quadrature import integrate_radial
+
+
+_BAD_WAVENUMBERS = [math.nan, math.inf, -math.inf, 0.0]
 
 
 def _u(l, x):
@@ -79,6 +82,13 @@ class TestCurlIdentity:
     def test_l_zero_rejected(self):
         with pytest.raises(InvalidInputError):
             theorems.curl_identity_check(0, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", _BAD_WAVENUMBERS)
+    def test_rejects_zero_or_nonfinite_wavenumber(self, bad):
+        # a zero K used to give a passing discrepancy of 0.0
+        for k, K in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(InvalidInputError):
+                theorems.curl_identity_check(1, k, K, 1.0)
 
 
 class TestMinimalityMargin:
@@ -247,6 +257,11 @@ class TestSeriesIntegralsJ1:
         si = theorems.series_integrals_j1(3, -1.3, 2.0, 1.0)
         assert si.d1 == pytest.approx(5.7426678804e-03, rel=1e-9)
 
+    @pytest.mark.parametrize("bad", _BAD_WAVENUMBERS)
+    def test_rejects_zero_or_nonfinite_k(self, bad):
+        with pytest.raises(InvalidInputError):
+            theorems.series_integrals_j1(2, bad, 1.0, 0.7)
+
 
 class TestF1VanishingCheck:
     @pytest.mark.parametrize(
@@ -268,6 +283,11 @@ class TestF1VanishingCheck:
         rep = theorems.f1_vanishing_check(1, 1.0, 2.0, 1.0, tol=0.0)
         # residual can be exactly zero only by bitwise coincidence
         assert rep.passed == (rep.residual == 0.0)
+
+    @pytest.mark.parametrize("bad", _BAD_WAVENUMBERS)
+    def test_rejects_zero_or_nonfinite_k(self, bad):
+        with pytest.raises(InvalidInputError):
+            theorems.f1_vanishing_check(2, bad, 1.0, 0.7)
 
 
 class TestDefaultChiGrid:
@@ -429,6 +449,20 @@ class TestLockstepOracleBitIdentical:
             for K in (K_near, k, abs(k)):
                 assert theorems.curl_identity_check(l, k, K, a, rel_tol) == reference_curl_identity_check(l, k, K, a, rel_tol)
 
+    @pytest.mark.parametrize("rel_tol", _ORACLE_TOLS)
+    def test_radial_integrals_quadrature(self, rel_tol):
+        for l, k, a, _, K_near in _fd_oracle_bundles(5, 12):
+            for j in (1, 2):
+                for K in (K_near, k, abs(k)):
+                    if j == 2:
+                        n_k, n_K = specfun.lommel_first(l, k, a), specfun.lommel_first(l, K, a)
+                    else:
+                        n_k = _reference_quadrature(1, l, abs(k), abs(k), a, rel_tol)
+                        n_K = _reference_quadrature(1, l, abs(K), abs(K), a, rel_tol)
+                    m = _reference_quadrature(j, l, k, K, a, rel_tol)
+                    got = model.radial_integrals_quadrature(Mode(j, l), k, K, a, rel_tol)
+                    assert got == model.RadialIntegrals(n_k, n_K, m)
+
     def test_expansion_j2_shares_its_bessel_values(self):
         for l, k, a, mw, _ in _fd_oracle_bundles(3, 12):
             x = k * a
@@ -474,6 +508,13 @@ class TestTableBuildsPerRound:
         # eleven cross integrals of order l, plus one order-(l+1) table for the eleven N_2(K)
         call = lambda: theorems.expansion_fd(2, 2, -1.9, 3.0, 0.9, 1e-14)
         self._check(monkeypatch, call, batch=11, orders=[2], extra=[3], expected=(4, 3))
+
+    @pytest.mark.parametrize("k,K,batch", [(1.9, 1.9, 1), (-1.9, -1.9, 1), (-1.9, 1.9, 2)])
+    def test_radial_integrals_quadrature_j1(self, monkeypatch, k, K, batch):
+        # each distinct integral once: N_1(|k|) = N_1(|K|), and at K == k the
+        # cross integral is that self integral; M_1(-|k|, |k|) is its own
+        call = lambda: model.radial_integrals_quadrature(Mode(1, 2), k, K, 3.0, 1e-14)
+        self._check(monkeypatch, call, batch=batch, orders=[3], extra=[], expected=(3, 3))
 
     def test_series_integrals_j1(self, monkeypatch):
         # orders l-1, l and l+1 at |k| r; d1 finishes a round before the others
