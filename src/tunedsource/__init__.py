@@ -14,13 +14,20 @@ that
 * the small-multiplier expansion of the per-mode weight has no linear term,
   with closed-form zeroth and second-order coefficients for the j=2 family.
 
-Subpackages: ``specfun`` (Bessel kernels, Lommel closed forms),
-``quadrature`` (adaptive oscillatory integration), ``model`` (substrates,
-modes, energies), ``tuning`` (constraint roots), ``theorems`` (margin and
+Modules: ``scalar`` (Bessel rows and Lommel closed forms on Python
+floats), ``specfun`` (array Bessel kernels), ``quadrature`` (adaptive
+oscillatory integration), ``model`` (substrates, modes, the closed-form
+cell, energies), ``tuning`` (constraint roots), ``theorems`` (margin and
 expansion certification), ``cli`` (batch reports).
+
+The production path (``scalar``, ``model``, ``tuning``, ``cli``) imports no
+numpy.  The oracle layer (``specfun``, ``quadrature``, ``theorems``) loads
+on first access, as ``tunedsource.theorems`` or through an import.
 """
 
-from . import cli, model, quadrature, specfun, theorems, tuning
+import importlib
+
+from . import cli, model, scalar, tuning
 from .errors import (
     ConfigError,
     ConstraintEvaluationError,
@@ -40,7 +47,17 @@ from .model import Mode, RadialIntegrals, SourceSpec, Substrate, TuningState
 
 __version__ = "0.1.0"
 
+_ORACLE = ("quadrature", "specfun", "theorems")
+
+
+def __getattr__(name):
+    if name in _ORACLE:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __all__ = [
+    "scalar",
     "specfun",
     "quadrature",
     "model",

@@ -16,6 +16,13 @@ report it as a ``no-tuned-solution`` row and exit 0.
 
 Reports are byte-identical across runs for identical configs: floats are
 rendered with 17 significant digits and all iteration orders are fixed.
+
+Only ``verify`` imports numpy: its expansion columns come from the
+quadrature oracle of ``theorems``, which it imports for its first mode.
+``sweep``, ``energies`` and ``tune`` run on the closed-form cell of
+``model`` and the pure-Python root search of ``tuning``, so their processes
+start without numpy (unless a cell needs the near-diagonal quadrature
+fallback, or a Bessel argument below 0.1 its series).
 """
 
 from __future__ import annotations
@@ -27,11 +34,19 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
-from . import theorems, tuning
+from . import tuning
 from .errors import ConfigError, NoTunedSolutionError, TunedSourceError
-from .model import Mode, SourceSpec, Substrate, radial_integrals, source_energy, tuned_wavenumber
+from .model import (
+    Mode,
+    SourceSpec,
+    Substrate,
+    _boundedness_slack,
+    minimality_margin,
+    mode_ratio,
+    radial_integrals,
+    source_energy,
+    tuned_wavenumber,
+)
 
 __all__ = ["RunConfig", "load_config", "run_verify", "run_energies", "run_sweep", "run_tune", "main"]
 
@@ -60,11 +75,10 @@ class XiSearch:
     table_g: Tuple[float, ...]
 
     def interpolator(self):
-        xs = np.asarray(self.table_chi)
-        gs = np.asarray(self.table_g)
+        xs, gs = self.table_chi, self.table_g
 
         def g(chi: float) -> float:
-            return float(np.interp(chi, xs, gs))
+            return tuning._interp(chi, xs, gs)
 
         return g
 
@@ -191,7 +205,7 @@ def _load_chis(raw, substrate: Substrate):
             raise ConfigError(f"chi_grid.n: must be >= 1, got {n}")
         if lo > hi:
             raise ConfigError(f"chi_grid: need lo <= hi, got [{lo}, {hi}]")
-        values = [float(v) for v in np.linspace(lo, hi, n)]
+        values = tuning._linspace(lo, hi, n)
     k, mw = substrate.k, substrate.mu_omega
     for i, chi in enumerate(values):
         if k * k - chi * mw <= 0.0:
@@ -285,7 +299,7 @@ def _load_sweep(raw, substrate: Substrate):
             raise ConfigError(f"sweep.n: must be >= 1, got {n}")
         if axis == "l":
             raise ConfigError("sweep: axis 'l' needs explicit integer 'values'")
-        values = [float(v) for v in np.linspace(lo, hi, n)]
+        values = tuning._linspace(lo, hi, n)
     if not values:
         raise ConfigError("sweep.values: must not be empty")
     if axis == "chi":
@@ -400,17 +414,6 @@ def load_config(path: str, *, command: str, overrides=None) -> RunConfig:
 # report helpers
 
 
-def _norm(value):
-    """Normalize numpy scalars so rendering and exit-code checks are uniform."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -418,8 +421,6 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 
@@ -428,7 +429,7 @@ def render_csv(command: str, columns: Sequence[str], rows) -> str:
     for row in rows:
         cells = []
         for value in row:
-            text = _fmt(_norm(value))
+            text = _fmt(value)
             if "," in text or '"' in text or "\n" in text:
                 text = '"' + text.replace('"', '""') + '"'
             cells.append(text)
@@ -441,7 +442,7 @@ def render_json(command: str, columns: Sequence[str], rows) -> str:
         "format": REPORT_TAG,
         "command": command,
         "columns": list(columns),
-        "rows": [[_norm(v) for v in row] for row in rows],
+        "rows": rows,
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -503,6 +504,8 @@ VERIFY_COLUMNS = (
 
 def _mode_expansion(cfg: RunConfig, j: int, l: int) -> dict:
     """Per-mode expansion columns: f0, f1_residual, f2_closed, f2_fd and their pass flags."""
+    from . import theorems  # the quadrature oracle: only verify loads numpy
+
     s = cfg.substrate
     fd = theorems.expansion_fd(j, l, s.k, s.a, s.mu_omega, rel_tol=max(1e-14, cfg.quad_rel_tol / 10.0))
     if j == 2:
@@ -521,11 +524,11 @@ def _margin_cells(cfg: RunConfig, mode: Mode, k: float, a: float, chi: float, ch
     mw = cfg.substrate.mu_omega
     t = tuned_wavenumber(k, mw, chi)
     ri = radial_integrals(mode, k, t.K, a, cfg.quad_rel_tol)
-    margin, scale = theorems._boundedness_slack(ri)
+    margin, scale = _boundedness_slack(ri)
     pass_bound = margin >= -cfg.margin_tol * scale
     if chi == 0.0:
         pass_bound = pass_bound and abs(margin) <= cfg.margin_tol * scale
-    min_rep = theorems.minimality_margin(mode, k, chi, chi0, mw, a, cfg.quad_rel_tol)
+    min_rep = minimality_margin(mode, k, chi, chi0, mw, a, cfg.quad_rel_tol)
     regime_cap = _REGIME * k * k
     pass_min = None
     if abs(chi * mw) <= regime_cap and abs(chi0 * mw) <= regime_cap and chi * chi > chi0 * chi0:
@@ -570,7 +573,7 @@ def run_energies(cfg: RunConfig):
     def energy(chi: float) -> float:
         t = tuned_wavenumber(s.k, s.mu_omega, chi)
         return source_energy(spec, {
-            mode: theorems.mode_ratio(mode, s.k, t.K, s.a, cfg.quad_rel_tol) for mode in spec.amplitudes
+            mode: mode_ratio(mode, s.k, t.K, s.a, cfg.quad_rel_tol) for mode in spec.amplitudes
         })
 
     e_untuned = energy(0.0)

@@ -7,10 +7,15 @@ statements only depend on the dimensionless products k*a and K*a, so this
 loses no generality.
 
 Radial integrals are computed in closed form from one Bessel table per cell
-(``radial_integrals``).  The adaptive-quadrature route
+(``radial_integrals``), built on Python floats by ``scalar._jl_rows``; the
+closed-form cell, the per-mode weight and the two margins the CLI reports
+per cell (``_boundedness_slack``, ``minimality_margin``) import no numpy.
+The adaptive-quadrature route
 (``radial_integrals_quadrature``) is kept as the independent oracle; the
 closed form falls back to it for the cross integral only where its own
 rounding error estimate exceeds the requested tolerance, near the diagonal.
+The oracle's modules (numpy, ``specfun``'s array kernels, ``quadrature``)
+load on its first call.
 The oracle has one route, ``_quadrature_integrals``: the integrals at a
 whole list of K (``theorems.expansion_fd`` needs its step ladder), each
 distinct one integrated once, all in one lockstep batch
@@ -31,9 +36,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
-
-from . import specfun
+from . import scalar
 from .errors import (
     DegenerateModeError,
     EvanescentRegimeError,
@@ -41,8 +44,6 @@ from .errors import (
     InvalidInputError,
     UnsupportedMediumError,
 )
-from .quadrature import integrate_radial_batch, validate_tol
-from .quadrature import integrate_radial  # noqa: F401  (bench/spans.py traces this name)
 
 __all__ = [
     "Substrate",
@@ -50,11 +51,13 @@ __all__ = [
     "TuningState",
     "RadialIntegrals",
     "SourceSpec",
+    "MarginReport",
     "classify_substrate",
     "tuned_wavenumber",
     "radial_integrals",
     "radial_integrals_quadrature",
     "mode_ratio",
+    "minimality_margin",
     "mode_coefficient",
     "source_energy",
 ]
@@ -62,6 +65,20 @@ __all__ = [
 ORDINARY = "ordinary"
 DPS = "DPS-metamaterial"
 DNG = "DNG-metamaterial"
+MINIMALITY = "minimality"
+
+
+def __getattr__(name):
+    # bench/spans.py traces model.integrate_radial; it loads the quadrature oracle
+    if name == "integrate_radial":
+        from .quadrature import integrate_radial
+
+        return integrate_radial
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -76,7 +93,7 @@ class Substrate:
     def __post_init__(self):
         for name in ("epsilon_r", "mu_r", "omega", "a"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            if not (isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)):
                 raise InvalidInputError(f"Substrate.{name} must be a finite number, got {v!r}")
         if self.omega <= 0.0:
             raise InvalidInputError(f"Substrate.omega must be > 0, got {self.omega}")
@@ -120,11 +137,11 @@ class Mode:
     m: int = 0
 
     def __post_init__(self):
-        if self.j not in (1, 2):
-            raise InvalidInputError(f"Mode.j must be 1 or 2, got {self.j}")
-        if not (isinstance(self.l, int) and self.l >= 1):
-            raise InvalidInputError(f"Mode.l must be an integer >= 1, got {self.l}")
-        if not (isinstance(self.m, int) and abs(self.m) <= self.l):
+        if not (_is_int(self.j) and self.j in (1, 2)):
+            raise InvalidInputError(f"Mode.j must be the integer 1 or 2, got {self.j!r}")
+        if not (_is_int(self.l) and self.l >= 1):
+            raise InvalidInputError(f"Mode.l must be an integer >= 1, got {self.l!r}")
+        if not (_is_int(self.m) and abs(self.m) <= self.l):
             raise InvalidInputError(f"Mode.m must satisfy |m| <= l, got m={self.m}, l={self.l}")
 
 
@@ -144,6 +161,17 @@ class RadialIntegrals:
     n_self_k: float
     n_self_K: float
     m_cross: float
+
+
+@dataclass(frozen=True)
+class MarginReport:
+    """Signed slack of one certified inequality, with its positive normalizer."""
+
+    mode: Mode
+    chi: float
+    margin: float
+    kind: str
+    scale: float
 
 
 @dataclass(frozen=True)
@@ -205,6 +233,10 @@ def _kernel_values(j: int, l: int, pairs, points):
     j=1.  A self pair (k == K) puts its points into the table once.  A
     point's value does not depend on the other points of its table.
     """
+    import numpy as np
+
+    from . import specfun
+
     args = []
     for (k, K), r in zip(pairs, points):
         args.append(k * r)
@@ -254,7 +286,7 @@ def _validate(k: float, K: float, a: float, rel_tol: float) -> None:
         raise InvalidInputError("wavenumbers must be nonzero")
     if a <= 0.0:
         raise InvalidInputError(f"radius a must be > 0, got {a}")
-    validate_tol(rel_tol)
+    scalar.validate_tol(rel_tol)
 
 
 def _mode_quadrature(mode: Mode, pairs, a: float, rel_tol: float):
@@ -262,6 +294,8 @@ def _mode_quadrature(mode: Mode, pairs, a: float, rel_tol: float):
 
     A pair (alpha, alpha) is the self integral N_j(alpha).
     """
+    from .quadrature import integrate_radial_batch
+
     f = _mode_integrand(mode, pairs)
     results = integrate_radial_batch(f, a, rel_tol, osc_scales=[max(abs(k), abs(K)) for k, K in pairs])
     return [res.value for res in results]
@@ -278,13 +312,17 @@ def _quadrature_integrals(mode: Mode, k: float, Ks, a: float, rel_tol: float):
     table for all wavenumbers, and only the cross pairs are integrated, so
     M_2(k, k) stays a quadrature value.
     """
+    import numpy as np
+
+    from . import specfun
+
     for K in Ks:
         _validate(k, K, a, rel_tol)
     alphas = list(dict.fromkeys([abs(k)] + [abs(K) for K in Ks]))
     crosses = [(abs(k), abs(k)) if mode.j == 1 and K == k else (k, K) for K in Ks]
     if mode.j == 2:
         table = specfun._jl_table(mode.l + 1, np.array([alpha * a for alpha in alphas]))
-        self_values = [specfun._lommel_first_from(a, *column) for column in zip(*table[mode.l - 1:].tolist())]
+        self_values = [scalar._lommel_first_from(a, *column) for column in zip(*table[mode.l - 1:].tolist())]
         pairs = list(dict.fromkeys(crosses))
     else:
         pairs = list(dict.fromkeys([(alpha, alpha) for alpha in alphas] + crosses))
@@ -319,17 +357,17 @@ def _closed_form(j: int, l: int, k: float, K: float, a: float):
     Returns the integrals and the rounding error estimate of M relative to
     sqrt(N_j(k) N_j(K)).  At k == K, M equals N exactly.
     """
-    (jm_k, jm_K), (j_k, j_K), (jp_k, jp_K) = specfun._jl_rows(l + 1, [k * a, K * a])[l - 1:]
-    u_k = specfun._u_from_neighbors(l, jm_k, jp_k)
-    u_K = specfun._u_from_neighbors(l, jm_K, jp_K)
-    n_k = specfun._lommel_first_from(a, jm_k, j_k, jp_k)
-    n_K = specfun._lommel_first_from(a, jm_K, j_K, jp_K)
-    m, err = (0.0, 0.0) if k == K else specfun._lommel_second_from(a, k, K, j_k, jp_k, j_K, jp_K)
+    (jm_k, jm_K), (j_k, j_K), (jp_k, jp_K) = scalar._jl_rows(l + 1, [k * a, K * a])[l - 1:]
+    u_k = scalar._u_from_neighbors(l, jm_k, jp_k)
+    u_K = scalar._u_from_neighbors(l, jm_K, jp_K)
+    n_k = scalar._lommel_first_from(a, jm_k, j_k, jp_k)
+    n_K = scalar._lommel_first_from(a, jm_K, j_K, jp_K)
+    m, err = (0.0, 0.0) if k == K else scalar._lommel_second_from(a, k, K, j_k, jp_k, j_K, jp_K)
     if j == 1:
         if k != K:
             # M_2's error, plus the rounding of the two terms of the reduction
             terms = abs(K * K * m) + abs(a * a * K * j_k * u_K)
-            err = (K * K * err + specfun._EPS * terms) / (l * (l + 1))
+            err = (K * K * err + scalar._EPS * terms) / (l * (l + 1))
             m = _j1_from_j2(l, a, K, m, j_k, u_K)
         n_k = _j1_from_j2(l, a, k, n_k, j_k, u_k)
         n_K = _j1_from_j2(l, a, K, n_K, j_K, u_K)
@@ -391,6 +429,37 @@ def mode_ratio(mode: Mode, k: float, K: float, a: float, rel_tol: float = 1e-12)
     """
     ri = radial_integrals(mode, k, K, a, rel_tol)
     return _weight(mode, k, K, ri.n_self_K, ri.m_cross)
+
+
+def _boundedness_slack(ri: RadialIntegrals):
+    """(margin, scale) = (N_j(k) N_j(K) - M_j(k, K)^2, N_j(k) N_j(K)) of one cell's integrals."""
+    scale = ri.n_self_k * ri.n_self_K
+    return scale - ri.m_cross * ri.m_cross, scale
+
+
+def minimality_margin(
+    mode: Mode,
+    k: float,
+    chi: float,
+    chi0: float,
+    mu_omega: float,
+    a: float,
+    rel_tol: float = 1e-12,
+) -> MarginReport:
+    """Slack ratio(chi) - ratio(chi0) of the global-minimality inequality.
+
+    Positive margin at chi^2 > chi0^2 certifies that chi0 gives the strictly
+    smaller per-mode weight; the expansion argument covers the regime
+    |chi| mu_omega <= 0.1 k^2, so only there should positivity be asserted.
+    The scale is ratio(chi0) > 0.
+    """
+    t = tuned_wavenumber(k, mu_omega, chi)
+    t0 = tuned_wavenumber(k, mu_omega, chi0)
+    r_chi = mode_ratio(mode, k, t.K, a, rel_tol)
+    r_chi0 = mode_ratio(mode, k, t0.K, a, rel_tol)
+    return MarginReport(
+        mode=mode, chi=chi, margin=r_chi - r_chi0, kind=MINIMALITY, scale=r_chi0
+    )
 
 
 def mode_coefficient(mode: Mode, s: Substrate, t: TuningState, rel_tol: float = 1e-12) -> float:

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, IntegrandDomainError, InvalidInputError
+from .scalar import validate_tol
 
 __all__ = ["QuadratureResult", "integrate_radial", "integrate_radial_batch"]
 
@@ -188,12 +189,6 @@ def _lone(f):
         return [vals]
 
     return batch
-
-
-def validate_tol(rel_tol):
-    """Reject a relative tolerance outside [1e-14, 1e-3]."""
-    if not (1e-14 <= rel_tol <= 1e-3):
-        raise InvalidInputError(f"rel_tol must lie in [1e-14, 1e-3], got {rel_tol}")
 
 
 def integrate_radial_batch(f, a, rel_tol=1e-12, *, osc_scales, max_panels=8192):

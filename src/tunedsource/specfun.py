@@ -17,20 +17,23 @@ normalization.  Other arguments take the upward recurrence.  Each point's
 value depends only on its own argument and lmax, not on the other points of
 the table.
 
-Two builders make such a table, with the same bits.  ``_jl_table`` runs
-each recurrence order as numpy calls over all points; its Miller overflow
-check runs only when a Python-float growth bound allows an overflow, so a
-step costs two numpy calls (three for the orders it stores).  The array
-kernels (``bessel_j`` and friends) and the quadrature integrands use it,
-where a call holds hundreds of points.  The four array kernels share one
-evaluator, ``_on_table``: it rejects non-finite x, builds the table at |x|
-(x = 0 included) and applies each kernel's parity, so a kernel only says
-which table rows it combines.  ``_jl_rows`` runs the Miller and
-upward recurrences on Python floats, one point at a time, and returns
-lists.  The callers that hold a fixed handful of scalars use it:
-``lommel_first``, ``lommel_second``, the closed-form cell of
-``model.radial_integrals`` and ``theorems.expansion_j2``.  For one or two
-points it costs a fraction of ``_jl_table``'s per-order numpy calls.
+Two builders make such a table, with the same bits.  ``_jl_table``, here,
+runs each recurrence order as numpy calls over all points; its Miller
+overflow check runs only when a Python-float growth bound allows an
+overflow, so a step costs two numpy calls (three for the orders it stores).
+The array kernels (``bessel_j`` and friends) and the quadrature integrands
+use it, where a call holds hundreds of points.  The four array kernels share
+one evaluator, ``_on_table``: it rejects non-finite x, builds the table at
+|x| (x = 0 included) and applies each kernel's parity, so a kernel only says
+which table rows it combines.  ``scalar._jl_rows`` runs the Miller and
+upward recurrences on Python floats, one point at a time, with ``math``'s
+sin and cos, and returns lists; it needs numpy only for arguments below the
+series cutoff, which take ``_jl_series``.  The callers that hold a fixed
+handful of scalars use it: ``lommel_first``, ``lommel_second``, the
+closed-form cell of ``model.radial_integrals`` and
+``theorems.expansion_j2``.  For one or two points it costs a fraction of
+``_jl_table``'s per-order numpy calls, and it keeps numpy out of the
+processes that only run the closed-form cell (see ``scalar``).
 
 Accuracy, all arithmetic binary64, checked against mpmath for l <= 50 and
 |x| <= 1e3: the relative error is <= 1e-12 for |x| < l + 1, where j_l has no
@@ -47,6 +50,15 @@ import math
 import numpy as np
 
 from .errors import InvalidInputError, SingularityError
+from .scalar import (
+    _MILLER_MARGIN,
+    _RESCALE_LIMIT,
+    _SERIES_CUTOFF,
+    _jl_rows,
+    _lommel_first_from,
+    _lommel_second_from,
+    _u_from_neighbors,
+)
 
 __all__ = [
     "bessel_j",
@@ -56,14 +68,6 @@ __all__ = [
     "lommel_first",
     "lommel_second",
 ]
-
-# orders above the head start of the downward recurrence; enough for full
-# binary64 accuracy whenever x < lmax (dominance grows at least like 2x
-# per step there)
-_MILLER_MARGIN = 60
-_SERIES_CUTOFF = 0.1
-_RESCALE_LIMIT = 1e250
-_EPS = float(np.finfo(float).eps)
 
 
 def _double_factorial(n: int) -> float:
@@ -170,74 +174,6 @@ def _jl_table(lmax: int, x: np.ndarray) -> np.ndarray:
     return block
 
 
-def _miller_column(lmax: int, x: float, sx: float, cx: float) -> list:
-    """``_jl_miller`` for one point on Python floats: the same operations in the same order.
-
-    The rescale check runs at every order; ``_jl_miller`` rescales a column
-    at exactly those orders (see its docstring), so the values are the same
-    to the bit.
-    """
-    limit = _RESCALE_LIMIT
-    f_up, f_cur = 0.0, 1e-30
-    for order in range(lmax + _MILLER_MARGIN, lmax, -1):    # above the table
-        f_up, f_cur = f_cur, (2 * order + 1) / x * f_cur - f_up
-        if abs(f_cur) > limit:
-            f_cur *= 1e-250
-            f_up *= 1e-250
-    column = [0.0] * lmax + [f_cur]
-    for order in range(lmax, 0, -1):
-        f_up, f_cur = f_cur, (2 * order + 1) / x * f_cur - f_up
-        if abs(f_cur) > limit:
-            f_cur *= 1e-250
-            f_up *= 1e-250
-            column[order:] = [v * 1e-250 for v in column[order:]]
-        column[order - 1] = f_cur
-    j0 = sx / x
-    j1 = sx / (x * x) - cx / x
-    ratio = j0 / column[0] if abs(j0) >= abs(j1) else j1 / column[1]
-    return [v * ratio for v in column]
-
-
-def _upward_column(lmax: int, x: float, sx: float, cx: float) -> list:
-    """``_jl_upward`` for one point on Python floats."""
-    column = [sx / x]
-    if lmax >= 1:
-        column.append(sx / (x * x) - cx / x)
-    for order in range(1, lmax):
-        column.append((2 * order + 1) / x * column[order] - column[order - 1])
-    return column
-
-
-def _jl_rows(lmax: int, xs) -> list:
-    """``_jl_table(lmax, np.array(xs)).tolist()`` to the bit, for a handful of points.
-
-    The Miller and upward recurrences run on Python floats, one point at a
-    time, which for a few points costs a fraction of ``_jl_table``'s numpy
-    calls per order.  sin and cos come from one numpy call over the points,
-    and arguments below the series cutoff still take ``_jl_series``: numpy's
-    ``x**order`` rounds differently from Python's.
-    """
-    x = np.asarray(xs, dtype=float)
-    xs = x.tolist()
-    small = [xi for xi in xs if xi < _SERIES_CUTOFF]
-    series = iter(_jl_series(lmax, np.array(small)).T.tolist()) if small else None
-    columns = []
-    for xi, sx, cx in zip(xs, np.sin(x).tolist(), np.cos(x).tolist()):
-        if xi < _SERIES_CUTOFF:
-            columns.append(next(series))
-        elif xi < lmax:
-            columns.append(_miller_column(lmax, xi, sx, cx))
-        else:
-            columns.append(_upward_column(lmax, xi, sx, cx))
-    return [list(row) for row in zip(*columns)]
-
-
-def _jl_value(l: int, x: float) -> float:
-    """``bessel_j(l, x)`` to the bit at one finite float, from ``_jl_rows``."""
-    value = _jl_rows(l, [abs(x)])[l][0]
-    return -value if x < 0.0 and l % 2 == 1 else value
-
-
 def _validate_order(l: int, lowest: int = 0) -> int:
     if not isinstance(l, (int, np.integer)) or isinstance(l, bool):
         raise InvalidInputError(f"order l must be an integer, got {l!r}")
@@ -310,11 +246,6 @@ def bessel_j_prime(l: int, x):
     return vals
 
 
-def _u_from_neighbors(l: int, jm, jp):
-    """u_l = [(l+1) j_{l-1} - l j_{l+1}] / (2l+1), l >= 1; floats or arrays."""
-    return ((l + 1) * jm - l * jp) / (2 * l + 1)
-
-
 def _u_from_table(l: int, table: np.ndarray, ax: np.ndarray, nonzero: np.ndarray) -> np.ndarray:
     """u_l at |x| from a j-table that reaches order l+1."""
     if l == 0:
@@ -352,30 +283,6 @@ def bessel_j_and_u(l: int, x):
         return [(table[l].copy(), l % 2 == 1), (_u_from_table(l, table, ax, nonzero), l % 2 == 0)]
 
     return tuple(_on_table(x, l + 1, kernels))
-
-
-def _lommel_first_from(a: float, jm: float, j: float, jp: float) -> float:
-    """(a^3 / 2) [j_l^2 - j_{l+1} j_{l-1}] from (j_{l-1}, j_l, j_{l+1}) at |alpha| a."""
-    return 0.5 * a**3 * (j * j - jp * jm)
-
-
-def _lommel_second_from(a, k, K, j_k, jp_k, j_K, jp_K):
-    """Cross integral of the j=2 kernel at 0 < k != K from table values.
-
-    Takes j_l and j_{l+1} at k a and at K a, and returns the value
-
-        a [ K a j_l(ka) j_{l+1}(Ka) - k a j_{l+1}(ka) j_l(Ka) ] / (K^2 - k^2)
-
-    with its rounding error, eps a (|t1| + |t2|) / |K^2 - k^2| for the two
-    numerator terms t1, t2.  This is Lommel's second integral with
-    x j_l' = l j_l - x j_{l+1}, which drops the l j_l(ka) j_l(Ka) terms that
-    would cancel.  Swapping (k, K) swaps t1 and t2 and negates (K - k), so the
-    value is symmetric to the bit; K - k is exact when K and k are close.
-    """
-    t1 = K * a * jp_K * j_k
-    t2 = k * a * jp_k * j_K
-    den = (K - k) * (K + k)
-    return a * (t1 - t2) / den, _EPS * a * (abs(t1) + abs(t2)) / abs(den)
 
 
 def lommel_first(l: int, alpha: float, a: float) -> float:

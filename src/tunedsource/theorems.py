@@ -20,6 +20,12 @@ The closed-form f2 below was re-derived symbolically from the Lommel
 closed forms of N and M (series expansion of the ratio in chi around 0)
 and is validated against high-precision finite differences; see the test
 suite for the frozen oracle values.
+
+``MarginReport``, ``minimality_margin`` and the boundedness slack live in
+``model``, beside the closed-form cell they evaluate, so that the CLI's
+per-cell path imports no numpy; this module re-exports them.  Importing it
+loads numpy, ``specfun`` and ``quadrature``: the oracle routes below need
+them, and a caller that times its first call should not time those imports.
 """
 
 from __future__ import annotations
@@ -29,16 +35,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
+from . import scalar, specfun
 from .errors import DegenerateModeError, IllConditionedExpansionError, InvalidInputError
-from .model import (
+from .model import (  # noqa: F401  (MINIMALITY is re-exported)
+    MINIMALITY,
+    MarginReport,
     Mode,
-    RadialIntegrals,
+    _boundedness_slack,
     _j1_integrand,
     _kernel_values,
     _quadrature_integrals,
     _validate,
     _weight,
+    minimality_margin,
     mode_ratio,
     radial_integrals,
     tuned_wavenumber,
@@ -63,18 +72,6 @@ __all__ = [
 ]
 
 BOUNDEDNESS = "boundedness"
-MINIMALITY = "minimality"
-
-
-@dataclass(frozen=True)
-class MarginReport:
-    """Signed slack of one certified inequality, with its positive normalizer."""
-
-    mode: Mode
-    chi: float
-    margin: float
-    kind: str
-    scale: float
 
 
 @dataclass(frozen=True)
@@ -108,12 +105,6 @@ class F1VanishingReport:
     f1: float
 
 
-def _boundedness_slack(ri: RadialIntegrals):
-    """(margin, scale) = (N_j(k) N_j(K) - M_j(k, K)^2, N_j(k) N_j(K)) of one cell's integrals."""
-    scale = ri.n_self_k * ri.n_self_K
-    return scale - ri.m_cross * ri.m_cross, scale
-
-
 def boundedness_margin(
     mode: Mode, k: float, chi: float, mu_omega: float, a: float, rel_tol: float = 1e-12
 ) -> MarginReport:
@@ -126,31 +117,6 @@ def boundedness_margin(
     t = tuned_wavenumber(k, mu_omega, chi)
     margin, scale = _boundedness_slack(radial_integrals(mode, k, t.K, a, rel_tol))
     return MarginReport(mode=mode, chi=chi, margin=margin, kind=BOUNDEDNESS, scale=scale)
-
-
-def minimality_margin(
-    mode: Mode,
-    k: float,
-    chi: float,
-    chi0: float,
-    mu_omega: float,
-    a: float,
-    rel_tol: float = 1e-12,
-) -> MarginReport:
-    """Slack ratio(chi) - ratio(chi0) of the global-minimality inequality.
-
-    Positive margin at chi^2 > chi0^2 certifies that chi0 gives the strictly
-    smaller per-mode weight; the expansion argument covers the regime
-    |chi| mu_omega <= 0.1 k^2, so only there should positivity be asserted.
-    The scale is ratio(chi0) > 0.
-    """
-    t = tuned_wavenumber(k, mu_omega, chi)
-    t0 = tuned_wavenumber(k, mu_omega, chi0)
-    r_chi = mode_ratio(mode, k, t.K, a, rel_tol)
-    r_chi0 = mode_ratio(mode, k, t0.K, a, rel_tol)
-    return MarginReport(
-        mode=mode, chi=chi, margin=r_chi - r_chi0, kind=MINIMALITY, scale=r_chi0
-    )
 
 
 def curl_identity_check(l: int, k: float, K: float, a: float, rel_tol: float = 1e-12) -> float:
@@ -202,7 +168,7 @@ def expansion_j2(l: int, k: float, a: float, mu_omega: float) -> ExpansionCoeffs
     x = k * a
     if not (a > 0.0 and math.isfinite(x)):
         raise InvalidInputError(f"expansion needs a > 0 and finite k a, got k={k}, a={a}")
-    jm1, j, jp1 = (specfun._jl_value(order, x) for order in (l - 1, l, l + 1))
+    jm1, j, jp1 = (scalar._jl_value(order, x) for order in (l - 1, l, l + 1))
     bracket = j * j - jm1 * jp1  # the positive Lommel bracket
     if bracket <= 0.0:
         raise IllConditionedExpansionError(

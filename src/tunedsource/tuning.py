@@ -8,17 +8,20 @@ of smallest absolute value, with ties broken toward the positive sign.
 
 The constraint function is injected rather than built in: evaluating the
 physical reactive power needs the propagator expansion, which lives outside
-this library.  Tabulated constraints can be passed through
-``numpy.interp``-style interpolators (the CLI does exactly that).
+this library.  A tabulated constraint is passed as a piecewise-linear
+interpolator of its table; the CLI builds one with ``_interp``.
+
+The scan grid (``_linspace``) and the interpolator are pure Python, so the
+root search imports no numpy.  They give the bits of ``numpy.linspace`` and
+``numpy.interp`` (the test suite checks both against numpy).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
-
-import numpy as np
+from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import ConstraintEvaluationError, InvalidInputError, NoTunedSolutionError
 
@@ -38,6 +41,46 @@ class ChiSet:
     roots: Tuple[float, ...]
     bracket_tol: float
     excluded: Tuple[float, ...] = ()
+
+
+def _linspace(lo: float, hi: float, n: int) -> list:
+    """``numpy.linspace(lo, hi, n).tolist()`` to the bit, n >= 1."""
+    lo, hi = float(lo), float(hi)
+    if n == 1:
+        return [lo]
+    div = n - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0.0:
+        # numpy's branch for a step that underflows (or lo == hi)
+        values = [i / div * delta + lo for i in range(n)]
+    else:
+        values = [i * step + lo for i in range(n)]
+    values[-1] = hi
+    return values
+
+
+def _interp(x: float, xp: Sequence[float], fp: Sequence[float]) -> float:
+    """``numpy.interp(x, xp, fp)`` to the bit for a finite x; xp strictly increasing, len >= 2.
+
+    Outside [xp[0], xp[-1]] the end values hold.  The arithmetic is numpy's:
+    a node hit returns its value, and a nan from one side of the segment is
+    retried from the other.
+    """
+    j = bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j >= len(xp) - 1:
+        return fp[-1]
+    if xp[j] == x:
+        return fp[j]
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    value = slope * (x - xp[j]) + fp[j]
+    if math.isnan(value):
+        value = slope * (x - xp[j + 1]) + fp[j + 1]
+        if math.isnan(value) and fp[j] == fp[j + 1]:
+            value = fp[j]
+    return value
 
 
 def _bisect(g: Callable[[float], float], lo: float, hi: float, g_lo: float, tol: float) -> float:
@@ -93,18 +136,18 @@ def find_constraint_roots(
     if not (math.isfinite(tol) and tol > 0.0):
         raise InvalidInputError(f"tol must be > 0, got {tol}")
 
-    xs = np.linspace(lo, hi, int(grid_n))
-    gs = np.array([float(g(x)) for x in xs])
-    if not np.all(np.isfinite(gs)):
-        bad = xs[~np.isfinite(gs)][0]
-        raise ConstraintEvaluationError(f"constraint returned non-finite value at chi={bad}")
+    xs = _linspace(lo, hi, int(grid_n))
+    gs = [float(g(x)) for x in xs]
+    for x, gx in zip(xs, gs):
+        if not math.isfinite(gx):
+            raise ConstraintEvaluationError(f"constraint returned non-finite value at chi={x}")
 
     found = []
     for i, (x, gx) in enumerate(zip(xs, gs)):
         if gx == 0.0:
-            found.append(float(x))
+            found.append(x)
         if i + 1 < len(xs) and gx != 0.0 and gs[i + 1] != 0.0 and (gx < 0.0) != (gs[i + 1] < 0.0):
-            found.append(_bisect(g, float(x), float(xs[i + 1]), gx, tol))
+            found.append(_bisect(g, x, xs[i + 1], gx, tol))
 
     # merge duplicates closer than the bracket tolerance
     found.sort()

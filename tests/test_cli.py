@@ -200,14 +200,14 @@ class TestVerify:
     def test_failing_margin_cell_keeps_expansion_columns(self, tmp_path, monkeypatch):
         cfg = cli.load_config(write_config(tmp_path, base_config()), command="verify")
         _, columns, clean = cli.run_verify(cfg)
-        minimality_margin = theorems.minimality_margin
+        minimality_margin = cli.minimality_margin
 
         def failing(mode, k, chi, *args, **kwargs):
             if chi == 0.08:
                 raise DegenerateModeError("stand-in failure")
             return minimality_margin(mode, k, chi, *args, **kwargs)
 
-        monkeypatch.setattr(theorems, "minimality_margin", failing)
+        monkeypatch.setattr(cli, "minimality_margin", failing)
         code, columns, rows = cli.run_verify(cfg)
         assert code == 1
         kept = ("j", "l", "k", "chi", "f0", "f1_residual", "f2_closed", "f2_fd", "pass_f1", "pass_f2")

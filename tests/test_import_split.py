@@ -1,0 +1,106 @@
+"""The production path imports no numpy; the quadrature oracle loads only where it is used.
+
+Each check runs in a fresh process, because a module imported anywhere in
+the test session stays in ``sys.modules``.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from tunedsource import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
+ORACLE = ("numpy", "tunedsource.quadrature", "tunedsource.specfun", "tunedsource.theorems")
+
+# runs ``python -m tunedsource <argv>``, then prints which oracle modules it loaded
+_PROBE = """
+import json, runpy, sys
+sys.argv = ["tunedsource", *json.loads(sys.argv[1])]
+try:
+    runpy.run_module("tunedsource", run_name="__main__", alter_sys=True)
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "loaded": [m for m in %r if m in sys.modules]}), file=sys.stderr)
+""" % (ORACLE,)
+
+
+def package_env():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def probe(command, config, tmp_path):
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "report.csv")]
+    proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv)], capture_output=True,
+                          text=True, env=package_env(), timeout=120)
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+@pytest.mark.parametrize("command", ["sweep", "energies", "tune"])
+def test_closed_form_commands_start_without_numpy(command, tmp_path):
+    codes = []
+    for config in CONFIGS:
+        result = probe(command, config, tmp_path)
+        assert result["loaded"] == [], (command, config.name)
+        codes.append(result["code"])
+    assert 0 in codes  # at least one checked-in config is a real run of this command
+
+
+@pytest.mark.parametrize("config", ["verify_vacuum.json", "verify_strict.json"])
+def test_verify_loads_the_oracle(config, tmp_path):
+    result = probe("verify", ROOT / "configs" / config, tmp_path)
+    assert result["code"] in (0, 1)  # verify_strict.json has failing rows by design
+    assert result["loaded"] == list(ORACLE)
+
+
+def test_theorems_import_loads_the_oracle_before_any_call():
+    code = "import sys, tunedsource.theorems; print(' '.join(m for m in %r if m in sys.modules))" % (ORACLE,)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=package_env(), timeout=120, check=True)
+    assert proc.stdout.split() == list(ORACLE)
+
+
+def test_package_attributes_resolve_lazily():
+    import tunedsource
+
+    assert tunedsource.theorems is importlib.import_module("tunedsource.theorems")
+    with pytest.raises(AttributeError):
+        tunedsource.no_such_module
+
+
+def _report_configs(tmp_path, monkeypatch):
+    """(command, path) of every checked-in config and of one benchmark pass at seed 1."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads = importlib.import_module("workloads")
+    rounds = importlib.import_module("run").PASS_CLI_ROUNDS
+    out = [(command, path) for path in CONFIGS for command in ("verify", "energies", "sweep", "tune")]
+    for index in range(rounds):
+        for command, config in workloads.cli_round(1, index, rounds):
+            path = tmp_path / f"r{index}_{command}.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            out.append((command, path))
+    return out
+
+
+def test_report_values_are_builtin_types(tmp_path, monkeypatch):
+    # rendering relies on it: a numpy bool would print as True, and json cannot encode it
+    builtin = (bool, int, float, str, type(None))
+    values = 0
+    for command, path in _report_configs(tmp_path, monkeypatch):
+        try:
+            cfg = cli.load_config(str(path), command=command)
+        except cli.ConfigError:
+            continue
+        _, _, rows = getattr(cli, f"run_{command}")(cfg)
+        for row in rows:
+            assert all(type(v) in builtin for v in row), (command, path.name, row)
+            values += len(row)
+    assert values > 7000

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 from scipy.special import spherical_jn
 
-from tunedsource import model, specfun
+from tunedsource import model, scalar, specfun
 from tunedsource.errors import (
     DegenerateModeError,
     EvanescentRegimeError,
@@ -69,6 +69,28 @@ class TestMode:
             Mode(1, 0)
         with pytest.raises(InvalidInputError):
             Mode(1, 2, 3)
+
+    @pytest.mark.parametrize("fields", [(True, 2), (1.0, 2), (2, True), (2.0, 3), (1, 2.0), (2, 3, False), (2, 3, 1.0)])
+    def test_bools_and_floats_rejected(self, fields):
+        with pytest.raises(InvalidInputError):
+            Mode(*fields)
+
+    def test_bool_mode_never_reaches_the_cell(self):
+        # Mode(2, True) used to compute as l = 1
+        with pytest.raises(InvalidInputError):
+            model.radial_integrals(Mode(2, True), 1.0, 1.2, 1.0)
+
+
+class TestSubstrateFieldTypes:
+    @pytest.mark.parametrize("field", ["epsilon_r", "mu_r", "omega", "a"])
+    def test_bool_rejected(self, field):
+        values = {"epsilon_r": 1.0, "mu_r": 1.0, "omega": 1.0, "a": 1.0, field: True}
+        with pytest.raises(InvalidInputError):
+            Substrate(**values)
+
+    def test_ints_and_numpy_floats_accepted(self):
+        s = Substrate(epsilon_r=2, mu_r=np.float64(1.0), omega=1, a=np.float64(0.5))
+        assert s.k == math.sqrt(2.0)
 
 
 class TestTunedWavenumber:
@@ -154,7 +176,7 @@ class TestRadialIntegrals:
         def no_table(*args):
             raise AssertionError("a Bessel table was built")
 
-        monkeypatch.setattr(specfun, "_jl_rows", no_table)
+        monkeypatch.setattr(scalar, "_jl_rows", no_table)
         monkeypatch.setattr(specfun, "_jl_table", no_table)
         for k, K, a in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
             for route in (model.radial_integrals, model.radial_integrals_quadrature, model.mode_ratio):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.special import spherical_jn
 
-from tunedsource import model, specfun
+from tunedsource import model, scalar, specfun
 from tunedsource.errors import InvalidInputError, SingularityError
 from tunedsource.model import Mode
 from tunedsource.quadrature import integrate_radial
@@ -358,7 +358,7 @@ class TestRowsBitIdentical:
                 for start in range(len(xs)):
                     chosen = [xs[(start + 3 * i) % len(xs)] for i in range(size)]
                     want = specfun._jl_table(lmax, np.array(chosen)).tolist()
-                    assert specfun._jl_rows(lmax, chosen) == want, (lmax, chosen)
+                    assert scalar._jl_rows(lmax, chosen) == want, (lmax, chosen)
 
     def test_rescaling_column(self):
         # the column at x = 0.1 of a table of order 50 rescales on the way down
@@ -366,20 +366,37 @@ class TestRowsBitIdentical:
         reference_miller(50, np.array([0.1]), rescaled)
         assert rescaled
         for xs in ([0.1], [0.1, 30.0], [60.0, 0.1, 0.05]):
-            assert specfun._jl_rows(50, xs) == specfun._jl_table(50, np.array(xs)).tolist()
+            assert scalar._jl_rows(50, xs) == specfun._jl_table(50, np.array(xs)).tolist()
 
     def test_random_cells(self):
         rng = np.random.default_rng(41)
         for _ in range(2000):
             lmax = int(rng.integers(0, 52))
             xs = np.exp(rng.uniform(math.log(1e-3), math.log(200.0), int(rng.integers(1, 4)))).tolist()
-            assert specfun._jl_rows(lmax, xs) == specfun._jl_table(lmax, np.array(xs)).tolist(), (lmax, xs)
+            assert scalar._jl_rows(lmax, xs) == specfun._jl_table(lmax, np.array(xs)).tolist(), (lmax, xs)
+
+    def test_ten_thousand_points_all_regimes(self):
+        # the rows take sin and cos from math, the table from numpy
+        rng = np.random.default_rng(43)
+        points = 0
+        for lmax in range(0, 51):
+            top = max(lmax, 2 * specfun._SERIES_CUTOFF)
+            xs = np.concatenate([
+                rng.uniform(1e-8, specfun._SERIES_CUTOFF, 40),
+                np.exp(rng.uniform(math.log(specfun._SERIES_CUTOFF), math.log(top), 80)),
+                np.exp(rng.uniform(math.log(top), math.log(1e3), 80)),
+            ]).tolist()
+            points += len(xs)
+            assert scalar._jl_rows(lmax, xs) == specfun._jl_table(lmax, np.array(xs)).tolist(), lmax
+            assert [math.sin(x) for x in xs] == np.sin(xs).tolist()
+            assert [math.cos(x) for x in xs] == np.cos(xs).tolist()
+        assert points >= 10_000
 
     def test_signed_value(self):
         rng = np.random.default_rng(42)
         for l in range(0, 31):
             for x in (0.0, -0.0, 0.05, -0.05, *rng.uniform(-40.0, 40.0, 6)):
-                assert specfun._jl_value(l, float(x)) == specfun.bessel_j(l, float(x)), (l, x)
+                assert scalar._jl_value(l, float(x)) == specfun.bessel_j(l, float(x)), (l, x)
 
 
 class TestAccuracyMap:

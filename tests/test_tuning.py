@@ -11,7 +11,7 @@ from tunedsource.errors import (
     InvalidInputError,
     NoTunedSolutionError,
 )
-from tunedsource.tuning import ChiSet, find_constraint_roots, select_chi0
+from tunedsource.tuning import ChiSet, _interp, _linspace, find_constraint_roots, select_chi0
 
 
 class TestFindConstraintRoots:
@@ -96,3 +96,69 @@ class TestSelectChi0:
     def test_minimality_property(self, roots):
         chi0 = select_chi0(ChiSet(roots=tuple(sorted(roots)), bracket_tol=1e-10))
         assert all(abs(chi0) <= abs(c) for c in roots)
+
+
+def same_bits(a, b):
+    """Equal lists of floats, with nan == nan and +0.0 != -0.0."""
+    return [v.hex() for v in a] == [v.hex() for v in b]
+
+
+finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+
+
+class TestLinspaceBits:
+    """``_linspace`` gives ``numpy.linspace``'s bits."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(lo=finite, hi=finite, n=st.integers(1, 300))
+    def test_random(self, lo, hi, n):
+        assert same_bits(_linspace(lo, hi, n), np.linspace(lo, hi, n).tolist())
+
+    @pytest.mark.parametrize("lo, hi, n", [
+        (0.0, 1.0, 1), (0.0, 1.0, 2), (-0.0, 0.0, 3), (2.5, 2.5, 5),       # one point, two, zero steps
+        (0.0, 5e-324, 7), (1e-320, 1.1e-320, 100), (-1e-300, 1e-300, 11),  # steps that underflow to 0 or not
+        (3, 7, 5), (1.0, -1.0, 4), (-0.3, 0.7, 181),
+    ])
+    def test_edges(self, lo, hi, n):
+        assert same_bits(_linspace(lo, hi, n), np.linspace(lo, hi, n).tolist())
+        assert all(type(v) is float for v in _linspace(lo, hi, n))
+
+
+@st.composite
+def tables(draw):
+    xp = sorted(set(draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=2, max_size=30))))
+    if len(xp) < 2:
+        xp = [xp[0], xp[0] + 1.0]
+    fp = draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=len(xp), max_size=len(xp)))
+    return xp, fp
+
+
+class TestInterpBits:
+    """``_interp`` gives ``numpy.interp``'s bits on strictly increasing tables."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(table=tables(), data=st.data())
+    def test_random(self, table, data):
+        xp, fp = table
+        span = st.floats(xp[0] - 1.0, xp[-1] + 1.0, allow_nan=False)
+        xs = data.draw(st.lists(st.one_of(span, st.sampled_from(xp)), min_size=1, max_size=20))
+        got = [_interp(x, xp, fp) for x in xs]
+        assert same_bits(got, np.interp(xs, xp, fp).tolist())
+
+    def test_node_hits_last_node_and_two_points(self):
+        xp, fp = [-1.0, 0.5, 2.0, 3.0], [4.0, -2.0, 7.5, 1.0]
+        for x in (*xp, -5.0, 9.0, 0.0, 2.9999999999999996, np.nextafter(-1.0, 0.0)):
+            assert same_bits([_interp(float(x), xp, fp)], [float(np.interp(x, xp, fp))]), x
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            xp2 = sorted(rng.uniform(-3.0, 3.0, 2).tolist())
+            fp2 = rng.uniform(-3.0, 3.0, 2).tolist()
+            for x in (*xp2, *rng.uniform(-4.0, 4.0, 5).tolist()):
+                assert same_bits([_interp(x, xp2, fp2)], [float(np.interp(x, xp2, fp2))])
+
+    def test_flat_and_overflowing_segments(self):
+        # a nan from one side of the segment is retried from the other
+        for xp, fp in (([0.0, 1.0], [5.0, 5.0]), ([-1e308, 1e308], [-1e308, 1e308]),
+                       ([0.0, 1e-300], [1e300, -1e300]), ([0.0, 1.0], [math.inf, math.inf])):
+            for x in (*xp, 0.25 * xp[0] + 0.75 * xp[1], 0.5 * xp[0] + 0.5 * xp[1]):
+                assert same_bits([_interp(x, xp, fp)], [float(np.interp(x, xp, fp))]), (xp, fp, x)
