@@ -41,12 +41,14 @@ from .model import (
     SourceSpec,
     Substrate,
     _boundedness_slack,
+    _is_int,
     minimality_margin,
     mode_ratio,
     radial_integrals,
     source_energy,
     tuned_wavenumber,
 )
+from .scalar import TOL_MIN, validate_tol
 
 __all__ = ["RunConfig", "load_config", "run_verify", "run_energies", "run_sweep", "run_tune", "main"]
 
@@ -105,50 +107,64 @@ class RunConfig:
 # config loading
 
 
-def _number(value, where: str) -> float:
-    """``value`` as a float; ConfigError at ``where`` unless it is a finite number."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
-    return float(value)
+# kind -> (check, description) of the values ``_check`` accepts
+_KINDS = {
+    "number": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
+               "a finite number"),
+    "int": (_is_int, "an integer"),
+    "list": (lambda v: isinstance(v, list), "a list"),
+    "dict": (lambda v: isinstance(v, dict), "an object"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
 
 
-def _expect(block, path, key, kinds, required=True, default=None):
+def _check(value, where: str, kind: str):
+    """``value`` (as a float for "number"); ConfigError at ``where`` unless it is of ``kind``."""
+    accepts, description = _KINDS[kind]
+    if not accepts(value):
+        raise ConfigError(f"{where}: expected {description}, got {value!r}")
+    return float(value) if kind == "number" else value
+
+
+def _expect(block, path, key, kind, required=True, default=None):
+    """``block[key]`` checked as ``kind``; ``default`` when an optional key is absent."""
+    where = f"{path}.{key}" if path else key
     if key not in block:
         if required:
-            raise ConfigError(f"{path}.{key}: required field is missing")
+            raise ConfigError(f"{where}: required field is missing")
         return default
-    value = block[key]
-    if kinds == "number":
-        return _number(value, f"{path}.{key}")
-    if kinds == "int":
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
-        return value
-    if kinds == "list":
-        if not isinstance(value, list):
-            raise ConfigError(f"{path}.{key}: expected a list, got {value!r}")
-        return value
-    if kinds == "dict":
-        if not isinstance(value, dict):
-            raise ConfigError(f"{path}.{key}: expected an object, got {value!r}")
-        return value
-    if kinds == "str":
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}.{key}: expected a string, got {value!r}")
-        return value
-    raise AssertionError(kinds)
+    return _check(block[key], where, kind)
+
+
+def _library(where: str, rule, *args):
+    """``rule(*args)``; the library error it raises becomes a ConfigError at ``where``."""
+    try:
+        return rule(*args)
+    except TunedSourceError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _orders(entries, path: str) -> Tuple[int, ...]:
+    """A non-empty list of multipole orders (integers >= 1), as a tuple."""
+    for l in entries:
+        if not (_is_int(l) and l >= 1):
+            raise ConfigError(f"{path}: entries must be integers >= 1, got {l!r}")
+    if not entries:
+        raise ConfigError(f"{path}: must not be empty")
+    return tuple(entries)
+
+
+def _admissible(chis, path: str, substrate: Substrate) -> Tuple[float, ...]:
+    """``chis`` as a tuple, each leaving a propagating tuned current (the rows' own rule)."""
+    for i, chi in enumerate(chis):
+        _library(f"{path}[{i}]", tuned_wavenumber, substrate.k, substrate.mu_omega, chi)
+    return tuple(chis)
 
 
 def _load_substrate(raw) -> Substrate:
     block = _expect(raw, "", "substrate", "dict")
-    eps = _expect(block, "substrate", "epsilon_r", "number")
-    mu = _expect(block, "substrate", "mu_r", "number")
-    omega = _expect(block, "substrate", "omega", "number")
-    a = _expect(block, "substrate", "a", "number")
-    try:
-        return Substrate(epsilon_r=eps, mu_r=mu, omega=omega, a=a)
-    except TunedSourceError as exc:
-        raise ConfigError(f"substrate: {exc}") from exc
+    values = [_expect(block, "substrate", name, "number") for name in ("epsilon_r", "mu_r", "omega", "a")]
+    return _library("substrate", Substrate, *values)
 
 
 def _load_modes(raw, need_modes: bool):
@@ -159,7 +175,7 @@ def _load_modes(raw, need_modes: bool):
     block = _expect(raw, "", "modes", "dict")
     j_list = tuple(_expect(block, "modes", "j", "list", required=False, default=[1, 2]))
     for j in j_list:
-        if not isinstance(j, int) or isinstance(j, bool) or j not in (1, 2):
+        if not (_is_int(j) and j in (1, 2)):
             raise ConfigError(f"modes.j: entries must be 1 or 2, got {j!r}")
     if not j_list:
         raise ConfigError("modes.j: must not be empty")
@@ -173,46 +189,22 @@ def _load_modes(raw, need_modes: bool):
             raise ConfigError(f"modes.l: need 1 <= lo <= hi, got lo={lo}, hi={hi}")
         l_values = tuple(range(lo, hi + 1))
     elif isinstance(lspec, list):
-        for l in lspec:
-            if not isinstance(l, int) or isinstance(l, bool) or l < 1:
-                raise ConfigError(f"modes.l: entries must be integers >= 1, got {l!r}")
-        if not lspec:
-            raise ConfigError("modes.l: must not be empty")
-        l_values = tuple(lspec)
+        l_values = _orders(lspec, "modes.l")
     else:
         raise ConfigError(f"modes.l: expected an object or list, got {lspec!r}")
     return j_list, l_values
 
 
 def _load_chis(raw, substrate: Substrate):
-    sources = [key for key in ("chi", "chi_values", "chi_grid") if key in raw]
-    if len(sources) > 1:
-        raise ConfigError(f"chi: give only one of chi, chi_values, chi_grid (got {sources})")
-    if not sources:
-        return ()
-    key = sources[0]
-    if key == "chi":
-        values = [_expect(raw, "", "chi", "number")]
-    elif key == "chi_values":
+    if "chi" in raw and "chi_values" in raw:
+        raise ConfigError("chi: give only one of chi, chi_values")
+    if "chi" in raw:
+        return _admissible([_expect(raw, "", "chi", "number")], "chi", substrate)
+    if "chi_values" in raw:
         entries = _expect(raw, "", "chi_values", "list")
-        values = [_number(v, f"chi_values[{i}]") for i, v in enumerate(entries)]
-    else:
-        block = _expect(raw, "", "chi_grid", "dict")
-        lo = _expect(block, "chi_grid", "lo", "number")
-        hi = _expect(block, "chi_grid", "hi", "number")
-        n = _expect(block, "chi_grid", "n", "int")
-        if n < 1:
-            raise ConfigError(f"chi_grid.n: must be >= 1, got {n}")
-        if lo > hi:
-            raise ConfigError(f"chi_grid: need lo <= hi, got [{lo}, {hi}]")
-        values = tuning._linspace(lo, hi, n)
-    k, mw = substrate.k, substrate.mu_omega
-    for i, chi in enumerate(values):
-        if k * k - chi * mw <= 0.0:
-            raise ConfigError(
-                f"{key}[{i}]: chi={chi} is inadmissible (K^2 = k^2 - chi*mu*omega <= 0)"
-            )
-    return tuple(values)
+        return _admissible([_check(v, f"chi_values[{i}]", "number") for i, v in enumerate(entries)],
+                           "chi_values", substrate)
+    return ()
 
 
 def _load_xi_search(raw):
@@ -236,8 +228,8 @@ def _load_xi_search(raw):
     for i, pair in enumerate(table):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ConfigError(f"xi_search.table[{i}]: expected a [chi, g] pair, got {pair!r}")
-        chis.append(_number(pair[0], f"xi_search.table[{i}]"))
-        gs.append(_number(pair[1], f"xi_search.table[{i}]"))
+        chis.append(_check(pair[0], f"xi_search.table[{i}]", "number"))
+        gs.append(_check(pair[1], f"xi_search.table[{i}]", "number"))
     if any(b <= a for a, b in zip(chis, chis[1:])):
         raise ConfigError("xi_search.table: chi entries must be strictly increasing")
     if lo < chis[0] or hi > chis[-1]:
@@ -249,24 +241,18 @@ def _load_xi_search(raw):
 
 
 def _load_amplitudes(raw):
-    if "amplitudes" not in raw:
-        return ()
-    entries = _expect(raw, "", "amplitudes", "list")
+    entries = _expect(raw, "", "amplitudes", "list", required=False, default=[])
     out = []
     seen = set()
     for i, entry in enumerate(entries):
         path = f"amplitudes[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}: expected an object, got {entry!r}")
+        _check(entry, path, "dict")
         j = _expect(entry, path, "j", "int")
         l = _expect(entry, path, "l", "int")
         m = _expect(entry, path, "m", "int", required=False, default=0)
         re = _expect(entry, path, "re", "number")
         im = _expect(entry, path, "im", "number", required=False, default=0.0)
-        try:
-            mode = Mode(j=j, l=l, m=m)
-        except TunedSourceError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        mode = _library(path, Mode, j, l, m)
         if mode in seen:
             raise ConfigError(f"{path}: duplicate mode (j={j}, l={l}, m={m})")
         seen.add(mode)
@@ -281,32 +267,14 @@ def _load_sweep(raw, substrate: Substrate):
     axis = _expect(block, "sweep", "axis", "str")
     if axis not in ("chi", "k", "a", "l"):
         raise ConfigError(f"sweep.axis: must be one of chi, k, a, l; got {axis!r}")
-    if "values" in block:
-        entries = _expect(block, "sweep", "values", "list")
-        values = []
-        for i, v in enumerate(entries):
-            if axis == "l":
-                if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                    raise ConfigError(f"sweep.values[{i}]: l values must be integers >= 1")
-                values.append(v)
-            else:
-                values.append(_number(v, f"sweep.values[{i}]"))
-    else:
-        lo = _expect(block, "sweep", "lo", "number")
-        hi = _expect(block, "sweep", "hi", "number")
-        n = _expect(block, "sweep", "n", "int")
-        if n < 1:
-            raise ConfigError(f"sweep.n: must be >= 1, got {n}")
-        if axis == "l":
-            raise ConfigError("sweep: axis 'l' needs explicit integer 'values'")
-        values = tuning._linspace(lo, hi, n)
+    entries = _expect(block, "sweep", "values", "list")
+    if axis == "l":
+        return axis, _orders(entries, "sweep.values")
+    values = [_check(v, f"sweep.values[{i}]", "number") for i, v in enumerate(entries)]
     if not values:
         raise ConfigError("sweep.values: must not be empty")
     if axis == "chi":
-        k, mw = substrate.k, substrate.mu_omega
-        for i, chi in enumerate(values):
-            if k * k - chi * mw <= 0.0:
-                raise ConfigError(f"sweep.values[{i}]: chi={chi} is inadmissible (K^2 <= 0)")
+        _admissible(values, "sweep.values", substrate)
     if axis == "a":
         for i, v in enumerate(values):
             if v <= 0.0:
@@ -319,19 +287,14 @@ def _load_sweep(raw, substrate: Substrate):
 
 
 def _load_tolerances(raw, overrides):
-    block = raw.get("tolerances", {})
-    if not isinstance(block, dict):
-        raise ConfigError(f"tolerances: expected an object, got {block!r}")
+    block = _expect(raw, "", "tolerances", "dict", required=False, default={})
     tols = {}
     for name, default in _DEFAULT_TOLS.items():
         tols[name] = _expect(block, "tolerances", name, "number", required=False, default=default)
     for name, flag in (("quad_rel_tol", "--tol-quad"), ("margin_tol", "--tol-margin")):
         if overrides.get(name) is not None:
-            tols[name] = _number(overrides[name], flag)
-    if not (1e-14 <= tols["quad_rel_tol"] <= 1e-3):
-        raise ConfigError(
-            f"tolerances.quad_rel_tol: must lie in [1e-14, 1e-3], got {tols['quad_rel_tol']}"
-        )
+            tols[name] = _check(overrides[name], flag, "number")
+    _library("tolerances.quad_rel_tol", validate_tol, tols["quad_rel_tol"])
     for name in ("margin_tol", "f1_tol", "f2_tol"):
         if tols[name] < 0.0:
             raise ConfigError(f"tolerances.{name}: must be >= 0, got {tols[name]}")
@@ -366,9 +329,7 @@ def load_config(path: str, *, command: str, overrides=None) -> RunConfig:
     sweep_axis, sweep_values = _load_sweep(raw, substrate)
     tols = _load_tolerances(raw, overrides)
 
-    out_block = raw.get("output", {})
-    if not isinstance(out_block, dict):
-        raise ConfigError(f"output: expected an object, got {out_block!r}")
+    out_block = _expect(raw, "", "output", "dict", required=False, default={})
     out_format = _expect(out_block, "output", "format", "str", required=False, default="csv")
     if out_format not in ("csv", "json"):
         raise ConfigError(f"output.format: must be 'csv' or 'json', got {out_format!r}")
@@ -379,16 +340,16 @@ def load_config(path: str, *, command: str, overrides=None) -> RunConfig:
         out_path = overrides["out"]
 
     if command == "verify" and not chi_values:
-        raise ConfigError("verify needs one of chi, chi_values, chi_grid")
+        raise ConfigError("verify needs one of chi, chi_values")
     if command == "energies" and not (chi_values or xi_search is not None):
-        raise ConfigError("energies needs chi values (chi, chi_values, chi_grid) or an xi_search block")
+        raise ConfigError("energies needs chi values (chi, chi_values) or an xi_search block")
     if command == "energies" and "amplitudes" not in raw:
         raise ConfigError("energies needs an amplitudes list (may be empty)")
     if command == "sweep":
         if sweep_axis is None:
             raise ConfigError("sweep needs a sweep block with an axis")
         if sweep_axis != "chi" and not chi_values:
-            raise ConfigError("sweep over k, a or l needs chi values (chi, chi_values, chi_grid) as well")
+            raise ConfigError("sweep over k, a or l needs chi values (chi, chi_values) as well")
     if command == "tune" and xi_search is None:
         raise ConfigError("tune needs an xi_search block")
 
@@ -507,7 +468,7 @@ def _mode_expansion(cfg: RunConfig, j: int, l: int) -> dict:
     from . import theorems  # the quadrature oracle: only verify loads numpy
 
     s = cfg.substrate
-    fd = theorems.expansion_fd(j, l, s.k, s.a, s.mu_omega, rel_tol=max(1e-14, cfg.quad_rel_tol / 10.0))
+    fd = theorems.expansion_fd(j, l, s.k, s.a, s.mu_omega, rel_tol=max(TOL_MIN, cfg.quad_rel_tol / 10.0))
     if j == 2:
         cf = theorems.expansion_j2(l, s.k, s.a, s.mu_omega)
         f0, f1_res, f2_closed = cf.f0, abs(fd.f1) / cf.f0, cf.f2
@@ -576,7 +537,7 @@ def run_energies(cfg: RunConfig):
             mode: mode_ratio(mode, s.k, t.K, s.a, cfg.quad_rel_tol) for mode in spec.amplitudes
         })
 
-    e_untuned = energy(0.0)
+    untuned = _or_error(lambda: {"E_untuned": energy(0.0)})
 
     chi_list = list(cfg.chi_values)
     selected = None
@@ -584,10 +545,13 @@ def run_energies(cfg: RunConfig):
         selected, chi_set = _chi0_for(cfg)
         chi_list = list(chi_set.roots)
     if not chi_list:
-        # an empty tuning set is reported, not failed
-        return 0, ENERGIES_COLUMNS, [_row(ENERGIES_COLUMNS, {"E_untuned": e_untuned, **_NO_TUNED})]
+        # an empty tuning set is reported, not failed; a failed untuned energy fails
+        return int("status" in untuned), ENERGIES_COLUMNS, [_row(ENERGIES_COLUMNS, {**_NO_TUNED, **untuned})]
 
     def tuned(chi: float) -> dict:
+        if "status" in untuned:
+            return {}  # every row carries the untuned energy's error
+        e_untuned = untuned["E_untuned"]
         t = tuned_wavenumber(s.k, s.mu_omega, chi)
         e_tuned = energy(chi)
         delta = e_tuned - e_untuned
@@ -596,7 +560,7 @@ def run_energies(cfg: RunConfig):
                 "selected": (selected is not None and chi == selected) or None,
                 "pass": bool(delta >= -cfg.margin_tol * scale), "status": "ok"}
 
-    rows = [_row(ENERGIES_COLUMNS, {"chi": chi, "E_untuned": e_untuned, **_or_error(tuned, chi)})
+    rows = [_row(ENERGIES_COLUMNS, {"chi": chi, **untuned, **_or_error(tuned, chi)})
             for chi in chi_list]
     return _exit_code(ENERGIES_COLUMNS, rows), ENERGIES_COLUMNS, rows
 

@@ -33,6 +33,7 @@ compares R values of the same mode at different tuning parameters.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -184,6 +185,8 @@ class SourceSpec:
         for mode, amp in self.amplitudes.items():
             if not isinstance(mode, Mode):
                 raise InvalidInputError(f"amplitude keys must be Mode instances, got {mode!r}")
+            if not isinstance(amp, numbers.Number) or isinstance(amp, bool):
+                raise InvalidInputError(f"amplitude for {mode} must be a number, got {amp!r}")
             c = complex(amp)
             if not (math.isfinite(c.real) and math.isfinite(c.imag)):
                 raise InvalidInputError(f"amplitude for {mode} must be finite, got {amp!r}")

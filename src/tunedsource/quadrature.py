@@ -210,6 +210,8 @@ def integrate_radial_batch(f, a, rel_tol=1e-12, *, osc_scales, max_panels=8192):
     if not (np.isfinite(a) and a > 0.0):
         raise InvalidInputError(f"upper limit a must be finite and > 0, got {a}")
     validate_tol(rel_tol)
+    if not isinstance(max_panels, (int, np.integer)) or isinstance(max_panels, bool) or max_panels < 1:
+        raise InvalidInputError(f"max_panels must be an integer >= 1, got {max_panels!r}")
     osc_scales = [float(osc) for osc in osc_scales]
     if not all(math.isfinite(osc) for osc in osc_scales):
         raise InvalidInputError("osc_scales must be finite")
@@ -238,7 +240,7 @@ def integrate_radial(f, a, rel_tol=1e-12, *, osc_scale=1.0, max_panels=8192):
         Characteristic wavenumber of the integrand (e.g. max(|k|, |K|));
         sets the initial panel width to at most pi / max(osc_scale, 1).
     max_panels : int, keyword only
-        Refinement budget; exceeding it raises ConvergenceError carrying
+        Refinement budget, >= 1; exceeding it raises ConvergenceError carrying
         the best estimate.
 
     Returns

@@ -31,9 +31,13 @@ _RESCALE_LIMIT = 1e250
 _EPS = sys.float_info.epsilon
 
 
+# the relative tolerances the library accepts
+TOL_MIN, TOL_MAX = 1e-14, 1e-3
+
+
 def validate_tol(rel_tol):
-    """Reject a relative tolerance outside [1e-14, 1e-3]."""
-    if not (1e-14 <= rel_tol <= 1e-3):
+    """Reject a relative tolerance outside [TOL_MIN, TOL_MAX]."""
+    if not (TOL_MIN <= rel_tol <= TOL_MAX):
         raise InvalidInputError(f"rel_tol must lie in [1e-14, 1e-3], got {rel_tol}")
 
 

@@ -42,6 +42,7 @@ from .model import (  # noqa: F401  (MINIMALITY is re-exported)
     MarginReport,
     Mode,
     _boundedness_slack,
+    _is_int,
     _j1_integrand,
     _kernel_values,
     _quadrature_integrals,
@@ -153,6 +154,12 @@ def curl_identity_check(l: int, k: float, K: float, a: float, rel_tol: float = 1
     return abs(A - ll1 * ll1 * B) / denom
 
 
+def _validate_mu_omega(mu_omega: float) -> None:
+    """Reject a mu_omega that leaves K independent of chi (0) or is not finite."""
+    if mu_omega == 0.0 or not math.isfinite(mu_omega):
+        raise InvalidInputError(f"mu_omega must be finite and nonzero, got {mu_omega}")
+
+
 def expansion_j2(l: int, k: float, a: float, mu_omega: float) -> ExpansionCoeffs:
     """Closed-form expansion coefficients of the j=2 ratio around chi = 0.
 
@@ -161,10 +168,10 @@ def expansion_j2(l: int, k: float, a: float, mu_omega: float) -> ExpansionCoeffs
     j_l(ka) and j_l'(ka) (even in k, strictly positive on the certified
     grids).  See the module docstring for the provenance of the f2 form.
     """
-    if l < 1:
-        raise InvalidInputError("expansion needs l >= 1")
+    l = specfun._validate_order(l, 1)
     if k == 0.0:
         raise InvalidInputError("k must be nonzero")
+    _validate_mu_omega(mu_omega)
     x = k * a
     if not (a > 0.0 and math.isfinite(x)):
         raise InvalidInputError(f"expansion needs a > 0 and finite k a, got k={k}, a={a}")
@@ -239,8 +246,7 @@ def expansion_fd(
         raise InvalidInputError(f"j must be 1 or 2, got {j}")
     if k == 0.0:
         raise InvalidInputError("k must be nonzero")
-    if mu_omega == 0.0 or not math.isfinite(mu_omega):
-        raise InvalidInputError(f"mu_omega must be finite and nonzero, got {mu_omega}")
+    _validate_mu_omega(mu_omega)
 
     scale = k * k / mu_omega
     steps = [t * scale for t in _FD_STEPS]
@@ -275,9 +281,9 @@ def series_integrals_j1(
     are those values with the parity sign (-1)^n of order n for k < 0, an
     exact negation.
     """
-    if l < 1:
-        raise InvalidInputError("series integrals need l >= 1")
+    l = specfun._validate_order(l, 1)
     _validate(k, k, a, rel_tol)
+    _validate_mu_omega(mu_omega)
     ak = abs(k)
     k2 = k * k
     ll1 = l * (l + 1)
@@ -353,12 +359,13 @@ def default_chi_grid(k: float, mu_omega: float, n: int = 21, span: float = 0.9) 
     [-span, span] and K^2 = k^2 (1 - span..1 + span) remains positive for
     span < 1.
     """
-    if n < 1 or n % 2 == 0:
-        raise InvalidInputError(f"n must be a positive odd integer, got {n}")
+    if not (_is_int(n) and n >= 1 and n % 2 == 1):
+        raise InvalidInputError(f"n must be a positive odd integer, got {n!r}")
     if not (0.0 < span < 1.0):
         raise InvalidInputError(f"span must lie in (0, 1), got {span}")
-    if mu_omega == 0.0 or not math.isfinite(mu_omega):
-        raise InvalidInputError(f"mu_omega must be finite and nonzero, got {mu_omega}")
+    if k == 0.0 or not math.isfinite(k):
+        raise InvalidInputError(f"k must be finite and nonzero, got {k}")
+    _validate_mu_omega(mu_omega)
     half = (n - 1) // 2
     offsets = np.arange(-half, half + 1, dtype=float)
     if half == 0:

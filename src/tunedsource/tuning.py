@@ -47,7 +47,7 @@ def _linspace(lo: float, hi: float, n: int) -> list:
     """``numpy.linspace(lo, hi, n).tolist()`` to the bit, n >= 1."""
     lo, hi = float(lo), float(hi)
     if n == 1:
-        return [lo]
+        return [0.0 * (hi - lo) + lo]  # numpy's y * delta + start: -0.0 becomes 0.0
     div = n - 1
     delta = hi - lo
     step = delta / div

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from tunedsource import cli, theorems
-from tunedsource.errors import ConfigError, DegenerateModeError
+from tunedsource.errors import ConfigError, DegenerateModeError, EvanescentRegimeError, InvalidInputError
+from tunedsource.model import tuned_wavenumber
+from tunedsource.scalar import validate_tol
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -96,6 +98,68 @@ class TestConfigValidation:
         del payload["chi_values"]
         with pytest.raises(ConfigError, match=r"chi"):
             cli.load_config(write_config(tmp_path, payload), command="verify")
+
+    @pytest.mark.parametrize("chi", [1.0, 2.0])  # k^2 = mu_omega = 1: K^2 = 0 and K^2 < 0
+    @pytest.mark.parametrize("field,command,where", [
+        (lambda chi: {"chi": chi}, "verify", "chi[0]"),
+        (lambda chi: {"chi_values": [0.0, chi]}, "verify", "chi_values[1]"),
+        (lambda chi: {"sweep": {"axis": "chi", "values": [0.0, 0.5, chi]}}, "sweep", "sweep.values[2]"),
+    ])
+    def test_admissibility_is_the_library_rule(self, tmp_path, chi, field, command, where):
+        payload = base_config()
+        del payload["chi_values"]
+        payload.update(field(chi))
+        with pytest.raises(ConfigError) as info:
+            cli.load_config(write_config(tmp_path, payload), command=command)
+        with pytest.raises(EvanescentRegimeError) as library:
+            tuned_wavenumber(1.0, 1.0, chi)
+        assert str(info.value) == f"{where}: {library.value}"
+
+    @pytest.mark.parametrize("bad,message", [
+        ([1, 0], "entries must be integers >= 1, got 0"),
+        ([1, 2.0], "entries must be integers >= 1, got 2.0"),
+        ([True], "entries must be integers >= 1, got True"),
+        ([], "must not be empty"),
+    ])
+    @pytest.mark.parametrize("command,place,where", [
+        ("verify", lambda payload, bad: payload["modes"].update(l=bad), "modes.l"),
+        ("sweep", lambda payload, bad: payload.update(sweep={"axis": "l", "values": bad}), "sweep.values"),
+    ])
+    def test_one_order_list_rule(self, tmp_path, bad, message, command, place, where):
+        payload = base_config()
+        place(payload, bad)
+        with pytest.raises(ConfigError) as info:
+            cli.load_config(write_config(tmp_path, payload), command=command)
+        assert str(info.value) == f"{where}: {message}"
+
+    @pytest.mark.parametrize("tol", [1.0, 1e-15, 2e-3])
+    def test_quad_rel_tol_is_the_library_range(self, tmp_path, tol):
+        payload = base_config()
+        payload["tolerances"]["quad_rel_tol"] = tol
+        with pytest.raises(ConfigError) as info:
+            cli.load_config(write_config(tmp_path, payload), command="verify")
+        with pytest.raises(InvalidInputError) as library:
+            validate_tol(tol)
+        assert str(info.value) == f"tolerances.quad_rel_tol: {library.value}"
+
+    def test_tol_quad_flag_rejected_out_of_range(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        path = write_config(tmp_path, base_config())
+        assert cli.main(["verify", "--config", path, "--out", str(out), "--tol-quad", "1e-2"]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "config error: tolerances.quad_rel_tol: rel_tol must lie in [1e-14, 1e-3], got 0.01\n"
+
+    def test_chi_grid_is_not_a_chi_source(self, tmp_path, capsys):
+        payload = base_config(chi_grid={"lo": -0.1, "hi": 0.1, "n": 3})
+        del payload["chi_values"]
+        assert cli.main(["verify", "--config", write_config(tmp_path, payload)]) == 2
+        assert capsys.readouterr().err == "config error: verify needs one of chi, chi_values\n"
+
+    def test_sweep_needs_explicit_values(self, tmp_path, capsys):
+        payload = base_config(sweep={"axis": "k", "lo": 0.5, "hi": 1.5, "n": 3})
+        assert cli.main(["sweep", "--config", write_config(tmp_path, payload)]) == 2
+        assert capsys.readouterr().err == "config error: sweep.values: required field is missing\n"
 
     def test_duplicate_amplitude(self, tmp_path):
         payload = base_config()
@@ -325,6 +389,31 @@ class TestEnergies:
         )
         assert delta == pytest.approx(want, rel=0.05)
         assert delta > 0.0
+
+    @pytest.mark.parametrize("extra,n_rows", [
+        ({"chi_values": [1e-4, 0.0]}, 2),
+        # no root: the no-tuned-solution row, which exits 0 on its own, carries the error
+        ({"xi_search": {"lo": -0.5, "hi": 0.5, "grid_n": 51, "tol": 1e-10,
+                        "table": [[-1.0, 1.0], [0.0, 0.5], [1.0, 1.0]]}}, 1),
+    ])
+    def test_failing_untuned_energy_gives_error_rows(self, tmp_path, extra, n_rows):
+        # at l = 200, k a = 0.025, M_1 underflows to 0 already at chi = 0
+        payload = {"substrate": {"epsilon_r": 1.0, "mu_r": 1.0, "omega": 0.05, "a": 0.5},
+                   "amplitudes": [{"j": 1, "l": 200, "re": 1.0}], **extra}
+        path = write_config(tmp_path, payload)
+        proc = subprocess.run(
+            [sys.executable, "-m", "tunedsource", "energies", "--config", path],
+            env=package_env(), capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        lines = proc.stdout.splitlines()
+        assert lines[:2] == ["# tuned-source v1", ",".join(cli.ENERGIES_COLUMNS)]
+        rows = lines[2:]
+        assert len(rows) == n_rows
+        assert all(row.endswith(',,,,,,,"error: cross integral vanished for Mode(j=1, l=200, m=0) at k=0.05, '
+                                'K=0.05; the prescription constraint cannot be met at this tuning"')
+                   for row in rows)
 
     def test_no_tuned_solution_diagnostic(self, tmp_path):
         payload = base_config()

@@ -385,6 +385,16 @@ class TestSourceEnergy:
         with pytest.raises(InvalidInputError):
             SourceSpec({Mode(1, 1): complex("inf")})
 
+    @pytest.mark.parametrize("amp", ["abc", "1", None, True, [1.0]])
+    def test_non_number_amplitude_rejected(self, amp):
+        # "abc" used to raise ValueError and None TypeError; "1" and True passed as 1
+        with pytest.raises(InvalidInputError, match="must be a number"):
+            SourceSpec({Mode(1, 1): amp})
+
+    def test_numpy_amplitudes_accepted(self):
+        spec = SourceSpec({Mode(1, 1): np.float64(2.0), Mode(2, 2): np.complex128(1.0j), Mode(2, 1): 3})
+        assert model.source_energy(spec, {Mode(1, 1): 1.0, Mode(2, 2): 1.0, Mode(2, 1): 1.0}) == 14.0
+
     def test_positive_rescaling_preserves_energy_difference_signs(self):
         # a common positive per-mode rescaling multiplies every energy by the
         # same constant, so the sign of any tuned/untuned difference survives

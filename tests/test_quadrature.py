@@ -45,6 +45,17 @@ class TestIntegrateRadial:
         with pytest.raises(InvalidInputError):
             integrate_radial(lambda r: r, 1.0, rel_tol=1e-15)
 
+    @pytest.mark.parametrize("max_panels", [0, -5, True, 8.0, "8"])
+    def test_panel_budget_must_be_a_positive_integer(self, max_panels):
+        # 0 used to return QuadratureResult(0.0, 0.0, 0) and -5 a numpy ValueError
+        with pytest.raises(InvalidInputError, match="max_panels"):
+            integrate_radial(lambda r: r, 1.0, max_panels=max_panels)
+
+    def test_numpy_integer_panel_budget(self):
+        assert integrate_radial(lambda r: r, 1.0, max_panels=np.int64(8)) == integrate_radial(
+            lambda r: r, 1.0, max_panels=8
+        )
+
     def test_nonfinite_integrand(self):
         with pytest.raises(IntegrandDomainError):
             integrate_radial(lambda r: np.where(r > 0.5, np.inf, 1.0), 1.0)

@@ -196,6 +196,21 @@ class TestExpansionJ2:
             with pytest.raises(InvalidInputError):
                 theorems.expansion_j2(2, k, a, 1.0)
 
+    @pytest.mark.parametrize("mw", [0.0, math.nan, math.inf, -math.inf])
+    def test_rejects_zero_or_nonfinite_mu_omega(self, mw):
+        # f2 used to come out as 0.0 for mu_omega = 0 and as nan or inf otherwise
+        with pytest.raises(InvalidInputError, match="mu_omega"):
+            theorems.expansion_j2(2, 1.0, 1.0, mw)
+
+    @pytest.mark.parametrize("l", [1.5, 2.0, True, "2"])
+    def test_order_must_be_an_integer(self, l):
+        # 1.5 used to raise TypeError, and True computed as l = 1
+        with pytest.raises(InvalidInputError, match="order l"):
+            theorems.expansion_j2(l, 1.0, 1.0, 1.0)
+
+    def test_numpy_integer_order(self):
+        assert theorems.expansion_j2(np.int64(3), 1.2, 2.0, 0.7) == theorems.expansion_j2(3, 1.2, 2.0, 0.7)
+
 
 class TestExpansionFd:
     @pytest.mark.parametrize("l,k,a,mw", [(1, 1.0, 1.0, 1.0), (3, -1.5, 2.0, 1.0), (5, 0.5, 1.0, 0.5)])
@@ -289,6 +304,17 @@ class TestF1VanishingCheck:
         with pytest.raises(InvalidInputError):
             theorems.f1_vanishing_check(2, bad, 1.0, 0.7)
 
+    @pytest.mark.parametrize("mw", [0.0, math.nan, math.inf])
+    def test_rejects_zero_or_nonfinite_mu_omega(self, mw):
+        # mu_omega = 0 used to pass with residual 0: c1 = d1 = 0 make f1 vanish trivially
+        with pytest.raises(InvalidInputError, match="mu_omega"):
+            theorems.f1_vanishing_check(2, 1.0, 1.0, mw)
+
+    @pytest.mark.parametrize("l", [1.5, True])
+    def test_order_must_be_an_integer(self, l):
+        with pytest.raises(InvalidInputError, match="order l"):
+            theorems.series_integrals_j1(l, 1.0, 1.0, 0.7)
+
 
 class TestDefaultChiGrid:
     def test_contains_exact_zero(self):
@@ -308,11 +334,23 @@ class TestDefaultChiGrid:
         with pytest.raises(InvalidInputError):
             theorems.default_chi_grid(1.0, 1.0, span=1.5)
 
+    @pytest.mark.parametrize("n", [True, 3.0, 0, -1])
+    def test_n_must_be_a_positive_odd_integer(self, n):
+        # True used to give the one-point grid and 3.0 a grid of three
+        with pytest.raises(InvalidInputError, match="odd integer"):
+            theorems.default_chi_grid(1.0, 1.0, n=n)
+
     @pytest.mark.parametrize("mw", [0.0, -0.0, math.inf, -math.inf, math.nan])
     def test_rejects_zero_or_nonfinite_mu_omega(self, mw):
         # a NaN mu_omega used to return a grid of NaNs, a zero one to divide by zero
         with pytest.raises(InvalidInputError, match="mu_omega"):
             theorems.default_chi_grid(1.0, mw)
+
+    @pytest.mark.parametrize("k", _BAD_WAVENUMBERS)
+    def test_rejects_zero_or_nonfinite_k(self, k):
+        # k = 0 used to return 21 zeros, a nan k a grid of nans
+        with pytest.raises(InvalidInputError, match="k must be"):
+            theorems.default_chi_grid(k, 1.0)
 
 
 # -- the one-integral-at-a-time oracle routes the lockstep batches replaced --

@@ -118,6 +118,7 @@ class TestLinspaceBits:
         (0.0, 1.0, 1), (0.0, 1.0, 2), (-0.0, 0.0, 3), (2.5, 2.5, 5),       # one point, two, zero steps
         (0.0, 5e-324, 7), (1e-320, 1.1e-320, 100), (-1e-300, 1e-300, 11),  # steps that underflow to 0 or not
         (3, 7, 5), (1.0, -1.0, 4), (-0.3, 0.7, 181),
+        (-0.0, 0.0, 1), (-0.0, -0.0, 1),                                    # one point adds +0.0 to lo
     ])
     def test_edges(self, lo, hi, n):
         assert same_bits(_linspace(lo, hi, n), np.linspace(lo, hi, n).tolist())
