@@ -21,8 +21,7 @@ Only ``verify`` imports numpy: its expansion columns come from the
 quadrature oracle of ``theorems``, which it imports for its first mode.
 ``sweep``, ``energies`` and ``tune`` run on the closed-form cell of
 ``model`` and the pure-Python root search of ``tuning``, so their processes
-start without numpy (unless a cell needs the near-diagonal quadrature
-fallback, or a Bessel argument below 0.1 its series).
+start without numpy (unless a Bessel argument below 0.1 needs its series).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 from . import tuning
@@ -273,16 +272,11 @@ def _load_sweep(raw, substrate: Substrate):
     values = [_check(v, f"sweep.values[{i}]", "number") for i, v in enumerate(entries)]
     if not values:
         raise ConfigError("sweep.values: must not be empty")
-    if axis == "chi":
-        _admissible(values, "sweep.values", substrate)
-    if axis == "a":
-        for i, v in enumerate(values):
-            if v <= 0.0:
-                raise ConfigError(f"sweep.values[{i}]: radius must be > 0")
-    if axis == "k":
-        for i, v in enumerate(values):
-            if v == 0.0:
-                raise ConfigError(f"sweep.values[{i}]: k must be nonzero")
+    rule = {"chi": lambda v: tuned_wavenumber(substrate.k, substrate.mu_omega, v),
+            "k": lambda v: tuned_wavenumber(v, substrate.mu_omega, 0.0),
+            "a": lambda v: replace(substrate, a=v)}[axis]
+    for i, v in enumerate(values):
+        _library(f"sweep.values[{i}]", rule, v)
     return axis, tuple(values)
 
 
@@ -612,11 +606,10 @@ def run_tune(cfg: RunConfig):
     chi0, chi_set = _chi0_for(cfg)
     if chi_set is None or (not chi_set.roots and not chi_set.excluded):
         return 0, TUNE_COLUMNS, [_row(TUNE_COLUMNS, _NO_TUNED)]
-    rows = []
-    for root in sorted(chi_set.roots + chi_set.excluded):
-        admissible = root in chi_set.roots
-        rows.append([root, admissible, (chi0 is not None and root == chi0) or None,
-                     "ok" if admissible else "inadmissible"])
+    rows = [_row(TUNE_COLUMNS, {"chi_root": root, "admissible": root in chi_set.roots,
+                                "selected": (chi0 is not None and root == chi0) or None,
+                                "status": "ok" if root in chi_set.roots else "inadmissible"})
+            for root in sorted(chi_set.roots + chi_set.excluded)]
     if chi0 is None:
         rows.append(_row(TUNE_COLUMNS, _NO_TUNED))
     return 0, TUNE_COLUMNS, rows

@@ -22,7 +22,7 @@ class IntegrandDomainError(TunedSourceError):
 
 
 class ConvergenceError(TunedSourceError):
-    """Adaptive refinement exhausted its panel budget.
+    """Adaptive refinement, or the near-diagonal Lommel series, exhausted its budget.
 
     Carries the best available estimate in :attr:`result`.
     """

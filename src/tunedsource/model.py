@@ -10,12 +10,9 @@ Radial integrals are computed in closed form from one Bessel table per cell
 (``radial_integrals``), built on Python floats by ``scalar._jl_rows``; the
 closed-form cell, the per-mode weight and the two margins the CLI reports
 per cell (``_boundedness_slack``, ``minimality_margin``) import no numpy.
-The adaptive-quadrature route
-(``radial_integrals_quadrature``) is kept as the independent oracle; the
-closed form falls back to it for the cross integral only where its own
-rounding error estimate exceeds the requested tolerance, near the diagonal.
-The oracle's modules (numpy, ``specfun``'s array kernels, ``quadrature``)
-load on its first call.
+The adaptive-quadrature route (``radial_integrals_quadrature``) is the
+independent oracle; its modules (numpy, ``specfun``'s array kernels,
+``quadrature``) load on its first call.
 The oracle has one route, ``_quadrature_integrals``: the integrals at a
 whole list of K (``theorems.expansion_fd`` needs its step ladder), each
 distinct one integrated once, all in one lockstep batch
@@ -282,28 +279,6 @@ def _mode_integrand(mode: Mode, pairs):
     return f
 
 
-def _validate(k: float, K: float, a: float, rel_tol: float) -> None:
-    if not all(math.isfinite(v) for v in (k, K, a)):
-        raise InvalidInputError(f"k, K and a must be finite, got k={k}, K={K}, a={a}")
-    if k == 0.0 or K == 0.0:
-        raise InvalidInputError("wavenumbers must be nonzero")
-    if a <= 0.0:
-        raise InvalidInputError(f"radius a must be > 0, got {a}")
-    scalar.validate_tol(rel_tol)
-
-
-def _mode_quadrature(mode: Mode, pairs, a: float, rel_tol: float):
-    """Mode integrals at each wavenumber pair (k, K) by quadrature, as one lockstep batch.
-
-    A pair (alpha, alpha) is the self integral N_j(alpha).
-    """
-    from .quadrature import integrate_radial_batch
-
-    f = _mode_integrand(mode, pairs)
-    results = integrate_radial_batch(f, a, rel_tol, osc_scales=[max(abs(k), abs(K)) for k, K in pairs])
-    return [res.value for res in results]
-
-
 def _quadrature_integrals(mode: Mode, k: float, Ks, a: float, rel_tol: float):
     """RadialIntegrals(N_j(|k|), N_j(|K|), M_j(k, K)) for each K of ``Ks``: the oracle route.
 
@@ -318,9 +293,10 @@ def _quadrature_integrals(mode: Mode, k: float, Ks, a: float, rel_tol: float):
     import numpy as np
 
     from . import specfun
+    from .quadrature import integrate_radial_batch
 
     for K in Ks:
-        _validate(k, K, a, rel_tol)
+        scalar._validate(k, K, a, rel_tol)
     alphas = list(dict.fromkeys([abs(k)] + [abs(K) for K in Ks]))
     crosses = [(abs(k), abs(k)) if mode.j == 1 and K == k else (k, K) for K in Ks]
     if mode.j == 2:
@@ -329,7 +305,9 @@ def _quadrature_integrals(mode: Mode, k: float, Ks, a: float, rel_tol: float):
         pairs = list(dict.fromkeys(crosses))
     else:
         pairs = list(dict.fromkeys([(alpha, alpha) for alpha in alphas] + crosses))
-    values = dict(zip(pairs, _mode_quadrature(mode, pairs, a, rel_tol)))
+    results = integrate_radial_batch(_mode_integrand(mode, pairs), a, rel_tol,
+                                     osc_scales=[max(abs(p), abs(q)) for p, q in pairs])
+    values = {pair: res.value for pair, res in zip(pairs, results)}
     n_self = dict(zip(alphas, self_values)) if mode.j == 2 else {alpha: values[alpha, alpha] for alpha in alphas}
     return [RadialIntegrals(n_self[abs(k)], n_self[abs(K)], values[cross]) for K, cross in zip(Ks, crosses)]
 
@@ -341,9 +319,7 @@ def radial_integrals_quadrature(
 
     The cross integral, and the j=1 self integrals, are integrated by
     adaptive Gauss--Kronrod quadrature to ``rel_tol``, as one lockstep
-    batch; the j=2 self integrals are Lommel's closed form.  The
-    finite-difference expansion oracle and the tests use this route, and
-    ``radial_integrals`` takes its cross integral near the diagonal.
+    batch; the j=2 self integrals are Lommel's closed form.
     """
     (ri,) = _quadrature_integrals(mode, k, [K], a, rel_tol)
     return ri
@@ -354,11 +330,11 @@ def _j1_from_j2(l: int, a: float, K: float, m2: float, j_k: float, u_K: float) -
     return (K * K * m2 + a * a * K * j_k * u_K) / (l * (l + 1))
 
 
-def _closed_form(j: int, l: int, k: float, K: float, a: float):
+def _closed_form(j: int, l: int, k: float, K: float, a: float, rel_tol: float):
     """N_j(k), N_j(K), M_j(k, K) at 0 < k, K from one Bessel table of order l+1.
 
-    Returns the integrals and the rounding error estimate of M relative to
-    sqrt(N_j(k) N_j(K)).  At k == K, M equals N exactly.
+    Also returns the rounding error estimate of Lommel's M relative to sqrt(N_j(k) N_j(K));
+    above ``rel_tol``, M_2 is the near-diagonal series.  At k == K, M equals N exactly.
     """
     (jm_k, jm_K), (j_k, j_K), (jp_k, jp_K) = scalar._jl_rows(l + 1, [k * a, K * a])[l - 1:]
     u_k = scalar._u_from_neighbors(l, jm_k, jp_k)
@@ -371,13 +347,17 @@ def _closed_form(j: int, l: int, k: float, K: float, a: float):
             # M_2's error, plus the rounding of the two terms of the reduction
             terms = abs(K * K * m) + abs(a * a * K * j_k * u_K)
             err = (K * K * err + scalar._EPS * terms) / (l * (l + 1))
-            m = _j1_from_j2(l, a, K, m, j_k, u_K)
         n_k = _j1_from_j2(l, a, k, n_k, j_k, u_k)
         n_K = _j1_from_j2(l, a, K, n_K, j_K, u_K)
+    scale = math.sqrt(n_k) * math.sqrt(n_K)  # N can be as small as 1e-300 for l >> k a
+    err = err / scale if scale > 0.0 else math.inf
+    if err > rel_tol:
+        m = scalar._lommel_second_series(l, a, k * a, K * a, jm_k, j_k, jp_k)
+    if j == 1 and k != K:
+        m = _j1_from_j2(l, a, K, m, j_k, u_K)
     if k == K:
         m = n_k
-    scale = math.sqrt(n_k) * math.sqrt(n_K)  # N can be as small as 1e-300 for l >> k a
-    return RadialIntegrals(n_self_k=n_k, n_self_K=n_K, m_cross=m), err / scale if scale > 0.0 else math.inf
+    return RadialIntegrals(n_self_k=n_k, n_self_K=n_K, m_cross=m), err
 
 
 def radial_integrals(mode: Mode, k: float, K: float, a: float, rel_tol: float = 1e-12) -> RadialIntegrals:
@@ -391,19 +371,15 @@ def radial_integrals(mode: Mode, k: float, K: float, a: float, rel_tol: float = 
     k = K gives N_1.  Negative wavenumbers enter only through the parity
     factor (-1)^l of M; at |K| = |k|, M = +-N exactly.
 
-    Near the diagonal the closed form for M divides a cancelling difference
-    t1 - t2 by K^2 - k^2.  Its rounding error is estimated as
+    Near the diagonal Lommel's M_2 divides a cancelling difference t1 - t2
+    by K^2 - k^2.  Its rounding error is estimated as
     eps a (|t1| + |t2|) / |K^2 - k^2|, plus the rounding of the two terms of
-    the j=1 reduction.  When that exceeds ``rel_tol`` sqrt(N_j(k) N_j(K)),
-    M is integrated by the quadrature route of ``radial_integrals_quadrature``
-    instead.  The self integrals have no such cancellation and stay in
-    closed form.
+    the j=1 reduction.  Where that exceeds ``rel_tol`` sqrt(N_j(k) N_j(K)),
+    M_2 is the Taylor series in (K - k) a of ``scalar._lommel_second_series``
+    instead, which raises ConvergenceError if it does not converge.
     """
-    _validate(k, K, a, rel_tol)
-    ri, err = _closed_form(mode.j, mode.l, abs(k), abs(K), a)
-    if err > rel_tol:
-        (m,) = _mode_quadrature(mode, [(k, K)], a, rel_tol)
-        return RadialIntegrals(ri.n_self_k, ri.n_self_K, m)
+    scalar._validate(k, K, a, rel_tol)
+    ri, _ = _closed_form(mode.j, mode.l, abs(k), abs(K), a, rel_tol)
     if mode.l % 2 == 1 and (k < 0.0) != (K < 0.0):
         return RadialIntegrals(ri.n_self_k, ri.n_self_K, -ri.m_cross)
     return ri

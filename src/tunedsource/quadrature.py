@@ -17,11 +17,8 @@ Bessel order builds one table per round for all of them.
 ``integrate_radial`` is a batch of one; a larger ``max_panels`` serves
 truncated half-line integrals over [0, L].
 
-The mode integrals are computed in closed form in production
-(``model.radial_integrals``).  This routine is the independent oracle the
-test-suite and the finite-difference expansion check them against, and it
-integrates the cross integral in the near-diagonal band where the closed
-form's estimated rounding error exceeds the requested tolerance.
+Production computes the mode integrals in closed form (``model.radial_integrals``);
+this is the independent oracle that the tests and ``theorems.expansion_fd`` use.
 """
 
 from __future__ import annotations

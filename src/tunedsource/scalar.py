@@ -4,8 +4,8 @@ The production path of the library (the closed-form cell of
 ``model.radial_integrals``, and with it the ``sweep``, ``energies`` and
 ``tune`` commands of the CLI) runs on a fixed handful of scalars per cell.
 This module holds what it needs, without numpy: the table of j_0..j_lmax at
-a few points (``_jl_rows``), the kernel u_l and Lommel's integrals from that
-table's values, and the tolerance check shared with the quadrature oracle.
+a few points (``_jl_rows``), the kernel u_l, Lommel's integrals from that
+table's values (with a near-diagonal series) and the shared input checks.
 
 ``_jl_rows`` is ``specfun._jl_table`` to the bit: the same series / Miller /
 upward regimes, the same operations in the same order, one point at a time.
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import InvalidInputError
+from .errors import ConvergenceError, InvalidInputError
 
 # orders above the head start of the downward recurrence; enough for full
 # binary64 accuracy whenever x < lmax (dominance grows at least like 2x
@@ -29,6 +29,7 @@ _MILLER_MARGIN = 60
 _SERIES_CUTOFF = 0.1
 _RESCALE_LIMIT = 1e250
 _EPS = sys.float_info.epsilon
+_SERIES_TERMS = 40    # of the near-diagonal Lommel series, before it counts as divergent
 
 
 # the relative tolerances the library accepts
@@ -39,6 +40,17 @@ def validate_tol(rel_tol):
     """Reject a relative tolerance outside [TOL_MIN, TOL_MAX]."""
     if not (TOL_MIN <= rel_tol <= TOL_MAX):
         raise InvalidInputError(f"rel_tol must lie in [1e-14, 1e-3], got {rel_tol}")
+
+
+def _validate(k, K, a, rel_tol=1e-12) -> None:
+    """Reject non-finite k, K or a, a zero wavenumber, a radius a <= 0 and a rel_tol out of range."""
+    if not all(math.isfinite(v) for v in (k, K, a)):
+        raise InvalidInputError(f"k, K and a must be finite, got k={k}, K={K}, a={a}")
+    if k == 0.0 or K == 0.0:
+        raise InvalidInputError("wavenumbers must be nonzero")
+    if a <= 0.0:
+        raise InvalidInputError(f"radius a must be > 0, got {a}")
+    validate_tol(rel_tol)
 
 
 def _miller_column(lmax: int, x: float, sx: float, cx: float) -> list:
@@ -139,3 +151,27 @@ def _lommel_second_from(a, k, K, j_k, jp_k, j_K, jp_K):
     t2 = k * a * jp_k * j_K
     den = (K - k) * (K + k)
     return a * (t1 - t2) / den, _EPS * a * (abs(t1) + abs(t2)) / abs(den)
+
+
+def _lommel_second_series(l, a, x, y, jm, j, jp):
+    """``_lommel_second_from`` at x = k a, y = K a near x, from (j_{l-1}, j_l, j_{l+1}) at x.
+
+    Lommel's numerator is j_l(x) q(y) - q(x) j_l(y) with q(y) = y j_{l+1}(y);
+    over d = y - x it is a Taylor series S(d), summed to the first term below
+    eps |S|, and the integral is a^3 S(d) / (x + y).  The coefficients of j_l
+    and j_{l+1} follow from the Bessel equation; the d^0 term is Lommel's
+    first bracket.  (The terms of the j_l' form cancel as l^2 / x^2.)
+    """
+    c = [0.0, 0.0, j, l / x * j - jp]    # c[n + 2] = j_l^(n)(x) / n!, with c_{-2} = c_{-1} = 0
+    p = [0.0, 0.0, jp, j - (l + 2) / x * jp]    # the same for j_{l+1}
+    total, power = x * (j * j - jm * jp), 1.0
+    for m in range(1, _SERIES_TERMS + 1):
+        for f, order in ((c, l), (p, l + 1)):
+            f.append(-(2 * x * m * m * f[m + 2] + ((m - 1) * m + x * x - order * (order + 1)) * f[m + 1]
+                       + 2 * x * f[m] + f[m - 1]) / (x * x * m * (m + 1)))
+        power *= y - x
+        term = power * (j * (x * p[m + 3] + p[m + 2]) - x * jp * c[m + 3])
+        total += term
+        if abs(term) <= _EPS * abs(total):
+            return a**3 * total / (x + y)
+    raise ConvergenceError(f"near-diagonal series at k a={x}, K a={y} did not converge", a**3 * total / (x + y))

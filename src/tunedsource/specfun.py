@@ -57,7 +57,9 @@ from .scalar import (
     _jl_rows,
     _lommel_first_from,
     _lommel_second_from,
+    _lommel_second_series,
     _u_from_neighbors,
+    _validate,
 )
 
 __all__ = [
@@ -297,12 +299,7 @@ def lommel_first(l: int, alpha: float, a: float) -> float:
     closed form uses j_{-1}(x) = cos(x)/x.
     """
     l = _validate_order(l)
-    if not (np.isfinite(alpha) and np.isfinite(a)):
-        raise InvalidInputError("alpha and a must be finite")
-    if a <= 0.0:
-        raise InvalidInputError(f"radius a must be > 0, got {a}")
-    if alpha == 0.0:
-        raise InvalidInputError("alpha must be nonzero")
+    _validate(alpha, alpha, a)
     x = abs(alpha) * a  # the integrand is even in alpha
     column = [row[0] for row in _jl_rows(l + 1, [x])]
     jlm1 = math.cos(x) / x if l == 0 else column[l - 1]
@@ -319,19 +316,23 @@ def lommel_second(l: int, k: float, K: float, a: float) -> float:
 
     for K^2 != k^2 (the diagonal limit is ``lommel_first``).  Negative
     wavenumbers enter through the parity j_l(-x) = (-1)^l j_l(x).
+
+    Where the difference's rounding error estimate exceeds 1e-12 sqrt(N(k) N(K)),
+    the near-diagonal series takes over, as in ``model.radial_integrals``.
     """
     l = _validate_order(l)
-    if not all(np.isfinite(v) for v in (k, K, a)):
-        raise InvalidInputError("k, K and a must be finite")
-    if a <= 0.0:
-        raise InvalidInputError(f"radius a must be > 0, got {a}")
-    if k == 0.0 or K == 0.0:
-        raise InvalidInputError("wavenumbers must be nonzero")
+    _validate(k, K, a)
     if K * K == k * k:
         raise InvalidInputError("lommel_second requires K^2 != k^2; use lommel_first")
     ak, aK = abs(k), abs(K)
-    (j_k, j_K), (jp_k, jp_K) = _jl_rows(l + 1, [ak * a, aK * a])[l:]
-    value, _ = _lommel_second_from(a, ak, aK, j_k, jp_k, j_K, jp_K)
+    x, y = ak * a, aK * a
+    rows = _jl_rows(l + 1, [x, y])
+    (j_k, j_K), (jp_k, jp_K) = rows[l:]
+    jm_k, jm_K = (math.cos(x) / x, math.cos(y) / y) if l == 0 else rows[l - 1]
+    value, err = _lommel_second_from(a, ak, aK, j_k, jp_k, j_K, jp_K)
+    n_k, n_K = _lommel_first_from(a, jm_k, j_k, jp_k), _lommel_first_from(a, jm_K, j_K, jp_K)
+    if err > 1e-12 * math.sqrt(n_k) * math.sqrt(n_K):
+        value = _lommel_second_series(l, a, x, y, jm_k, j_k, jp_k)
     if l % 2 == 1 and (k < 0.0) != (K < 0.0):
         value = -value
     return value

@@ -46,7 +46,6 @@ from .model import (  # noqa: F401  (MINIMALITY is re-exported)
     _j1_integrand,
     _kernel_values,
     _quadrature_integrals,
-    _validate,
     _weight,
     minimality_margin,
     mode_ratio,
@@ -134,7 +133,7 @@ def curl_identity_check(l: int, k: float, K: float, a: float, rel_tol: float = 1
     """
     if l < 1:
         raise InvalidInputError("curl identity needs l >= 1")
-    _validate(k, K, a, rel_tol)
+    scalar._validate(k, K, a, rel_tol)
     ll1 = l * (l + 1)
     osc = max(abs(k), abs(K))
 
@@ -244,8 +243,6 @@ def expansion_fd(
     """
     if j not in (1, 2):
         raise InvalidInputError(f"j must be 1 or 2, got {j}")
-    if k == 0.0:
-        raise InvalidInputError("k must be nonzero")
     _validate_mu_omega(mu_omega)
 
     scale = k * k / mu_omega
@@ -282,7 +279,7 @@ def series_integrals_j1(
     exact negation.
     """
     l = specfun._validate_order(l, 1)
-    _validate(k, k, a, rel_tol)
+    scalar._validate(k, k, a, rel_tol)
     _validate_mu_omega(mu_omega)
     ak = abs(k)
     k2 = k * k

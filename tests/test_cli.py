@@ -10,7 +10,7 @@ import pytest
 
 from tunedsource import cli, theorems
 from tunedsource.errors import ConfigError, DegenerateModeError, EvanescentRegimeError, InvalidInputError
-from tunedsource.model import tuned_wavenumber
+from tunedsource.model import Substrate, tuned_wavenumber
 from tunedsource.scalar import validate_tol
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -114,6 +114,19 @@ class TestConfigValidation:
         with pytest.raises(EvanescentRegimeError) as library:
             tuned_wavenumber(1.0, 1.0, chi)
         assert str(info.value) == f"{where}: {library.value}"
+
+    @pytest.mark.parametrize("axis,bad,rule", [
+        ("a", 0.0, lambda a: Substrate(1.0, 1.0, 1.0, a)),
+        ("a", -2.0, lambda a: Substrate(1.0, 1.0, 1.0, a)),
+        ("k", 0.0, lambda k: tuned_wavenumber(k, 1.0, 0.0)),
+    ])
+    def test_sweep_values_take_the_library_rules(self, tmp_path, axis, bad, rule):
+        payload = base_config(sweep={"axis": axis, "values": [0.5, bad]})
+        with pytest.raises(ConfigError) as info:
+            cli.load_config(write_config(tmp_path, payload), command="sweep")
+        with pytest.raises(InvalidInputError) as library:
+            rule(bad)
+        assert str(info.value) == f"sweep.values[1]: {library.value}"
 
     @pytest.mark.parametrize("bad,message", [
         ([1, 0], "entries must be integers >= 1, got 0"),

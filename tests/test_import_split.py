@@ -54,6 +54,26 @@ def test_closed_form_commands_start_without_numpy(command, tmp_path):
     assert 0 in codes  # at least one checked-in config is a real run of this command
 
 
+@pytest.mark.parametrize("command", ["sweep", "energies"])
+def test_near_diagonal_cells_start_without_numpy(command, tmp_path):
+    # chi = +-1e-9 k^2 / mu_omega puts every cell in the band where Lommel's
+    # difference cancels (estimate ~1e-7 > 1e-12); the near-diagonal series
+    # serves them, not quadrature
+    chis = [-1e-9, 1e-9]
+    config = {
+        "substrate": {"epsilon_r": 1.0, "mu_r": 1.0, "omega": 1.0, "a": 2.0},
+        "modes": {"j": [1, 2], "l": [1, 6]},
+        "chi_values": chis,
+        "sweep": {"axis": "chi", "values": chis},
+        "amplitudes": [{"j": 2, "l": 1, "re": 1.0}, {"j": 2, "l": 6, "re": 0.5}],
+    }
+    path = tmp_path / "near_diagonal.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    result = probe(command, path, tmp_path)
+    assert result["code"] in (0, 1)  # a report was written
+    assert result["loaded"] == []
+
+
 @pytest.mark.parametrize("config", ["verify_vacuum.json", "verify_strict.json"])
 def test_verify_loads_the_oracle(config, tmp_path):
     result = probe("verify", ROOT / "configs" / config, tmp_path)

@@ -7,8 +7,10 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 from scipy.special import spherical_jn
 
-from tunedsource import model, scalar, specfun
+import mp_lommel
+from tunedsource import model, quadrature, scalar, specfun
 from tunedsource.errors import (
+    ConvergenceError,
     DegenerateModeError,
     EvanescentRegimeError,
     IncompleteSourceSpecError,
@@ -214,7 +216,7 @@ def _sweep_cells(j, rho, n=3):
 
 
 class TestClosedFormAccuracy:
-    """Closed-form N and M against scipy quad, and the near-diagonal fallback rule."""
+    """Closed-form N and M against scipy quad and mpmath, and the near-diagonal series."""
 
     @staticmethod
     def check(j, l, k, K, a):
@@ -268,23 +270,56 @@ class TestClosedFormAccuracy:
             assert ri.n_self_k == pytest.approx(_scipy_integral(j, l, abs(k), abs(k), 1.0), rel=1e-12)
 
     @pytest.mark.parametrize("j", [1, 2])
-    def test_near_diagonal_takes_quadrature(self, j, monkeypatch):
-        calls = []
-        quadrature = model._mode_quadrature
+    def test_near_diagonal_takes_the_series(self, j, monkeypatch):
+        quadrature_calls, series_calls = [], []
+        series = scalar._lommel_second_series
 
         def spy(*args):
-            calls.append(args)
-            return quadrature(*args)
+            series_calls.append(args)
+            return series(*args)
 
-        monkeypatch.setattr(model, "_mode_quadrature", spy)
+        monkeypatch.setattr(quadrature, "integrate_radial_batch", lambda *args, **kw: quadrature_calls.append(1))
+        monkeypatch.setattr(scalar, "_lommel_second_series", spy)
         mode, k, a = Mode(j, 3), 1.3, 2.0
         K = k * math.sqrt(1.0 + 1e-3)
         closed = model.radial_integrals(mode, k, K, a)
-        assert calls == []
-        fallback = model.radial_integrals(mode, k, K, a, rel_tol=1e-14)
-        assert len(calls) == 1 and calls[0][1] == [(k, K)]  # M alone
-        assert fallback.n_self_k == closed.n_self_k and fallback.n_self_K == closed.n_self_K
-        assert fallback.m_cross == pytest.approx(closed.m_cross, rel=1e-12)
+        assert series_calls == []
+        near = model.radial_integrals(mode, k, K, a, rel_tol=1e-14)
+        assert len(series_calls) == 1
+        assert quadrature_calls == []
+        assert near.n_self_k == closed.n_self_k and near.n_self_K == closed.n_self_K
+        assert near.m_cross == pytest.approx(closed.m_cross, rel=1e-12)
+
+    def test_near_diagonal_grid_against_mpmath(self):
+        # cells whose closed-form estimate exceeds rel_tol take the series and
+        # must be accurate to 1e-13; every cell must meet rel_tol itself
+        rel_tol, band = 1e-12, 0
+        cells = [(l, ka, s * rho) for l in (1, 2, 6, 12, 24, 30) for ka in (0.5, 0.82, 2.0, 5.0, 12.0, 30.0)
+                 for rho in (1e-10, 1e-8, 1e-6, 1e-4, 1e-3) for s in (1.0, -1.0)]
+        for j in (1, 2):
+            for l, k, rho in cells + [(3, -1.3, 1e-8)]:
+                K = abs(k) * math.sqrt(1.0 + rho)
+                _, err = model._closed_form(j, l, abs(k), K, 1.0, rel_tol)
+                ri = model.radial_integrals(Mode(j, l), k, K, 1.0, rel_tol)
+                n_k, n_K, m = mp_lommel.mode_integrals(j, l, k, K, 1.0, dps=50)
+                bound = (1e-13 if err > rel_tol else rel_tol) * math.sqrt(n_k * n_K)
+                assert abs(ri.m_cross - m) <= bound, (j, l, k, rho, err)
+                band += err > rel_tol
+        assert band > 100
+
+    @pytest.mark.parametrize("rho", [1e-4, -1e-4])
+    def test_near_diagonal_margin_has_the_right_sign(self, rho):
+        # the quadrature fallback gave -3.69e-6 scale here; mpmath gives 5.7e-16 scale
+        k = 0.82
+        ri = model.radial_integrals(Mode(2, 24), k, k * math.sqrt(1.0 + rho), 1.0)
+        margin, scale = model._boundedness_slack(ri)
+        assert margin >= -1e-12 * scale
+
+    def test_series_past_its_term_cap_raises(self, monkeypatch):
+        # this band cell needs several terms; a ConvergenceError marks a CLI row
+        monkeypatch.setattr(scalar, "_SERIES_TERMS", 1)
+        with pytest.raises(ConvergenceError):
+            model.radial_integrals(Mode(2, 24), 0.82, 0.82 * math.sqrt(1.0 + 1e-4), 1.0)
 
     def test_j2_symmetric_to_the_bit(self):
         for l, k, K, a in _sweep_cells(2, 0.1):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.special import spherical_jn
 
+import mp_lommel
 from tunedsource import model, scalar, specfun
 from tunedsource.errors import InvalidInputError, SingularityError
 from tunedsource.model import Mode
@@ -241,6 +242,13 @@ class TestLommelSecond:
     def test_diagonal_rejected(self):
         with pytest.raises(InvalidInputError):
             specfun.lommel_second(1, 2.0, -2.0, 1.0)
+
+    @pytest.mark.parametrize("l,k,rho", [(24, 0.82, 1e-10), (3, 1.3, 1e-8), (0, 1.3, -1e-8)])
+    def test_near_diagonal_against_mpmath(self, l, k, rho):
+        # Lommel's difference alone was off by 1.2e-6 and 1.7e-8 of the scale at the first two
+        K = k * math.sqrt(1.0 + rho)
+        n_k, n_K, m = mp_lommel.mode_integrals(2, l, k, K, 1.0)
+        assert abs(specfun.lommel_second(l, k, K, 1.0) - m) <= 1e-13 * math.sqrt(n_k * n_K)
 
 
 # ---------------------------------------------------------------------------
