@@ -13,7 +13,7 @@ admissible multiplier of smallest magnitude wins, strictly.
 """
 
 from tunedsource import theorems
-from tunedsource.model import Mode
+from tunedsource.model import Mode, minimality_margin
 
 l, k, a, mw = 2, 1.5, 2.0, 1.0
 print(f"mode family j=2, l={l}, k={k}, a={a}, mu*omega={mw}")
@@ -32,7 +32,7 @@ print("\n=== the quadratic law in action ===")
 print("t = chi*mw/k^2   ratio(chi) - f0     f2 * chi^2")
 for t in (1e-3, 5e-3, 2e-2, 5e-2):
     chi = t * k * k / mw
-    rep = theorems.minimality_margin(Mode(2, l), k, chi, 0.0, mw, a, 1e-13)
+    rep = minimality_margin(Mode(2, l), k, chi, 0.0, mw, a, 1e-13)
     print(f"{t:<14.0e} {rep.margin:+.6e}     {cf.f2 * chi * chi:+.6e}")
 
 print("\n=== j=1: the first-order coefficient cancels exactly ===")
@@ -54,6 +54,6 @@ chi0 = 0.01 * k * k / mw
 print(f"reference chi0 = {chi0:+.4f}; margins ratio(chi) - ratio(chi0):")
 for t in (-0.05, -0.02, 0.02, 0.05):
     chi = t * k * k / mw
-    rep = theorems.minimality_margin(Mode(1, l), k, chi, chi0, mw, a)
+    rep = minimality_margin(Mode(1, l), k, chi, chi0, mw, a)
     marker = ">" if rep.margin > 0 else "<"
     print(f"  chi = {chi:+.4f} (|chi| {marker} |chi0|): margin = {rep.margin:+.3e}")

@@ -9,8 +9,8 @@ admissibility filtering, selection of the smallest-magnitude multiplier,
 and the energy comparison -- is exactly the production path.
 """
 
-from tunedsource import theorems, tuning
-from tunedsource.model import Mode, SourceSpec, Substrate, source_energy, tuned_wavenumber
+from tunedsource import tuning
+from tunedsource.model import Mode, SourceSpec, Substrate, mode_ratio, source_energy, tuned_wavenumber
 
 s = Substrate(epsilon_r=0.5, mu_r=1.0, omega=1.0, a=2.0)
 print(f"substrate: k = {s.k:+.4f} (DPS), a = {s.a}, mu*omega = {s.mu_omega}")
@@ -36,7 +36,7 @@ spec = SourceSpec({
 def coefficients(chi):
     t = tuned_wavenumber(s.k, s.mu_omega, chi)
     return {
-        mode: theorems.mode_ratio(mode, s.k, t.K, s.a)
+        mode: mode_ratio(mode, s.k, t.K, s.a)
         for mode in spec.amplitudes
     }
 

@@ -17,8 +17,9 @@ that
 Modules: ``scalar`` (Bessel rows and Lommel closed forms on Python
 floats), ``specfun`` (array Bessel kernels), ``quadrature`` (adaptive
 oscillatory integration), ``model`` (substrates, modes, the closed-form
-cell, energies), ``tuning`` (constraint roots), ``theorems`` (margin and
-expansion certification), ``cli`` (batch reports).
+cell, energies), ``tuning`` (constraint roots), ``theorems`` (the
+quadrature oracle, margin and expansion certification), ``cli`` (batch
+reports).
 
 The production path (``scalar``, ``model``, ``tuning``, ``cli``) imports no
 numpy.  The oracle layer (``specfun``, ``quadrature``, ``theorems``) loads

@@ -57,7 +57,7 @@ class ConstraintEvaluationError(TunedSourceError):
 
 
 class IllConditionedExpansionError(TunedSourceError):
-    """The expansion denominator is non-positive (cannot happen for real inputs)."""
+    """The expansion denominator is non-positive, or underflows to 0 at high order l >> k a."""
 
 
 class ConfigError(TunedSourceError, ValueError):

@@ -10,16 +10,8 @@ Radial integrals are computed in closed form from one Bessel table per cell
 (``radial_integrals``), built on Python floats by ``scalar._jl_rows``; the
 closed-form cell, the per-mode weight and the two margins the CLI reports
 per cell (``_boundedness_slack``, ``minimality_margin``) import no numpy.
-The adaptive-quadrature route (``radial_integrals_quadrature``) is the
-independent oracle; its modules (numpy, ``specfun``'s array kernels,
-``quadrature``) load on its first call.
-The oracle has one route, ``_quadrature_integrals``: the integrals at a
-whole list of K (``theorems.expansion_fd`` needs its step ladder), each
-distinct one integrated once, all in one lockstep batch
-(``quadrature.integrate_radial_batch``); ``radial_integrals_quadrature`` is
-its batch of one.  Each refinement round evaluates every active integral
-from one Bessel table; a self integral puts its points into it once.  Every
-value is identical to the bit to a lone integration of the same integrand.
+Their independent oracle, adaptive quadrature, is
+``theorems.radial_integrals_quadrature``.
 
 Per-mode energy weights R are normalized with the per-mode constant set
 to 1 (energies are "up to a fixed positive per-mode normalization"); every
@@ -53,7 +45,6 @@ __all__ = [
     "classify_substrate",
     "tuned_wavenumber",
     "radial_integrals",
-    "radial_integrals_quadrature",
     "mode_ratio",
     "minimality_margin",
     "mode_coefficient",
@@ -223,106 +214,6 @@ def tuned_wavenumber(k: float, mu_omega: float, chi: float) -> TuningState:
             f"chi={chi} gives K^2 = {K2} <= 0; tuned current would be evanescent"
         )
     return TuningState(chi=chi, K=math.sqrt(K2), mu_omega=mu_omega)
-
-
-def _kernel_values(j: int, l: int, pairs, points):
-    """Kernel values at k r and K r for every pair (k, K), from one Bessel table.
-
-    ``points[n]`` are the radii of ``pairs[n]``.  Returns one
-    ``(at_k, at_K)`` per pair, each ``(j_l,)`` for j=2 or ``(j_l, u_l)`` for
-    j=1.  A self pair (k == K) puts its points into the table once.  A
-    point's value does not depend on the other points of its table.
-    """
-    import numpy as np
-
-    from . import specfun
-
-    args = []
-    for (k, K), r in zip(pairs, points):
-        args.append(k * r)
-        if K != k:
-            args.append(K * r)
-    x = np.concatenate(args)
-    columns = (specfun.bessel_j(l, x),) if j == 2 else specfun.bessel_j_and_u(l, x)
-    cuts = np.cumsum([v.size for v in args[:-1]])
-    pieces = zip(*(np.split(c, cuts) for c in columns))
-    out = []
-    for k, K in pairs:
-        at_k = next(pieces)
-        out.append((at_k, at_k if K == k else next(pieces)))
-    return out
-
-
-def _j1_integrand(ll1: int, k: float, K: float, r, jk, uk, jK, uK):
-    """The j=1 kernel product j_l(kr) j_l(Kr) + k K r^2 u_l(kr) u_l(Kr) / (l(l+1))."""
-    return jk * jK + k * K * r * r * uk * uK / ll1
-
-
-def _mode_integrand(mode: Mode, pairs):
-    """Lockstep integrand of the mode integrals at the wavenumber pairs (k, K).
-
-    Each call evaluates the active integrals of a refinement round from one
-    Bessel table (see ``quadrature.integrate_radial_batch``).
-    """
-    ll1 = mode.l * (mode.l + 1)
-
-    def f(active, points):
-        chosen = [pairs[i] for i in active]
-        out = []
-        for (k, K), r, (at_k, at_K) in zip(chosen, points, _kernel_values(mode.j, mode.l, chosen, points)):
-            if mode.j == 2:
-                out.append(r * r * at_k[0] * at_K[0])
-            else:
-                out.append(_j1_integrand(ll1, k, K, r, *at_k, *at_K))
-        return out
-
-    return f
-
-
-def _quadrature_integrals(mode: Mode, k: float, Ks, a: float, rel_tol: float):
-    """RadialIntegrals(N_j(|k|), N_j(|K|), M_j(k, K)) for each K of ``Ks``: the oracle route.
-
-    Every distinct integral is integrated once, and all of them as one
-    lockstep batch.  The self integrals are even in the wavenumber: for j=1
-    they are the quadrature pairs (|alpha|, |alpha|), and the cross integral
-    at K == k is the self integral N_1(|k|), whose integrand is the same to
-    the bit.  For j=2 the self integrals come in closed form from one Bessel
-    table for all wavenumbers, and only the cross pairs are integrated, so
-    M_2(k, k) stays a quadrature value.
-    """
-    import numpy as np
-
-    from . import specfun
-    from .quadrature import integrate_radial_batch
-
-    for K in Ks:
-        scalar._validate(k, K, a, rel_tol)
-    alphas = list(dict.fromkeys([abs(k)] + [abs(K) for K in Ks]))
-    crosses = [(abs(k), abs(k)) if mode.j == 1 and K == k else (k, K) for K in Ks]
-    if mode.j == 2:
-        table = specfun._jl_table(mode.l + 1, np.array([alpha * a for alpha in alphas]))
-        self_values = [scalar._lommel_first_from(a, *column) for column in zip(*table[mode.l - 1:].tolist())]
-        pairs = list(dict.fromkeys(crosses))
-    else:
-        pairs = list(dict.fromkeys([(alpha, alpha) for alpha in alphas] + crosses))
-    results = integrate_radial_batch(_mode_integrand(mode, pairs), a, rel_tol,
-                                     osc_scales=[max(abs(p), abs(q)) for p, q in pairs])
-    values = {pair: res.value for pair, res in zip(pairs, results)}
-    n_self = dict(zip(alphas, self_values)) if mode.j == 2 else {alpha: values[alpha, alpha] for alpha in alphas}
-    return [RadialIntegrals(n_self[abs(k)], n_self[abs(K)], values[cross]) for K, cross in zip(Ks, crosses)]
-
-
-def radial_integrals_quadrature(
-    mode: Mode, k: float, K: float, a: float, rel_tol: float = 1e-12
-) -> RadialIntegrals:
-    """The quadrature route to ``radial_integrals``: the independent oracle.
-
-    The cross integral, and the j=1 self integrals, are integrated by
-    adaptive Gauss--Kronrod quadrature to ``rel_tol``, as one lockstep
-    batch; the j=2 self integrals are Lommel's closed form.
-    """
-    (ri,) = _quadrature_integrals(mode, k, [K], a, rel_tol)
-    return ri
 
 
 def _j1_from_j2(l: int, a: float, K: float, m2: float, j_k: float, u_K: float) -> float:

@@ -21,11 +21,18 @@ closed forms of N and M (series expansion of the ratio in chi around 0)
 and is validated against high-precision finite differences; see the test
 suite for the frozen oracle values.
 
-``MarginReport``, ``minimality_margin`` and the boundedness slack live in
-``model``, beside the closed-form cell they evaluate, so that the CLI's
-per-cell path imports no numpy; this module re-exports them.  Importing it
-loads numpy, ``specfun`` and ``quadrature``: the oracle routes below need
-them, and a caller that times its first call should not time those imports.
+The closed forms are checked against adaptive quadrature, the independent
+oracle.  Its mode integrals have one route, ``_quadrature_integrals``: the
+integrals at a whole list of K (``expansion_fd`` needs its step ladder),
+each distinct one integrated once, all in one lockstep batch
+(``quadrature.integrate_radial_batch``); ``radial_integrals_quadrature`` is
+its batch of one.  Each refinement round evaluates every active integral
+from one Bessel table; a self integral puts its points into it once.  Every
+value is identical to the bit to a lone integration of the same integrand.
+
+Importing this module loads numpy, ``specfun`` and ``quadrature``: the
+oracle routes need them, and a caller that times its first call should not
+time those imports.
 """
 
 from __future__ import annotations
@@ -37,18 +44,13 @@ import numpy as np
 
 from . import scalar, specfun
 from .errors import DegenerateModeError, IllConditionedExpansionError, InvalidInputError
-from .model import (  # noqa: F401  (MINIMALITY is re-exported)
-    MINIMALITY,
+from .model import (
     MarginReport,
     Mode,
+    RadialIntegrals,
     _boundedness_slack,
     _is_int,
-    _j1_integrand,
-    _kernel_values,
-    _quadrature_integrals,
     _weight,
-    minimality_margin,
-    mode_ratio,
     radial_integrals,
     tuned_wavenumber,
 )
@@ -56,18 +58,16 @@ from .quadrature import integrate_radial_batch
 from .quadrature import integrate_radial  # noqa: F401  (bench/spans.py traces this name)
 
 __all__ = [
-    "MarginReport",
     "ExpansionCoeffs",
     "SeriesIntegralsJ1",
     "F1VanishingReport",
+    "radial_integrals_quadrature",
     "boundedness_margin",
     "curl_identity_check",
-    "minimality_margin",
     "expansion_j2",
     "expansion_fd",
     "series_integrals_j1",
     "f1_vanishing_check",
-    "mode_ratio",
     "default_chi_grid",
 ]
 
@@ -103,6 +103,97 @@ class F1VanishingReport:
     residual: float
     f0: float
     f1: float
+
+
+def _kernel_values(j: int, l: int, pairs, points):
+    """Kernel values at k r and K r for every pair (k, K), from one Bessel table.
+
+    ``points[n]`` are the radii of ``pairs[n]``.  Returns one
+    ``(at_k, at_K)`` per pair, each ``(j_l,)`` for j=2 or ``(j_l, u_l)`` for
+    j=1.  A self pair (k == K) puts its points into the table once.  A
+    point's value does not depend on the other points of its table.
+    """
+    args = []
+    for (k, K), r in zip(pairs, points):
+        args.append(k * r)
+        if K != k:
+            args.append(K * r)
+    x = np.concatenate(args)
+    columns = (specfun.bessel_j(l, x),) if j == 2 else specfun.bessel_j_and_u(l, x)
+    cuts = np.cumsum([v.size for v in args[:-1]])
+    pieces = zip(*(np.split(c, cuts) for c in columns))
+    out = []
+    for k, K in pairs:
+        at_k = next(pieces)
+        out.append((at_k, at_k if K == k else next(pieces)))
+    return out
+
+
+def _j1_integrand(ll1: int, k: float, K: float, r, jk, uk, jK, uK):
+    """The j=1 kernel product j_l(kr) j_l(Kr) + k K r^2 u_l(kr) u_l(Kr) / (l(l+1))."""
+    return jk * jK + k * K * r * r * uk * uK / ll1
+
+
+def _mode_integrand(mode: Mode, pairs):
+    """Lockstep integrand of the mode integrals at the wavenumber pairs (k, K).
+
+    Each call evaluates the active integrals of a refinement round from one
+    Bessel table (see ``quadrature.integrate_radial_batch``).
+    """
+    ll1 = mode.l * (mode.l + 1)
+
+    def f(active, points):
+        chosen = [pairs[i] for i in active]
+        out = []
+        for (k, K), r, (at_k, at_K) in zip(chosen, points, _kernel_values(mode.j, mode.l, chosen, points)):
+            if mode.j == 2:
+                out.append(r * r * at_k[0] * at_K[0])
+            else:
+                out.append(_j1_integrand(ll1, k, K, r, *at_k, *at_K))
+        return out
+
+    return f
+
+
+def _quadrature_integrals(mode: Mode, k: float, Ks, a: float, rel_tol: float):
+    """RadialIntegrals(N_j(|k|), N_j(|K|), M_j(k, K)) for each K of ``Ks``: the oracle route.
+
+    Every distinct integral is integrated once, and all of them as one
+    lockstep batch.  The self integrals are even in the wavenumber: for j=1
+    they are the quadrature pairs (|alpha|, |alpha|), and the cross integral
+    at K == k is the self integral N_1(|k|), whose integrand is the same to
+    the bit.  For j=2 the self integrals come in closed form from one Bessel
+    table for all wavenumbers, and only the cross pairs are integrated, so
+    M_2(k, k) stays a quadrature value.
+    """
+    for K in Ks:
+        scalar._validate(k, K, a, rel_tol)
+    alphas = list(dict.fromkeys([abs(k)] + [abs(K) for K in Ks]))
+    crosses = [(abs(k), abs(k)) if mode.j == 1 and K == k else (k, K) for K in Ks]
+    if mode.j == 2:
+        table = specfun._jl_table(mode.l + 1, np.array([alpha * a for alpha in alphas]))
+        self_values = [scalar._lommel_first_from(a, *column) for column in zip(*table[mode.l - 1:].tolist())]
+        pairs = list(dict.fromkeys(crosses))
+    else:
+        pairs = list(dict.fromkeys([(alpha, alpha) for alpha in alphas] + crosses))
+    results = integrate_radial_batch(_mode_integrand(mode, pairs), a, rel_tol,
+                                     osc_scales=[max(abs(p), abs(q)) for p, q in pairs])
+    values = {pair: res.value for pair, res in zip(pairs, results)}
+    n_self = dict(zip(alphas, self_values)) if mode.j == 2 else {alpha: values[alpha, alpha] for alpha in alphas}
+    return [RadialIntegrals(n_self[abs(k)], n_self[abs(K)], values[cross]) for K, cross in zip(Ks, crosses)]
+
+
+def radial_integrals_quadrature(
+    mode: Mode, k: float, K: float, a: float, rel_tol: float = 1e-12
+) -> RadialIntegrals:
+    """The quadrature route to ``radial_integrals``: the independent oracle.
+
+    The cross integral, and the j=1 self integrals, are integrated by
+    adaptive Gauss--Kronrod quadrature to ``rel_tol``, as one lockstep
+    batch; the j=2 self integrals are Lommel's closed form.
+    """
+    (ri,) = _quadrature_integrals(mode, k, [K], a, rel_tol)
+    return ri
 
 
 def boundedness_margin(
@@ -166,6 +257,8 @@ def expansion_j2(l: int, k: float, a: float, mu_omega: float) -> ExpansionCoeffs
     f1 vanishes identically; f2 is the chi^2 curvature, assembled from
     j_l(ka) and j_l'(ka) (even in k, strictly positive on the certified
     grids).  See the module docstring for the provenance of the f2 form.
+    Raises IllConditionedExpansionError where the bracket is not positive,
+    or where the cube in f2's denominator underflows to 0 (orders l >> k a).
     """
     l = specfun._validate_order(l, 1)
     if k == 0.0:
@@ -200,8 +293,12 @@ def expansion_j2(l: int, k: float, a: float, mu_omega: float) -> ExpansionCoeffs
     c4 = 4.0 * X - 4.0 * ll**2 - 4.0 * ll + 3.0
     v = -x * jp1
     num = c0 * j**4 + c1 * j**3 * v + c2 * j**2 * v**2 + c3 * j * v**3 + c4 * v**4
-    b3 = X * (j * j - jm1 * jp1)
-    f2 = mu_omega**2 * num / (24.0 * k * x * b3**3)
+    b3_cubed = (X * bracket) ** 3
+    if b3_cubed == 0.0:
+        raise IllConditionedExpansionError(
+            f"expansion denominator (ka)^6 (j_l^2 - j_(l-1) j_(l+1))^3 underflows to 0 at l = {l}, ka = {x}"
+        )
+    f2 = mu_omega**2 * num / (24.0 * k * x * b3_cubed)
     return ExpansionCoeffs(j=2, f0=f0, f1=0.0, f2=f2, method="closed-form")
 
 
@@ -233,8 +330,8 @@ def expansion_fd(
     Central differences on the halving step ladder h = t k^2 / mu_omega,
     t in {4e-2 .. 2.5e-3}, Richardson-extrapolated with plateau selection
     (the triple whose two extrapolation levels agree best wins).  The ratios
-    are N_j(K) / M_j(k, K)^2 from the quadrature route
-    (``model.radial_integrals_quadrature`` at the whole ladder), so this is
+    are N_j(K) / M_j(k, K)^2 from the route of
+    ``radial_integrals_quadrature``, run at the whole ladder, so this is
     the independent oracle for the closed forms, and the only f2 route for
     j=1.  The tuned wavenumbers of the whole ladder are computed first, and
     all its integrals run as one lockstep batch: 21 for j=1 (N_1(K) and
@@ -337,13 +434,15 @@ def f1_vanishing_check(
     """Check that the j=1 first-order coefficient f1 = (c1 d0 - 2 c0 d1) / d0^3 vanishes.
 
     The residual is |f1| normalized by f0 = c0 / d0^2 (so it is comparable
-    across modes); the check passes when residual <= tol.
+    across modes); the check passes when residual <= tol.  Raises
+    DegenerateModeError where d0^3 underflows to 0 (orders l >> k a).
     """
     si = series_integrals_j1(l, k, a, mu_omega, rel_tol)
-    if si.d0 == 0.0:
-        raise DegenerateModeError(f"d0 vanished at l={l}, k={k}, a={a}")
+    d0_cubed = abs(si.d0) ** 3
+    if d0_cubed == 0.0:
+        raise DegenerateModeError(f"d0^3 underflows to 0 (d0 = {si.d0}) at l={l}, k={k}, a={a}")
     f0 = si.c0 / (si.d0 * si.d0)
-    f1 = (si.c1 * si.d0 - 2.0 * si.c0 * si.d1) / abs(si.d0) ** 3
+    f1 = (si.c1 * si.d0 - 2.0 * si.c0 * si.d1) / d0_cubed
     residual = abs(f1) / f0
     return F1VanishingReport(passed=bool(residual <= tol), residual=residual, f0=f0, f1=f1)
 

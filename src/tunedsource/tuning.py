@@ -19,6 +19,7 @@ root search imports no numpy.  They give the bits of ``numpy.linspace`` and
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
@@ -118,9 +119,9 @@ def find_constraint_roots(
     lo, hi : float
         Search interval, lo < hi.
     grid_n : int
-        Number of scan points (>= 2); sign changes between neighbours are
-        bisected.  Roots closer together than the grid spacing can be missed,
-        as with any finite scan.
+        Number of scan points, an integer >= 2; sign changes between
+        neighbours are bisected.  Roots closer together than the grid spacing
+        can be missed, as with any finite scan.
     tol : float
         Bracket width at which bisection stops; each returned root r either
         carries a sign change within [r - tol, r + tol] or satisfies
@@ -131,8 +132,9 @@ def find_constraint_roots(
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise InvalidInputError(f"need finite lo < hi, got [{lo}, {hi}]")
-    if grid_n < 2:
-        raise InvalidInputError(f"grid_n must be >= 2, got {grid_n}")
+    # numbers.Integral admits numpy integers without importing numpy
+    if not (isinstance(grid_n, numbers.Integral) and not isinstance(grid_n, bool) and grid_n >= 2):
+        raise InvalidInputError(f"grid_n must be an integer >= 2, got {grid_n!r}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise InvalidInputError(f"tol must be > 0, got {tol}")
 

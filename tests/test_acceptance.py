@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from tunedsource import cli, specfun, theorems, tuning
-from tunedsource.model import Mode, radial_integrals
+from tunedsource.model import Mode, minimality_margin, radial_integrals
 from tunedsource.quadrature import integrate_radial
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -149,12 +149,12 @@ def test_criterion_07_minimality_uniqueness():
             chi0 = s0 * 2e-5 * unit
             for t in t_tests:
                 chi = t * unit
-                rep = theorems.minimality_margin(mode, k, chi, chi0, mw, a, 1e-13)
+                rep = minimality_margin(mode, k, chi, chi0, mw, a, 1e-13)
                 if not rep.margin > 1e-12 * rep.scale:
                     violations.append(("strict", j, l, k, a, mw, s0, t, rep.margin / rep.scale))
             if j == 1:
-                same = theorems.minimality_margin(mode, k, chi0, chi0, mw, a, 1e-14)
-                flip = theorems.minimality_margin(mode, k, -chi0, chi0, mw, a, 1e-14)
+                same = minimality_margin(mode, k, chi0, chi0, mw, a, 1e-14)
+                flip = minimality_margin(mode, k, -chi0, chi0, mw, a, 1e-14)
                 if abs(same.margin) > 1e-12 * same.scale:
                     violations.append(("same-chi", j, l, k, a, mw, s0))
                 if abs(flip.margin) > 1e-12 * flip.scale:

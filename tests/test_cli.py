@@ -311,21 +311,29 @@ class TestVerify:
         assert proc.returncode == 0
         assert proc.stdout.startswith("# tuned-source v1")
 
-    def test_identical_across_processes(self, tmp_path):
-        # two fresh processes and one in-process run give the same report bytes
-        config = str(CONFIG_DIR / "verify_vacuum.json")
-        reports = []
-        for run in (1, 2):
-            out = tmp_path / f"process{run}.csv"
-            proc = subprocess.run(
-                [sys.executable, "-m", "tunedsource", "verify", "--config", config, "--out", str(out)],
-                env=package_env(), capture_output=True, text=True,
-            )
-            assert proc.returncode == 0, proc.stderr
-            reports.append(out.read_bytes())
-        out = tmp_path / "in_process.csv"
-        assert cli.main(["verify", "--config", config, "--out", str(out)]) == 0
-        assert reports[0] == reports[1] == out.read_bytes()
+    @pytest.mark.parametrize("j,error", [
+        (1, "d0^3 underflows to 0"),
+        (2, "expansion denominator (ka)^6 (j_l^2 - j_(l-1) j_(l+1))^3 underflows to 0"),
+    ], ids=["j1", "j2"])
+    def test_high_order_expansion_gives_error_rows(self, tmp_path, j, error):
+        # at k a = 0.25 and l = 30 the expansion's cubed denominator underflows;
+        # this used to end verify with a ZeroDivisionError and no report
+        payload = {"substrate": {"epsilon_r": 1.0, "mu_r": 1.0, "omega": 1.0, "a": 0.25},
+                   "modes": {"j": [j], "l": [30]}, "chi_values": [-0.01, 0.0]}
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "report.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "tunedsource", "verify", "--config", path, "--out", str(out)],
+            env=package_env(), capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        lines = out.read_text().splitlines()
+        assert lines[:2] == ["# tuned-source v1", ",".join(cli.VERIFY_COLUMNS)]
+        assert len(lines) == 4
+        for line in lines[2:]:
+            assert line.startswith(f"{j},30,1,,")
+            assert f'"error: {error}' in line
 
 
 class TestEnergies:
@@ -613,3 +621,26 @@ class TestRendering:
     def test_blank_for_none_and_bools(self):
         text = cli.render_csv("verify", ("a", "b", "c"), [[None, True, False]])
         assert text.splitlines()[2] == ",true,false"
+
+    @pytest.mark.parametrize("command,config", [
+        ("verify", "verify_vacuum.json"),
+        ("sweep", "sweep_chi_dng.json"),
+        ("energies", "energies_tuned.json"),
+        ("tune", "energies_tuned.json"),
+    ])
+    def test_identical_across_processes(self, tmp_path, command, config):
+        # two fresh processes under different hash seeds and one in-process
+        # run give the same report bytes
+        config = str(CONFIG_DIR / config)
+        reports = []
+        for seed in ("0", "12345"):
+            out = tmp_path / f"process{seed}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "tunedsource", command, "--config", config, "--out", str(out)],
+                env=dict(package_env(), PYTHONHASHSEED=seed), capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append(out.read_bytes())
+        out = tmp_path / "in_process.csv"
+        assert cli.main([command, "--config", config, "--out", str(out)]) == 0
+        assert reports[0] == reports[1] == out.read_bytes()

@@ -88,6 +88,12 @@ def test_theorems_import_loads_the_oracle_before_any_call():
     assert proc.stdout.split() == list(ORACLE)
 
 
+def test_theorems_exports_only_its_own_names():
+    from tunedsource import theorems
+
+    assert [name for name in theorems.__all__ if getattr(theorems, name).__module__ != theorems.__name__] == []
+
+
 def test_package_attributes_resolve_lazily():
     import tunedsource
 

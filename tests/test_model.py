@@ -8,7 +8,7 @@ from scipy.integrate import quad as scipy_quad
 from scipy.special import spherical_jn
 
 import mp_lommel
-from tunedsource import model, quadrature, scalar, specfun
+from tunedsource import model, quadrature, scalar, specfun, theorems
 from tunedsource.errors import (
     ConvergenceError,
     DegenerateModeError,
@@ -181,7 +181,7 @@ class TestRadialIntegrals:
         monkeypatch.setattr(scalar, "_jl_rows", no_table)
         monkeypatch.setattr(specfun, "_jl_table", no_table)
         for k, K, a in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
-            for route in (model.radial_integrals, model.radial_integrals_quadrature, model.mode_ratio):
+            for route in (model.radial_integrals, theorems.radial_integrals_quadrature, model.mode_ratio):
                 with pytest.raises(InvalidInputError):
                     route(Mode(j, 2), k, K, a)
 
@@ -254,7 +254,7 @@ class TestClosedFormAccuracy:
             K = float(rng.uniform(0.3, 4.0))
             a = float(rng.uniform(0.4, 4.0))
             closed = model.radial_integrals(Mode(j, l), k, K, a)
-            oracle = model.radial_integrals_quadrature(Mode(j, l), k, K, a)
+            oracle = theorems.radial_integrals_quadrature(Mode(j, l), k, K, a)
             assert closed.n_self_k == pytest.approx(oracle.n_self_k, rel=1e-10)
             assert closed.n_self_K == pytest.approx(oracle.n_self_K, rel=1e-10)
             assert abs(closed.m_cross - oracle.m_cross) <= 1e-10 * math.sqrt(oracle.n_self_k * oracle.n_self_K)

@@ -9,7 +9,7 @@ from scipy.integrate import quad as scipy_quad
 from scipy.special import spherical_jn
 
 import mp_lommel
-from tunedsource import model, scalar, specfun
+from tunedsource import scalar, specfun, theorems
 from tunedsource.errors import InvalidInputError, SingularityError
 from tunedsource.model import Mode
 from tunedsource.quadrature import integrate_radial
@@ -333,9 +333,9 @@ class TestTableKernelsBitIdentical:
         pairs = [(0.7, 0.71), (-1.3, 2.4), (5.0, 0.02), (1.9, 1.9)]
         points = [rng.uniform(0.0, 3.0, n) for n in (45, 30, 15, 60)]
         points[0][0] = 1e-4
-        merged_j = model._kernel_values(2, l, pairs, points)
-        merged_ju = model._kernel_values(1, l, pairs, points)
-        integrand = model._mode_integrand(Mode(2, l), pairs)([0, 1, 2, 3], points)
+        merged_j = theorems._kernel_values(2, l, pairs, points)
+        merged_ju = theorems._kernel_values(1, l, pairs, points)
+        integrand = theorems._mode_integrand(Mode(2, l), pairs)([0, 1, 2, 3], points)
         for (k, K), r, ((jk,), (jK,)), (at_k, at_K), f in zip(pairs, points, merged_j, merged_ju, integrand):
             assert np.array_equal(jk, specfun.bessel_j(l, k * r))
             assert np.array_equal(jK, specfun.bessel_j(l, K * r))

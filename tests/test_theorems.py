@@ -93,7 +93,7 @@ class TestCurlIdentity:
 
 class TestMinimalityMargin:
     def test_zero_at_equal_arguments(self):
-        rep = theorems.minimality_margin(Mode(1, 2), 1.5, 0.3, 0.3, 1.0, 2.0)
+        rep = model.minimality_margin(Mode(1, 2), 1.5, 0.3, 0.3, 1.0, 2.0)
         assert rep.margin == 0.0
 
     def test_small_chi_quadratic_growth(self):
@@ -101,7 +101,7 @@ class TestMinimalityMargin:
         l, k, a, mw = 2, 1.5, 2.0, 1.0
         f2 = theorems.expansion_j2(l, k, a, mw).f2
         chi = 0.01 * k * k / mw
-        rep = theorems.minimality_margin(Mode(2, l), k, chi, 0.0, mw, a, 1e-13)
+        rep = model.minimality_margin(Mode(2, l), k, chi, 0.0, mw, a, 1e-13)
         assert rep.margin == pytest.approx(f2 * chi * chi, rel=0.05)
         assert rep.margin > 0.0
 
@@ -109,8 +109,8 @@ class TestMinimalityMargin:
         # f1 = 0: margins at +-chi agree to O(chi^3)
         l, k, a, mw = 1, 1.0, 2.0, 1.0
         chi = 1e-3 * k * k / mw
-        plus = theorems.minimality_margin(Mode(1, l), k, chi, 0.0, mw, a, 1e-14)
-        minus = theorems.minimality_margin(Mode(1, l), k, -chi, 0.0, mw, a, 1e-14)
+        plus = model.minimality_margin(Mode(1, l), k, chi, 0.0, mw, a, 1e-14)
+        minus = model.minimality_margin(Mode(1, l), k, -chi, 0.0, mw, a, 1e-14)
         assert minus.margin == pytest.approx(plus.margin, rel=0.05)
 
     def test_positive_for_larger_magnitude(self):
@@ -118,12 +118,12 @@ class TestMinimalityMargin:
         chi0 = -0.01 * k * k / mw
         for t in (0.02, -0.05, 0.08):
             chi = t * k * k / mw
-            rep = theorems.minimality_margin(Mode(1, l), k, chi, chi0, mw, a)
+            rep = model.minimality_margin(Mode(1, l), k, chi, chi0, mw, a)
             assert rep.margin > 1e-12 * rep.scale
 
     def test_kind_and_scale(self):
-        rep = theorems.minimality_margin(Mode(2, 1), 1.0, 0.05, 0.0, 1.0, 1.0)
-        assert rep.kind == theorems.MINIMALITY
+        rep = model.minimality_margin(Mode(2, 1), 1.0, 0.05, 0.0, 1.0, 1.0)
+        assert rep.kind == model.MINIMALITY
         assert rep.scale > 0.0
 
     def test_chi0_zero_reduces_to_weight_difference(self):
@@ -134,7 +134,7 @@ class TestMinimalityMargin:
         s = Substrate(epsilon_r=1.0, mu_r=1.0, omega=1.3, a=2.0)
         mode = Mode(1, 2)
         chi = 0.07
-        rep = theorems.minimality_margin(mode, s.k, chi, 0.0, s.mu_omega, s.a)
+        rep = model.minimality_margin(mode, s.k, chi, 0.0, s.mu_omega, s.a)
         r_chi = mode_coefficient(mode, s, tuned_wavenumber(s.k, s.mu_omega, chi))
         r_0 = mode_coefficient(mode, s, tuned_wavenumber(s.k, s.mu_omega, 0.0))
         assert rep.margin == pytest.approx(r_chi - r_0, rel=1e-12, abs=1e-300)
@@ -498,7 +498,7 @@ class TestLockstepOracleBitIdentical:
                         n_k = _reference_quadrature(1, l, abs(k), abs(k), a, rel_tol)
                         n_K = _reference_quadrature(1, l, abs(K), abs(K), a, rel_tol)
                     m = _reference_quadrature(j, l, k, K, a, rel_tol)
-                    got = model.radial_integrals_quadrature(Mode(j, l), k, K, a, rel_tol)
+                    got = theorems.radial_integrals_quadrature(Mode(j, l), k, K, a, rel_tol)
                     assert got == model.RadialIntegrals(n_k, n_K, m)
 
     def test_expansion_j2_shares_its_bessel_values(self):
@@ -551,7 +551,7 @@ class TestTableBuildsPerRound:
     def test_radial_integrals_quadrature_j1(self, monkeypatch, k, K, batch):
         # each distinct integral once: N_1(|k|) = N_1(|K|), and at K == k the
         # cross integral is that self integral; M_1(-|k|, |k|) is its own
-        call = lambda: model.radial_integrals_quadrature(Mode(1, 2), k, K, 3.0, 1e-14)
+        call = lambda: theorems.radial_integrals_quadrature(Mode(1, 2), k, K, 3.0, 1e-14)
         self._check(monkeypatch, call, batch=batch, orders=[3], extra=[], expected=(3, 3))
 
     def test_series_integrals_j1(self, monkeypatch):

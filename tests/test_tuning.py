@@ -65,6 +65,17 @@ class TestFindConstraintRoots:
         with pytest.raises(InvalidInputError):
             find_constraint_roots(lambda c: c, -1.0, 1.0, 16, 0.0)
 
+    @pytest.mark.parametrize("grid_n", [2.9, 16.0, math.inf, math.nan, "5", True, np.bool_(True), np.float64(16.0)])
+    def test_grid_n_must_be_an_integer(self, grid_n):
+        # 2.9 used to scan 2 points, inf raised OverflowError and "5" TypeError
+        with pytest.raises(InvalidInputError, match="grid_n must be an integer"):
+            find_constraint_roots(lambda c: c, -1.0, 1.0, grid_n, 1e-8)
+
+    @pytest.mark.parametrize("grid_n", [np.int64(16), np.int32(16), np.uint8(16)])
+    def test_grid_n_accepts_numpy_integers(self, grid_n):
+        g = lambda c: math.sin(5.0 * c)
+        assert find_constraint_roots(g, -1.0, 1.0, grid_n, 1e-10) == find_constraint_roots(g, -1.0, 1.0, 16, 1e-10)
+
     def test_roots_sorted_strictly_increasing(self):
         xi = find_constraint_roots(lambda c: math.sin(5.0 * c), -3.0, 3.0, 601, 1e-11)
         diffs = np.diff(xi.roots)
