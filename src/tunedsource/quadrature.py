@@ -10,10 +10,10 @@ Every node is interior, so integrands only ever see r in (0, a); removable
 endpoint singularities (such as u_0 at the origin) are never sampled.
 
 One adaptive loop advances a batch of integrals over [0, a] in lockstep
-(``integrate_radial_batch``).  Each integral keeps its own panels, split
-decisions, panel order and result; only the integrand evaluation of a
-refinement round is shared, so a caller with several integrals at one
-Bessel order builds one table per round for all of them.
+(``integrate_radial_batch``), each to the bit as a lone run.  A round is
+flat: nodes, the integrand call, the rule arithmetic, the split decisions
+and the merge run once over all active panels; only the rule products and
+the convergence sums run per integral, as their stacked forms round differently.
 ``integrate_radial`` is a batch of one; a larger ``max_panels`` serves
 truncated half-line integrals over [0, L].
 
@@ -23,6 +23,7 @@ this is the independent oracle that the tests and ``theorems.expansion_fd`` use.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -81,91 +82,105 @@ class QuadratureResult:
     panels_used: int
 
 
-def _eval_panels(f, active, lo, hi):
-    """Apply the (7,15) rule to the panels [lo_i, hi_i] of each active integral.
+def _bounds(sizes):
+    """(start, end) of consecutive blocks of the given sizes."""
+    return list(itertools.pairwise(itertools.accumulate(sizes, initial=0)))
 
-    One call of f evaluates the nodes of all of them.  Returns, per
-    integral, (I, err, resabs) per panel, or an IntegrandDomainError when
-    its samples are not all finite.  The rule is applied to each integral's
-    own (panels x 15) array: one stacked matrix product rounds differently.
+
+def _eval_panels(f, active, lo, hi):
+    """Apply the (7,15) rule, in one flat pass, to the panels [lo_n, hi_n] of each active integral.
+
+    Returns the panels as the rows (lo, hi, I, err, resabs) of one array,
+    grouped by integral, and the set of integrals with a non-finite sample.
+    Only the (panels x 15) @ w products run per integral, on its own
+    block: a stacked product rounds differently.
     """
-    halves = [0.5 * (h - l) for l, h in zip(lo, hi)]
-    pts = [0.5 * (h + l)[:, None] + half[:, None] * _NODES[None, :] for l, h, half in zip(lo, hi, halves)]
-    values = f(active, [p.ravel() for p in pts])
-    out = []
-    for p, half, vals in zip(pts, halves, values):
-        vals = np.asarray(vals, dtype=float)
-        if not np.all(np.isfinite(vals)):
-            out.append(IntegrandDomainError("integrand returned a non-finite sample"))
-            continue
-        vals = vals.reshape(p.shape)
-        integral = half * (vals @ _W_KRONROD)
-        err = np.abs(integral - half * (vals @ _W_GAUSS))
-        resabs = half * (np.abs(vals) @ _W_KRONROD)
-        out.append((integral, err, resabs))
-    return out
+    bounds = _bounds(edges.size for edges in lo)
+    panels = np.empty((5, bounds[-1][1]))
+    np.concatenate(lo, out=panels[0])
+    np.concatenate(hi, out=panels[1])
+    lo, hi, integral, err, resabs = panels
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (hi + lo)[:, None] + half[:, None] * _NODES).ravel()
+    points = [nodes[15 * s:15 * e] for s, e in bounds]
+    values = f(active, points)
+    if [np.size(v) for v in values] != [r.size for r in points]:
+        raise ValueError("the integrand must return one value per node of each integral")
+    vals = np.concatenate(values, dtype=float).reshape(lo.size, 15)
+    finite = np.isfinite(vals)
+    bad = set() if finite.all() else {i for i, (s, e) in zip(active, bounds) if not finite[s:e].all()}
+    vals[~finite] = 0.0   # keeps the rule arithmetic quiet; the sums of a bad integral go unused
+    abs_vals = np.abs(vals)
+    for s, e in bounds:
+        np.matmul(vals[s:e], _W_KRONROD, out=integral[s:e])
+        np.matmul(vals[s:e], _W_GAUSS, out=err[s:e])
+        np.matmul(abs_vals[s:e], _W_KRONROD, out=resabs[s:e])
+    integral *= half
+    np.abs(integral - half * err, out=err)
+    resabs *= half
+    return panels, bad
 
 
 def _adaptive(f, a, rel_tol, osc_scales, max_panels):
-    """Advance a batch of integrals over [0, a] in lockstep.
+    """Advance a batch of integrals over [0, a] in lockstep, in flat rounds.
 
-    Each integral keeps its own panels, split decisions, panel order and
-    rule sums, so its result does not depend on the rest of the batch; only
-    the integrand call of a refinement round is shared.  When integrals
-    fail, the error of the lowest-index one is raised, and integrals after
-    it stop refining.
+    The panels of the active integrals are the columns of one array, one
+    block per integral in ascending order, each in a lone run's order; a
+    stable argsort by owner keeps that order through every merge.  The
+    sums that decide convergence run per block (a segmented sum rounds
+    differently).  When integrals fail, the error of the lowest-index one
+    is raised, and integrals after it stop refining.
     """
-    lo, hi = [], []
-    for osc in osc_scales:
-        n0 = min(max(1, math.ceil(a * max(abs(osc), 1.0) / math.pi)), max_panels)
-        edges = np.linspace(0.0, a, n0 + 1)
-        lo.append(edges[:-1])
-        hi.append(edges[1:])
-    results, failures = [None] * len(lo), {}
-    active = list(range(len(lo)))
-    sums = dict(zip(active, _eval_panels(f, active, lo, hi)))
-
+    counts = [min(max(1, math.ceil(a * max(abs(osc), 1.0) / math.pi)), max_panels) for osc in osc_scales]
+    edges = {count: np.linspace(0.0, a, count + 1) for count in set(counts)}
+    active = list(range(len(counts)))
+    panels, bad = _eval_panels(f, active, [edges[n][:-1] for n in counts], [edges[n][1:] for n in counts])
+    owner = np.repeat(active, counts)
+    results, failures = [None] * len(counts), {}
     while True:
-        children = {}
-        for i in active:
-            if isinstance(sums[i], Exception):
-                failures[i] = sums[i]
+        refine, limits = [], []   # positions in active that refine, and their split limits
+        for n, (i, (s, e)) in enumerate(zip(active, _bounds(counts))):
+            if i in bad:
+                failures[i] = IntegrandDomainError("integrand returned a non-finite sample")
                 continue
-            integral, err, resabs = sums[i]
-            total = float(integral.sum())
-            total_err = float(err.sum())
-            threshold = max(rel_tol * abs(total), _ABS_FLOOR, 100.0 * _EPS * float(resabs.sum()))
+            # np.add.reduce is ndarray.sum without its wrapper, the same bits
+            total, total_err, res = (float(np.add.reduce(row[s:e])) for row in panels[2:])
+            threshold = max(rel_tol * abs(total), _ABS_FLOOR, 100.0 * _EPS * res)
             if total_err <= threshold:
-                results[i] = QuadratureResult(total, total_err, lo[i].size)
-                continue
-            if lo[i].size >= max_panels:
+                results[i] = QuadratureResult(total, total_err, e - s)
+            elif e - s >= max_panels:
                 failures[i] = ConvergenceError(
                     f"no convergence within {max_panels} panels "
                     f"(estimate {total_err:.3e} > threshold {threshold:.3e})",
-                    QuadratureResult(total, total_err, lo[i].size),
+                    QuadratureResult(total, total_err, e - s),
                 )
-                continue
-            split = err > threshold / lo[i].size
-            if not split.any():  # numerical safety; always split the worst panel
-                split = err == err.max()
-            mid = 0.5 * (lo[i][split] + hi[i][split])
-            # kept panels, then left halves, then right halves
-            children[i] = (~split, np.concatenate([lo[i][split], mid]), np.concatenate([mid, hi[i][split]]))
-        if failures:
-            first = min(failures)
-            children = {i: child for i, child in children.items() if i < first}
-        if not children:
+            elif not failures or i < min(failures):   # after a failure, only lower indices refine
+                refine.append(n)
+                limits.append(threshold / (e - s))
+        if not refine:
             break
-        active = list(children)
-        new_sums = _eval_panels(f, active, [children[i][1] for i in active], [children[i][2] for i in active])
-        for i, child_sums in zip(active, new_sums):
-            keep, new_lo, new_hi = children[i]
-            lo[i] = np.concatenate([lo[i][keep], new_lo])
-            hi[i] = np.concatenate([hi[i][keep], new_hi])
-            if isinstance(child_sums, Exception):
-                sums[i] = child_sums
-            else:
-                sums[i] = tuple(np.concatenate([old[keep], new]) for old, new in zip(sums[i], child_sums))
+        if len(refine) < len(active):
+            keep = np.repeat(np.isin(np.arange(len(active)), refine), counts)
+            panels, owner = panels[:, keep], owner[keep]
+            active, counts = [active[n] for n in refine], [counts[n] for n in refine]
+        lo, hi, _, err, _ = panels
+        starts = [s for s, _ in _bounds(counts)]
+        split = err > np.repeat(limits, counts)
+        splits = np.add.reduceat(split, starts)
+        if not splits.all():   # numerical safety; always split the worst panel
+            split |= np.repeat(splits == 0, counts) & (err == np.repeat(np.maximum.reduceat(err, starts), counts))
+            splits = np.add.reduceat(split, starts)
+        mid = 0.5 * (lo[split] + hi[split])
+        order = np.argsort(np.concatenate([owner[split]] * 2), kind="stable")  # left halves, then right halves
+        child_lo, child_hi = np.concatenate([lo[split], mid])[order], np.concatenate([mid, hi[split]])[order]
+        sizes = (2 * splits).tolist()
+        pieces = _bounds(sizes)
+        children, bad = _eval_panels(f, active, [child_lo[s:e] for s, e in pieces], [child_hi[s:e] for s, e in pieces])
+        key = np.concatenate([owner[~split], np.repeat(active, sizes)])
+        order = np.argsort(key, kind="stable")  # kept panels, then left halves, then right halves
+        owner = key[order]
+        panels = np.concatenate([panels[:, ~split], children], axis=1)[:, order]
+        counts = [count + size // 2 for count, size in zip(counts, sizes)]
     if failures:
         raise failures[min(failures)]
     return results
@@ -200,9 +215,10 @@ def integrate_radial_batch(f, a, rel_tol=1e-12, *, osc_scales, max_panels=8192):
     one value array per entry of ``points``, of the same shape, so that one
     Bessel table can serve the whole round.
 
-    Returns the list of QuadratureResults in batch order.  If integrals fail
-    (ConvergenceError, IntegrandDomainError), the error of the lowest-index
-    one is raised, as a lone run of it would raise it.
+    Returns the list of QuadratureResults in batch order; an empty batch
+    returns [] without calling f.  If integrals fail (ConvergenceError,
+    IntegrandDomainError), the error of the lowest-index one is raised, as
+    a lone run of it would raise it.
     """
     if not (np.isfinite(a) and a > 0.0):
         raise InvalidInputError(f"upper limit a must be finite and > 0, got {a}")
@@ -212,6 +228,8 @@ def integrate_radial_batch(f, a, rel_tol=1e-12, *, osc_scales, max_panels=8192):
     osc_scales = [float(osc) for osc in osc_scales]
     if not all(math.isfinite(osc) for osc in osc_scales):
         raise InvalidInputError("osc_scales must be finite")
+    if not osc_scales:
+        return []
     return _adaptive(f, float(a), float(rel_tol), osc_scales, int(max_panels))
 
 

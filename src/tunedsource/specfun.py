@@ -15,7 +15,9 @@ Evaluation strategy: one table of orders 0..lmax per call.  Arguments below
 at once.  Arguments below lmax take the downward (Miller) recurrence with
 normalization.  Other arguments take the upward recurrence.  Each point's
 value depends only on its own argument and lmax, not on the other points of
-the table.
+the table.  ``_jl_table`` also takes one top order per point; each column
+then equals a lone table of its own top, to the bit, so one table serves
+neighbouring orders (``theorems.series_integrals_j1``).
 
 Two builders make such a table, with the same bits.  ``_jl_table``, here,
 runs each recurrence order as numpy calls over all points; its Miller
@@ -103,29 +105,39 @@ def _jl_series(lmax: int, x: np.ndarray) -> np.ndarray:
     return block
 
 
-def _jl_miller(lmax: int, x: np.ndarray) -> np.ndarray:
-    """Downward recurrence for all orders 0..lmax; x positive, x >= cutoff.
+def _jl_miller(top, x: np.ndarray) -> np.ndarray:
+    """Downward recurrence for orders 0..max(top); x positive, x >= cutoff.
 
-    The recurrence f_{n-1} = (2n+1)/x f_n - f_{n+1} starts _MILLER_MARGIN
-    orders above lmax from an arbitrary seed.  A column that grows past
-    _RESCALE_LIMIT is scaled by 1e-250, together with its stored orders.
-    That check costs numpy calls, so it runs only when the Python-float
-    growth bound |f_{n-1}| <= ((2n+1)/min(x) + 1) max(|f_n|, |f_{n+1}|)
+    ``top`` is an int, or per-point tops in non-increasing order.  The
+    recurrence f_{n-1} = (2n+1)/x f_n - f_{n+1} starts each column (joins
+    the running block) _MILLER_MARGIN orders above its own top, from an
+    arbitrary seed.  A column that grows past _RESCALE_LIMIT is scaled by
+    1e-250, together with its stored orders.  That check costs numpy calls,
+    so it runs only when the Python-float growth bound
+    |f_{n-1}| <= ((2n+1)/min(x) + 1) max(|f_n|, |f_{n+1}|)
     allows a value above half the limit (the factor 2 covers the rounding of
     the bound itself); after each check the bound restarts from the true
     maxima.  A rescale therefore happens at exactly the orders where a check
     at every order would make it, and the values are the same to the bit.
     """
-    start = lmax + _MILLER_MARGIN
+    tops, sizes = np.unique(top, return_counts=True) if isinstance(top, np.ndarray) else ([top], [x.size])
+    joins = {int(t) + _MILLER_MARGIN: int(n) for t, n in zip(tops, sizes)}   # start order -> columns seeded there
+    start = max(joins)
+    lmax = start - _MILLER_MARGIN
     odd = 2 * np.arange(start + 1) + 1
     coef = odd[:, None] / x                          # coef[n] = (2n+1)/x
     growth = (odd / float(x.min()) + 1.0).tolist()   # >= 1, so the bound never falls
     block = np.zeros((lmax + 1, x.size))
-    f_up = np.zeros_like(x)              # f_{n+1}
-    f_cur = np.full_like(x, 1e-30)       # f_n, arbitrary seed
+    f_up = f_cur = np.zeros(0)           # f_{n+1} and f_n of the started columns, a prefix
     bound = 1e-30                        # >= max(|f_n|, |f_{n+1}|)
     for order in range(start, 0, -1):
-        f_up, f_cur = f_cur, coef[order] * f_cur - f_up
+        joined = joins.get(order)
+        if joined:
+            f_up = np.concatenate([f_up, np.zeros(joined)])
+            f_cur = np.concatenate([f_cur, np.full(joined, 1e-30)])
+            started_coef, started = coef[:, :f_cur.size], block[:, :f_cur.size]
+            bound = max(bound, 1e-30)
+        f_up, f_cur = f_cur, started_coef[order] * f_cur - f_up
         bound *= growth[order]
         if not bound <= 0.5 * _RESCALE_LIMIT:
             big = np.abs(f_cur) > _RESCALE_LIMIT
@@ -134,17 +146,17 @@ def _jl_miller(lmax: int, x: np.ndarray) -> np.ndarray:
                 f_cur = f_cur * scale
                 f_up = f_up * scale
                 if order <= lmax:
-                    block[order:, :] *= scale
+                    started[order:] *= scale
             bound = max(float(np.abs(f_up).max()), float(np.abs(f_cur).max()))
         if order - 1 <= lmax:
-            block[order - 1] = f_cur
-    # normalize against whichever of j0, j1 is larger in magnitude
+            started[order - 1] = f_cur
+    # normalize against whichever of j0, j1 is larger in magnitude (row 1 exists: top > x >= cutoff)
     sx, cx = np.sin(x), np.cos(x)
     j0 = sx / x
     j1 = sx / (x * x) - cx / x
     use0 = np.abs(j0) >= np.abs(j1)
     reference = np.where(use0, j0, j1)
-    raw = np.where(use0, block[0], block[1] if lmax >= 1 else block[0])
+    raw = np.where(use0, block[0], block[1])
     block *= reference / raw
     return block
 
@@ -161,16 +173,26 @@ def _jl_upward(lmax: int, x: np.ndarray) -> np.ndarray:
     return block
 
 
-def _jl_table(lmax: int, x: np.ndarray) -> np.ndarray:
-    """Table of j_0..j_lmax at positive arguments x (1-D array, no zeros)."""
-    block = np.empty((lmax + 1, x.size))
+def _jl_table(top, x: np.ndarray) -> np.ndarray:
+    """Table of j_0..j_lmax at positive arguments x (1-D array, no zeros).
+
+    ``top`` is an int, or an int array of per-point tops with maximum lmax;
+    each point's rows 0..top then equal a lone table of its top, to the bit.
+    """
+    per_point = isinstance(top, np.ndarray)
+    lmax = int(top.max()) if per_point else top
+    block = np.zeros((lmax + 1, x.size))
     small = x < _SERIES_CUTOFF
-    down = ~small & (x < lmax)
+    down = ~small & (x < top)
     up = ~small & ~down
     if small.any():
         block[:, small] = _jl_series(lmax, x[small])
     if down.any():
-        block[:, down] = _jl_miller(lmax, x[down])
+        columns = np.flatnonzero(down)
+        if per_point:   # the Miller pass takes its columns by descending top
+            columns = columns[np.argsort(-top[columns], kind="stable")]
+        miller = _jl_miller(top[columns] if per_point else top, x[columns])
+        block[:len(miller), columns] = miller
     if up.any():
         block[:, up] = _jl_upward(lmax, x[up])
     return block
@@ -184,9 +206,10 @@ def _validate_order(l: int, lowest: int = 0) -> int:
     return int(l)
 
 
-def _on_table(x, lmax: int, kernels) -> list:
+def _on_table(x, lmax, kernels) -> list:
     """Kernel values at x from one table of j_0..j_lmax at |x|: the array kernels' one evaluator.
 
+    ``lmax`` is an int, or per-point tops of x's shape (see ``_jl_table``).
     Rejects non-finite x, builds the table at |x| (at x = 0, j_0 = 1 and the
     higher orders vanish) and calls ``kernels(table, ax, nonzero)``.  That
     returns a list of (values at |x|, odd) pairs; an odd kernel changes sign
@@ -199,9 +222,10 @@ def _on_table(x, lmax: int, kernels) -> list:
     flat = arr.ravel()
     ax = np.abs(flat)
     nonzero = ax > 0.0
-    table = np.zeros((lmax + 1, flat.size))
+    table = np.zeros((int(np.max(lmax)) + 1, flat.size))
     if nonzero.any():
-        table[:, nonzero] = _jl_table(lmax, ax[nonzero])
+        part = _jl_table(lmax.ravel()[nonzero] if isinstance(lmax, np.ndarray) else lmax, ax[nonzero])
+        table[:len(part), nonzero] = part
     if not nonzero.all():
         table[0, ~nonzero] = 1.0
     out = []

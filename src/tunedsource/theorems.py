@@ -54,7 +54,7 @@ from .model import (
     radial_integrals,
     tuned_wavenumber,
 )
-from .quadrature import integrate_radial_batch
+from .quadrature import _bounds, integrate_radial_batch
 from .quadrature import integrate_radial  # noqa: F401  (bench/spans.py traces this name)
 
 __all__ = [
@@ -120,8 +120,7 @@ def _kernel_values(j: int, l: int, pairs, points):
             args.append(K * r)
     x = np.concatenate(args)
     columns = (specfun.bessel_j(l, x),) if j == 2 else specfun.bessel_j_and_u(l, x)
-    cuts = np.cumsum([v.size for v in args[:-1]])
-    pieces = zip(*(np.split(c, cuts) for c in columns))
+    pieces = zip(*([c[s:e] for s, e in _bounds(v.size for v in args)] for c in columns))
     out = []
     for k, K in pairs:
         at_k = next(pieces)
@@ -222,11 +221,9 @@ def curl_identity_check(l: int, k: float, K: float, a: float, rel_tol: float = 1
 
     and returns |A - (l(l+1))^2 B| / max(|A|, |(l(l+1))^2 B|).
     """
-    if l < 1:
-        raise InvalidInputError("curl identity needs l >= 1")
+    l = specfun._validate_order(l, 1)
     scalar._validate(k, K, a, rel_tol)
     ll1 = l * (l + 1)
-    osc = max(abs(k), abs(K))
 
     def sides(active, points):
         # A and B share one table per round
@@ -239,7 +236,7 @@ def curl_identity_check(l: int, k: float, K: float, a: float, rel_tol: float = 1
                 out.append(_j1_integrand(ll1, k, K, r, jk, uk, jK, uK))
         return out
 
-    A, B = (res.value for res in integrate_radial_batch(sides, a, rel_tol, osc_scales=[osc, osc]))
+    A, B = (res.value for res in integrate_radial_batch(sides, a, rel_tol, osc_scales=[max(abs(k), abs(K))] * 2))
     denom = max(abs(A), abs(ll1 * ll1 * B), 1e-300)
     return abs(A - ll1 * ll1 * B) / denom
 
@@ -370,10 +367,10 @@ def series_integrals_j1(
     bookkeeping for negative k).  c0 equals the j=1 self integral N_1(|k|);
     for k > 0, d0 = c0 and c1 = 2 d1 hold pointwise.
 
-    The four run as one lockstep batch.  Each round builds the tables of
-    orders l-1, l and l+1 at |k| r once for all of them; the kernels at k r
-    are those values with the parity sign (-1)^n of order n for k < 0, an
-    exact negation.
+    The four run as one lockstep batch.  Each round builds one table at |k| r
+    for all of them, each point at top orders l-1, l and l+1; the kernels at
+    k r are those values with the parity sign (-1)^n of order n for k < 0,
+    an exact negation.
     """
     l = specfun._validate_order(l, 1)
     scalar._validate(k, k, a, rel_tol)
@@ -418,9 +415,10 @@ def series_integrals_j1(
     forms = (c0_f, c1_f, d0_f, d1_f)
 
     def integrands(active, points):
-        x = ak * np.concatenate(points)
-        cuts = np.cumsum([r.size for r in points[:-1]])
-        tables = zip(*(np.split(specfun.bessel_j(order, x), cuts) for order in (l - 1, l, l + 1)))
+        x = np.tile(ak * np.concatenate(points), 3)
+        tops = np.repeat([l - 1, l, l + 1], x.size // 3)   # row n of j_rows is bessel_j(l - 1 + n, |k| r)
+        (j_rows,) = specfun._on_table(x, tops, lambda table, *_: [(table[tops, np.arange(x.size)], False)])
+        tables = zip(*([row[s:e] for s, e in _bounds(r.size for r in points)] for row in j_rows.reshape(3, -1)))
         return [forms[i](r, *values) for i, r, values in zip(active, points, tables)]
 
     results = integrate_radial_batch(integrands, a, rel_tol, osc_scales=[ak] * 4)

@@ -284,6 +284,77 @@ class TestLockstepBatch:
         assert type(got) is ConvergenceError
         assert got.result == self._lone_error(stuck, max_panels=16).result
 
+    def test_different_initial_panel_counts(self):
+        # one panel for osc_scale 1 and 39 for 40 at a = 3: the flat rounds
+        # hold blocks of different sizes from the start
+        fs = [lambda r: r * specfun.bessel_j(2, 1.3 * r) ** 2,
+              lambda r: r * r * specfun.bessel_j(3, 40.0 * r) * specfun.bessel_j(3, 39.5 * r),
+              lambda r: np.sin(40.0 * r) ** 2 * r,
+              lambda r: np.exp(-r) * r]
+        oscs = [1.0, 40.0, 40.0, 1.0]
+        sizes = []
+
+        def f(active, points):
+            sizes.append([r.size for r in points])
+            return _batch_of(fs)(active, points)
+
+        batch = integrate_radial_batch(f, 3.0, 1e-13, osc_scales=oscs)
+        assert sizes[0] == [15, 15 * 39, 15 * 39, 15]
+        for f, osc, got in zip(fs, oscs, batch):
+            assert got == integrate_radial(f, 3.0, 1e-13, osc_scale=osc) == reference_adaptive(f, 3.0, 1e-13, osc)
+        assert batch[0].panels_used < 39 <= batch[1].panels_used
+
+    def test_failure_in_a_later_round(self):
+        # integral 1 turns non-finite only in its second round; integral 0
+        # refines on and fails last, integral 2 stops refining with 1
+        def turns_bad():
+            calls = []
+
+            def f(r):
+                calls.append(r.copy())
+                vals = np.sin(30.0 * r) * r
+                if len(calls) == 2:
+                    vals[3] = np.nan
+                return vals
+
+            return f, calls
+
+        stuck = lambda r: np.sin(5000.0 * r)
+        bad, bad_calls = turns_bad()
+        nodes = []
+        logged = lambda r: nodes.append(r.copy()) or stuck(r)
+        log = []
+        with pytest.raises(ConvergenceError) as info:
+            integrate_radial_batch(_batch_of([logged, bad, lambda r: r * r * np.sin(9.0 * r)], log), 1.0, 1e-12,
+                                   osc_scales=[1.0, 1.0, 1.0], max_panels=16)
+        want = self._lone_error(stuck, max_panels=16)
+        assert str(info.value) == str(want) and info.value.result == want.result
+        assert len(bad_calls) == 2 and log[1] == [0, 1, 2] and all(active == [0] for active in log[2:])
+        # integral 0 sampled exactly the nodes of its lone run, round by round
+        lone_nodes = []
+        with pytest.raises(ConvergenceError):
+            integrate_radial(lambda r: lone_nodes.append(r.copy()) or stuck(r), 1.0, 1e-12, max_panels=16)
+        assert len(nodes) == len(lone_nodes) and all(np.array_equal(a, b) for a, b in zip(nodes, lone_nodes))
+        # alone, the integrand that turns bad raises in its second round too
+        bad, bad_calls = turns_bad()
+        with pytest.raises(IntegrandDomainError):
+            integrate_radial(bad, 1.0, 1e-12)
+        assert len(bad_calls) == 2
+
+    def test_values_must_match_each_integral_nodes(self):
+        # swapped value arrays have the right total size, but not per integral
+        swapped = lambda active, points: [np.ones(r.size) for r in reversed(points)]
+        with pytest.raises(ValueError):
+            integrate_radial_batch(swapped, 3.0, osc_scales=[1.0, 40.0])
+
+    def test_empty_batch(self):
+        def never(active, points):
+            raise AssertionError("the integrand of an empty batch is never called")
+
+        assert integrate_radial_batch(never, 1.0, osc_scales=[]) == []
+        with pytest.raises(InvalidInputError):
+            integrate_radial_batch(never, 0.0, osc_scales=[])
+
     def test_scalar_only_fallback_is_bit_identical(self):
         scalar = lambda r: float(r) * float(r) * 3.0 + 1.0
         vector = lambda r: r * r * 3.0 + 1.0

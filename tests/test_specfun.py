@@ -407,6 +407,73 @@ class TestRowsBitIdentical:
                 assert scalar._jl_value(l, float(x)) == specfun.bessel_j(l, float(x)), (l, x)
 
 
+class TestPerPointTops:
+    """A table with one top order per point: each column is a lone table of its top."""
+
+    @staticmethod
+    def mixed(rng, n):
+        """Seeded (tops, x) over tops 0..200 and all three regimes of each top."""
+        tops = rng.integers(0, 201, n)
+        cut = specfun._SERIES_CUTOFF
+        x = np.empty(n)
+        for i, top in enumerate(tops.tolist()):
+            regime = i % 4
+            if regime == 0 or top <= 1:
+                x[i] = rng.uniform(1e-6, cut) if regime == 0 else rng.uniform(top + 1e-9, top + 300.0)
+            elif regime == 1:
+                x[i] = np.exp(rng.uniform(math.log(cut), math.log(top)))     # Miller
+            elif regime == 2:
+                x[i] = rng.uniform(top, top + 300.0)                          # upward
+            else:
+                x[i] = cut * (1.0 + rng.uniform(0.0, 0.05))                   # Miller, rescaling
+                tops[i] = max(top, 40)
+        return tops, x
+
+    def test_columns_equal_lone_tables(self):
+        rng = np.random.default_rng(60)
+        for n in (1, 2, 7, 40):
+            tops, x = self.mixed(rng, n)
+            table = specfun._jl_table(tops, x)
+            assert table.shape == (tops.max() + 1, n)
+            for i, top in enumerate(tops.tolist()):
+                lone = specfun._jl_table(top, x[i:i + 1])[:, 0]
+                assert np.array_equal(table[:top + 1, i], lone), (top, x[i])
+
+    def test_mixed_tops_rescale(self):
+        # small x at tops >= 40 rescale on the way down, at orders that
+        # depend on the top; three tops close together, as series_integrals_j1 uses
+        rng = np.random.default_rng(61)
+        x = np.concatenate([specfun._SERIES_CUTOFF * (1.0 + rng.uniform(0.0, 0.05, 3)), rng.uniform(0.5, 45.0, 9)])
+        for l in (1, 6, 41, 120):
+            tops = np.repeat([l - 1, l, l + 1], x.size)
+            xs = np.tile(x, 3)
+            rescaled = []
+            reference_miller(l + 1, x[:3], rescaled)
+            assert bool(rescaled) == (l >= 40)
+            table = specfun._jl_table(tops, xs)
+            for i, (top, xi) in enumerate(zip(tops.tolist(), xs.tolist())):
+                assert np.array_equal(table[:top + 1, i], specfun._jl_table(top, np.array([xi]))[:, 0]), (top, xi)
+
+    def test_uniform_top_is_the_int_table(self):
+        rng = np.random.default_rng(62)
+        for top in (0, 1, 5, 50, 200):
+            x = np.exp(rng.uniform(math.log(1e-4), math.log(2.0 * top + 10.0), 33))
+            want = specfun._jl_table(top, x)
+            assert np.array_equal(specfun._jl_table(np.full(x.size, top), x), want), top
+            assert want.tolist() == scalar._jl_rows(top, x.tolist()), top
+
+    def test_on_table_picks_each_point_at_its_top(self):
+        # zeros and negative arguments go through the evaluator's checks;
+        # the largest top sits on a zero argument
+        x = np.array([0.0, 0.05, -0.5, 3.0, 30.0, 0.0])
+        tops = np.array([9, 2, 3, 1, 4, 0])
+        pick = lambda table, ax, nonzero: [(table[tops, np.arange(tops.size)], False)]
+        (got,) = specfun._on_table(x, tops, pick)
+        assert got.tolist() == [specfun.bessel_j(top, abs(xi)) for top, xi in zip(tops.tolist(), x.tolist())]
+        with pytest.raises(InvalidInputError):
+            specfun._on_table(np.array([1.0, np.nan]), np.array([1, 2]), pick)
+
+
 class TestAccuracyMap:
     """The module docstring's accuracy claim, checked against mpmath.
 

@@ -83,6 +83,12 @@ class TestCurlIdentity:
         with pytest.raises(InvalidInputError):
             theorems.curl_identity_check(0, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", ["3", 2.0, True, 0])
+    def test_order_must_be_an_integer_at_least_one(self, bad):
+        # "3" used to raise TypeError from the comparison l < 1
+        with pytest.raises(InvalidInputError):
+            theorems.curl_identity_check(bad, 1.0, 1.0, 1.0)
+
     @pytest.mark.parametrize("bad", _BAD_WAVENUMBERS)
     def test_rejects_zero_or_nonfinite_wavenumber(self, bad):
         # a zero K used to give a passing discrepancy of 0.0
@@ -516,9 +522,10 @@ class TestTableBuildsPerRound:
         tables, rounds = [], []
         table, eval_panels = specfun._jl_table, quadrature._eval_panels
 
-        def counted_table(lmax, x):
-            tables.append(lmax)
-            return table(lmax, x)
+        def counted_table(top, x):
+            # the top order, or the distinct tops of a table with one per point
+            tables.append(top if np.ndim(top) == 0 else tuple(np.unique(top).tolist()))
+            return table(top, x)
 
         def counted_round(f, active, lo, hi):
             rounds.append(len(active))
@@ -555,6 +562,7 @@ class TestTableBuildsPerRound:
         self._check(monkeypatch, call, batch=batch, orders=[3], extra=[], expected=(3, 3))
 
     def test_series_integrals_j1(self, monkeypatch):
-        # orders l-1, l and l+1 at |k| r; d1 finishes a round before the others
+        # one table per round for orders l-1, l and l+1 at |k| r, each point
+        # at its own top order; d1 finishes a round before the others
         call = lambda: theorems.series_integrals_j1(2, -1.9, 3.0, 0.9, 1e-14)
-        self._check(monkeypatch, call, batch=4, orders=[1, 2, 3], extra=[], expected=(9, 3))
+        self._check(monkeypatch, call, batch=4, orders=[(1, 2, 3)], extra=[], expected=(3, 3))
