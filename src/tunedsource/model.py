@@ -225,7 +225,9 @@ def _closed_form(j: int, l: int, k: float, K: float, a: float, rel_tol: float):
     """N_j(k), N_j(K), M_j(k, K) at 0 < k, K from one Bessel table of order l+1.
 
     Also returns the rounding error estimate of Lommel's M relative to sqrt(N_j(k) N_j(K));
-    above ``rel_tol``, M_2 is the near-diagonal series.  At k == K, M equals N exactly.
+    above ``rel_tol`` and finite, M_2 is the near-diagonal series.  The estimate is inf
+    where N_k or N_K underflows to 0, which happens far from the diagonal too.  At
+    k == K, M equals N exactly.
     """
     (jm_k, jm_K), (j_k, j_K), (jp_k, jp_K) = scalar._jl_rows(l + 1, [k * a, K * a])[l - 1:]
     u_k = scalar._u_from_neighbors(l, jm_k, jp_k)
@@ -242,7 +244,7 @@ def _closed_form(j: int, l: int, k: float, K: float, a: float, rel_tol: float):
         n_K = _j1_from_j2(l, a, K, n_K, j_K, u_K)
     scale = math.sqrt(n_k) * math.sqrt(n_K)  # N can be as small as 1e-300 for l >> k a
     err = err / scale if scale > 0.0 else math.inf
-    if err > rel_tol:
+    if rel_tol < err < math.inf:    # an underflowed N says nothing about the diagonal
         m = scalar._lommel_second_series(l, a, k * a, K * a, jm_k, j_k, jp_k)
     if j == 1 and k != K:
         m = _j1_from_j2(l, a, K, m, j_k, u_K)
@@ -267,7 +269,8 @@ def radial_integrals(mode: Mode, k: float, K: float, a: float, rel_tol: float = 
     eps a (|t1| + |t2|) / |K^2 - k^2|, plus the rounding of the two terms of
     the j=1 reduction.  Where that exceeds ``rel_tol`` sqrt(N_j(k) N_j(K)),
     M_2 is the Taylor series in (K - k) a of ``scalar._lommel_second_series``
-    instead, which raises ConvergenceError if it does not converge.
+    instead, which raises ConvergenceError if it does not converge.  Where
+    N_j(k) or N_j(K) underflows to 0, M_2 stays Lommel's difference.
     """
     scalar._validate(k, K, a, rel_tol)
     ri, _ = _closed_form(mode.j, mode.l, abs(k), abs(K), a, rel_tol)

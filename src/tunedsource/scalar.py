@@ -9,8 +9,12 @@ table's values (with a near-diagonal series) and the shared input checks.
 
 ``_jl_rows`` is ``specfun._jl_table`` to the bit: the same series / Miller /
 upward regimes, the same operations in the same order, one point at a time.
-sin and cos come from ``math``, which agrees with numpy's to the bit on this
-platform (the test suite checks it on random points of all three regimes).
+Both start a Miller column a number of orders above its top that depends
+only on its own argument (``_miller_margin``: 8 below x = 0.5, rising in
+steps to 60 from x = 32 on), so a column depends only on its argument and
+its top, whatever else the table holds.  sin and cos come from ``math``,
+which agrees with numpy's to the bit on this platform (the test suite
+checks it on random points of all three regimes).
 Arguments below the series cutoff still take numpy's ``specfun._jl_series``,
 imported on first use: numpy's ``x**order`` rounds differently from Python's.
 """
@@ -22,9 +26,13 @@ import sys
 
 from .errors import ConvergenceError, InvalidInputError
 
-# orders above the head start of the downward recurrence; enough for full
-# binary64 accuracy whenever x < lmax (dominance grows at least like 2x
-# per step there)
+# The downward recurrence of a column at x starts _miller_margin(x) orders
+# above its top: the margin of the first bound in _MILLER_STARTS above x,
+# else _MILLER_MARGIN.  The start's truncation error at the top is about the
+# fall of j_n / y_n from the top to the start.  With top > x that fall is
+# below 2e-19 in every bucket (the worst case is x just below 7 at top 7),
+# so the rounding of the recurrence, not its start, sets the accuracy.
+_MILLER_STARTS = ((0.5, 8), (2.0, 12), (7.0, 16), (16.0, 28), (32.0, 40))
 _MILLER_MARGIN = 60
 _SERIES_CUTOFF = 0.1
 _RESCALE_LIMIT = 1e250
@@ -53,16 +61,24 @@ def _validate(k, K, a, rel_tol=1e-12) -> None:
     validate_tol(rel_tol)
 
 
+def _miller_margin(x: float) -> int:
+    """Orders between a Miller column's top and its start at argument x (see _MILLER_STARTS)."""
+    for bound, margin in _MILLER_STARTS:
+        if x < bound:
+            return margin
+    return _MILLER_MARGIN
+
+
 def _miller_column(lmax: int, x: float, sx: float, cx: float) -> list:
     """``specfun._jl_miller`` for one point: the same operations in the same order.
 
-    The rescale check runs at every order; ``_jl_miller`` rescales a column
-    at exactly those orders (see its docstring), so the values are the same
-    to the bit.
+    The column starts _miller_margin(x) orders above lmax.  The rescale
+    check runs at every order; ``_jl_miller`` rescales a column at exactly
+    those orders (see its docstring), so the values are the same to the bit.
     """
     limit = _RESCALE_LIMIT
     f_up, f_cur = 0.0, 1e-30
-    for order in range(lmax + _MILLER_MARGIN, lmax, -1):    # above the table
+    for order in range(lmax + _miller_margin(x), lmax, -1):    # above the table
         f_up, f_cur = f_cur, (2 * order + 1) / x * f_cur - f_up
         if abs(f_cur) > limit:
             f_cur *= 1e-250

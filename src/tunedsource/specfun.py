@@ -13,9 +13,11 @@ integral) and of the cross integral of two kernels at different wavenumbers
 Evaluation strategy: one table of orders 0..lmax per call.  Arguments below
 0.1 take an ascending series, evaluated on the whole (orders x points) block
 at once.  Arguments below lmax take the downward (Miller) recurrence with
-normalization.  Other arguments take the upward recurrence.  Each point's
-value depends only on its own argument and lmax, not on the other points of
-the table.  ``_jl_table`` also takes one top order per point; each column
+normalization, started a number of orders above lmax that grows with the
+argument (``scalar._miller_margin``: 8 below x = 0.5, up to 60 from x = 32
+on).  Other arguments take the upward recurrence.  Each point's value
+depends only on its own argument and lmax, not on the other points of the
+table.  ``_jl_table`` also takes one top order per point; each column
 then equals a lone table of its own top, to the bit, so one table serves
 neighbouring orders (``theorems.series_integrals_j1``).
 
@@ -54,6 +56,7 @@ import numpy as np
 from .errors import InvalidInputError, SingularityError
 from .scalar import (
     _MILLER_MARGIN,
+    _MILLER_STARTS,
     _RESCALE_LIMIT,
     _SERIES_CUTOFF,
     _jl_rows,
@@ -72,6 +75,11 @@ __all__ = [
     "lommel_first",
     "lommel_second",
 ]
+
+# scalar's Miller start rule as arrays: the margin of a column at x is
+# _START_MARGINS[number of bounds <= x]
+_START_BOUNDS = np.array([bound for bound, _ in _MILLER_STARTS])
+_START_MARGINS = np.array([margin for _, margin in _MILLER_STARTS] + [_MILLER_MARGIN])
 
 
 def _double_factorial(n: int) -> float:
@@ -108,22 +116,28 @@ def _jl_series(lmax: int, x: np.ndarray) -> np.ndarray:
 def _jl_miller(top, x: np.ndarray) -> np.ndarray:
     """Downward recurrence for orders 0..max(top); x positive, x >= cutoff.
 
-    ``top`` is an int, or per-point tops in non-increasing order.  The
-    recurrence f_{n-1} = (2n+1)/x f_n - f_{n+1} starts each column (joins
-    the running block) _MILLER_MARGIN orders above its own top, from an
-    arbitrary seed.  A column that grows past _RESCALE_LIMIT is scaled by
-    1e-250, together with its stored orders.  That check costs numpy calls,
-    so it runs only when the Python-float growth bound
+    ``top`` is an int, or one top per point.  The recurrence
+    f_{n-1} = (2n+1)/x f_n - f_{n+1} starts each column (joins the running
+    block) ``scalar._miller_margin(x)`` orders above its own top, from an
+    arbitrary seed: 8 orders below x = 0.5, rising in steps to
+    _MILLER_MARGIN = 60 from x = 32 on.  The running block holds its columns
+    by descending start order, so the started ones are a prefix.  A column
+    that grows past _RESCALE_LIMIT is scaled by 1e-250, together with its
+    stored orders.  That check costs numpy calls, so it runs only when the
+    Python-float growth bound
     |f_{n-1}| <= ((2n+1)/min(x) + 1) max(|f_n|, |f_{n+1}|)
     allows a value above half the limit (the factor 2 covers the rounding of
     the bound itself); after each check the bound restarts from the true
     maxima.  A rescale therefore happens at exactly the orders where a check
     at every order would make it, and the values are the same to the bit.
     """
-    tops, sizes = np.unique(top, return_counts=True) if isinstance(top, np.ndarray) else ([top], [x.size])
-    joins = {int(t) + _MILLER_MARGIN: int(n) for t, n in zip(tops, sizes)}   # start order -> columns seeded there
+    lmax = int(np.max(top))
+    starts = top + _START_MARGINS[np.searchsorted(_START_BOUNDS, x, side="right")]   # scalar._miller_margin
+    by_start = np.argsort(-starts, kind="stable")
+    x = x[by_start]
+    heads, sizes = np.unique(starts, return_counts=True)
+    joins = {int(h): int(n) for h, n in zip(heads, sizes)}   # start order -> columns seeded there
     start = max(joins)
-    lmax = start - _MILLER_MARGIN
     odd = 2 * np.arange(start + 1) + 1
     coef = odd[:, None] / x                          # coef[n] = (2n+1)/x
     growth = (odd / float(x.min()) + 1.0).tolist()   # >= 1, so the bound never falls
@@ -158,7 +172,9 @@ def _jl_miller(top, x: np.ndarray) -> np.ndarray:
     reference = np.where(use0, j0, j1)
     raw = np.where(use0, block[0], block[1])
     block *= reference / raw
-    return block
+    out = np.empty_like(block)
+    out[:, by_start] = block
+    return out
 
 
 def _jl_upward(lmax: int, x: np.ndarray) -> np.ndarray:
@@ -188,11 +204,8 @@ def _jl_table(top, x: np.ndarray) -> np.ndarray:
     if small.any():
         block[:, small] = _jl_series(lmax, x[small])
     if down.any():
-        columns = np.flatnonzero(down)
-        if per_point:   # the Miller pass takes its columns by descending top
-            columns = columns[np.argsort(-top[columns], kind="stable")]
-        miller = _jl_miller(top[columns] if per_point else top, x[columns])
-        block[:len(miller), columns] = miller
+        miller = _jl_miller(top[down] if per_point else top, x[down])
+        block[:len(miller), down] = miller
     if up.any():
         block[:, up] = _jl_upward(lmax, x[up])
     return block

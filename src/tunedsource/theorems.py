@@ -30,15 +30,16 @@ its batch of one.  Each refinement round evaluates every active integral
 from one Bessel table; a self integral puts its points into it once.  Every
 value is identical to the bit to a lone integration of the same integrand.
 
-Importing this module loads numpy, ``specfun`` and ``quadrature``: the
-oracle routes need them, and a caller that times its first call should not
-time those imports.
+Importing this module loads numpy, ``specfun`` and ``quadrature``, which
+the oracle routes need, and ``decimal``, which ``expansion_j2`` needs: a
+caller that times its first call should not time those imports.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -247,6 +248,37 @@ def _validate_mu_omega(mu_omega: float) -> None:
         raise InvalidInputError(f"mu_omega must be finite and nonzero, got {mu_omega}")
 
 
+# working digits of expansion_j2's f2, one try each until its quartic keeps
+# 20 of them through the cancellation; the last try is taken as it comes
+_F2_DIGITS = (40, 80, 160, 320)
+# orders above l that the f2 recurrence may start at.  Where k a > l it
+# needs about k a - l of them; past this many the quartic hardly cancels
+# (its terms sum to under 16 times its value for l <= 300 at k a >= l + 300)
+_F2_MAX_ORDERS = 300
+
+
+def _scaled_triple(l: int, x: float, digits: int):
+    """(j_(l-1), j_l, j_(l+1)) at x > 0 up to one common factor, to ``digits`` digits.
+
+    A downward recurrence in Decimal at the context's precision.  It starts
+    two orders above the first order where a dominant solution, run upward
+    in floats from (0, 1) at orders (l, l+1), passes 10^(digits/2 + 1):
+    j_n / y_n there has fallen below the top's by about that growth squared.
+    Returns None where that order lies more than _F2_MAX_ORDERS above l.
+    """
+    g_prev, g, start = 0.0, 1.0, l + 1
+    while abs(g) < 10.0 ** (digits / 2 + 1):
+        if start > l + _F2_MAX_ORDERS:
+            return None
+        g_prev, g = g, (2 * start + 1) / x * g - g_prev
+        start += 1
+    xd = Decimal(x)
+    f_up, f = Decimal(0), Decimal(1)
+    for order in range(start + 2, l, -1):
+        f_up, f = f, (2 * order + 1) * f / xd - f_up
+    return (2 * l + 1) * f / xd - f_up, f, f_up
+
+
 def expansion_j2(l: int, k: float, a: float, mu_omega: float) -> ExpansionCoeffs:
     """Closed-form expansion coefficients of the j=2 ratio around chi = 0.
 
@@ -256,6 +288,15 @@ def expansion_j2(l: int, k: float, a: float, mu_omega: float) -> ExpansionCoeffs
     grids).  See the module docstring for the provenance of the f2 form.
     Raises IllConditionedExpansionError where the bracket is not positive,
     or where the cube in f2's denominator underflows to 0 (orders l >> k a).
+
+    f2's quartic numerator cancels: at l = 6, k a = 0.5 a relative change of
+    1e-16 in the Bessel values moves its doubles by about 3e-8.  Quartic and
+    bracket are homogeneous in (j_(l-1), j_l, j_(l+1)), so f2 takes the
+    triple up to a common factor: from ``_scaled_triple`` in 40 or more
+    decimal digits, rescaled by the double of largest magnitude.  Only that
+    one double's rounding reaches f2.  Where k a exceeds l by a few hundred,
+    the recurrence would be long and the quartic barely cancels, so f2 takes
+    the doubles themselves, in the same Decimal arithmetic.
     """
     l = specfun._validate_order(l, 1)
     if k == 0.0:
@@ -264,38 +305,45 @@ def expansion_j2(l: int, k: float, a: float, mu_omega: float) -> ExpansionCoeffs
     x = k * a
     if not (a > 0.0 and math.isfinite(x)):
         raise InvalidInputError(f"expansion needs a > 0 and finite k a, got k={k}, a={a}")
-    jm1, j, jp1 = (scalar._jl_value(order, x) for order in (l - 1, l, l + 1))
+    ax = abs(x)    # the bracket and the quartic are even in x
+    doubles = [scalar._jl_value(order, ax) for order in (l - 1, l, l + 1)]
+    jm1, j, jp1 = doubles
     bracket = j * j - jm1 * jp1  # the positive Lommel bracket
     if bracket <= 0.0:
         raise IllConditionedExpansionError(
             f"expansion bracket j_l^2 - j_(l-1) j_(l+1) = {bracket} <= 0 at ka = {x}"
         )
     f0 = 2.0 / (a**3 * bracket)
+    if (x * x * bracket) ** 3 == 0.0:
+        raise IllConditionedExpansionError(
+            f"expansion denominator (ka)^6 (j_l^2 - j_(l-1) j_(l+1))^3 underflows to 0 at l = {l}, ka = {x}"
+        )
 
     # The curvature numerator is a quartic in t = x j_l'/j_l whose monomial
     # form cancels catastrophically at small ka.  Re-expanded around t = l
     # (using the exact identity x j_l' - l j_l = -x j_{l+1}) it becomes a
     # quartic in v = -x j_{l+1} with coefficients C_m in (l, x^2) whose
     # leading cancellations are already carried out symbolically.
-    X = x * x
-    ll = float(l)
-    c0 = 4.0 * X**3 + X**2 * (-4.0 * ll**2 + 12.0 * ll + 7.0)
-    c1 = X**2 * (16.0 * ll + 24.0) + X * (-16.0 * ll**3 + 8.0 * ll**2 + 52.0 * ll + 22.0)
-    c2 = (
-        8.0 * X**2
-        + X * (8.0 * ll**2 + 56.0 * ll + 42.0)
-        - 16.0 * ll**4 - 32.0 * ll**3 - 8.0 * ll**2 + 8.0 * ll + 3.0
-    )
-    c3 = X * (16.0 * ll + 24.0) - 16.0 * ll**3 - 24.0 * ll**2 + 4.0 * ll + 6.0
-    c4 = 4.0 * X - 4.0 * ll**2 - 4.0 * ll + 3.0
-    v = -x * jp1
-    num = c0 * j**4 + c1 * j**3 * v + c2 * j**2 * v**2 + c3 * j * v**3 + c4 * v**4
-    b3_cubed = (X * bracket) ** 3
-    if b3_cubed == 0.0:
-        raise IllConditionedExpansionError(
-            f"expansion denominator (ka)^6 (j_l^2 - j_(l-1) j_(l+1))^3 underflows to 0 at l = {l}, ka = {x}"
-        )
-    f2 = mu_omega**2 * num / (24.0 * k * x * b3_cubed)
+    big = max(range(3), key=lambda i: abs(doubles[i]))
+    for digits in _F2_DIGITS:
+        with localcontext() as ctx:
+            ctx.prec = digits
+            triple = _scaled_triple(l, ax, digits) or [Decimal(v) for v in doubles]
+            fm, fl, fp = triple
+            X = Decimal(ax) ** 2
+            c0 = 4 * X**3 + X**2 * (-4 * l**2 + 12 * l + 7)
+            c1 = X**2 * (16 * l + 24) + X * (-16 * l**3 + 8 * l**2 + 52 * l + 22)
+            c2 = 8 * X**2 + X * (8 * l**2 + 56 * l + 42) - 16 * l**4 - 32 * l**3 - 8 * l**2 + 8 * l + 3
+            c3 = X * (16 * l + 24) - 16 * l**3 - 24 * l**2 + 4 * l + 6
+            c4 = 4 * X - 4 * l**2 - 4 * l + 3
+            v = -Decimal(ax) * fp
+            terms = (c0 * fl**4, c1 * fl**3 * v, c2 * fl**2 * v**2, c3 * fl * v**3, c4 * v**4)
+            num = sum(terms)
+            if sum(abs(t) for t in terms) <= abs(num).scaleb(digits - 20) or digits == _F2_DIGITS[-1]:
+                scale = triple[big] / Decimal(doubles[big])    # the triple over the doubles; squared below
+                den = 24 * Decimal(k) * Decimal(x) * (X * (fl * fl - fm * fp)) ** 3
+                f2 = float(Decimal(mu_omega) ** 2 * num * scale * scale / den)
+                break
     return ExpansionCoeffs(j=2, f0=f0, f1=0.0, f2=f2, method="closed-form")
 
 

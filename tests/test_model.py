@@ -246,6 +246,17 @@ class TestClosedFormAccuracy:
         self.check(j, 30, 0.01, 0.015, 1.0)
 
     @pytest.mark.parametrize("j", [1, 2])
+    @pytest.mark.parametrize("k", [1e-4, 5e-5, 3e-5])
+    def test_underflowed_self_integral_keeps_lommel(self, j, k):
+        # N_k underflows to 0, so the error estimate is inf; taking the series
+        # there raised ConvergenceError (k = 1e-4) or gave M = 0.0
+        ri = model.radial_integrals(Mode(j, 30), k, 1.0, 1.0)
+        _, n_K, m = mp_lommel.mode_integrals(j, 30, k, 1.0, 1.0)
+        assert ri.n_self_k == 0.0
+        assert ri.n_self_K == pytest.approx(n_K, rel=1e-14)
+        assert ri.m_cross == pytest.approx(m, rel=1e-14)
+
+    @pytest.mark.parametrize("j", [1, 2])
     def test_agrees_with_quadrature_route(self, j):
         rng = np.random.default_rng(21 + j)
         for _ in range(10):

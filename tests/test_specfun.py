@@ -273,13 +273,16 @@ def reference_series(lmax, x):
 def reference_miller(lmax, x, rescaled=None):
     """Downward recurrence with the rescale check at every order.
 
+    Each column starts ``scalar._miller_margin`` of its own x above lmax;
+    until then it holds zeros, which the recurrence and the check keep.
     Appends the boolean column mask of each rescale to ``rescaled``.
     """
-    start = lmax + specfun._MILLER_MARGIN
+    starts = np.array([lmax + scalar._miller_margin(v) for v in x.tolist()])
     block = np.zeros((lmax + 1, x.size))
     f_up = np.zeros_like(x)
-    f_cur = np.full_like(x, 1e-30)
-    for order in range(start, 0, -1):
+    f_cur = np.zeros_like(x)
+    for order in range(int(starts.max()), 0, -1):
+        f_cur = np.where(order == starts, 1e-30, f_cur)
         f_down = (2 * order + 1) / x * f_cur - f_up
         f_up, f_cur = f_cur, f_down
         big = np.abs(f_cur) > specfun._RESCALE_LIMIT
@@ -321,9 +324,9 @@ class TestTableKernelsBitIdentical:
         # a deep table at small x rescales; the column at x = 30 does not
         x = np.array([0.1, 30.0])
         rescaled = []
-        want = reference_miller(50, x, rescaled)
+        want = reference_miller(100, x, rescaled)
         assert rescaled and all(big.tolist() == [True, False] for big in rescaled)
-        assert np.array_equal(specfun._jl_miller(50, x), want)
+        assert np.array_equal(specfun._jl_miller(100, x), want)
 
     @pytest.mark.parametrize("l", [1, 2, 6, 24])
     def test_merged_integrand_tables(self, l):
@@ -369,12 +372,12 @@ class TestRowsBitIdentical:
                     assert scalar._jl_rows(lmax, chosen) == want, (lmax, chosen)
 
     def test_rescaling_column(self):
-        # the column at x = 0.1 of a table of order 50 rescales on the way down
+        # the column at x = 0.1 of a table of order 100 rescales on the way down
         rescaled = []
-        reference_miller(50, np.array([0.1]), rescaled)
+        reference_miller(100, np.array([0.1]), rescaled)
         assert rescaled
-        for xs in ([0.1], [0.1, 30.0], [60.0, 0.1, 0.05]):
-            assert scalar._jl_rows(50, xs) == specfun._jl_table(50, np.array(xs)).tolist()
+        for xs in ([0.1], [0.1, 30.0], [60.0, 0.1, 0.05], [120.0, 0.1, 31.0]):
+            assert scalar._jl_rows(100, xs) == specfun._jl_table(100, np.array(xs)).tolist()
 
     def test_random_cells(self):
         rng = np.random.default_rng(41)
@@ -426,7 +429,7 @@ class TestPerPointTops:
                 x[i] = rng.uniform(top, top + 300.0)                          # upward
             else:
                 x[i] = cut * (1.0 + rng.uniform(0.0, 0.05))                   # Miller, rescaling
-                tops[i] = max(top, 40)
+                tops[i] = max(top, 95)
         return tops, x
 
     def test_columns_equal_lone_tables(self):
@@ -440,16 +443,16 @@ class TestPerPointTops:
                 assert np.array_equal(table[:top + 1, i], lone), (top, x[i])
 
     def test_mixed_tops_rescale(self):
-        # small x at tops >= 40 rescale on the way down, at orders that
+        # small x at tops >= 90 rescale on the way down, at orders that
         # depend on the top; three tops close together, as series_integrals_j1 uses
         rng = np.random.default_rng(61)
         x = np.concatenate([specfun._SERIES_CUTOFF * (1.0 + rng.uniform(0.0, 0.05, 3)), rng.uniform(0.5, 45.0, 9)])
-        for l in (1, 6, 41, 120):
+        for l in (1, 6, 41, 95, 120):
             tops = np.repeat([l - 1, l, l + 1], x.size)
             xs = np.tile(x, 3)
             rescaled = []
             reference_miller(l + 1, x[:3], rescaled)
-            assert bool(rescaled) == (l >= 40)
+            assert bool(rescaled) == (l >= 90)
             table = specfun._jl_table(tops, xs)
             for i, (top, xi) in enumerate(zip(tops.tolist(), xs.tolist())):
                 assert np.array_equal(table[:top + 1, i], specfun._jl_table(top, np.array([xi]))[:, 0]), (top, xi)
@@ -472,6 +475,42 @@ class TestPerPointTops:
         assert got.tolist() == [specfun.bessel_j(top, abs(xi)) for top, xi in zip(tops.tolist(), x.tolist())]
         with pytest.raises(InvalidInputError):
             specfun._on_table(np.array([1.0, np.nan]), np.array([1, 2]), pick)
+
+
+class TestMillerStartRule:
+    """The per-point start of the downward recurrence, shared by both builders."""
+
+    @staticmethod
+    def straddling():
+        """Both sides of every bound of the start rule: nextafter(b, 0) and b."""
+        return [v for bound, _ in scalar._MILLER_STARTS for v in (math.nextafter(bound, 0.0), bound)]
+
+    def test_margins(self):
+        margins = [margin for _, margin in scalar._MILLER_STARTS] + [scalar._MILLER_MARGIN]
+        assert [scalar._miller_margin(x) for x in self.straddling()] == [
+            m for pair in zip(margins, margins[1:]) for m in pair]
+        assert scalar._miller_margin(specfun._SERIES_CUTOFF) == margins[0]
+        assert scalar._miller_margin(1e3) == scalar._MILLER_MARGIN
+
+    def test_rows_equal_table_across_buckets(self):
+        rng = np.random.default_rng(70)
+        xs = self.straddling() + np.exp(rng.uniform(math.log(specfun._SERIES_CUTOFF), math.log(60.0), 12)).tolist()
+        for lmax in (1, 8, 33, 50, 120):
+            assert scalar._jl_rows(lmax, xs) == specfun._jl_table(lmax, np.array(xs)).tolist(), lmax
+        tops = rng.integers(1, 121, len(xs))
+        table = specfun._jl_table(tops, np.array(xs))
+        for top, x, column in zip(tops.tolist(), xs, table.T.tolist()):
+            assert column[:top + 1] == [row[0] for row in scalar._jl_rows(top, [x])], (top, x)
+
+    def test_miller_rows_at_bounds_against_mpmath(self):
+        # every row of every Miller table (x < lmax <= 50) on both sides of
+        # each bound, relative to |j_l| below l + 1 and to the envelope above
+        for x in self.straddling():
+            want = [TestAccuracyMap.reference(l, x) for l in range(51)]
+            for lmax in range(math.floor(x) + 1, 51):
+                for l, got in enumerate(scalar._jl_rows(lmax, [x])):
+                    j, envelope = want[l]
+                    assert abs(got[0] - j) <= 1e-14 * (abs(j) if x < l + 1 else envelope), (lmax, l, x)
 
 
 class TestAccuracyMap:

@@ -7,7 +7,8 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 from scipy.special import spherical_jn
 
-from tunedsource import model, quadrature, specfun, theorems
+import mp_lommel
+from tunedsource import model, quadrature, scalar, specfun, theorems
 from tunedsource.errors import InvalidInputError
 from tunedsource.model import Mode, radial_integrals, tuned_wavenumber
 from tunedsource.quadrature import integrate_radial
@@ -178,6 +179,39 @@ class TestExpansionJ2:
     def test_f2_against_frozen_oracle(self, l, k, a, mw, want, tol):
         coeffs = theorems.expansion_j2(l, k, a, mw)
         assert coeffs.f2 == pytest.approx(want, rel=tol)
+
+    @pytest.mark.parametrize("signs", [(1, 1, 1), (1, -1, 1)])
+    def test_f2_ignores_the_last_bits_of_the_table(self, monkeypatch, signs):
+        # the quartic cancels: from the doubles alone, one ulp on each of
+        # j_(l-1), j_l, j_(l+1) moved f2 by 2.5e-8 here
+        l, k, a, mw = 6, 0.5, 1.0, 1.0
+        want = theorems.expansion_j2(l, k, a, mw).f2
+        value = scalar._jl_value
+
+        def nudged(order, x):
+            toward = math.inf if signs[order - (l - 1)] > 0 else -math.inf
+            return math.nextafter(value(order, x), toward)
+
+        monkeypatch.setattr(scalar, "_jl_value", nudged)
+        got = theorems.expansion_j2(l, k, a, mw).f2
+        assert got != want
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("l", [10, 20, 25])
+    def test_f2_at_high_order_against_mpmath(self, l):
+        # the quartic in doubles was off by 4.5e-6, 6.5e-5 and 3.1e-2 here
+        want = mp_lommel.f2_j2(l, 1.0, 0.25, 1.0)
+        assert theorems.expansion_j2(l, 1.0, 0.25, 1.0).f2 == pytest.approx(want, rel=1e-12)
+
+    def test_f2_grid_against_mpmath(self):
+        # both sides of k a = l, where the quartic cancels least; at l = 10,
+        # k a = 1e-3 it keeps 20 digits only from 80 digits on; from k a = 400
+        # on at l = 6 the doubles serve, where the recurrence would be long
+        for l, ka in [(1, 1e-3), (10, 1e-3), (2, 0.05), (3, 0.7), (6, 4.0), (6, 9.0), (12, 2.0), (12, 30.0),
+                      (26, 0.25), (6, 400.0), (3, 1e8)]:
+            for k, a, mw in [(ka, 1.0, 1.0), (-ka / 2.0, 2.0, 0.5)]:
+                want = mp_lommel.f2_j2(l, k, a, mw)
+                assert theorems.expansion_j2(l, k, a, mw).f2 == pytest.approx(want, rel=1e-13), (l, k, a)
 
     def test_f2_parity_in_k(self):
         for (l, k, a, mw) in [(1, 1.3, 1.0, 1.0), (4, 0.7, 2.0, 0.5)]:
