@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,7 +110,8 @@ def _eval_panels(f, active, lo, hi):
     vals = np.concatenate(values, dtype=float).reshape(lo.size, 15)
     finite = np.isfinite(vals)
     bad = set() if finite.all() else {i for i, (s, e) in zip(active, bounds) if not finite[s:e].all()}
-    vals[~finite] = 0.0   # keeps the rule arithmetic quiet; the sums of a bad integral go unused
+    if bad:
+        vals[~finite] = 0.0   # keeps the rule arithmetic quiet; the sums of a bad integral go unused
     abs_vals = np.abs(vals)
     for s, e in bounds:
         np.matmul(vals[s:e], _W_KRONROD, out=integral[s:e])
@@ -186,6 +188,13 @@ def _adaptive(f, a, rel_tol, osc_scales, max_panels):
     return results
 
 
+def _real(name, value) -> float:
+    """``value`` as a float; InvalidInputError unless it is a real number and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _lone(f):
     """A single integrand as a batch of one; a scalar-only f is sampled point by point."""
 
@@ -220,17 +229,18 @@ def integrate_radial_batch(f, a, rel_tol=1e-12, *, osc_scales, max_panels=8192):
     IntegrandDomainError), the error of the lowest-index one is raised, as
     a lone run of it would raise it.
     """
-    if not (np.isfinite(a) and a > 0.0):
+    a = _real("upper limit a", a)
+    if not (math.isfinite(a) and a > 0.0):
         raise InvalidInputError(f"upper limit a must be finite and > 0, got {a}")
     validate_tol(rel_tol)
     if not isinstance(max_panels, (int, np.integer)) or isinstance(max_panels, bool) or max_panels < 1:
         raise InvalidInputError(f"max_panels must be an integer >= 1, got {max_panels!r}")
-    osc_scales = [float(osc) for osc in osc_scales]
+    osc_scales = [_real("osc_scales entry", osc) for osc in osc_scales]
     if not all(math.isfinite(osc) for osc in osc_scales):
         raise InvalidInputError("osc_scales must be finite")
     if not osc_scales:
         return []
-    return _adaptive(f, float(a), float(rel_tol), osc_scales, int(max_panels))
+    return _adaptive(f, a, float(rel_tol), osc_scales, int(max_panels))
 
 
 def integrate_radial(f, a, rel_tol=1e-12, *, osc_scale=1.0, max_panels=8192):

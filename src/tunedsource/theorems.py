@@ -55,7 +55,7 @@ from .model import (
     radial_integrals,
     tuned_wavenumber,
 )
-from .quadrature import _bounds, integrate_radial_batch
+from .quadrature import _bounds, _real, integrate_radial_batch
 from .quadrature import integrate_radial  # noqa: F401  (bench/spans.py traces this name)
 
 __all__ = [
@@ -106,51 +106,47 @@ class F1VanishingReport:
     f1: float
 
 
-def _kernel_values(j: int, l: int, pairs, points):
-    """Kernel values at k r and K r for every pair (k, K), from one Bessel table.
+def _round_kernels(j: int, l: int, ks, Ks, active, points):
+    """The nodes of a refinement round, flat, and the kernels at k r and K r from one Bessel table.
 
-    ``points[n]`` are the radii of ``pairs[n]``.  Returns one
-    ``(at_k, at_K)`` per pair, each ``(j_l,)`` for j=2 or ``(j_l, u_l)`` for
-    j=1.  A self pair (k == K) puts its points into the table once.  A
-    point's value does not depend on the other points of its table.
+    ``ks[i]`` and ``Ks[i]`` are the wavenumbers of integral i, and
+    ``points[n]`` are the nodes of integral ``active[n]``.  Returns each
+    node's integral, the nodes r, and the kernel values at k r and at K r,
+    each ``(j_l,)`` for j=2 or ``(j_l, u_l)`` for j=1.  The table holds k r
+    of every node, then K r of the nodes whose K != k: a self pair puts its
+    points into it once.  A point's value does not depend on the other
+    points of its table.
     """
-    args = []
-    for (k, K), r in zip(pairs, points):
-        args.append(k * r)
-        if K != k:
-            args.append(K * r)
-    x = np.concatenate(args)
+    r = np.concatenate(points)
+    owner = np.repeat(active, [p.size for p in points])
+    k, K = ks[owner], Ks[owner]
+    cross = K != k
+    x = np.concatenate([k * r, K[cross] * r[cross]])
     columns = (specfun.bessel_j(l, x),) if j == 2 else specfun.bessel_j_and_u(l, x)
-    pieces = zip(*([c[s:e] for s, e in _bounds(v.size for v in args)] for c in columns))
-    out = []
-    for k, K in pairs:
-        at_k = next(pieces)
-        out.append((at_k, at_k if K == k else next(pieces)))
-    return out
-
-
-def _j1_integrand(ll1: int, k: float, K: float, r, jk, uk, jK, uK):
-    """The j=1 kernel product j_l(kr) j_l(Kr) + k K r^2 u_l(kr) u_l(Kr) / (l(l+1))."""
-    return jk * jK + k * K * r * r * uk * uK / ll1
+    at_K = np.arange(r.size)
+    at_K[cross] = np.arange(r.size, x.size)
+    return owner, r, [c[:r.size] for c in columns], [c[at_K] for c in columns]
 
 
 def _mode_integrand(mode: Mode, pairs):
     """Lockstep integrand of the mode integrals at the wavenumber pairs (k, K).
 
-    Each call evaluates the active integrals of a refinement round from one
-    Bessel table (see ``quadrature.integrate_radial_batch``).
+    Each call evaluates the active integrals of a refinement round at once,
+    on the flat node array (see ``quadrature.integrate_radial_batch``): r^2
+    j_l(kr) j_l(Kr) for j=2, j_l(kr) j_l(Kr) + k K r^2 u_l(kr) u_l(Kr) /
+    (l(l+1)) for j=1, each product in the order of a lone pair's.
     """
     ll1 = mode.l * (mode.l + 1)
+    ks, Ks = (np.array(side) for side in zip(*pairs))
+    kKs = ks * Ks
 
     def f(active, points):
-        chosen = [pairs[i] for i in active]
-        out = []
-        for (k, K), r, (at_k, at_K) in zip(chosen, points, _kernel_values(mode.j, mode.l, chosen, points)):
-            if mode.j == 2:
-                out.append(r * r * at_k[0] * at_K[0])
-            else:
-                out.append(_j1_integrand(ll1, k, K, r, *at_k, *at_K))
-        return out
+        owner, r, (jk, *uk), (jK, *uK) = _round_kernels(mode.j, mode.l, ks, Ks, active, points)
+        if mode.j == 2:
+            values = r * r * jk * jK
+        else:
+            values = jk * jK + kKs[owner] * r * r * uk[0] * uK[0] / ll1
+        return [values[s:e] for s, e in _bounds(p.size for p in points)]
 
     return f
 
@@ -171,8 +167,8 @@ def _quadrature_integrals(mode: Mode, k: float, Ks, a: float, rel_tol: float):
     alphas = list(dict.fromkeys([abs(k)] + [abs(K) for K in Ks]))
     crosses = [(abs(k), abs(k)) if mode.j == 1 and K == k else (k, K) for K in Ks]
     if mode.j == 2:
-        table = specfun._jl_table(mode.l + 1, np.array([alpha * a for alpha in alphas]))
-        self_values = [scalar._lommel_first_from(a, *column) for column in zip(*table[mode.l - 1:].tolist())]
+        rows = scalar._jl_rows(mode.l + 1, [alpha * a for alpha in alphas])
+        self_values = [scalar._lommel_first_from(a, *column) for column in zip(*rows[mode.l - 1:])]
         pairs = list(dict.fromkeys(crosses))
     else:
         pairs = list(dict.fromkeys([(alpha, alpha) for alpha in alphas] + crosses))
@@ -226,16 +222,16 @@ def curl_identity_check(l: int, k: float, K: float, a: float, rel_tol: float = 1
     scalar._validate(k, K, a, rel_tol)
     ll1 = l * (l + 1)
 
+    # A (integral 0) and B (integral 1) as one expression, c j_k j_K + q r^2 u_k u_K / d:
+    # the product by c = 1 and the quotient by d = 1 are exact
+    ks, Ks = np.full(2, k), np.full(2, K)
+    c, q, d = np.array([ll1 * ll1, 1.0]), np.array([ll1 * k * K, k * K]), np.array([1.0, ll1])
+
     def sides(active, points):
         # A and B share one table per round
-        kernels = _kernel_values(1, l, [(k, K)] * len(points), points)
-        out = []
-        for i, r, ((jk, uk), (jK, uK)) in zip(active, points, kernels):
-            if i == 0:
-                out.append(ll1 * ll1 * jk * jK + ll1 * k * K * r * r * uk * uK)
-            else:
-                out.append(_j1_integrand(ll1, k, K, r, jk, uk, jK, uK))
-        return out
+        owner, r, (jk, uk), (jK, uK) = _round_kernels(1, l, ks, Ks, active, points)
+        values = c[owner] * jk * jK + q[owner] * r * r * uk * uK / d[owner]
+        return [values[s:e] for s, e in _bounds(p.size for p in points)]
 
     A, B = (res.value for res in integrate_radial_batch(sides, a, rel_tol, osc_scales=[max(abs(k), abs(K))] * 2))
     denom = max(abs(A), abs(ll1 * ll1 * B), 1e-300)
@@ -481,8 +477,11 @@ def f1_vanishing_check(
 
     The residual is |f1| normalized by f0 = c0 / d0^2 (so it is comparable
     across modes); the check passes when residual <= tol.  Raises
+    InvalidInputError unless tol is a finite number >= 0, and
     DegenerateModeError where d0^3 underflows to 0 (orders l >> k a).
     """
+    if not (math.isfinite(_real("tol", tol)) and tol >= 0.0):
+        raise InvalidInputError(f"tol must be a finite number >= 0, got {tol!r}")
     si = series_integrals_j1(l, k, a, mu_omega, rel_tol)
     d0_cubed = abs(si.d0) ** 3
     if d0_cubed == 0.0:

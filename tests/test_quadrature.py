@@ -369,6 +369,22 @@ class TestLockstepBatch:
         with pytest.raises(InvalidInputError):
             integrate_radial_batch(_batch_of([np.sin]), 1.0, 1e-15, osc_scales=[1.0])
 
+    @pytest.mark.parametrize("bad", ["1", True, None, 1j])
+    def test_limit_and_osc_scales_must_be_real_numbers(self, bad):
+        # a=True used to integrate over [0, 1]; "1" and ["x"] raised numpy's or float's own errors
+        with pytest.raises(InvalidInputError, match="upper limit a"):
+            integrate_radial_batch(_batch_of([np.sin]), bad, osc_scales=[1.0])
+        with pytest.raises(InvalidInputError, match="upper limit a"):
+            integrate_radial(lambda r: r, bad)
+        with pytest.raises(InvalidInputError, match="osc_scales"):
+            integrate_radial_batch(_batch_of([np.sin, np.cos]), 1.0, osc_scales=[1.0, bad])
+        with pytest.raises(InvalidInputError, match="osc_scales"):
+            integrate_radial(lambda r: r, 1.0, osc_scale=bad)
+
+    def test_numpy_reals_accepted(self):
+        want = integrate_radial(lambda r: r, 2.0, osc_scale=3.0)
+        assert integrate_radial(lambda r: r, np.float64(2.0), osc_scale=np.int64(3)) == want
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_osc_scale_rejected(self, bad):
         with pytest.raises(InvalidInputError):

@@ -336,15 +336,15 @@ class TestTableKernelsBitIdentical:
         pairs = [(0.7, 0.71), (-1.3, 2.4), (5.0, 0.02), (1.9, 1.9)]
         points = [rng.uniform(0.0, 3.0, n) for n in (45, 30, 15, 60)]
         points[0][0] = 1e-4
-        merged_j = theorems._kernel_values(2, l, pairs, points)
-        merged_ju = theorems._kernel_values(1, l, pairs, points)
-        integrand = theorems._mode_integrand(Mode(2, l), pairs)([0, 1, 2, 3], points)
-        for (k, K), r, ((jk,), (jK,)), (at_k, at_K), f in zip(pairs, points, merged_j, merged_ju, integrand):
-            assert np.array_equal(jk, specfun.bessel_j(l, k * r))
-            assert np.array_equal(jK, specfun.bessel_j(l, K * r))
-            assert np.array_equal(f, r * r * jk * jK)
-            want = specfun.bessel_j_and_u(l, k * r) + specfun.bessel_j_and_u(l, K * r)
-            assert all(np.array_equal(g, w) for g, w in zip(at_k + at_K, want))
+        ks, Ks = (np.array(side) for side in zip(*pairs))
+        starts = np.cumsum([0] + [r.size for r in points])
+        for j, kernel in ((2, lambda x: (specfun.bessel_j(l, x),)), (1, lambda x: specfun.bessel_j_and_u(l, x))):
+            owner, r, at_k, at_K = theorems._round_kernels(j, l, ks, Ks, [0, 1, 2, 3], points)
+            assert np.array_equal(r, np.concatenate(points))
+            assert owner.tolist() == [i for i, pts in enumerate(points) for _ in pts]
+            for (k, K), pts, s, e in zip(pairs, points, starts[:-1], starts[1:]):
+                want = kernel(k * pts) + kernel(K * pts)
+                assert all(np.array_equal(g[s:e], w) for g, w in zip(at_k + at_K, want)), (j, k, K)
 
 
 class TestRowsBitIdentical:

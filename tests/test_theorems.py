@@ -339,6 +339,12 @@ class TestF1VanishingCheck:
         # residual can be exactly zero only by bitwise coincidence
         assert rep.passed == (rep.residual == 0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -1e-300, True, "1e-8", None])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        # nan and -1 used to give passed=False with residual 0.0, a plausible-looking row
+        with pytest.raises(InvalidInputError, match="tol"):
+            theorems.f1_vanishing_check(1, 1.0, 2.0, 1.0, tol=tol)
+
     @pytest.mark.parametrize("bad", _BAD_WAVENUMBERS)
     def test_rejects_zero_or_nonfinite_k(self, bad):
         with pytest.raises(InvalidInputError):
@@ -584,9 +590,13 @@ class TestTableBuildsPerRound:
         self._check(monkeypatch, call, batch=21, orders=[3], extra=[], expected=(3, 3))
 
     def test_expansion_fd_j2(self, monkeypatch):
-        # eleven cross integrals of order l, plus one order-(l+1) table for the eleven N_2(K)
+        # eleven cross integrals of order l; the eleven N_2(K) take one set of
+        # scalar rows of order l+1, not a table
+        rows, jl_rows = [], scalar._jl_rows
+        monkeypatch.setattr(scalar, "_jl_rows", lambda lmax, xs: rows.append(lmax) or jl_rows(lmax, xs))
         call = lambda: theorems.expansion_fd(2, 2, -1.9, 3.0, 0.9, 1e-14)
-        self._check(monkeypatch, call, batch=11, orders=[2], extra=[3], expected=(4, 3))
+        self._check(monkeypatch, call, batch=11, orders=[2], extra=[], expected=(3, 3))
+        assert rows == [3, 3]   # once per call, and _check makes two
 
     @pytest.mark.parametrize("k,K,batch", [(1.9, 1.9, 1), (-1.9, -1.9, 1), (-1.9, 1.9, 2)])
     def test_radial_integrals_quadrature_j1(self, monkeypatch, k, K, batch):
@@ -600,3 +610,58 @@ class TestTableBuildsPerRound:
         # at its own top order; d1 finishes a round before the others
         call = lambda: theorems.series_integrals_j1(2, -1.9, 3.0, 0.9, 1e-14)
         self._check(monkeypatch, call, batch=4, orders=[(1, 2, 3)], extra=[], expected=(3, 3))
+
+
+class TestFlatRound:
+    """The integrands of a round, evaluated once on its flat node array, equal the per-pair formulas to the bit."""
+
+    # an uneven round: integrals 0, 3 and 7 of eight, with 30, 15 and 60 nodes
+    ACTIVE = [0, 3, 7]
+
+    @staticmethod
+    def _points(seed, sizes):
+        rng = np.random.default_rng(seed)
+        points = [rng.uniform(0.0, 3.0, n) for n in sizes]
+        points[0][0] = 1e-4   # a series-regime argument
+        return points
+
+    @pytest.mark.parametrize("l", [1, 2, 6])
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_mode_integrand(self, j, l):
+        # integral 3 is a self pair, integral 7 has k < 0 < K; the others are never evaluated
+        pairs = [(0.7, 0.71)] + [(9.0, 9.5)] * 2 + [(1.9, 1.9)] + [(9.0, 9.5)] * 3 + [(-1.3, 2.4)]
+        points = self._points(40 + l, (30, 15, 60))
+        got = theorems._mode_integrand(Mode(j, l), pairs)(self.ACTIVE, points)
+        ll1 = l * (l + 1)
+        for i, r, values in zip(self.ACTIVE, points, got):
+            k, K = pairs[i]
+            if j == 2:
+                want = r * r * specfun.bessel_j(l, k * r) * specfun.bessel_j(l, K * r)
+            else:
+                (jk, uk), (jK, uK) = specfun.bessel_j_and_u(l, k * r), specfun.bessel_j_and_u(l, K * r)
+                want = jk * jK + k * K * r * r * uk * uK / ll1
+            assert values.shape == r.shape
+            assert np.array_equal(values, want), (j, l, i)
+
+    @pytest.mark.parametrize("k,K", [(-1.3, 1.31), (1.9, 1.9)])
+    def test_curl_sides(self, monkeypatch, k, K):
+        # the kernel side B alone, then both sides; the curl side A is
+        # (l(l+1))^2 j_k j_K + l(l+1) k K r^2 u_k u_K
+        l, ll1 = 3, 12
+        captured, batch = [], theorems.integrate_radial_batch
+        monkeypatch.setattr(theorems, "integrate_radial_batch",
+                            lambda f, *args, **kwargs: captured.append(f) or batch(f, *args, **kwargs))
+        theorems.curl_identity_check(l, k, K, 2.0)
+        (sides,) = captured
+        r_a, r_b = self._points(50, (45, 30))
+        (b_only,) = sides([1], [r_b])
+        a_side, b_side = sides([0, 1], [r_a, r_b])
+
+        def kernels(r):
+            return specfun.bessel_j_and_u(l, k * r) + specfun.bessel_j_and_u(l, K * r)
+
+        jk, uk, jK, uK = kernels(r_b)
+        want_b = jk * jK + k * K * r_b * r_b * uk * uK / ll1
+        assert np.array_equal(b_only, want_b) and np.array_equal(b_side, want_b)
+        jk, uk, jK, uK = kernels(r_a)
+        assert np.array_equal(a_side, ll1 * ll1 * jk * jK + ll1 * k * K * r_a * r_a * uk * uK)
