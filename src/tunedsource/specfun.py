@@ -235,13 +235,12 @@ def _on_table(x, lmax, kernels) -> list:
     flat = arr.ravel()
     ax = np.abs(flat)
     nonzero = ax > 0.0
-    tops = lmax.ravel() if isinstance(lmax, np.ndarray) else lmax
-    if nonzero.all():
-        table = _jl_table(tops, ax)
+    if nonzero.all():   # the table as built
+        table = _jl_table(lmax.ravel() if isinstance(lmax, np.ndarray) else lmax, ax)
     else:
         table = np.zeros((int(np.max(lmax)) + 1, flat.size))
         if nonzero.any():
-            part = _jl_table(tops[nonzero] if isinstance(lmax, np.ndarray) else tops, ax[nonzero])
+            part = _jl_table(lmax.ravel()[nonzero] if isinstance(lmax, np.ndarray) else lmax, ax[nonzero])
             table[:len(part), nonzero] = part
         table[0, ~nonzero] = 1.0
     out = []
