@@ -6,10 +6,10 @@ k = sign(epsilon_r) * omega * sqrt(epsilon_r * mu_r).  All theorem-level
 statements only depend on the dimensionless products k*a and K*a, so this
 loses no generality.
 
-Radial integrals are computed in closed form from one Bessel table per cell
-(``radial_integrals``), built on Python floats by ``scalar._jl_rows``; the
-closed-form cell, the per-mode weight and the two margins the CLI reports
-per cell (``_boundedness_slack``, ``minimality_margin``) import no numpy.
+Radial integrals are computed in closed form from the Bessel triples at |k| a
+and |K| a (``radial_integrals``) in ``scalar._jl_triple``'s exact memo, so a
+chi grid builds its untuned triple once; the closed-form cell, the weight and
+the CLI's margins (``_boundedness_slack``, ``minimality_margin``) load no numpy.
 Their independent oracle, adaptive quadrature, is
 ``theorems.radial_integrals_quadrature``.
 
@@ -193,6 +193,12 @@ def classify_substrate(s: Substrate) -> str:
     return DNG
 
 
+def _validate_mu_omega(mu_omega: float) -> None:
+    """Reject a mu_omega that leaves K independent of chi (0) or is not finite."""
+    if mu_omega == 0.0 or not math.isfinite(mu_omega):
+        raise InvalidInputError(f"mu_omega must be finite and nonzero, got {mu_omega}")
+
+
 def tuned_wavenumber(k: float, mu_omega: float, chi: float) -> TuningState:
     """Tuned wavenumber K(chi) = +sqrt(k^2 - chi * mu * omega).
 
@@ -201,13 +207,19 @@ def tuned_wavenumber(k: float, mu_omega: float, chi: float) -> TuningState:
 
     Raises
     ------
+    InvalidInputError
+        If k, mu_omega or chi is not a finite real (a bool is not), or k or mu_omega is 0.
     EvanescentRegimeError
         If k^2 - chi * mu_omega <= 0 (no propagating tuned current).
     """
-    if not all(math.isfinite(v) for v in (k, mu_omega, chi)):
+    if not (type(k) is type(mu_omega) is type(chi) is float):    # the fast path's one test
+        for name, value in (("k", k), ("mu_omega", mu_omega), ("chi", chi)):
+            scalar._real(name, value)
+    if not (math.isfinite(k) and math.isfinite(mu_omega) and math.isfinite(chi)):
         raise InvalidInputError("k, mu_omega and chi must be finite")
     if k == 0.0:
         raise InvalidInputError("k must be nonzero")
+    _validate_mu_omega(mu_omega)
     K2 = k * k - chi * mu_omega
     if K2 <= 0.0:
         raise EvanescentRegimeError(
@@ -222,20 +234,21 @@ def _j1_from_j2(l: int, a: float, K: float, m2: float, j_k: float, u_K: float) -
 
 
 def _closed_form(j: int, l: int, k: float, K: float, a: float, rel_tol: float):
-    """N_j(k), N_j(K), M_j(k, K) at 0 < k, K from one Bessel table of order l+1.
+    """N_j(k), N_j(K), M_j(k, K) at 0 < k, K from the memoized triples at k a and K a.
 
     Also returns the rounding error estimate of Lommel's M relative to sqrt(N_j(k) N_j(K));
     above ``rel_tol`` and finite, M_2 is the near-diagonal series.  The estimate is inf
     where N_k or N_K underflows to 0, which happens far from the diagonal too.  At
     k == K, M equals N exactly.
     """
-    (jm_k, jm_K), (j_k, j_K), (jp_k, jp_K) = scalar._jl_rows(l + 1, [k * a, K * a])[l - 1:]
-    u_k = scalar._u_from_neighbors(l, jm_k, jp_k)
-    u_K = scalar._u_from_neighbors(l, jm_K, jp_K)
+    jm_k, j_k, jp_k = scalar._jl_triple(l, k * a)
+    jm_K, j_K, jp_K = scalar._jl_triple(l, K * a)
     n_k = scalar._lommel_first_from(a, jm_k, j_k, jp_k)
     n_K = scalar._lommel_first_from(a, jm_K, j_K, jp_K)
     m, err = (0.0, 0.0) if k == K else scalar._lommel_second_from(a, k, K, j_k, jp_k, j_K, jp_K)
     if j == 1:
+        u_k = scalar._u_from_neighbors(l, jm_k, jp_k)
+        u_K = scalar._u_from_neighbors(l, jm_K, jp_K)
         if k != K:
             # M_2's error, plus the rounding of the two terms of the reduction
             terms = abs(K * K * m) + abs(a * a * K * j_k * u_K)
@@ -257,8 +270,8 @@ def radial_integrals(mode: Mode, k: float, K: float, a: float, rel_tol: float = 
     """Self and cross radial integrals of one mode at wavenumbers (k, K).
 
     j=2 kernels are r j_l(alpha r); j=1 kernels combine j_l and u_l from the
-    curl of the mode field.  All three integrals come in closed form from one
-    Bessel table of order l+1 at |k| a and |K| a: Lommel's integrals for
+    curl of the mode field.  All three integrals come in closed form from
+    j_(l-1), j_l and j_(l+1) at |k| a and |K| a: Lommel's integrals for
     j=2, and for j=1 the Green-identity reduction
     l(l+1) M_1(k, K) = K^2 M_2(k, K) + a^2 K j_l(ka) u_l(Ka), whose diagonal
     k = K gives N_1.  Negative wavenumbers enter only through the parity

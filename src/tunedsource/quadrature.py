@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, IntegrandDomainError, InvalidInputError
-from .scalar import validate_tol
+from .scalar import _real, validate_tol
 
 __all__ = ["QuadratureResult", "integrate_radial", "integrate_radial_batch"]
 
@@ -186,13 +185,6 @@ def _adaptive(f, a, rel_tol, osc_scales, max_panels):
     if failures:
         raise failures[min(failures)]
     return results
-
-
-def _real(name, value) -> float:
-    """``value`` as a float; InvalidInputError unless it is a real number and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
-    return float(value)
 
 
 def _lone(f):

@@ -1,14 +1,15 @@
-"""Spherical Bessel rows and Lommel closed forms on Python floats.
+"""Spherical Bessel columns and Lommel closed forms on Python floats.
 
 The production path of the library (the closed-form cell of
 ``model.radial_integrals``, and with it the ``sweep``, ``energies`` and
 ``tune`` commands of the CLI) runs on a fixed handful of scalars per cell.
-This module holds what it needs, without numpy: the table of j_0..j_lmax at
-a few points (``_jl_rows``), the kernel u_l, Lommel's integrals from that
-table's values (with a near-diagonal series) and the shared input checks.
+This module holds what it needs, without numpy: the column j_0..j_lmax at
+one point (``_jl_column``; ``_jl_rows`` is its transpose over a few points),
+the kernel u_l, Lommel's integrals from a column's values (with a
+near-diagonal series) and the shared input checks.
 
-``_jl_rows`` is ``specfun._jl_table`` to the bit: the same series / Miller /
-upward regimes, the same operations in the same order, one point at a time.
+``_jl_column`` is a column of ``specfun._jl_table`` to the bit: the same
+series / Miller / upward regimes, the same operations in the same order.
 Both start a Miller column a number of orders above its top that depends
 only on its own argument (``_miller_margin``: 8 below x = 0.5, rising in
 steps to 60 from x = 32 on), so a column depends only on its argument and
@@ -17,11 +18,17 @@ which agrees with numpy's to the bit on this platform (the test suite
 checks it on random points of all three regimes).
 Arguments below the series cutoff still take numpy's ``specfun._jl_series``,
 imported on first use: numpy's ``x**order`` rounds differently from Python's.
+
+``_jl_triple(l, x)``, the (j_(l-1), j_l, j_(l+1)) a cell reads, keeps its
+last _TRIPLE_MEMO results.  The memo is exact, since a column depends only
+on (l, x), and bounded at any l, since an entry holds three floats.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 import sys
 
 from .errors import ConvergenceError, InvalidInputError
@@ -38,6 +45,7 @@ _SERIES_CUTOFF = 0.1
 _RESCALE_LIMIT = 1e250
 _EPS = sys.float_info.epsilon
 _SERIES_TERMS = 40    # of the near-diagonal Lommel series, before it counts as divergent
+_TRIPLE_MEMO = 128    # entries of _jl_triple's memo; a chi grid of 21 cells reads 22 triples
 
 
 # the relative tolerances the library accepts
@@ -50,9 +58,21 @@ def validate_tol(rel_tol):
         raise InvalidInputError(f"rel_tol must lie in [1e-14, 1e-3], got {rel_tol}")
 
 
+def _real(name, value):
+    """``value`` as a float; InvalidInputError unless it is a real number and not a bool."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _validate(k, K, a, rel_tol=1e-12) -> None:
-    """Reject non-finite k, K or a, a zero wavenumber, a radius a <= 0 and a rel_tol out of range."""
-    if not all(math.isfinite(v) for v in (k, K, a)):
+    """Reject k, K or a that is not a finite real (``_real``), a zero wavenumber, a radius a <= 0 and a rel_tol out of range."""
+    if not (type(k) is type(K) is type(a) is float):    # the fast path's one test
+        for name, value in (("k", k), ("K", K), ("a", a)):
+            _real(name, value)
+    if not (math.isfinite(k) and math.isfinite(K) and math.isfinite(a)):
         raise InvalidInputError(f"k, K and a must be finite, got k={k}, K={K}, a={a}")
     if k == 0.0 or K == 0.0:
         raise InvalidInputError("wavenumbers must be nonzero")
@@ -107,36 +127,33 @@ def _upward_column(lmax: int, x: float, sx: float, cx: float) -> list:
     return column
 
 
-def _jl_rows(lmax: int, xs) -> list:
-    """``specfun._jl_table(lmax, np.array(xs)).tolist()`` to the bit, for a handful of points.
-
-    The Miller and upward recurrences run on Python floats, one point at a
-    time, which for a few points costs a fraction of ``_jl_table``'s numpy
-    calls per order.  Arguments below the series cutoff take
-    ``specfun._jl_series``, so only they load numpy.
-    """
-    xs = [float(x) for x in xs]
-    small = [x for x in xs if x < _SERIES_CUTOFF]
-    if small:
+def _jl_column(lmax: int, x: float) -> tuple:
+    """``tuple(specfun._jl_table(lmax, np.array([x]))[:, 0])`` to the bit, at one float x >= 0."""
+    if x < _SERIES_CUTOFF:
         import numpy as np
 
         from .specfun import _jl_series
 
-        series = iter(_jl_series(lmax, np.array(small)).T.tolist())
-    columns = []
-    for x in xs:
-        if x < _SERIES_CUTOFF:
-            columns.append(next(series))
-        elif x < lmax:
-            columns.append(_miller_column(lmax, x, math.sin(x), math.cos(x)))
-        else:
-            columns.append(_upward_column(lmax, x, math.sin(x), math.cos(x)))
-    return [list(row) for row in zip(*columns)]
+        return tuple(_jl_series(lmax, np.array([x]))[:, 0].tolist())
+    if x < lmax:
+        return tuple(_miller_column(lmax, x, math.sin(x), math.cos(x)))
+    return tuple(_upward_column(lmax, x, math.sin(x), math.cos(x)))
+
+
+def _jl_rows(lmax: int, xs) -> list:
+    """``specfun._jl_table(lmax, np.array(xs)).tolist()`` to the bit: the transpose of ``_jl_column`` over xs."""
+    return [list(row) for row in zip(*(_jl_column(lmax, float(x)) for x in xs))]
+
+
+@functools.lru_cache(maxsize=_TRIPLE_MEMO)
+def _jl_triple(l: int, x: float) -> tuple:
+    """(j_(l-1), j_l, j_(l+1)) at x >= 0 from ``_jl_column(l + 1, x)``, l >= 1 (see the module docstring)."""
+    return _jl_column(l + 1, float(x))[l - 1:]
 
 
 def _jl_value(l: int, x: float) -> float:
-    """``specfun.bessel_j(l, x)`` to the bit at one finite float, from ``_jl_rows``."""
-    value = _jl_rows(l, [abs(x)])[l][0]
+    """``specfun.bessel_j(l, x)`` to the bit at one finite float, from ``_jl_column``."""
+    value = _jl_column(l, float(abs(x)))[l]
     return -value if x < 0.0 and l % 2 == 1 else value
 
 

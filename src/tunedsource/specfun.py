@@ -29,15 +29,15 @@ The array kernels (``bessel_j`` and friends) and the quadrature integrands
 use it, where a call holds hundreds of points.  The four array kernels share
 one evaluator, ``_on_table``: it rejects non-finite x, builds the table at
 |x| (x = 0 included) and applies each kernel's parity, so a kernel only says
-which table rows it combines.  ``scalar._jl_rows`` runs the Miller and
-upward recurrences on Python floats, one point at a time, with ``math``'s
-sin and cos, and returns lists; it needs numpy only for arguments below the
-series cutoff, which take ``_jl_series``.  The callers that hold a fixed
-handful of scalars use it: ``lommel_first``, ``lommel_second``, the
-closed-form cell of ``model.radial_integrals`` and
-``theorems.expansion_j2``.  For one or two points it costs a fraction of
-``_jl_table``'s per-order numpy calls, and it keeps numpy out of the
-processes that only run the closed-form cell (see ``scalar``).
+which table rows it combines.  ``scalar._jl_column`` runs the Miller and
+upward recurrences on Python floats for one point, with ``math``'s sin and
+cos; it needs numpy only for an argument below the series cutoff, which
+takes ``_jl_series``.  The callers that hold a fixed handful of scalars use
+it, directly or through ``scalar._jl_rows`` and ``scalar._jl_triple``:
+``lommel_first``, ``lommel_second``, the closed-form cell of
+``model.radial_integrals`` and ``theorems.expansion_j2``.  For one or two
+points it costs a fraction of ``_jl_table``'s per-order numpy calls, and it
+keeps numpy out of the processes that only run the closed-form cell.
 
 Accuracy, all arithmetic binary64, checked against mpmath for l <= 50 and
 |x| <= 1e3: the relative error is <= 1e-12 for |x| < l + 1, where j_l has no
@@ -59,6 +59,7 @@ from .scalar import (
     _MILLER_STARTS,
     _RESCALE_LIMIT,
     _SERIES_CUTOFF,
+    _jl_column,
     _jl_rows,
     _lommel_first_from,
     _lommel_second_from,
@@ -340,7 +341,7 @@ def lommel_first(l: int, alpha: float, a: float) -> float:
     l = _validate_order(l)
     _validate(alpha, alpha, a)
     x = abs(alpha) * a  # the integrand is even in alpha
-    column = [row[0] for row in _jl_rows(l + 1, [x])]
+    column = _jl_column(l + 1, x)
     jlm1 = math.cos(x) / x if l == 0 else column[l - 1]
     return _lommel_first_from(a, jlm1, column[l], column[l + 1])
 

@@ -53,11 +53,12 @@ from .model import (
     RadialIntegrals,
     _boundedness_slack,
     _is_int,
+    _validate_mu_omega,
     _weight,
     radial_integrals,
     tuned_wavenumber,
 )
-from .quadrature import _bounds, _real, integrate_radial_batch
+from .quadrature import _bounds, integrate_radial_batch
 from .quadrature import integrate_radial  # noqa: F401  (bench/spans.py traces this name)
 
 __all__ = [
@@ -237,12 +238,6 @@ def curl_identity_check(l: int, k: float, K: float, a: float, rel_tol: float = 1
     A, B = (res.value for res in integrate_radial_batch(sides, a, rel_tol, osc_scales=[max(abs(k), abs(K))] * 2))
     denom = max(abs(A), abs(ll1 * ll1 * B), 1e-300)
     return abs(A - ll1 * ll1 * B) / denom
-
-
-def _validate_mu_omega(mu_omega: float) -> None:
-    """Reject a mu_omega that leaves K independent of chi (0) or is not finite."""
-    if mu_omega == 0.0 or not math.isfinite(mu_omega):
-        raise InvalidInputError(f"mu_omega must be finite and nonzero, got {mu_omega}")
 
 
 # working digits of expansion_j2's f2, one try each until its quartic keeps
@@ -481,7 +476,7 @@ def f1_vanishing_check(
     InvalidInputError unless tol is a finite number >= 0, and
     DegenerateModeError where d0^3 underflows to 0 (orders l >> k a).
     """
-    if not (math.isfinite(_real("tol", tol)) and tol >= 0.0):
+    if not (math.isfinite(scalar._real("tol", tol)) and tol >= 0.0):
         raise InvalidInputError(f"tol must be a finite number >= 0, got {tol!r}")
     si = series_integrals_j1(l, k, a, mu_omega, rel_tol)
     d0_cubed = abs(si.d0) ** 3

@@ -1,6 +1,10 @@
 """Substrate classification, tuned wavenumbers, radial integrals, energies."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ from tunedsource.errors import (
 )
 from tunedsource.model import Mode, SourceSpec, Substrate
 from tunedsource.quadrature import integrate_radial
+
+SRC = str(Path(model.__file__).resolve().parents[1])
 
 
 class TestSubstrate:
@@ -116,6 +122,50 @@ class TestTunedWavenumber:
         with pytest.raises(InvalidInputError):
             model.tuned_wavenumber(0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("mw", [0.0, -0.0, math.inf, math.nan])
+    def test_zero_or_nonfinite_mu_omega_rejected(self, mw):
+        # mu_omega = 0 gave K = |k| at every chi, so both margins read 0.0, as at chi = 0
+        with pytest.raises(InvalidInputError, match="mu_omega"):
+            model.tuned_wavenumber(2.0, mw, 0.5)
+        with pytest.raises(InvalidInputError, match="mu_omega"):
+            theorems.boundedness_margin(Mode(2, 1), 1.0, 0.5, mw, 1.0)
+        with pytest.raises(InvalidInputError, match="mu_omega"):
+            model.minimality_margin(Mode(2, 1), 1.0, 0.5, 0.0, mw, 1.0)
+
+
+@pytest.mark.parametrize("bad", [True, "1", 1j, None])
+class TestNonRealInputsRejected:
+    """k, K, a, mu_omega and chi take ``scalar._real``'s rule, as quadrature does: a real number, not a bool."""
+
+    def test_tuned_wavenumber(self, bad):
+        # True computed as 1, and chi=True raised EvanescentRegimeError
+        for args in ((bad, 1.0, 0.1), (1.0, bad, 0.1), (1.0, 1.0, bad)):
+            with pytest.raises(InvalidInputError, match="must be a real number"):
+                model.tuned_wavenumber(*args)
+
+    def test_cell(self, bad):
+        # a string or complex K raised a bare TypeError
+        for k, K, a in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+            for route in (model.radial_integrals, model.mode_ratio, theorems.radial_integrals_quadrature):
+                with pytest.raises(InvalidInputError, match="must be a real number"):
+                    route(Mode(1, 2), k, K, a)
+
+    def test_margins(self, bad):
+        # a=True computed with a = 1
+        for args in ((0.5, 1.0, bad), (bad, 1.0, 1.0)):
+            with pytest.raises(InvalidInputError, match="must be a real number"):
+                theorems.boundedness_margin(Mode(2, 1), 1.0, *args)
+        with pytest.raises(InvalidInputError, match="must be a real number"):
+            model.minimality_margin(Mode(2, 1), 1.0, 0.5, 0.0, 1.0, bad)
+
+
+def test_numpy_and_int_reals_accepted():
+    t = model.tuned_wavenumber(np.float64(2.0), np.int64(1), np.float32(0.5))
+    assert t.K == model.tuned_wavenumber(2.0, 1.0, 0.5).K
+    for j in (1, 2):
+        want = model.radial_integrals(Mode(j, 3), 2.0, 1.5, 1.0)
+        assert model.radial_integrals(Mode(j, 3), 2, np.float64(1.5), np.int64(1)) == want
+
 
 class TestRadialIntegrals:
     def test_j2_diagonal_equals_lommel(self):
@@ -178,12 +228,41 @@ class TestRadialIntegrals:
         def no_table(*args):
             raise AssertionError("a Bessel table was built")
 
-        monkeypatch.setattr(scalar, "_jl_rows", no_table)
+        for builder in ("_jl_rows", "_jl_column", "_jl_triple"):
+            monkeypatch.setattr(scalar, builder, no_table)
         monkeypatch.setattr(specfun, "_jl_table", no_table)
         for k, K, a in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
             for route in (model.radial_integrals, theorems.radial_integrals_quadrature, model.mode_ratio):
                 with pytest.raises(InvalidInputError):
                     route(Mode(j, 2), k, K, a)
+
+
+# criterion 03's grid of boundedness cells, evaluated in draw order or in a
+# shuffled order (argv[1]); prints the cell count and a digest of the reprs in draw order
+_MEMO_ORDER_PROBE = """
+import hashlib, itertools, math, random, sys
+from tunedsource import theorems
+from tunedsource.model import Mode
+cells = [(Mode(j, l), k, float(chi), mw, a)
+         for j, l, k, a, mw in itertools.product(
+             (1, 2), range(1, 7), (0.5, 1.0, 2.0, 5.0, -0.5, -1.0, -2.0, -5.0),
+             (0.5, 1.0, math.pi, 5.0), (0.5, 1.0, 2.0))
+         for chi in theorems.default_chi_grid(k, mw)]
+order = list(range(len(cells)))
+if sys.argv[1] == "shuffled":
+    random.Random(3).shuffle(order)
+reprs = {i: repr(theorems.boundedness_margin(*cells[i])) for i in order}
+print(len(cells), hashlib.sha256("\\n".join(reprs[i] for i in range(len(cells))).encode()).hexdigest())
+"""
+
+
+def test_grid_is_independent_of_evaluation_order():
+    # in draw order all but the first cell of each chi grid read the untuned triple from the memo;
+    # shuffled, nearly every cell builds both triples.  Each order runs in a fresh process.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    outputs = [subprocess.run([sys.executable, "-c", _MEMO_ORDER_PROBE, order], capture_output=True, text=True,
+                              env=env, timeout=300, check=True).stdout.split() for order in ("draw", "shuffled")]
+    assert outputs[0][0] == "24192" and outputs[0] == outputs[1]
 
 
 def _scipy_integral(j, l, k, K, a):

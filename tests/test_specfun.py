@@ -410,6 +410,27 @@ class TestRowsBitIdentical:
                 assert scalar._jl_value(l, float(x)) == specfun.bessel_j(l, float(x)), (l, x)
 
 
+class TestTripleMemo:
+    """``_jl_triple`` against a one-point ``_jl_table``, on its first (cold) and second (warm) call."""
+
+    def test_all_regimes_cold_and_warm(self):
+        rng = np.random.default_rng(44)
+        cut = specfun._SERIES_CUTOFF
+        for _ in range(300):
+            l = int(rng.integers(1, 51))
+            series, miller, upward = (cut * 1e-5, cut), (cut, l + 1), (l + 1, 1e3)
+            lo, hi = (series, miller, upward)[int(rng.integers(0, 3))]
+            x = float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
+            want = specfun._jl_table(l + 1, np.array([x]))[l - 1:l + 2, 0].tolist()
+            before = scalar._jl_triple.cache_info()
+            cold = scalar._jl_triple(l, x)
+            warm = scalar._jl_triple(l, x)
+            after = scalar._jl_triple.cache_info()
+            assert (after.misses - before.misses, after.hits - before.hits) == (1, 1), (l, x)
+            assert type(cold) is tuple and list(cold) == want and warm == cold, (l, x)
+        assert scalar._jl_triple.cache_info().currsize <= scalar._TRIPLE_MEMO
+
+
 class TestPerPointTops:
     """A table with one top order per point: each column is a lone table of its top."""
 
