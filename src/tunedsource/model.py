@@ -194,7 +194,9 @@ def classify_substrate(s: Substrate) -> str:
 
 
 def _validate_mu_omega(mu_omega: float) -> None:
-    """Reject a mu_omega that leaves K independent of chi (0) or is not finite."""
+    """Reject a mu_omega that is not a finite real (``scalar._real``) or is 0, which leaves K independent of chi."""
+    if type(mu_omega) is not float:    # the fast path's one test
+        scalar._real("mu_omega", mu_omega)
     if mu_omega == 0.0 or not math.isfinite(mu_omega):
         raise InvalidInputError(f"mu_omega must be finite and nonzero, got {mu_omega}")
 
@@ -234,7 +236,7 @@ def _j1_from_j2(l: int, a: float, K: float, m2: float, j_k: float, u_K: float) -
 
 
 def _closed_form(j: int, l: int, k: float, K: float, a: float, rel_tol: float):
-    """N_j(k), N_j(K), M_j(k, K) at 0 < k, K from the memoized triples at k a and K a.
+    """N_j(k), N_j(K), M_j(k, K) at 0 < k, K from the memoized triples at k a and K a; l = 0 serves j = 2 only.
 
     Also returns the rounding error estimate of Lommel's M relative to sqrt(N_j(k) N_j(K));
     above ``rel_tol`` and finite, M_2 is the near-diagonal series.  The estimate is inf

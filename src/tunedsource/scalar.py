@@ -6,7 +6,8 @@ The production path of the library (the closed-form cell of
 This module holds what it needs, without numpy: the column j_0..j_lmax at
 one point (``_jl_column``; ``_jl_rows`` is its transpose over a few points),
 the kernel u_l, Lommel's integrals from a column's values (with a
-near-diagonal series) and the shared input checks.
+near-diagonal series; ``model._closed_form`` alone picks one) and the shared
+input checks, whose ``_real`` rule covers tolerances too.
 
 ``_jl_column`` is a column of ``specfun._jl_table`` to the bit: the same
 series / Miller / upward regimes, the same operations in the same order.
@@ -20,8 +21,9 @@ Arguments below the series cutoff still take numpy's ``specfun._jl_series``,
 imported on first use: numpy's ``x**order`` rounds differently from Python's.
 
 ``_jl_triple(l, x)``, the (j_(l-1), j_l, j_(l+1)) a cell reads, keeps its
-last _TRIPLE_MEMO results.  The memo is exact, since a column depends only
-on (l, x), and bounded at any l, since an entry holds three floats.
+last _TRIPLE_MEMO results; at l = 0, Lommel's j_(-1)(x) is cos(x) / x.
+The memo is exact, since a column depends only on (l, x), and bounded at
+any l, since an entry holds three floats.
 """
 
 from __future__ import annotations
@@ -53,7 +55,9 @@ TOL_MIN, TOL_MAX = 1e-14, 1e-3
 
 
 def validate_tol(rel_tol):
-    """Reject a relative tolerance outside [TOL_MIN, TOL_MAX]."""
+    """Reject a relative tolerance that is not a real number (``_real``) or lies outside [TOL_MIN, TOL_MAX]."""
+    if type(rel_tol) is not float:    # the fast path's one test
+        _real("rel_tol", rel_tol)
     if not (TOL_MIN <= rel_tol <= TOL_MAX):
         raise InvalidInputError(f"rel_tol must lie in [1e-14, 1e-3], got {rel_tol}")
 
@@ -147,8 +151,11 @@ def _jl_rows(lmax: int, xs) -> list:
 
 @functools.lru_cache(maxsize=_TRIPLE_MEMO)
 def _jl_triple(l: int, x: float) -> tuple:
-    """(j_(l-1), j_l, j_(l+1)) at x >= 0 from ``_jl_column(l + 1, x)``, l >= 1 (see the module docstring)."""
-    return _jl_column(l + 1, float(x))[l - 1:]
+    """(j_(l-1), j_l, j_(l+1)) at x > 0 from ``_jl_column(l + 1, x)``, l >= 0, with j_(-1)(x) = cos(x) / x."""
+    x = float(x)
+    if l == 0:
+        return (math.cos(x) / x, *_jl_column(1, x))
+    return _jl_column(l + 1, x)[l - 1:]
 
 
 def _jl_value(l: int, x: float) -> float:

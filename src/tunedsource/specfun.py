@@ -8,7 +8,10 @@ The radiating-source machinery is built from two radial kernels,
 
 together with the closed form of the radial self-integral (Lommel's first
 integral) and of the cross integral of two kernels at different wavenumbers
-(Lommel's second integral).
+(Lommel's second integral).  ``lommel_first`` and ``lommel_second`` are
+views of the j=2 closed-form cell, ``model._closed_form``: the one place
+that estimates the rounding of Lommel's difference and switches to the
+near-diagonal series.
 
 Evaluation strategy: one table of orders 0..lmax per call.  Arguments below
 0.1 take an ascending series, evaluated on the whole (orders x points) block
@@ -33,11 +36,12 @@ which table rows it combines.  ``scalar._jl_column`` runs the Miller and
 upward recurrences on Python floats for one point, with ``math``'s sin and
 cos; it needs numpy only for an argument below the series cutoff, which
 takes ``_jl_series``.  The callers that hold a fixed handful of scalars use
-it, directly or through ``scalar._jl_rows`` and ``scalar._jl_triple``:
-``lommel_first``, ``lommel_second``, the closed-form cell of
-``model.radial_integrals`` and ``theorems.expansion_j2``.  For one or two
-points it costs a fraction of ``_jl_table``'s per-order numpy calls, and it
-keeps numpy out of the processes that only run the closed-form cell.
+it: the closed-form cell (and so the Lommel views) through
+``scalar._jl_triple``, ``theorems.expansion_j2`` through
+``scalar._jl_value`` and the oracle's j=2 self integrals through
+``scalar._jl_rows``.  For one or two points it costs a fraction of
+``_jl_table``'s per-order numpy calls, and it keeps numpy out of the
+processes that only run the closed-form cell.
 
 Accuracy, all arithmetic binary64, checked against mpmath for l <= 50 and
 |x| <= 1e3: the relative error is <= 1e-12 for |x| < l + 1, where j_l has no
@@ -49,21 +53,15 @@ All functions are pure and accept scalars or numpy arrays.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import InvalidInputError, SingularityError
+from .model import _closed_form
 from .scalar import (
     _MILLER_MARGIN,
     _MILLER_STARTS,
     _RESCALE_LIMIT,
     _SERIES_CUTOFF,
-    _jl_column,
-    _jl_rows,
-    _lommel_first_from,
-    _lommel_second_from,
-    _lommel_second_series,
     _u_from_neighbors,
     _validate,
 )
@@ -336,14 +334,11 @@ def lommel_first(l: int, alpha: float, a: float) -> float:
             = (a^3 / 2) [ j_l(alpha a)^2 - j_{l+1}(alpha a) j_{l-1}(alpha a) ],
 
     which is strictly positive for real nonzero alpha.  For l = 0 the
-    closed form uses j_{-1}(x) = cos(x)/x.
+    closed form uses j_{-1}(x) = cos(x)/x.  A view of the closed-form cell.
     """
     l = _validate_order(l)
     _validate(alpha, alpha, a)
-    x = abs(alpha) * a  # the integrand is even in alpha
-    column = _jl_column(l + 1, x)
-    jlm1 = math.cos(x) / x if l == 0 else column[l - 1]
-    return _lommel_first_from(a, jlm1, column[l], column[l + 1])
+    return _closed_form(2, l, abs(alpha), abs(alpha), a, 1e-12)[0].n_self_k  # the integrand is even in alpha
 
 
 def lommel_second(l: int, k: float, K: float, a: float) -> float:
@@ -357,22 +352,12 @@ def lommel_second(l: int, k: float, K: float, a: float) -> float:
     for K^2 != k^2 (the diagonal limit is ``lommel_first``).  Negative
     wavenumbers enter through the parity j_l(-x) = (-1)^l j_l(x).
 
-    Where the difference's rounding error estimate exceeds 1e-12 sqrt(N(k) N(K)),
-    the near-diagonal series takes over, as in ``model.radial_integrals``.
+    A view of the closed-form cell (``model.radial_integrals`` at rel_tol
+    1e-12), whose near-diagonal series takes over where Lommel's difference cancels.
     """
     l = _validate_order(l)
     _validate(k, K, a)
     if K * K == k * k:
         raise InvalidInputError("lommel_second requires K^2 != k^2; use lommel_first")
-    ak, aK = abs(k), abs(K)
-    x, y = ak * a, aK * a
-    rows = _jl_rows(l + 1, [x, y])
-    (j_k, j_K), (jp_k, jp_K) = rows[l:]
-    jm_k, jm_K = (math.cos(x) / x, math.cos(y) / y) if l == 0 else rows[l - 1]
-    value, err = _lommel_second_from(a, ak, aK, j_k, jp_k, j_K, jp_K)
-    n_k, n_K = _lommel_first_from(a, jm_k, j_k, jp_k), _lommel_first_from(a, jm_K, j_K, jp_K)
-    if err > 1e-12 * math.sqrt(n_k) * math.sqrt(n_K):
-        value = _lommel_second_series(l, a, x, y, jm_k, j_k, jp_k)
-    if l % 2 == 1 and (k < 0.0) != (K < 0.0):
-        value = -value
-    return value
+    m = _closed_form(2, l, abs(k), abs(K), a, 1e-12)[0].m_cross
+    return -m if l % 2 == 1 and (k < 0.0) != (K < 0.0) else m

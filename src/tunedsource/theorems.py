@@ -291,6 +291,8 @@ def expansion_j2(l: int, k: float, a: float, mu_omega: float) -> ExpansionCoeffs
     the doubles themselves, in the same Decimal arithmetic.
     """
     l = specfun._validate_order(l, 1)
+    for name, value in (("k", k), ("a", a)):
+        scalar._real(name, value)
     if k == 0.0:
         raise InvalidInputError("k must be nonzero")
     _validate_mu_omega(mu_omega)
@@ -500,7 +502,7 @@ def default_chi_grid(k: float, mu_omega: float, n: int = 21, span: float = 0.9) 
         raise InvalidInputError(f"n must be a positive odd integer, got {n!r}")
     if not (0.0 < span < 1.0):
         raise InvalidInputError(f"span must lie in (0, 1), got {span}")
-    if k == 0.0 or not math.isfinite(k):
+    if scalar._real("k", k) == 0.0 or not math.isfinite(k):
         raise InvalidInputError(f"k must be finite and nonzero, got {k}")
     _validate_mu_omega(mu_omega)
     half = (n - 1) // 2

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import ConstraintEvaluationError, InvalidInputError, NoTunedSolutionError
+from .scalar import _real
 
 __all__ = ["ChiSet", "find_constraint_roots", "select_chi0"]
 
@@ -117,7 +118,7 @@ def find_constraint_roots(
     g : callable
         Scalar constraint function; must be finite on the interval.
     lo, hi : float
-        Search interval, lo < hi.
+        Search interval, lo < hi; real numbers (not bool), as is tol.
     grid_n : int
         Number of scan points, an integer >= 2; sign changes between
         neighbours are bisected.  Roots closer together than the grid spacing
@@ -130,6 +131,8 @@ def find_constraint_roots(
         When both are given, roots with chi * mu_omega >= k^2 are dropped
         into ``excluded`` (inadmissible tuning, K^2 <= 0).
     """
+    for name, value in (("lo", lo), ("hi", hi), ("tol", tol)):
+        _real(name, value)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise InvalidInputError(f"need finite lo < hi, got [{lo}, {hi}]")
     # numbers.Integral admits numpy integers without importing numpy

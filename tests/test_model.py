@@ -12,7 +12,7 @@ from scipy.integrate import quad as scipy_quad
 from scipy.special import spherical_jn
 
 import mp_lommel
-from tunedsource import model, quadrature, scalar, specfun, theorems
+from tunedsource import model, quadrature, scalar, specfun, theorems, tuning
 from tunedsource.errors import (
     ConvergenceError,
     DegenerateModeError,
@@ -135,7 +135,7 @@ class TestTunedWavenumber:
 
 @pytest.mark.parametrize("bad", [True, "1", 1j, None])
 class TestNonRealInputsRejected:
-    """k, K, a, mu_omega and chi take ``scalar._real``'s rule, as quadrature does: a real number, not a bool."""
+    """k, K, a, mu_omega, chi and tolerances take ``scalar._real``'s rule, as quadrature does: a real number, not a bool."""
 
     def test_tuned_wavenumber(self, bad):
         # True computed as 1, and chi=True raised EvanescentRegimeError
@@ -157,6 +157,31 @@ class TestNonRealInputsRejected:
                 theorems.boundedness_margin(Mode(2, 1), 1.0, *args)
         with pytest.raises(InvalidInputError, match="must be a real number"):
             model.minimality_margin(Mode(2, 1), 1.0, 0.5, 0.0, 1.0, bad)
+
+    def test_tolerances(self, bad):
+        # "1e-12", None and 1j raised a bare TypeError
+        for route in (model.radial_integrals, model.mode_ratio):
+            with pytest.raises(InvalidInputError, match="rel_tol must be a real number"):
+                route(Mode(2, 1), 1.0, 2.0, 1.0, rel_tol=bad)
+        with pytest.raises(InvalidInputError, match="rel_tol must be a real number"):
+            integrate_radial(lambda r: r, 1.0, bad)
+        with pytest.raises(InvalidInputError, match="rel_tol must be a real number"):
+            theorems.expansion_fd(2, 1, 1.0, 1.0, 1.0, rel_tol=bad)
+
+    def test_expansion_and_chi_grid(self, bad):
+        # expansion_j2(2, True, 1.0, 1.0) and default_chi_grid(True, 1.0) computed with k = 1
+        for k, a, mw in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+            with pytest.raises(InvalidInputError, match="must be a real number"):
+                theorems.expansion_j2(2, k, a, mw)
+        for k, mw in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(InvalidInputError, match="must be a real number"):
+                theorems.default_chi_grid(k, mw)
+
+    def test_constraint_roots(self, bad):
+        # lo=False and tol=True searched [0, 1] with tol = 1
+        for lo, hi, tol in ((bad, 1.0, 1e-8), (-1.0, bad, 1e-8), (-1.0, 1.0, bad)):
+            with pytest.raises(InvalidInputError, match="must be a real number"):
+                tuning.find_constraint_roots(lambda c: c, lo, hi, 5, tol)
 
 
 def test_numpy_and_int_reals_accepted():

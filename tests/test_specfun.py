@@ -9,7 +9,7 @@ from scipy.integrate import quad as scipy_quad
 from scipy.special import spherical_jn
 
 import mp_lommel
-from tunedsource import scalar, specfun, theorems
+from tunedsource import model, scalar, specfun, theorems
 from tunedsource.errors import InvalidInputError, SingularityError
 from tunedsource.model import Mode
 from tunedsource.quadrature import integrate_radial
@@ -250,6 +250,63 @@ class TestLommelSecond:
         n_k, n_K, m = mp_lommel.mode_integrals(2, l, k, K, 1.0)
         assert abs(specfun.lommel_second(l, k, K, 1.0) - m) <= 1e-13 * math.sqrt(n_k * n_K)
 
+    @pytest.mark.parametrize("k", [1e-4, 5e-5])
+    def test_underflowed_self_integral_against_mpmath(self, k):
+        # N_k underflows to 0; the series used to raise ConvergenceError (k = 1e-4) or give 0.0 (k = 5e-5)
+        got = specfun.lommel_second(30, k, 1.0, 1.0)
+        assert got == model.radial_integrals(Mode(2, 30), k, 1.0, 1.0).m_cross
+        _, _, m = mp_lommel.mode_integrals(2, 30, k, 1.0, 1.0)
+        assert abs(got - m) <= 1e-14 * abs(m)
+
+
+# ---------------------------------------------------------------------------
+# Lommel views: the standalone formulas they replaced, kept as bit-level references
+
+
+def reference_lommel_first(l, alpha, a):
+    x = abs(alpha) * a
+    column = scalar._jl_column(l + 1, x)
+    jlm1 = math.cos(x) / x if l == 0 else column[l - 1]
+    return scalar._lommel_first_from(a, jlm1, column[l], column[l + 1])
+
+
+def reference_lommel_second(l, k, K, a):
+    """The standalone M_2; None where N(k) or N(K) underflows to 0, where its switch differed from the cell's."""
+    ak, aK = abs(k), abs(K)
+    x, y = ak * a, aK * a
+    rows = scalar._jl_rows(l + 1, [x, y])
+    (j_k, j_K), (jp_k, jp_K) = rows[l:]
+    jm_k, jm_K = (math.cos(x) / x, math.cos(y) / y) if l == 0 else rows[l - 1]
+    value, err = scalar._lommel_second_from(a, ak, aK, j_k, jp_k, j_K, jp_K)
+    n_k, n_K = scalar._lommel_first_from(a, jm_k, j_k, jp_k), scalar._lommel_first_from(a, jm_K, j_K, jp_K)
+    if n_k == 0.0 or n_K == 0.0:
+        return None
+    if err > 1e-12 * math.sqrt(n_k) * math.sqrt(n_K):
+        value = scalar._lommel_second_series(l, a, x, y, jm_k, j_k, jp_k)
+    return -value if l % 2 == 1 and (k < 0.0) != (K < 0.0) else value
+
+
+class TestLommelViewsBitIdentical:
+    def test_seeded_draws(self):
+        rng = np.random.default_rng(45)
+        compared = 0
+        for _ in range(4000):
+            l = int(rng.integers(0, 31))
+            k = float(10 ** rng.uniform(-2.5, 1.5) * rng.choice([-1.0, 1.0]))
+            a = float(rng.uniform(0.05, 5.0))
+            rho = float(10 ** rng.uniform(-12.0, math.log10(3.0)))
+            if rho < 1.0 and rng.random() < 0.5:
+                rho = -rho
+            K = float(abs(k) * math.sqrt(1.0 + rho) * rng.choice([-1.0, 1.0]))
+            assert specfun.lommel_first(l, k, a).hex() == reference_lommel_first(l, k, a).hex(), (l, k, a)
+            if K * K == k * k:
+                continue
+            want = reference_lommel_second(l, k, K, a)
+            if want is not None:
+                assert specfun.lommel_second(l, k, K, a).hex() == want.hex(), (l, k, K, a)
+                compared += 1
+        assert compared >= 3900
+
 
 # ---------------------------------------------------------------------------
 # table kernels: the per-order loops they replaced, kept as bit-level references
@@ -429,6 +486,15 @@ class TestTripleMemo:
             assert (after.misses - before.misses, after.hits - before.hits) == (1, 1), (l, x)
             assert type(cold) is tuple and list(cold) == want and warm == cold, (l, x)
         assert scalar._jl_triple.cache_info().currsize <= scalar._TRIPLE_MEMO
+
+    def test_order_zero_takes_cos_over_x(self):
+        # j_(-1)(x) = cos(x) / x, the convention of Lommel's integrals at l = 0
+        rng = np.random.default_rng(46)
+        cut = specfun._SERIES_CUTOFF
+        for lo, hi in ((cut * 1e-5, cut), (cut, 1.0), (1.0, 1e3)):    # series, Miller, upward at top 1
+            for x in np.exp(rng.uniform(math.log(lo), math.log(hi), 20)).tolist():
+                want = [math.cos(x) / x, *specfun._jl_table(1, np.array([x]))[:, 0].tolist()]
+                assert list(scalar._jl_triple(0, x)) == want, x
 
 
 class TestPerPointTops:
