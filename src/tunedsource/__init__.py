@@ -42,6 +42,7 @@ from .errors import (
     NoTunedSolutionError,
     SingularityError,
     TunedSourceError,
+    UnderflowError,
     UnsupportedMediumError,
 )
 from .model import Mode, RadialIntegrals, SourceSpec, Substrate, TuningState
@@ -82,6 +83,7 @@ __all__ = [
     "NoTunedSolutionError",
     "ConstraintEvaluationError",
     "IllConditionedExpansionError",
+    "UnderflowError",
     "ConfigError",
     "__version__",
 ]

@@ -39,11 +39,11 @@ from .model import (
     Mode,
     SourceSpec,
     Substrate,
-    _boundedness_slack,
     _is_int,
+    _margin_cell,
     minimality_margin,
     mode_ratio,
-    radial_integrals,
+    radial_integrals,  # noqa: F401  (bench/spans.py traces this name)
     source_energy,
     tuned_wavenumber,
 )
@@ -477,9 +477,7 @@ def _mode_expansion(cfg: RunConfig, j: int, l: int) -> dict:
 def _margin_cells(cfg: RunConfig, mode: Mode, k: float, a: float, chi: float, chi0: float) -> dict:
     """Margin columns and pass rules of one (mode, k, a, chi) cell, shared by verify and sweep."""
     mw = cfg.substrate.mu_omega
-    t = tuned_wavenumber(k, mw, chi)
-    ri = radial_integrals(mode, k, t.K, a, cfg.quad_rel_tol)
-    margin, scale = _boundedness_slack(ri)
+    K, n_k, n_K, m, margin, scale = _margin_cell(mode, k, chi, mw, a, cfg.quad_rel_tol)
     pass_bound = margin >= -cfg.margin_tol * scale
     if chi == 0.0:
         pass_bound = pass_bound and abs(margin) <= cfg.margin_tol * scale
@@ -488,7 +486,7 @@ def _margin_cells(cfg: RunConfig, mode: Mode, k: float, a: float, chi: float, ch
     pass_min = None
     if abs(chi * mw) <= regime_cap and abs(chi0 * mw) <= regime_cap and chi * chi > chi0 * chi0:
         pass_min = bool(min_rep.margin > _MIN_STRICT * min_rep.scale)
-    return {"K": t.K, "N_k": ri.n_self_k, "N_K": ri.n_self_K, "M": ri.m_cross,
+    return {"K": K, "N_k": n_k, "N_K": n_K, "M": m,
             "boundedness_margin": margin, "bound_scale": scale,
             "minimality_margin": min_rep.margin, "min_scale": min_rep.scale,
             "pass_bound": bool(pass_bound), "pass_min": pass_min, "status": "ok"}

@@ -56,6 +56,10 @@ class ConstraintEvaluationError(TunedSourceError):
     """The tuning-constraint function returned a non-finite value."""
 
 
+class UnderflowError(TunedSourceError):
+    """K^2 - k^2 or k a underflows to 0, so a closed form would divide by zero."""
+
+
 class IllConditionedExpansionError(TunedSourceError):
     """The expansion denominator is non-positive, or underflows to 0 at high order l >> k a."""
 

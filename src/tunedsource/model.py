@@ -6,12 +6,12 @@ k = sign(epsilon_r) * omega * sqrt(epsilon_r * mu_r).  All theorem-level
 statements only depend on the dimensionless products k*a and K*a, so this
 loses no generality.
 
-Radial integrals are computed in closed form from the Bessel triples at |k| a
-and |K| a (``radial_integrals``) in ``scalar._jl_triple``'s exact memo, so a
-chi grid builds its untuned triple once; the closed-form cell, the weight and
-the CLI's margins (``_boundedness_slack``, ``minimality_margin``) load no numpy.
-Their independent oracle, adaptive quadrature, is
-``theorems.radial_integrals_quadrature``.
+Radial integrals are computed in closed form (``_closed_form``) from the
+Bessel triples at |k| a and |K| a in ``scalar._jl_triple``'s exact memo, so a
+chi grid builds its untuned triple once.  ``_margin_cell``, a cell's one
+evaluator, gives K, the integrals and the margin as floats; each public
+function builds only the record it returns.  None of it loads numpy.  Their
+oracle, adaptive quadrature, is ``theorems.radial_integrals_quadrature``.
 
 Per-mode energy weights R are normalized with the per-mode constant set
 to 1 (energies are "up to a fixed positive per-mode normalization"); every
@@ -210,10 +210,16 @@ def tuned_wavenumber(k: float, mu_omega: float, chi: float) -> TuningState:
     Raises
     ------
     InvalidInputError
-        If k, mu_omega or chi is not a finite real (a bool is not), or k or mu_omega is 0.
+        If k, mu_omega or chi is not a finite real (a bool is not), k or
+        mu_omega is 0, or k^2 - chi * mu_omega overflows.
     EvanescentRegimeError
         If k^2 - chi * mu_omega <= 0 (no propagating tuned current).
     """
+    return TuningState(chi=chi, K=_tuned_K(k, mu_omega, chi), mu_omega=mu_omega)
+
+
+def _tuned_K(k: float, mu_omega: float, chi: float) -> float:
+    """``tuned_wavenumber(k, mu_omega, chi).K`` as a float, with its checks in its order."""
     if not (type(k) is type(mu_omega) is type(chi) is float):    # the fast path's one test
         for name, value in (("k", k), ("mu_omega", mu_omega), ("chi", chi)):
             scalar._real(name, value)
@@ -223,11 +229,13 @@ def tuned_wavenumber(k: float, mu_omega: float, chi: float) -> TuningState:
         raise InvalidInputError("k must be nonzero")
     _validate_mu_omega(mu_omega)
     K2 = k * k - chi * mu_omega
-    if K2 <= 0.0:
-        raise EvanescentRegimeError(
-            f"chi={chi} gives K^2 = {K2} <= 0; tuned current would be evanescent"
-        )
-    return TuningState(chi=chi, K=math.sqrt(K2), mu_omega=mu_omega)
+    if not 0.0 < K2 < math.inf:
+        if K2 <= 0.0:
+            raise EvanescentRegimeError(
+                f"chi={chi} gives K^2 = {K2} <= 0; tuned current would be evanescent"
+            )
+        raise InvalidInputError(f"k^2 - chi * mu_omega overflows at k={k}, chi={chi}, mu_omega={mu_omega}")
+    return math.sqrt(K2)
 
 
 def _j1_from_j2(l: int, a: float, K: float, m2: float, j_k: float, u_K: float) -> float:
@@ -236,13 +244,16 @@ def _j1_from_j2(l: int, a: float, K: float, m2: float, j_k: float, u_K: float) -
 
 
 def _closed_form(j: int, l: int, k: float, K: float, a: float, rel_tol: float):
-    """N_j(k), N_j(K), M_j(k, K) at 0 < k, K from the memoized triples at k a and K a; l = 0 serves j = 2 only.
+    """Floats (N_j(k), N_j(K), M_j(k, K), err) from the memoized triples at |k| a and |K| a, after ``_validate``.
 
-    Also returns the rounding error estimate of Lommel's M relative to sqrt(N_j(k) N_j(K));
-    above ``rel_tol`` and finite, M_2 is the near-diagonal series.  The estimate is inf
-    where N_k or N_K underflows to 0, which happens far from the diagonal too.  At
-    k == K, M equals N exactly.
+    err is the rounding error estimate of Lommel's M relative to sqrt(N_j(k) N_j(K));
+    above ``rel_tol`` and finite, M_2 is the near-diagonal series.  It is inf where N_k or
+    N_K underflows to 0, which happens far from the diagonal too.  At |k| == |K|, M equals
+    +-N exactly.  l = 0 serves j = 2 only.  Raises UnderflowError where K^2 - k^2 underflows.
     """
+    scalar._validate(k, K, a, rel_tol)
+    flip = l % 2 == 1 and (k < 0.0) != (K < 0.0)    # the parity factor (-1)^l of M
+    k, K = abs(k), abs(K)
     jm_k, j_k, jp_k = scalar._jl_triple(l, k * a)
     jm_K, j_K, jp_K = scalar._jl_triple(l, K * a)
     n_k = scalar._lommel_first_from(a, jm_k, j_k, jp_k)
@@ -265,7 +276,7 @@ def _closed_form(j: int, l: int, k: float, K: float, a: float, rel_tol: float):
         m = _j1_from_j2(l, a, K, m, j_k, u_K)
     if k == K:
         m = n_k
-    return RadialIntegrals(n_self_k=n_k, n_self_K=n_K, m_cross=m), err
+    return n_k, n_K, -m if flip else m, err
 
 
 def radial_integrals(mode: Mode, k: float, K: float, a: float, rel_tol: float = 1e-12) -> RadialIntegrals:
@@ -286,12 +297,17 @@ def radial_integrals(mode: Mode, k: float, K: float, a: float, rel_tol: float = 
     M_2 is the Taylor series in (K - k) a of ``scalar._lommel_second_series``
     instead, which raises ConvergenceError if it does not converge.  Where
     N_j(k) or N_j(K) underflows to 0, M_2 stays Lommel's difference.
+    Where K^2 - k^2 underflows to 0, it raises UnderflowError.
     """
-    scalar._validate(k, K, a, rel_tol)
-    ri, _ = _closed_form(mode.j, mode.l, abs(k), abs(K), a, rel_tol)
-    if mode.l % 2 == 1 and (k < 0.0) != (K < 0.0):
-        return RadialIntegrals(ri.n_self_k, ri.n_self_K, -ri.m_cross)
-    return ri
+    return RadialIntegrals(*_closed_form(mode.j, mode.l, k, K, a, rel_tol)[:3])
+
+
+def _margin_cell(mode: Mode, k: float, chi: float, mu_omega: float, a: float, rel_tol: float):
+    """(K, N_j(k), N_j(K), M_j(k, K), margin = scale - M^2, scale = N_j(k) N_j(K)) of one tuned cell."""
+    K = _tuned_K(k, mu_omega, chi)
+    n_k, n_K, m, _ = _closed_form(mode.j, mode.l, k, K, a, rel_tol)
+    scale = n_k * n_K
+    return K, n_k, n_K, m, scale - m * m, scale
 
 
 def _weight(mode: Mode, k: float, K: float, n_self_K: float, m_cross: float) -> float:
@@ -315,14 +331,8 @@ def mode_ratio(mode: Mode, k: float, K: float, a: float, rel_tol: float = 1e-12)
         If the cross integral vanishes, or its square underflows so that the
         ratio is not finite (no finite weight at this tuning).
     """
-    ri = radial_integrals(mode, k, K, a, rel_tol)
-    return _weight(mode, k, K, ri.n_self_K, ri.m_cross)
-
-
-def _boundedness_slack(ri: RadialIntegrals):
-    """(margin, scale) = (N_j(k) N_j(K) - M_j(k, K)^2, N_j(k) N_j(K)) of one cell's integrals."""
-    scale = ri.n_self_k * ri.n_self_K
-    return scale - ri.m_cross * ri.m_cross, scale
+    _, n_K, m, _ = _closed_form(mode.j, mode.l, k, K, a, rel_tol)
+    return _weight(mode, k, K, n_K, m)
 
 
 def minimality_margin(
@@ -341,13 +351,11 @@ def minimality_margin(
     |chi| mu_omega <= 0.1 k^2, so only there should positivity be asserted.
     The scale is ratio(chi0) > 0.
     """
-    t = tuned_wavenumber(k, mu_omega, chi)
-    t0 = tuned_wavenumber(k, mu_omega, chi0)
-    r_chi = mode_ratio(mode, k, t.K, a, rel_tol)
-    r_chi0 = mode_ratio(mode, k, t0.K, a, rel_tol)
-    return MarginReport(
-        mode=mode, chi=chi, margin=r_chi - r_chi0, kind=MINIMALITY, scale=r_chi0
-    )
+    K = _tuned_K(k, mu_omega, chi)
+    K0 = _tuned_K(k, mu_omega, chi0)
+    r_chi = mode_ratio(mode, k, K, a, rel_tol)
+    r_chi0 = mode_ratio(mode, k, K0, a, rel_tol)
+    return MarginReport(mode=mode, chi=chi, margin=r_chi - r_chi0, kind=MINIMALITY, scale=r_chi0)
 
 
 def mode_coefficient(mode: Mode, s: Substrate, t: TuningState, rel_tol: float = 1e-12) -> float:

@@ -33,7 +33,7 @@ import math
 import numbers
 import sys
 
-from .errors import ConvergenceError, InvalidInputError
+from .errors import ConvergenceError, InvalidInputError, UnderflowError
 
 # The downward recurrence of a column at x starts _miller_margin(x) orders
 # above its top: the margin of the first bound in _MILLER_STARTS above x,
@@ -154,6 +154,8 @@ def _jl_triple(l: int, x: float) -> tuple:
     """(j_(l-1), j_l, j_(l+1)) at x > 0 from ``_jl_column(l + 1, x)``, l >= 0, with j_(-1)(x) = cos(x) / x."""
     x = float(x)
     if l == 0:
+        if x == 0.0:
+            raise UnderflowError("the argument k a of j_(-1) = cos(k a) / (k a) underflows to 0")
         return (math.cos(x) / x, *_jl_column(1, x))
     return _jl_column(l + 1, x)[l - 1:]
 
@@ -185,11 +187,14 @@ def _lommel_second_from(a, k, K, j_k, jp_k, j_K, jp_K):
     numerator terms t1, t2.  This is Lommel's second integral with
     x j_l' = l j_l - x j_{l+1}, which drops the l j_l(ka) j_l(Ka) terms that
     would cancel.  Swapping (k, K) swaps t1 and t2 and negates (K - k), so the
-    value is symmetric to the bit; K - k is exact when K and k are close.
+    value is symmetric to the bit; K - k is exact when K and k are close.  An
+    underflowed K^2 - k^2 raises UnderflowError.
     """
     t1 = K * a * jp_K * j_k
     t2 = k * a * jp_k * j_K
     den = (K - k) * (K + k)
+    if den == 0.0:    # K != k, so K - k is nonzero and the product underflowed
+        raise UnderflowError(f"K^2 - k^2 underflows to 0 at k={k}, K={K}")
     return a * (t1 - t2) / den, _EPS * a * (abs(t1) + abs(t2)) / abs(den)
 
 

@@ -337,8 +337,7 @@ def lommel_first(l: int, alpha: float, a: float) -> float:
     closed form uses j_{-1}(x) = cos(x)/x.  A view of the closed-form cell.
     """
     l = _validate_order(l)
-    _validate(alpha, alpha, a)
-    return _closed_form(2, l, abs(alpha), abs(alpha), a, 1e-12)[0].n_self_k  # the integrand is even in alpha
+    return _closed_form(2, l, alpha, alpha, a, 1e-12)[0]
 
 
 def lommel_second(l: int, k: float, K: float, a: float) -> float:
@@ -357,7 +356,6 @@ def lommel_second(l: int, k: float, K: float, a: float) -> float:
     """
     l = _validate_order(l)
     _validate(k, K, a)
-    if K * K == k * k:
+    if abs(K) == abs(k):
         raise InvalidInputError("lommel_second requires K^2 != k^2; use lommel_first")
-    m = _closed_form(2, l, abs(k), abs(K), a, 1e-12)[0].m_cross
-    return -m if l % 2 == 1 and (k < 0.0) != (K < 0.0) else m
+    return _closed_form(2, l, k, K, a, 1e-12)[2]

@@ -51,12 +51,12 @@ from .model import (
     MarginReport,
     Mode,
     RadialIntegrals,
-    _boundedness_slack,
     _is_int,
+    _margin_cell,
+    _tuned_K,
     _validate_mu_omega,
     _weight,
-    radial_integrals,
-    tuned_wavenumber,
+    radial_integrals,  # noqa: F401  (bench/spans.py traces this name)
 )
 from .quadrature import _bounds, integrate_radial_batch
 from .quadrature import integrate_radial  # noqa: F401  (bench/spans.py traces this name)
@@ -202,10 +202,9 @@ def boundedness_margin(
 
     The reported scale is N_j(k) N_j(K); the inequality certifies that the
     untuned minimum energy lower-bounds every tuned minimum.  Equality is
-    expected (within quadrature error) exactly at chi = 0.
+    expected (within rounding) exactly at chi = 0.  The report is the one record a call builds.
     """
-    t = tuned_wavenumber(k, mu_omega, chi)
-    margin, scale = _boundedness_slack(radial_integrals(mode, k, t.K, a, rel_tol))
+    _, _, _, _, margin, scale = _margin_cell(mode, k, chi, mu_omega, a, rel_tol)
     return MarginReport(mode=mode, chi=chi, margin=margin, kind=BOUNDEDNESS, scale=scale)
 
 
@@ -380,11 +379,14 @@ def expansion_fd(
     if j not in (1, 2):
         raise InvalidInputError(f"j must be 1 or 2, got {j}")
     _validate_mu_omega(mu_omega)
+    scalar._real("k", k)
+    if k == 0.0 or not math.isfinite(k):
+        raise InvalidInputError(f"k must be finite and nonzero, got {k}")
 
     scale = k * k / mu_omega
     steps = [t * scale for t in _FD_STEPS]
     chis = [0.0] + [chi for h in steps for chi in (h, -h)]
-    Ks = [tuned_wavenumber(k, mu_omega, chi).K for chi in chis]
+    Ks = [_tuned_K(k, mu_omega, chi) for chi in chis]
     mode = Mode(j, l)
     integrals = _quadrature_integrals(mode, k, Ks, a, rel_tol)
     r0, *ladder = (_weight(mode, k, K, ri.n_self_K, ri.m_cross) for K, ri in zip(Ks, integrals))

@@ -1,7 +1,9 @@
 """Substrate classification, tuned wavenumbers, radial integrals, energies."""
 
+import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,13 +14,15 @@ from scipy.integrate import quad as scipy_quad
 from scipy.special import spherical_jn
 
 import mp_lommel
-from tunedsource import model, quadrature, scalar, specfun, theorems, tuning
+from tunedsource import cli, model, quadrature, scalar, specfun, theorems, tuning
 from tunedsource.errors import (
     ConvergenceError,
     DegenerateModeError,
     EvanescentRegimeError,
     IncompleteSourceSpecError,
     InvalidInputError,
+    TunedSourceError,
+    UnderflowError,
     UnsupportedMediumError,
 )
 from tunedsource.model import Mode, SourceSpec, Substrate
@@ -121,6 +125,16 @@ class TestTunedWavenumber:
     def test_zero_k_rejected(self):
         with pytest.raises(InvalidInputError):
             model.tuned_wavenumber(0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("k,mw,chi", [(1e200, 1.0, -1e200), (1e200, 1.0, 0.0), (1e200, 1e200, 1e200)])
+    def test_overflowing_K_rejected(self, k, mw, chi):
+        # K came back inf (or nan), and the cell then blamed a "K=inf" the caller never passed
+        with pytest.raises(InvalidInputError, match="overflows"):
+            model.tuned_wavenumber(k, mw, chi)
+        with pytest.raises(InvalidInputError, match="overflows"):
+            theorems.boundedness_margin(Mode(2, 1), k, chi, mw, 1.0)
+        with pytest.raises(InvalidInputError, match="overflows"):
+            model.minimality_margin(Mode(2, 1), k, chi, 0.0, mw, 1.0)
 
     @pytest.mark.parametrize("mw", [0.0, -0.0, math.inf, math.nan])
     def test_zero_or_nonfinite_mu_omega_rejected(self, mw):
@@ -414,7 +428,7 @@ class TestClosedFormAccuracy:
         for j in (1, 2):
             for l, k, rho in cells + [(3, -1.3, 1e-8)]:
                 K = abs(k) * math.sqrt(1.0 + rho)
-                _, err = model._closed_form(j, l, abs(k), K, 1.0, rel_tol)
+                *_, err = model._closed_form(j, l, abs(k), K, 1.0, rel_tol)
                 ri = model.radial_integrals(Mode(j, l), k, K, 1.0, rel_tol)
                 n_k, n_K, m = mp_lommel.mode_integrals(j, l, k, K, 1.0, dps=50)
                 bound = (1e-13 if err > rel_tol else rel_tol) * math.sqrt(n_k * n_K)
@@ -427,8 +441,8 @@ class TestClosedFormAccuracy:
         # the quadrature fallback gave -3.69e-6 scale here; mpmath gives 5.7e-16 scale
         k = 0.82
         ri = model.radial_integrals(Mode(2, 24), k, k * math.sqrt(1.0 + rho), 1.0)
-        margin, scale = model._boundedness_slack(ri)
-        assert margin >= -1e-12 * scale
+        scale = ri.n_self_k * ri.n_self_K
+        assert scale - ri.m_cross * ri.m_cross >= -1e-12 * scale
 
     def test_series_past_its_term_cap_raises(self, monkeypatch):
         # this band cell needs several terms; a ConvergenceError marks a CLI row
@@ -441,6 +455,116 @@ class TestClosedFormAccuracy:
             m_kK = model.radial_integrals(Mode(2, l), k, K, a).m_cross
             m_Kk = model.radial_integrals(Mode(2, l), K, k, a).m_cross
             assert m_kK == m_Kk
+
+
+# ---------------------------------------------------------------------------
+# the float evaluator: the chain it replaced, kept as a bit-level reference
+
+
+def reference_integrals(j, l, k, K, a, rel_tol=1e-12):
+    """(N_j(k), N_j(K), M_j(k, K)) as the record-building cell computed them, from unmemoized columns."""
+    ak, aK = abs(k), abs(K)
+    jm_k, j_k, jp_k = scalar._jl_column(l + 1, ak * a)[l - 1:]
+    jm_K, j_K, jp_K = scalar._jl_column(l + 1, aK * a)[l - 1:]
+    n_k = scalar._lommel_first_from(a, jm_k, j_k, jp_k)
+    n_K = scalar._lommel_first_from(a, jm_K, j_K, jp_K)
+    m, err = (0.0, 0.0) if ak == aK else scalar._lommel_second_from(a, ak, aK, j_k, jp_k, j_K, jp_K)
+    if j == 1:
+        u_k, u_K = scalar._u_from_neighbors(l, jm_k, jp_k), scalar._u_from_neighbors(l, jm_K, jp_K)
+        if ak != aK:
+            err = (aK * aK * err + scalar._EPS * (abs(aK * aK * m) + abs(a * a * aK * j_k * u_K))) / (l * (l + 1))
+        n_k = (ak * ak * n_k + a * a * ak * j_k * u_k) / (l * (l + 1))
+        n_K = (aK * aK * n_K + a * a * aK * j_K * u_K) / (l * (l + 1))
+    scale = math.sqrt(n_k) * math.sqrt(n_K)
+    err = err / scale if scale > 0.0 else math.inf
+    if rel_tol < err < math.inf:
+        m = scalar._lommel_second_series(l, a, ak * a, aK * a, jm_k, j_k, jp_k)
+    if j == 1 and ak != aK:
+        m = (aK * aK * m + a * a * aK * j_k * u_K) / (l * (l + 1))
+    if ak == aK:
+        m = n_k
+    return n_k, n_K, -m if l % 2 == 1 and (k < 0.0) != (K < 0.0) else m
+
+
+def _criterion_03_sample(per_group=60, seed=17):
+    """Seeded cells (mode, k, chi, mu_omega, a) of criterion 03's grid, per_group for each j and each sign of k."""
+    groups = {}
+    for j, l, k, a, mw in itertools.product(
+        (1, 2), range(1, 7), (0.5, 1.0, 2.0, 5.0, -0.5, -1.0, -2.0, -5.0), (0.5, 1.0, math.pi, 5.0), (0.5, 1.0, 2.0)
+    ):
+        for chi in theorems.default_chi_grid(k, mw):
+            groups.setdefault((j, k < 0.0), []).append((Mode(j, l), k, float(chi), mw, a))
+    rng = random.Random(seed)
+    return [cell for key in sorted(groups) for cell in rng.sample(groups[key], per_group)]
+
+
+def _hex(*values):
+    return [v.hex() for v in values]
+
+
+class TestOneEvaluator:
+    """Every route through ``model._margin_cell`` keeps the bits of the record-building chain."""
+
+    def test_routes_bit_identical_on_criterion_03_sample(self):
+        cells = _criterion_03_sample()
+        assert {(mode.j, k < 0.0) for mode, k, *_ in cells} == {(1, False), (1, True), (2, False), (2, True)}
+        chi0 = 0.0
+        for mode, k, chi, mw, a in cells:
+            K = math.sqrt(k * k - chi * mw)
+            n_k, n_K, m = reference_integrals(mode.j, mode.l, k, K, a)
+            rep = theorems.boundedness_margin(mode, k, chi, mw, a)
+            assert (rep.mode, rep.chi, rep.kind) == (mode, chi, theorems.BOUNDEDNESS)
+            assert _hex(rep.margin, rep.scale) == _hex(n_k * n_K - m * m, n_k * n_K), (mode, k, chi, mw, a)
+            ri = model.radial_integrals(mode, k, K, a)
+            assert _hex(ri.n_self_k, ri.n_self_K, ri.m_cross) == _hex(n_k, n_K, m)
+            ratio = model.mode_ratio(mode, k, K, a)
+            assert ratio.hex() == (n_K / (m * m)).hex()
+            _, n0_K, m0 = reference_integrals(mode.j, mode.l, k, abs(k), a)
+            ratio0 = n0_K / (m0 * m0)
+            min_rep = model.minimality_margin(mode, k, chi, chi0, mw, a)
+            assert _hex(min_rep.margin, min_rep.scale) == _hex(ratio - ratio0, ratio0)
+
+    def test_boundedness_cell_builds_one_record(self, monkeypatch):
+        def no_record(*args, **kwargs):
+            raise AssertionError("a record the caller does not get back")
+
+        reports = []
+
+        def counted_report(*args, **kwargs):
+            reports.append(model.MarginReport(*args, **kwargs))
+            return reports[-1]
+
+        cells = _criterion_03_sample(per_group=5)
+        want = [theorems.boundedness_margin(*cell) for cell in cells]
+        monkeypatch.setattr(model, "TuningState", no_record)
+        monkeypatch.setattr(model, "RadialIntegrals", no_record)
+        monkeypatch.setattr(theorems, "MarginReport", counted_report)
+        assert [theorems.boundedness_margin(*cell) for cell in cells] == want
+        assert len(reports) == len(cells)
+
+
+class TestUnderflow:
+    """K^2 - k^2 or k a that underflows to 0 raises UnderflowError, which the CLI's row handler catches."""
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_cross_integral(self, j):
+        # a bare ZeroDivisionError from Lommel's 1 / (K^2 - k^2)
+        for k, K, a in ((1e-170, 2e-170, 1.0), (1e-200, 2e-200, 1e-200)):
+            with pytest.raises(UnderflowError, match="K\\^2 - k\\^2 underflows"):
+                model.radial_integrals(Mode(j, 1), k, K, a)
+            with pytest.raises(UnderflowError):
+                model.mode_ratio(Mode(j, 1), k, K, a)
+        assert cli._or_error(model.radial_integrals, Mode(j, 1), 1e-170, 2e-170, 1.0)["status"].startswith("error: ")
+
+    def test_lommel_views(self):
+        # lommel_first divided by k a = 0; lommel_second blamed K^2 = k^2 for squares that both underflowed
+        with pytest.raises(UnderflowError, match="k a .* underflows"):
+            specfun.lommel_first(0, 1e-200, 1e-200)
+        with pytest.raises(UnderflowError, match="underflows"):
+            specfun.lommel_second(0, 1e-200, 2e-200, 1e-200)
+        with pytest.raises(UnderflowError, match="underflows"):
+            specfun.lommel_second(1, 1e-170, 2e-170, 1.0)
+        assert issubclass(UnderflowError, TunedSourceError)
 
 
 class TestModeCoefficient:
@@ -478,7 +602,7 @@ class TestModeCoefficient:
 
     def test_degenerate_cross_integral(self, monkeypatch):
         monkeypatch.setattr(
-            model, "_closed_form", lambda *args: (model.RadialIntegrals(1.0, 1.0, 0.0), 0.0)
+            model, "_closed_form", lambda *args: (1.0, 1.0, 0.0, 0.0)
         )
         s = Substrate(epsilon_r=1.0, mu_r=1.0, omega=1.0, a=1.0)
         t = model.tuned_wavenumber(s.k, s.mu_omega, 0.0)
@@ -499,7 +623,7 @@ class TestModeCoefficient:
     def test_nonfinite_weight_is_degenerate(self, m_cross, monkeypatch):
         # M^2 underflows to 0, or N_K / M^2 overflows to inf
         monkeypatch.setattr(
-            model, "_closed_form", lambda *args: (model.RadialIntegrals(1.0, 1.0, m_cross), 0.0)
+            model, "_closed_form", lambda *args: (1.0, 1.0, m_cross, 0.0)
         )
         with pytest.raises(DegenerateModeError):
             model.mode_ratio(Mode(2, 1), 1.0, 1.0, 1.0)

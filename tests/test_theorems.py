@@ -270,6 +270,14 @@ class TestExpansionFd:
         assert theorems.expansion_fd(2, 1, 1.0, 1.0, 1.0).method == "finite-difference"
         assert theorems.expansion_j2(1, 1.0, 1.0, 1.0).method == "closed-form"
 
+    @pytest.mark.parametrize("k,match", [("1", "k must be a real number"), (True, "k must be a real number"),
+                                         (0.0, "nonzero"), (math.inf, "finite")])
+    def test_rejects_k_before_forming_the_ladder(self, k, match):
+        # k * k / mu_omega raised a bare TypeError for a string k
+        for j in (1, 2):
+            with pytest.raises(InvalidInputError, match=match):
+                theorems.expansion_fd(j, 1, k, 1.0, 1.0)
+
     @pytest.mark.parametrize("mw", [0.0, -0.0, math.inf, -math.inf, math.nan])
     def test_rejects_zero_or_nonfinite_mu_omega(self, mw):
         # the step ladder is in units of k^2 / mu_omega
