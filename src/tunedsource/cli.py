@@ -41,7 +41,8 @@ from .model import (
     Substrate,
     _is_int,
     _margin_cell,
-    minimality_margin,
+    _tuned_K,
+    _weight,
     mode_ratio,
     radial_integrals,  # noqa: F401  (bench/spans.py traces this name)
     source_energy,
@@ -481,14 +482,15 @@ def _margin_cells(cfg: RunConfig, mode: Mode, k: float, a: float, chi: float, ch
     pass_bound = margin >= -cfg.margin_tol * scale
     if chi == 0.0:
         pass_bound = pass_bound and abs(margin) <= cfg.margin_tol * scale
-    min_rep = minimality_margin(mode, k, chi, chi0, mw, a, cfg.quad_rel_tol)
+    K0 = _tuned_K(k, mw, chi0)    # minimality_margin's checks, in its order, with ratio(chi) from this cell
+    ratio, ratio0 = _weight(mode, k, K, n_K, m), mode_ratio(mode, k, K0, a, cfg.quad_rel_tol)
     regime_cap = _REGIME * k * k
     pass_min = None
     if abs(chi * mw) <= regime_cap and abs(chi0 * mw) <= regime_cap and chi * chi > chi0 * chi0:
-        pass_min = bool(min_rep.margin > _MIN_STRICT * min_rep.scale)
+        pass_min = bool(ratio - ratio0 > _MIN_STRICT * ratio0)
     return {"K": K, "N_k": n_k, "N_K": n_K, "M": m,
             "boundedness_margin": margin, "bound_scale": scale,
-            "minimality_margin": min_rep.margin, "min_scale": min_rep.scale,
+            "minimality_margin": ratio - ratio0, "min_scale": ratio0,
             "pass_bound": bool(pass_bound), "pass_min": pass_min, "status": "ok"}
 
 

@@ -11,9 +11,10 @@ endpoint singularities (such as u_0 at the origin) are never sampled.
 
 One adaptive loop advances a batch of integrals over [0, a] in lockstep
 (``integrate_radial_batch``), each to the bit as a lone run.  A round is
-flat: nodes, the integrand call, the rule arithmetic, the split decisions
-and the merge run once over all active panels; only the rule products and
-the convergence sums run per integral, as their stacked forms round differently.
+flat: nodes, the integrand call ``f(owner, r)`` on the flat node array, the
+rule arithmetic, the split decisions and the merge run once over all active
+panels; only the rule products and the convergence sums run per integral,
+as their stacked forms round differently.
 ``integrate_radial`` is a batch of one; a larger ``max_panels`` serves
 truncated half-line integrals over [0, L].
 
@@ -87,32 +88,29 @@ def _bounds(sizes):
     return list(itertools.pairwise(itertools.accumulate(sizes, initial=0)))
 
 
-def _eval_panels(f, active, lo, hi):
-    """Apply the (7,15) rule, in one flat pass, to the panels [lo_n, hi_n] of each active integral.
+def _eval_panels(f, owner, lo, hi, sizes):
+    """Apply the (7,15) rule, in one flat pass, to the panels [lo_n, hi_n] of the integrals owner_n.
 
-    Returns the panels as the rows (lo, hi, I, err, resabs) of one array,
-    grouped by integral, and the set of integrals with a non-finite sample.
-    Only the (panels x 15) @ w products run per integral, on its own
-    block: a stacked product rounds differently.
+    The panels come grouped by integral, in blocks of the given sizes.
+    Returns them as the rows (lo, hi, I, err, resabs) of one array, and the
+    set of integrals with a non-finite sample.  Only the (panels x 15) @ w
+    products run per integral, on its own block: a stacked product rounds differently.
     """
-    bounds = _bounds(edges.size for edges in lo)
-    panels = np.empty((5, bounds[-1][1]))
-    np.concatenate(lo, out=panels[0])
-    np.concatenate(hi, out=panels[1])
+    panels = np.empty((5, lo.size))
+    panels[0], panels[1] = lo, hi
     lo, hi, integral, err, resabs = panels
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (hi + lo)[:, None] + half[:, None] * _NODES).ravel()
-    points = [nodes[15 * s:15 * e] for s, e in bounds]
-    values = f(active, points)
-    if [np.size(v) for v in values] != [r.size for r in points]:
-        raise ValueError("the integrand must return one value per node of each integral")
-    vals = np.concatenate(values, dtype=float).reshape(lo.size, 15)
+    vals = np.ascontiguousarray(f(np.repeat(owner, 15), nodes), dtype=float)   # a strided product may round differently
+    if vals.shape != nodes.shape:
+        raise ValueError("the integrand must return one value per node")
+    vals = vals.reshape(lo.size, 15)
     finite = np.isfinite(vals)
-    bad = set() if finite.all() else {i for i, (s, e) in zip(active, bounds) if not finite[s:e].all()}
+    bad = set(owner[~finite.all(axis=1)].tolist())
     if bad:
-        vals[~finite] = 0.0   # keeps the rule arithmetic quiet; the sums of a bad integral go unused
+        vals = np.where(finite, vals, 0.0)   # keeps the rule arithmetic quiet; the sums of a bad integral go unused
     abs_vals = np.abs(vals)
-    for s, e in bounds:
+    for s, e in _bounds(sizes):
         np.matmul(vals[s:e], _W_KRONROD, out=integral[s:e])
         np.matmul(vals[s:e], _W_GAUSS, out=err[s:e])
         np.matmul(abs_vals[s:e], _W_KRONROD, out=resabs[s:e])
@@ -135,8 +133,9 @@ def _adaptive(f, a, rel_tol, osc_scales, max_panels):
     counts = [min(max(1, math.ceil(a * max(abs(osc), 1.0) / math.pi)), max_panels) for osc in osc_scales]
     edges = {count: np.linspace(0.0, a, count + 1) for count in set(counts)}
     active = list(range(len(counts)))
-    panels, bad = _eval_panels(f, active, [edges[n][:-1] for n in counts], [edges[n][1:] for n in counts])
     owner = np.repeat(active, counts)
+    panels, bad = _eval_panels(f, owner, np.concatenate([edges[n][:-1] for n in counts]),
+                               np.concatenate([edges[n][1:] for n in counts]), counts)
     results, failures = [None] * len(counts), {}
     while True:
         refine, limits = [], []   # positions in active that refine, and their split limits
@@ -175,9 +174,9 @@ def _adaptive(f, a, rel_tol, osc_scales, max_panels):
         order = np.argsort(np.concatenate([owner[split]] * 2), kind="stable")  # left halves, then right halves
         child_lo, child_hi = np.concatenate([lo[split], mid])[order], np.concatenate([mid, hi[split]])[order]
         sizes = (2 * splits).tolist()
-        pieces = _bounds(sizes)
-        children, bad = _eval_panels(f, active, [child_lo[s:e] for s, e in pieces], [child_hi[s:e] for s, e in pieces])
-        key = np.concatenate([owner[~split], np.repeat(active, sizes)])
+        child_owner = np.repeat(active, sizes)
+        children, bad = _eval_panels(f, child_owner, child_lo, child_hi, sizes)
+        key = np.concatenate([owner[~split], child_owner])
         order = np.argsort(key, kind="stable")  # kept panels, then left halves, then right halves
         owner = key[order]
         panels = np.concatenate([panels[:, ~split], children], axis=1)[:, order]
@@ -190,16 +189,15 @@ def _adaptive(f, a, rel_tol, osc_scales, max_panels):
 def _lone(f):
     """A single integrand as a batch of one; a scalar-only f is sampled point by point."""
 
-    def batch(active, points):
-        (flat,) = points
+    def batch(owner, r):
         try:
-            vals = np.asarray(f(flat), dtype=float)
-            if vals.shape != flat.shape:
+            vals = np.asarray(f(r), dtype=float)
+            if vals.shape != r.shape:
                 raise TypeError("integrand is not vectorized")
         except (TypeError, ValueError, IndexError):
             # scalar-only integrand: fall back to a per-point loop
-            vals = np.fromiter((float(f(p)) for p in flat), dtype=float, count=flat.size)
-        return [vals]
+            return np.fromiter((float(f(p)) for p in r), dtype=float, count=r.size)
+        return vals
 
     return batch
 
@@ -210,11 +208,12 @@ def integrate_radial_batch(f, a, rel_tol=1e-12, *, osc_scales, max_panels=8192):
     Each integral i is refined exactly as ``integrate_radial`` would refine
     it alone, with ``osc_scale=osc_scales[i]``, and its QuadratureResult is
     the same to the bit.  Only the integrand evaluation is shared: each
-    refinement round makes one call ``f(active, points)``, where ``active``
-    lists the indices of the integrals still refining (ascending) and
-    ``points[n]`` holds the nodes of integral ``active[n]``.  It must return
-    one value array per entry of ``points``, of the same shape, so that one
-    Bessel table can serve the whole round.
+    refinement round makes one call ``f(owner, r)``, where ``r`` is the flat
+    array of the round's nodes, grouped by integral in ascending batch
+    order, and ``owner[n]`` is the batch index of node n's integral.  It
+    must return an array of r's shape, one value per node, so that one
+    Bessel table can serve the whole round.  The results equal lone runs'
+    as long as a node's value depends only on r[n] and owner[n].
 
     Returns the list of QuadratureResults in batch order; an empty batch
     returns [] without calling f.  If integrals fail (ConvergenceError,

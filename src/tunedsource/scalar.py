@@ -4,14 +4,15 @@ The production path of the library (the closed-form cell of
 ``model.radial_integrals``, and with it the ``sweep``, ``energies`` and
 ``tune`` commands of the CLI) runs on a fixed handful of scalars per cell.
 This module holds what it needs, without numpy: the column j_0..j_lmax at
-one point (``_jl_column``; ``_jl_rows`` is its transpose over a few points),
-the kernel u_l, Lommel's integrals from a column's values (with a
-near-diagonal series; ``model._closed_form`` alone picks one) and the shared
-input checks, whose ``_real`` rule covers tolerances too.
+one point (``_jl_column``), the kernel u_l, Lommel's integrals from a
+column's values (with a near-diagonal series; ``model._closed_form`` alone
+picks one) and the shared input checks, whose ``_real`` rule covers
+tolerances too.
 
 ``_jl_column`` is a column of ``specfun._jl_table`` to the bit: the same
 series / Miller / upward regimes, the same operations in the same order.
-Both start a Miller column a number of orders above its top that depends
+The upward regime is one function for both, ``_upward_column``, which the
+table runs elementwise on its upward points.  Both start a Miller column a number of orders above its top that depends
 only on its own argument (``_miller_margin``: 8 below x = 0.5, rising in
 steps to 60 from x = 32 on), so a column depends only on its argument and
 its top, whatever else the table holds.  sin and cos come from ``math``,
@@ -121,8 +122,8 @@ def _miller_column(lmax: int, x: float, sx: float, cx: float) -> list:
     return [v * ratio for v in column]
 
 
-def _upward_column(lmax: int, x: float, sx: float, cx: float) -> list:
-    """``specfun._jl_upward`` for one point."""
+def _upward_column(lmax: int, x, sx, cx) -> list:
+    """Orders 0..lmax by the upward recurrence (stable for x >= lmax) at one float x, or elementwise at an array x."""
     column = [sx / x]
     if lmax >= 1:
         column.append(sx / (x * x) - cx / x)
@@ -142,11 +143,6 @@ def _jl_column(lmax: int, x: float) -> tuple:
     if x < lmax:
         return tuple(_miller_column(lmax, x, math.sin(x), math.cos(x)))
     return tuple(_upward_column(lmax, x, math.sin(x), math.cos(x)))
-
-
-def _jl_rows(lmax: int, xs) -> list:
-    """``specfun._jl_table(lmax, np.array(xs)).tolist()`` to the bit: the transpose of ``_jl_column`` over xs."""
-    return [list(row) for row in zip(*(_jl_column(lmax, float(x)) for x in xs))]
 
 
 @functools.lru_cache(maxsize=_TRIPLE_MEMO)

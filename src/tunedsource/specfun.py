@@ -18,11 +18,12 @@ Evaluation strategy: one table of orders 0..lmax per call.  Arguments below
 at once.  Arguments below lmax take the downward (Miller) recurrence with
 normalization, started a number of orders above lmax that grows with the
 argument (``scalar._miller_margin``: 8 below x = 0.5, up to 60 from x = 32
-on).  Other arguments take the upward recurrence.  Each point's value
-depends only on its own argument and lmax, not on the other points of the
-table.  ``_jl_table`` also takes one top order per point; each column
-then equals a lone table of its own top, to the bit, so one table serves
-neighbouring orders (``theorems.series_integrals_j1``).
+on).  Other arguments take the upward recurrence (``scalar._upward_column``,
+run elementwise).  Each point's value depends only on its own argument and
+lmax, not on the other points of the table.  ``_jl_table`` also takes one
+top order per point; each column then equals a lone table of its own top,
+to the bit, so one table serves neighbouring orders
+(``theorems.series_integrals_j1``).
 
 Two builders make such a table, with the same bits.  ``_jl_table``, here,
 runs each recurrence order as numpy calls over all points; its Miller
@@ -36,10 +37,9 @@ which table rows it combines.  ``scalar._jl_column`` runs the Miller and
 upward recurrences on Python floats for one point, with ``math``'s sin and
 cos; it needs numpy only for an argument below the series cutoff, which
 takes ``_jl_series``.  The callers that hold a fixed handful of scalars use
-it: the closed-form cell (and so the Lommel views) through
-``scalar._jl_triple``, ``theorems.expansion_j2`` through
-``scalar._jl_value`` and the oracle's j=2 self integrals through
-``scalar._jl_rows``.  For one or two points it costs a fraction of
+it: the closed-form cell (and so the Lommel views and the oracle's j=2 self
+integrals) through ``scalar._jl_triple``, and ``theorems.expansion_j2``
+through ``scalar._jl_value``.  For one or two points it costs a fraction of
 ``_jl_table``'s per-order numpy calls, and it keeps numpy out of the
 processes that only run the closed-form cell.
 
@@ -63,6 +63,7 @@ from .scalar import (
     _RESCALE_LIMIT,
     _SERIES_CUTOFF,
     _u_from_neighbors,
+    _upward_column,
     _validate,
 )
 
@@ -176,18 +177,6 @@ def _jl_miller(top, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _jl_upward(lmax: int, x: np.ndarray) -> np.ndarray:
-    """Upward recurrence for all orders 0..lmax; stable for x >= lmax."""
-    block = np.empty((lmax + 1, x.size))
-    sx, cx = np.sin(x), np.cos(x)
-    block[0] = sx / x
-    if lmax >= 1:
-        block[1] = sx / (x * x) - cx / x
-    for order in range(1, lmax):
-        block[order + 1] = (2 * order + 1) / x * block[order] - block[order - 1]
-    return block
-
-
 def _jl_table(top, x: np.ndarray) -> np.ndarray:
     """Table of j_0..j_lmax at positive arguments x (1-D array, no zeros).
 
@@ -206,7 +195,8 @@ def _jl_table(top, x: np.ndarray) -> np.ndarray:
         miller = _jl_miller(top[down] if per_point else top, x[down])
         block[:len(miller), down] = miller
     if up.any():
-        block[:, up] = _jl_upward(lmax, x[up])
+        x_up = x[up]
+        block[:, up] = _upward_column(lmax, x_up, np.sin(x_up), np.cos(x_up))
     return block
 
 

@@ -27,9 +27,9 @@ integrals at a whole list of K (``expansion_fd`` needs its step ladder),
 each distinct one integrated once, all in one lockstep batch
 (``quadrature.integrate_radial_batch``); ``radial_integrals_quadrature`` is
 its batch of one.  Each round evaluates its integrands once, on the flat
-node array of all active integrals, from one Bessel table, each product in
-a lone integral's order, so every value is identical to the bit to a lone
-integration.  With smaller trims elsewhere, the ``fd_oracle`` benchmark ran
+node array of all active integrals (``f(owner, r)``), from one Bessel table,
+each product in a lone integral's order, so every value is identical to the
+bit to a lone integration.  With smaller trims elsewhere, the ``fd_oracle`` benchmark ran
 1.08-1.10x faster than with per-integral evaluation (2-CPU host).
 
 Importing this module loads numpy, ``specfun`` and ``quadrature``, which
@@ -51,6 +51,7 @@ from .model import (
     MarginReport,
     Mode,
     RadialIntegrals,
+    _closed_form,
     _is_int,
     _margin_cell,
     _tuned_K,
@@ -58,7 +59,7 @@ from .model import (
     _weight,
     radial_integrals,  # noqa: F401  (bench/spans.py traces this name)
 )
-from .quadrature import _bounds, integrate_radial_batch
+from .quadrature import integrate_radial_batch
 from .quadrature import integrate_radial  # noqa: F401  (bench/spans.py traces this name)
 
 __all__ = [
@@ -109,25 +110,23 @@ class F1VanishingReport:
     f1: float
 
 
-def _round_kernels(j: int, l: int, ks, Ks, active, points):
-    """The nodes of a refinement round, flat, and the kernels at k r and K r from one Bessel table.
+def _round_kernels(j: int, l: int, ks, Ks, owner, r):
+    """The kernels at k r and K r of a refinement round's flat nodes r, from one Bessel table.
 
-    ``ks[i]`` and ``Ks[i]`` are the wavenumbers of integral i, and ``points[n]``
-    the nodes of integral ``active[n]``.  Returns each node's integral, the
-    nodes r, and the kernels at k r and at K r, each ``(j_l,)`` for j=2 or
+    ``ks[i]`` and ``Ks[i]`` are the wavenumbers of integral i, and ``owner[n]``
+    the integral of node n (see ``quadrature.integrate_radial_batch``).
+    Returns the kernels at k r and at K r, each ``(j_l,)`` for j=2 or
     ``(j_l, u_l)`` for j=1.  The table holds k r of every node, then K r of the
     nodes whose K != k (a self pair puts its points in once); a point's value
     does not depend on the other points of its table.
     """
-    r = np.concatenate(points)
-    owner = np.repeat(active, [p.size for p in points])
     k, K = ks[owner], Ks[owner]
     cross = K != k
     x = np.concatenate([k * r, K[cross] * r[cross]])
     columns = (specfun.bessel_j(l, x),) if j == 2 else specfun.bessel_j_and_u(l, x)
     at_K = np.arange(r.size)
     at_K[cross] = np.arange(r.size, x.size)
-    return owner, r, [c[:r.size] for c in columns], [c[at_K] for c in columns]
+    return [c[:r.size] for c in columns], [c[at_K] for c in columns]
 
 
 def _mode_integrand(mode: Mode, pairs):
@@ -142,13 +141,11 @@ def _mode_integrand(mode: Mode, pairs):
     ks, Ks = (np.array(side) for side in zip(*pairs))
     kKs = ks * Ks
 
-    def f(active, points):
-        owner, r, (jk, *uk), (jK, *uK) = _round_kernels(mode.j, mode.l, ks, Ks, active, points)
+    def f(owner, r):
+        (jk, *uk), (jK, *uK) = _round_kernels(mode.j, mode.l, ks, Ks, owner, r)
         if mode.j == 2:
-            values = r * r * jk * jK
-        else:
-            values = jk * jK + kKs[owner] * r * r * uk[0] * uK[0] / ll1
-        return [values[s:e] for s, e in _bounds(p.size for p in points)]
+            return r * r * jk * jK
+        return jk * jK + kKs[owner] * r * r * uk[0] * uK[0] / ll1
 
     return f
 
@@ -160,25 +157,22 @@ def _quadrature_integrals(mode: Mode, k: float, Ks, a: float, rel_tol: float):
     lockstep batch.  The self integrals are even in the wavenumber: for j=1
     they are the quadrature pairs (|alpha|, |alpha|), and the cross integral
     at K == k is the self integral N_1(|k|), whose integrand is the same to
-    the bit.  For j=2 the self integrals come in closed form from one
-    ``scalar._jl_rows`` for all wavenumbers, and only the cross pairs are
-    integrated (M_2(k, k) stays a quadrature value), each round on the flat
-    node array of all of them (``_mode_integrand``).
+    the bit.  For j=2 the self integrals are the closed-form cell's Lommel
+    values (``model._closed_form``), and only the cross pairs are integrated
+    (M_2(k, k) stays a quadrature value), each round on the flat node array
+    of all of them (``_mode_integrand``).
     """
     for K in Ks:
         scalar._validate(k, K, a, rel_tol)
     alphas = list(dict.fromkeys([abs(k)] + [abs(K) for K in Ks]))
     crosses = [(abs(k), abs(k)) if mode.j == 1 and K == k else (k, K) for K in Ks]
-    if mode.j == 2:
-        rows = scalar._jl_rows(mode.l + 1, [alpha * a for alpha in alphas])
-        self_values = [scalar._lommel_first_from(a, *column) for column in zip(*rows[mode.l - 1:])]
-        pairs = list(dict.fromkeys(crosses))
-    else:
-        pairs = list(dict.fromkeys([(alpha, alpha) for alpha in alphas] + crosses))
+    self_pairs = [(alpha, alpha) for alpha in alphas] if mode.j == 1 else []
+    pairs = list(dict.fromkeys(self_pairs + crosses))
     results = integrate_radial_batch(_mode_integrand(mode, pairs), a, rel_tol,
                                      osc_scales=[max(abs(p), abs(q)) for p, q in pairs])
     values = {pair: res.value for pair, res in zip(pairs, results)}
-    n_self = dict(zip(alphas, self_values)) if mode.j == 2 else {alpha: values[alpha, alpha] for alpha in alphas}
+    n_self = {alpha: values[alpha, alpha] if mode.j == 1 else _closed_form(2, mode.l, alpha, alpha, a, rel_tol)[0]
+              for alpha in alphas}
     return [RadialIntegrals(n_self[abs(k)], n_self[abs(K)], values[cross]) for K, cross in zip(Ks, crosses)]
 
 
@@ -229,10 +223,9 @@ def curl_identity_check(l: int, k: float, K: float, a: float, rel_tol: float = 1
     ks, Ks = np.full(2, k), np.full(2, K)
     c, q, d = np.array([ll1 * ll1, 1.0]), np.array([ll1 * k * K, k * K]), np.array([1.0, ll1])
 
-    def sides(active, points):
-        owner, r, (jk, uk), (jK, uK) = _round_kernels(1, l, ks, Ks, active, points)
-        values = c[owner] * jk * jK + q[owner] * r * r * uk * uK / d[owner]
-        return [values[s:e] for s, e in _bounds(p.size for p in points)]
+    def sides(owner, r):
+        (jk, uk), (jK, uK) = _round_kernels(1, l, ks, Ks, owner, r)
+        return c[owner] * jk * jK + q[owner] * r * r * uk * uK / d[owner]
 
     A, B = (res.value for res in integrate_radial_batch(sides, a, rel_tol, osc_scales=[max(abs(k), abs(K))] * 2))
     denom = max(abs(A), abs(ll1 * ll1 * B), 1e-300)
@@ -458,12 +451,16 @@ def series_integrals_j1(
 
     forms = (c0_f, c1_f, d0_f, d1_f)
 
-    def integrands(active, points):
-        x = np.tile(ak * np.concatenate(points), 3)
-        tops = np.repeat([l - 1, l, l + 1], x.size // 3)   # row n of j_rows is bessel_j(l - 1 + n, |k| r)
+    def integrands(owner, r):
+        x = np.tile(ak * r, 3)
+        tops = np.repeat([l - 1, l, l + 1], r.size)   # row n of j_rows is bessel_j(l - 1 + n, |k| r)
         (j_rows,) = specfun._on_table(x, tops, lambda table, *_: [(table[tops, np.arange(x.size)], False)])
-        tables = zip(*([row[s:e] for s, e in _bounds(r.size for r in points)] for row in j_rows.reshape(3, -1)))
-        return [forms[i](r, *values) for i, r, values in zip(active, points, tables)]
+        jm, j, jp = j_rows.reshape(3, -1)
+        values = np.empty_like(r)
+        for i, form in enumerate(forms):
+            at = owner == i
+            values[at] = form(r[at], jm[at], j[at], jp[at])
+        return values
 
     results = integrate_radial_batch(integrands, a, rel_tol, osc_scales=[ak] * 4)
     c0, c1, d0, d1 = (res.value for res in results)

@@ -277,14 +277,16 @@ class TestVerify:
     def test_failing_margin_cell_keeps_expansion_columns(self, tmp_path, monkeypatch):
         cfg = cli.load_config(write_config(tmp_path, base_config()), command="verify")
         _, columns, clean = cli.run_verify(cfg)
-        minimality_margin = cli.minimality_margin
+        s, weight = cfg.substrate, cli._weight
+        K_bad = tuned_wavenumber(s.k, s.mu_omega, 0.08).K
 
-        def failing(mode, k, chi, *args, **kwargs):
-            if chi == 0.08:
+        def failing(mode, k, K, *args):
+            # the ratio of the chi = 0.08 cell, after its boundedness columns
+            if K == K_bad:
                 raise DegenerateModeError("stand-in failure")
-            return minimality_margin(mode, k, chi, *args, **kwargs)
+            return weight(mode, k, K, *args)
 
-        monkeypatch.setattr(cli, "minimality_margin", failing)
+        monkeypatch.setattr(cli, "_weight", failing)
         code, columns, rows = cli.run_verify(cfg)
         assert code == 1
         kept = ("j", "l", "k", "chi", "f0", "f1_residual", "f2_closed", "f2_fd", "pass_f1", "pass_f2")
@@ -451,6 +453,16 @@ class TestEnergies:
 
 
 class TestSweep:
+    def test_one_closed_form_cell_per_row_and_chi0(self, monkeypatch):
+        # a row reads its own cell once, and the chi0 cell once, not its own twice
+        from tunedsource import model
+
+        calls, closed_form = [], model._closed_form
+        monkeypatch.setattr(model, "_closed_form", lambda *args: calls.append(args) or closed_form(*args))
+        code, columns, rows = cli.run_sweep(cli.load_config(str(CONFIG_DIR / "sweep_chi_dng.json"), command="sweep"))
+        assert code == 0 and len(rows) == 36
+        assert len(calls) == 2 * len(rows)   # 108 when minimality_margin recomputed each row's cell
+
     def test_chi_sweep_rows_ordered(self, tmp_path):
         payload = base_config()
         del payload["chi_values"]

@@ -204,12 +204,17 @@ def _random_integrand(rng):
 
 
 def _batch_of(fs, log=None):
-    """Lockstep integrand that evaluates integral i with fs[i]; logs each round's active list."""
+    """Lockstep integrand that evaluates integral i with fs[i] on its own nodes; logs each round's active integrals."""
 
-    def f(active, points):
+    def f(owner, r):
+        active = sorted(set(owner.tolist()))
+        assert owner.tolist() == sorted(owner.tolist())   # grouped by integral, ascending
         if log is not None:
-            log.append(list(active))
-        return [fs[i](r) for i, r in zip(active, points)]
+            log.append(active)
+        values = np.empty(r.size)
+        for i in active:
+            values[owner == i] = fs[i](r[owner == i])
+        return values
 
     return f
 
@@ -294,9 +299,9 @@ class TestLockstepBatch:
         oscs = [1.0, 40.0, 40.0, 1.0]
         sizes = []
 
-        def f(active, points):
-            sizes.append([r.size for r in points])
-            return _batch_of(fs)(active, points)
+        def f(owner, r):
+            sizes.append(np.bincount(owner).tolist())
+            return _batch_of(fs)(owner, r)
 
         batch = integrate_radial_batch(f, 3.0, 1e-13, osc_scales=oscs)
         assert sizes[0] == [15, 15 * 39, 15 * 39, 15]
@@ -341,14 +346,15 @@ class TestLockstepBatch:
             integrate_radial(bad, 1.0, 1e-12)
         assert len(bad_calls) == 2
 
-    def test_values_must_match_each_integral_nodes(self):
-        # swapped value arrays have the right total size, but not per integral
-        swapped = lambda active, points: [np.ones(r.size) for r in reversed(points)]
-        with pytest.raises(ValueError):
-            integrate_radial_batch(swapped, 3.0, osc_scales=[1.0, 40.0])
+    def test_values_must_match_the_nodes(self):
+        # one value per node of the round, in r's shape; anything else is refused, not broadcast
+        for wrong in (lambda r: np.ones(r.size - 1), lambda r: np.ones(r.size + 15),
+                      lambda r: np.ones((r.size, 1)), lambda r: 1.0):
+            with pytest.raises(ValueError):
+                integrate_radial_batch(lambda owner, r: wrong(r), 3.0, osc_scales=[1.0, 40.0])
 
     def test_empty_batch(self):
-        def never(active, points):
+        def never(owner, r):
             raise AssertionError("the integrand of an empty batch is never called")
 
         assert integrate_radial_batch(never, 1.0, osc_scales=[]) == []

@@ -274,9 +274,9 @@ def reference_lommel_second(l, k, K, a):
     """The standalone M_2; None where N(k) or N(K) underflows to 0, where its switch differed from the cell's."""
     ak, aK = abs(k), abs(K)
     x, y = ak * a, aK * a
-    rows = scalar._jl_rows(l + 1, [x, y])
-    (j_k, j_K), (jp_k, jp_K) = rows[l:]
-    jm_k, jm_K = (math.cos(x) / x, math.cos(y) / y) if l == 0 else rows[l - 1]
+    col_k, col_K = scalar._jl_column(l + 1, x), scalar._jl_column(l + 1, y)
+    (j_k, jp_k), (j_K, jp_K) = col_k[l:], col_K[l:]
+    jm_k, jm_K = (math.cos(x) / x, math.cos(y) / y) if l == 0 else (col_k[l - 1], col_K[l - 1])
     value, err = scalar._lommel_second_from(a, ak, aK, j_k, jp_k, j_K, jp_K)
     n_k, n_K = scalar._lommel_first_from(a, jm_k, j_k, jp_k), scalar._lommel_first_from(a, jm_K, j_K, jp_K)
     if n_k == 0.0 or n_K == 0.0:
@@ -363,7 +363,28 @@ def reference_miller(lmax, x, rescaled=None):
     return block
 
 
+def reference_upward(lmax, x):
+    """Upward recurrence on the whole (orders x points) block, row by row."""
+    block = np.empty((lmax + 1, x.size))
+    sx, cx = np.sin(x), np.cos(x)
+    block[0] = sx / x
+    if lmax >= 1:
+        block[1] = sx / (x * x) - cx / x
+    for order in range(1, lmax):
+        block[order + 1] = (2 * order + 1) / x * block[order] - block[order - 1]
+    return block
+
+
 class TestTableKernelsBitIdentical:
+    def test_upward(self):
+        # the table's upward points run scalar._upward_column elementwise
+        rng = np.random.default_rng(23)
+        for lmax in range(0, 51):
+            for size in (1, 2, 33):
+                x = rng.uniform(max(lmax, specfun._SERIES_CUTOFF), lmax + 1e3, size)
+                x[0] = max(lmax, specfun._SERIES_CUTOFF)    # the regime's lower boundary
+                assert np.array_equal(specfun._jl_table(lmax, x), reference_upward(lmax, x)), (lmax, size)
+
     def test_series(self):
         rng = np.random.default_rng(20)
         for lmax in range(1, 51):
@@ -395,17 +416,21 @@ class TestTableKernelsBitIdentical:
         points[0][0] = 1e-4
         ks, Ks = (np.array(side) for side in zip(*pairs))
         starts = np.cumsum([0] + [r.size for r in points])
+        owner, r = np.repeat(np.arange(4), [p.size for p in points]), np.concatenate(points)
         for j, kernel in ((2, lambda x: (specfun.bessel_j(l, x),)), (1, lambda x: specfun.bessel_j_and_u(l, x))):
-            owner, r, at_k, at_K = theorems._round_kernels(j, l, ks, Ks, [0, 1, 2, 3], points)
-            assert np.array_equal(r, np.concatenate(points))
-            assert owner.tolist() == [i for i, pts in enumerate(points) for _ in pts]
+            at_k, at_K = theorems._round_kernels(j, l, ks, Ks, owner, r)
             for (k, K), pts, s, e in zip(pairs, points, starts[:-1], starts[1:]):
                 want = kernel(k * pts) + kernel(K * pts)
                 assert all(np.array_equal(g[s:e], w) for g, w in zip(at_k + at_K, want)), (j, k, K)
 
 
+def columns(lmax, xs):
+    """``scalar._jl_column`` at each of xs, as lists: the columns ``_jl_table(lmax, xs)`` must hold."""
+    return [list(scalar._jl_column(lmax, float(x))) for x in xs]
+
+
 class TestRowsBitIdentical:
-    """``_jl_rows`` (Python floats, one point at a time) against ``_jl_table``."""
+    """``_jl_column`` (Python floats, one point at a time) against the columns of ``_jl_table``."""
 
     @staticmethod
     def arguments(rng, lmax):
@@ -425,8 +450,8 @@ class TestRowsBitIdentical:
             for size in (1, 2, 3):
                 for start in range(len(xs)):
                     chosen = [xs[(start + 3 * i) % len(xs)] for i in range(size)]
-                    want = specfun._jl_table(lmax, np.array(chosen)).tolist()
-                    assert scalar._jl_rows(lmax, chosen) == want, (lmax, chosen)
+                    want = specfun._jl_table(lmax, np.array(chosen)).T.tolist()
+                    assert columns(lmax, chosen) == want, (lmax, chosen)
 
     def test_rescaling_column(self):
         # the column at x = 0.1 of a table of order 100 rescales on the way down
@@ -434,17 +459,17 @@ class TestRowsBitIdentical:
         reference_miller(100, np.array([0.1]), rescaled)
         assert rescaled
         for xs in ([0.1], [0.1, 30.0], [60.0, 0.1, 0.05], [120.0, 0.1, 31.0]):
-            assert scalar._jl_rows(100, xs) == specfun._jl_table(100, np.array(xs)).tolist()
+            assert columns(100, xs) == specfun._jl_table(100, np.array(xs)).T.tolist()
 
     def test_random_cells(self):
         rng = np.random.default_rng(41)
         for _ in range(2000):
             lmax = int(rng.integers(0, 52))
             xs = np.exp(rng.uniform(math.log(1e-3), math.log(200.0), int(rng.integers(1, 4)))).tolist()
-            assert scalar._jl_rows(lmax, xs) == specfun._jl_table(lmax, np.array(xs)).tolist(), (lmax, xs)
+            assert columns(lmax, xs) == specfun._jl_table(lmax, np.array(xs)).T.tolist(), (lmax, xs)
 
     def test_ten_thousand_points_all_regimes(self):
-        # the rows take sin and cos from math, the table from numpy
+        # the columns take sin and cos from math, the table from numpy
         rng = np.random.default_rng(43)
         points = 0
         for lmax in range(0, 51):
@@ -455,7 +480,7 @@ class TestRowsBitIdentical:
                 np.exp(rng.uniform(math.log(top), math.log(1e3), 80)),
             ]).tolist()
             points += len(xs)
-            assert scalar._jl_rows(lmax, xs) == specfun._jl_table(lmax, np.array(xs)).tolist(), lmax
+            assert columns(lmax, xs) == specfun._jl_table(lmax, np.array(xs)).T.tolist(), lmax
             assert [math.sin(x) for x in xs] == np.sin(xs).tolist()
             assert [math.cos(x) for x in xs] == np.cos(xs).tolist()
         assert points >= 10_000
@@ -550,7 +575,7 @@ class TestPerPointTops:
             x = np.exp(rng.uniform(math.log(1e-4), math.log(2.0 * top + 10.0), 33))
             want = specfun._jl_table(top, x)
             assert np.array_equal(specfun._jl_table(np.full(x.size, top), x), want), top
-            assert want.tolist() == scalar._jl_rows(top, x.tolist()), top
+            assert want.T.tolist() == columns(top, x.tolist()), top
 
     def test_on_table_picks_each_point_at_its_top(self):
         # zeros and negative arguments go through the evaluator's checks;
@@ -583,11 +608,11 @@ class TestMillerStartRule:
         rng = np.random.default_rng(70)
         xs = self.straddling() + np.exp(rng.uniform(math.log(specfun._SERIES_CUTOFF), math.log(60.0), 12)).tolist()
         for lmax in (1, 8, 33, 50, 120):
-            assert scalar._jl_rows(lmax, xs) == specfun._jl_table(lmax, np.array(xs)).tolist(), lmax
+            assert columns(lmax, xs) == specfun._jl_table(lmax, np.array(xs)).T.tolist(), lmax
         tops = rng.integers(1, 121, len(xs))
         table = specfun._jl_table(tops, np.array(xs))
         for top, x, column in zip(tops.tolist(), xs, table.T.tolist()):
-            assert column[:top + 1] == [row[0] for row in scalar._jl_rows(top, [x])], (top, x)
+            assert column[:top + 1] == list(scalar._jl_column(top, x)), (top, x)
 
     def test_miller_rows_at_bounds_against_mpmath(self):
         # every row of every Miller table (x < lmax <= 50) on both sides of
@@ -595,9 +620,9 @@ class TestMillerStartRule:
         for x in self.straddling():
             want = [TestAccuracyMap.reference(l, x) for l in range(51)]
             for lmax in range(math.floor(x) + 1, 51):
-                for l, got in enumerate(scalar._jl_rows(lmax, [x])):
+                for l, got in enumerate(scalar._jl_column(lmax, x)):
                     j, envelope = want[l]
-                    assert abs(got[0] - j) <= 1e-14 * (abs(j) if x < l + 1 else envelope), (lmax, l, x)
+                    assert abs(got - j) <= 1e-14 * (abs(j) if x < l + 1 else envelope), (lmax, l, x)
 
 
 class TestAccuracyMap:

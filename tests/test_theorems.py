@@ -575,9 +575,9 @@ class TestTableBuildsPerRound:
             tables.append(top if np.ndim(top) == 0 else tuple(np.unique(top).tolist()))
             return table(top, x)
 
-        def counted_round(f, active, lo, hi):
-            rounds.append(len(active))
-            return eval_panels(f, active, lo, hi)
+        def counted_round(f, owner, lo, hi, sizes):
+            rounds.append(len(sizes))   # the integrals of the round
+            return eval_panels(f, owner, lo, hi, sizes)
 
         with monkeypatch.context() as patch:
             patch.setattr(specfun, "_jl_table", counted_table)
@@ -598,13 +598,13 @@ class TestTableBuildsPerRound:
         self._check(monkeypatch, call, batch=21, orders=[3], extra=[], expected=(3, 3))
 
     def test_expansion_fd_j2(self, monkeypatch):
-        # eleven cross integrals of order l; the eleven N_2(K) take one set of
-        # scalar rows of order l+1, not a table
-        rows, jl_rows = [], scalar._jl_rows
-        monkeypatch.setattr(scalar, "_jl_rows", lambda lmax, xs: rows.append(lmax) or jl_rows(lmax, xs))
+        # eleven cross integrals of order l; the eleven N_2(K) take the
+        # closed-form cell of order l, not a table
+        cells, closed_form = [], theorems._closed_form
+        monkeypatch.setattr(theorems, "_closed_form", lambda *args: cells.append(args[:2]) or closed_form(*args))
         call = lambda: theorems.expansion_fd(2, 2, -1.9, 3.0, 0.9, 1e-14)
         self._check(monkeypatch, call, batch=11, orders=[2], extra=[], expected=(3, 3))
-        assert rows == [3, 3]   # once per call, and _check makes two
+        assert cells == [(2, 2)] * 22   # eleven per call, and _check makes two
 
     @pytest.mark.parametrize("k,K,batch", [(1.9, 1.9, 1), (-1.9, -1.9, 1), (-1.9, 1.9, 2)])
     def test_radial_integrals_quadrature_j1(self, monkeypatch, k, K, batch):
@@ -633,22 +633,29 @@ class TestFlatRound:
         points[0][0] = 1e-4   # a series-regime argument
         return points
 
+    @staticmethod
+    def _round(active, points):
+        """(owner, r) of a round whose integrals active[n] have the nodes points[n]."""
+        return np.repeat(active, [r.size for r in points]), np.concatenate(points)
+
     @pytest.mark.parametrize("l", [1, 2, 6])
     @pytest.mark.parametrize("j", [1, 2])
     def test_mode_integrand(self, j, l):
         # integral 3 is a self pair, integral 7 has k < 0 < K; the others are never evaluated
         pairs = [(0.7, 0.71)] + [(9.0, 9.5)] * 2 + [(1.9, 1.9)] + [(9.0, 9.5)] * 3 + [(-1.3, 2.4)]
         points = self._points(40 + l, (30, 15, 60))
-        got = theorems._mode_integrand(Mode(j, l), pairs)(self.ACTIVE, points)
+        owner, flat = self._round(self.ACTIVE, points)
+        got = theorems._mode_integrand(Mode(j, l), pairs)(owner, flat)
+        assert got.shape == flat.shape
         ll1 = l * (l + 1)
-        for i, r, values in zip(self.ACTIVE, points, got):
+        for i, r in zip(self.ACTIVE, points):
+            values = got[owner == i]
             k, K = pairs[i]
             if j == 2:
                 want = r * r * specfun.bessel_j(l, k * r) * specfun.bessel_j(l, K * r)
             else:
                 (jk, uk), (jK, uK) = specfun.bessel_j_and_u(l, k * r), specfun.bessel_j_and_u(l, K * r)
                 want = jk * jK + k * K * r * r * uk * uK / ll1
-            assert values.shape == r.shape
             assert np.array_equal(values, want), (j, l, i)
 
     @pytest.mark.parametrize("k,K", [(-1.3, 1.31), (1.9, 1.9)])
@@ -662,8 +669,8 @@ class TestFlatRound:
         theorems.curl_identity_check(l, k, K, 2.0)
         (sides,) = captured
         r_a, r_b = self._points(50, (45, 30))
-        (b_only,) = sides([1], [r_b])
-        a_side, b_side = sides([0, 1], [r_a, r_b])
+        b_only = sides(*self._round([1], [r_b]))
+        a_side, b_side = np.split(sides(*self._round([0, 1], [r_a, r_b])), [r_a.size])
 
         def kernels(r):
             return specfun.bessel_j_and_u(l, k * r) + specfun.bessel_j_and_u(l, K * r)
@@ -673,3 +680,42 @@ class TestFlatRound:
         assert np.array_equal(b_only, want_b) and np.array_equal(b_side, want_b)
         jk, uk, jK, uK = kernels(r_a)
         assert np.array_equal(a_side, ll1 * ll1 * jk * jK + ll1 * k * K * r_a * r_a * uk * uK)
+
+    @pytest.mark.parametrize("l", [1, 2, 6])
+    @pytest.mark.parametrize("k", [1.3, -1.3])
+    def test_series_integrands(self, monkeypatch, k, l):
+        # an uneven round of integrals 0, 2 and 3 of the four (c0, c1, d0, d1),
+        # then c1 alone; each formula reads j_(l-1), j_l and j_(l+1) from a
+        # table of that top order, at |k| r and at k r
+        mw = 0.9
+        captured, batch = [], theorems.integrate_radial_batch
+        monkeypatch.setattr(theorems, "integrate_radial_batch",
+                            lambda f, *args, **kwargs: captured.append(f) or batch(f, *args, **kwargs))
+        theorems.series_integrals_j1(l, k, 2.0, mw)
+        (integrands,) = captured
+        ak, k2, ll1, two_l1_sq = abs(k), k * k, l * (l + 1), (2 * l + 1) ** 2
+        pref_d0, pref_d1 = k ** (2 - l) * ak**l, k ** (-l - 2) * ak**l
+
+        def want(i, r):
+            jm, j, jp = (specfun.bessel_j(n, ak * r) for n in (l - 1, l, l + 1))
+            jm_s, j_s, jp_s = (specfun.bessel_j(n, k * r) for n in (l - 1, l, l + 1))
+            r2 = r * r
+            if i == 0:
+                return (k2 * (l + 1) ** 2 * r2 * jm * jm - 2.0 * k2 * ll1 * r2 * jm * jp
+                        + l * (k2 * l * r2 * jp * jp + (l + 1) * two_l1_sq * j * j)) / (ll1 * two_l1_sq)
+            if i == 1:
+                return -(mw / (ll1 * k2)) * j * (
+                    (l + 1) * (-k2 * r2 + 2 * l * l + l) * j + r * ak * (k2 * r2 - 2 * l * l - 2 * l) * jp)
+            if i == 2:
+                comb = (l + 1) * jm_s - l * jp_s
+                return r * r * pref_d0 * comb * comb / (ll1 * two_l1_sq) + j_s * j
+            return -(mw * pref_d1 / (2.0 * ll1)) * j_s * (
+                (l + 1) * (-k2 * r2 + 2 * l * l + l) * j_s + k * r * (k2 * r2 - 2 * l * l - 2 * l) * jp_s)
+
+        for active, sizes in (([0, 2, 3], (30, 45, 15)), ([1], (30,))):
+            points = self._points(60 + l + len(active), sizes)
+            owner, flat = self._round(active, points)
+            got = integrands(owner, flat)
+            assert got.shape == flat.shape
+            for i, r in zip(active, points):
+                assert np.array_equal(got[owner == i], want(i, r)), (k, l, i)
