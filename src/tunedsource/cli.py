@@ -39,7 +39,6 @@ from .model import (
     Mode,
     SourceSpec,
     Substrate,
-    _is_int,
     _margin_cell,
     _tuned_K,
     _weight,
@@ -48,7 +47,7 @@ from .model import (
     source_energy,
     tuned_wavenumber,
 )
-from .scalar import TOL_MIN, validate_tol
+from .scalar import TOL_MIN, _is_int, validate_tol
 
 __all__ = ["RunConfig", "load_config", "run_verify", "run_energies", "run_sweep", "run_tune", "main"]
 
@@ -207,7 +206,7 @@ def _load_chis(raw, substrate: Substrate):
     return ()
 
 
-def _load_xi_search(raw):
+def _load_xi_search(raw, substrate: Substrate):
     if "xi_search" not in raw:
         return None
     block = _expect(raw, "", "xi_search", "dict")
@@ -218,6 +217,7 @@ def _load_xi_search(raw):
     table = _expect(block, "xi_search", "table", "list")
     if lo >= hi:
         raise ConfigError(f"xi_search: need lo < hi, got [{lo}, {hi}]")
+    _library("xi_search", tuned_wavenumber, substrate.k, substrate.mu_omega, 0.0)    # the roots' admissibility rule
     if grid_n < 2:
         raise ConfigError(f"xi_search.grid_n: must be >= 2, got {grid_n}")
     if tol <= 0.0:
@@ -319,7 +319,7 @@ def load_config(path: str, *, command: str, overrides=None) -> RunConfig:
     need_modes = command in ("verify", "sweep")
     j_list, l_values = _load_modes(raw, need_modes)
     chi_values = _load_chis(raw, substrate)
-    xi_search = _load_xi_search(raw)
+    xi_search = _load_xi_search(raw, substrate)
     amplitudes = _load_amplitudes(raw)
     sweep_axis, sweep_values = _load_sweep(raw, substrate)
     tols = _load_tolerances(raw, overrides)
@@ -475,7 +475,7 @@ def _mode_expansion(cfg: RunConfig, j: int, l: int) -> dict:
             "pass_f1": bool(f1_res <= cfg.f1_tol), "pass_f2": pass_f2}
 
 
-def _margin_cells(cfg: RunConfig, mode: Mode, k: float, a: float, chi: float, chi0: float) -> dict:
+def _margin_cells(cfg: RunConfig, mode: Mode, k: float, a: float, chi: float, chi0: float, ratios0: dict) -> dict:
     """Margin columns and pass rules of one (mode, k, a, chi) cell, shared by verify and sweep."""
     mw = cfg.substrate.mu_omega
     K, n_k, n_K, m, margin, scale = _margin_cell(mode, k, chi, mw, a, cfg.quad_rel_tol)
@@ -483,7 +483,12 @@ def _margin_cells(cfg: RunConfig, mode: Mode, k: float, a: float, chi: float, ch
     if chi == 0.0:
         pass_bound = pass_bound and abs(margin) <= cfg.margin_tol * scale
     K0 = _tuned_K(k, mw, chi0)    # minimality_margin's checks, in its order, with ratio(chi) from this cell
-    ratio, ratio0 = _weight(mode, k, K, n_K, m), mode_ratio(mode, k, K0, a, cfg.quad_rel_tol)
+    ratio = _weight(mode, k, K, n_K, m)
+    if (mode, k, a) not in ratios0:    # one chi0 cell per (mode, k, a) and run, its error kept too
+        ratios0[mode, k, a] = _or_error(lambda: {"ratio0": mode_ratio(mode, k, K0, a, cfg.quad_rel_tol)})
+    if "status" in ratios0[mode, k, a]:
+        return ratios0[mode, k, a]    # the chi0 cell's error, after this row's own
+    ratio0 = ratios0[mode, k, a]["ratio0"]
     regime_cap = _REGIME * k * k
     pass_min = None
     if abs(chi * mw) <= regime_cap and abs(chi0 * mw) <= regime_cap and chi * chi > chi0 * chi0:
@@ -503,12 +508,13 @@ def run_verify(cfg: RunConfig):
     else:
         expansions = {(j, l): _or_error(_mode_expansion, cfg, j, l) for j in cfg.j_list for l in cfg.l_values}
         rows = []
+        ratios0 = {}    # (mode, k, a) -> ratio(chi0), or the chi0 cell's error
         for j in cfg.j_list:
             for l in cfg.l_values:
                 for chi in cfg.chi_values:
                     row = {"j": j, "l": l, "k": s.k, "chi": chi, **expansions[(j, l)]}
                     if "status" not in row:
-                        row.update(_or_error(_margin_cells, cfg, Mode(j, l), s.k, s.a, chi, chi0))
+                        row.update(_or_error(_margin_cells, cfg, Mode(j, l), s.k, s.a, chi, chi0, ratios0))
                     rows.append(_row(VERIFY_COLUMNS, row))
     return _exit_code(VERIFY_COLUMNS, rows), VERIFY_COLUMNS, rows
 
@@ -579,6 +585,7 @@ def run_sweep(cfg: RunConfig):
         rows = [_row(SWEEP_COLUMNS, _NO_TUNED)]
     else:
         fixed = {"axis": axis, "k": s.k, "a": s.a, "mu_omega": s.mu_omega}
+        ratios0 = {}    # (mode, k, a) -> ratio(chi0), or the chi0 cell's error
         # the swept value stands in for one of k, a, l, chi; the sort is stable,
         # so duplicate sweep values keep the order they were made in
         points = sorted(
@@ -589,7 +596,7 @@ def run_sweep(cfg: RunConfig):
             key=lambda p: (p["value"], p["j"], p["l"], p["chi"]),
         )
         rows = [_row(SWEEP_COLUMNS, {**p, **_or_error(
-                    _margin_cells, cfg, Mode(p["j"], p["l"]), p["k"], p["a"], p["chi"], chi0)})
+                    _margin_cells, cfg, Mode(p["j"], p["l"]), p["k"], p["a"], p["chi"], chi0, ratios0)})
                 for p in points]
     return _exit_code(SWEEP_COLUMNS, rows), SWEEP_COLUMNS, rows
 

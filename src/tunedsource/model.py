@@ -66,10 +66,6 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 @dataclass(frozen=True)
 class Substrate:
     """Spherical source region: relative constitutive parameters, frequency, radius."""
@@ -81,9 +77,7 @@ class Substrate:
 
     def __post_init__(self):
         for name in ("epsilon_r", "mu_r", "omega", "a"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)):
-                raise InvalidInputError(f"Substrate.{name} must be a finite number, got {v!r}")
+            scalar._finite(f"Substrate.{name}", getattr(self, name))
         if self.omega <= 0.0:
             raise InvalidInputError(f"Substrate.omega must be > 0, got {self.omega}")
         if self.a <= 0.0:
@@ -126,11 +120,10 @@ class Mode:
     m: int = 0
 
     def __post_init__(self):
-        if not (_is_int(self.j) and self.j in (1, 2)):
+        if not (scalar._is_int(self.j) and self.j in (1, 2)):
             raise InvalidInputError(f"Mode.j must be the integer 1 or 2, got {self.j!r}")
-        if not (_is_int(self.l) and self.l >= 1):
-            raise InvalidInputError(f"Mode.l must be an integer >= 1, got {self.l!r}")
-        if not (_is_int(self.m) and abs(self.m) <= self.l):
+        scalar._int("Mode.l", self.l, 1)
+        if not (scalar._is_int(self.m) and abs(self.m) <= self.l):
             raise InvalidInputError(f"Mode.m must satisfy |m| <= l, got m={self.m}, l={self.l}")
 
 
@@ -194,11 +187,11 @@ def classify_substrate(s: Substrate) -> str:
 
 
 def _validate_mu_omega(mu_omega: float) -> None:
-    """Reject a mu_omega that is not a finite real (``scalar._real``) or is 0, which leaves K independent of chi."""
-    if type(mu_omega) is not float:    # the fast path's one test
-        scalar._real("mu_omega", mu_omega)
-    if mu_omega == 0.0 or not math.isfinite(mu_omega):
-        raise InvalidInputError(f"mu_omega must be finite and nonzero, got {mu_omega}")
+    """Reject a mu_omega that is not a finite real (``scalar._finite``) or is 0, which leaves K independent of chi."""
+    if not (type(mu_omega) is float and math.isfinite(mu_omega)):    # the fast path's one test, then finiteness
+        scalar._finite("mu_omega", mu_omega)
+    if mu_omega == 0.0:
+        raise InvalidInputError(f"mu_omega must be nonzero, got {mu_omega}")
 
 
 def tuned_wavenumber(k: float, mu_omega: float, chi: float) -> TuningState:
@@ -220,11 +213,10 @@ def tuned_wavenumber(k: float, mu_omega: float, chi: float) -> TuningState:
 
 def _tuned_K(k: float, mu_omega: float, chi: float) -> float:
     """``tuned_wavenumber(k, mu_omega, chi).K`` as a float, with its checks in its order."""
-    if not (type(k) is type(mu_omega) is type(chi) is float):    # the fast path's one test
+    if not (type(k) is type(mu_omega) is type(chi) is float    # the fast path's one test, then finiteness
+            and math.isfinite(k) and math.isfinite(mu_omega) and math.isfinite(chi)):
         for name, value in (("k", k), ("mu_omega", mu_omega), ("chi", chi)):
-            scalar._real(name, value)
-    if not (math.isfinite(k) and math.isfinite(mu_omega) and math.isfinite(chi)):
-        raise InvalidInputError("k, mu_omega and chi must be finite")
+            scalar._finite(name, value)
     if k == 0.0:
         raise InvalidInputError("k must be nonzero")
     _validate_mu_omega(mu_omega)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, IntegrandDomainError, InvalidInputError
-from .scalar import _real, validate_tol
+from .scalar import _finite, _int, validate_tol
 
 __all__ = ["QuadratureResult", "integrate_radial", "integrate_radial_batch"]
 
@@ -220,18 +220,15 @@ def integrate_radial_batch(f, a, rel_tol=1e-12, *, osc_scales, max_panels=8192):
     IntegrandDomainError), the error of the lowest-index one is raised, as
     a lone run of it would raise it.
     """
-    a = _real("upper limit a", a)
-    if not (math.isfinite(a) and a > 0.0):
-        raise InvalidInputError(f"upper limit a must be finite and > 0, got {a}")
+    a = _finite("upper limit a", a)
+    if not a > 0.0:
+        raise InvalidInputError(f"upper limit a must be > 0, got {a}")
     validate_tol(rel_tol)
-    if not isinstance(max_panels, (int, np.integer)) or isinstance(max_panels, bool) or max_panels < 1:
-        raise InvalidInputError(f"max_panels must be an integer >= 1, got {max_panels!r}")
-    osc_scales = [_real("osc_scales entry", osc) for osc in osc_scales]
-    if not all(math.isfinite(osc) for osc in osc_scales):
-        raise InvalidInputError("osc_scales must be finite")
+    max_panels = _int("max_panels", max_panels, 1)
+    osc_scales = [_finite("osc_scales entry", osc) for osc in osc_scales]
     if not osc_scales:
         return []
-    return _adaptive(f, a, float(rel_tol), osc_scales, int(max_panels))
+    return _adaptive(f, a, float(rel_tol), osc_scales, max_panels)
 
 
 def integrate_radial(f, a, rel_tol=1e-12, *, osc_scale=1.0, max_panels=8192):

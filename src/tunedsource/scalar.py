@@ -6,8 +6,10 @@ The production path of the library (the closed-form cell of
 This module holds what it needs, without numpy: the column j_0..j_lmax at
 one point (``_jl_column``), the kernel u_l, Lommel's integrals from a
 column's values (with a near-diagonal series; ``model._closed_form`` alone
-picks one) and the shared input checks, whose ``_real`` rule covers
-tolerances too.
+picks one) and the shared input rules: ``_real`` (a real number, not a
+bool), ``_finite`` (a finite one), ``_is_int`` and ``_int`` (an integer,
+numpy's included, not a bool), and the cell's ``_validate`` and
+``validate_tol`` built on them.
 
 ``_jl_column`` is a column of ``specfun._jl_table`` to the bit: the same
 series / Miller / upward regimes, the same operations in the same order.
@@ -72,13 +74,32 @@ def _real(name, value):
     return float(value)
 
 
+def _finite(name, value):
+    """``value`` as a float; InvalidInputError unless it is a real number (``_real``) and finite."""
+    value = _real(name, value)
+    if not math.isfinite(value):
+        raise InvalidInputError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _is_int(value) -> bool:
+    """True for an integer other than a bool; ``numbers.Integral`` admits numpy's integers without importing numpy."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _int(name, value, lowest: int) -> int:
+    """``value`` as an int; InvalidInputError unless it is an integer (``_is_int``) >= lowest."""
+    if not (_is_int(value) and value >= lowest):
+        raise InvalidInputError(f"{name} must be an integer >= {lowest}, got {value!r}")
+    return int(value)
+
+
 def _validate(k, K, a, rel_tol=1e-12) -> None:
-    """Reject k, K or a that is not a finite real (``_real``), a zero wavenumber, a radius a <= 0 and a rel_tol out of range."""
-    if not (type(k) is type(K) is type(a) is float):    # the fast path's one test
+    """Reject k, K or a that is not a finite real (``_finite``), a zero wavenumber, a radius a <= 0 and a rel_tol out of range."""
+    if not (type(k) is type(K) is type(a) is float    # the fast path's one test, then finiteness
+            and math.isfinite(k) and math.isfinite(K) and math.isfinite(a)):
         for name, value in (("k", k), ("K", K), ("a", a)):
-            _real(name, value)
-    if not (math.isfinite(k) and math.isfinite(K) and math.isfinite(a)):
-        raise InvalidInputError(f"k, K and a must be finite, got k={k}, K={K}, a={a}")
+            _finite(name, value)
     if k == 0.0 or K == 0.0:
         raise InvalidInputError("wavenumbers must be nonzero")
     if a <= 0.0:

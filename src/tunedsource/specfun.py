@@ -31,17 +31,17 @@ overflow check runs only when a Python-float growth bound allows an
 overflow, so a step costs two numpy calls (three for the orders it stores).
 The array kernels (``bessel_j`` and friends) and the quadrature integrands
 use it, where a call holds hundreds of points.  The four array kernels share
-one evaluator, ``_on_table``: it rejects non-finite x, builds the table at
-|x| (x = 0 included) and applies each kernel's parity, so a kernel only says
-which table rows it combines.  ``scalar._jl_column`` runs the Miller and
-upward recurrences on Python floats for one point, with ``math``'s sin and
-cos; it needs numpy only for an argument below the series cutoff, which
-takes ``_jl_series``.  The callers that hold a fixed handful of scalars use
-it: the closed-form cell (and so the Lommel views and the oracle's j=2 self
-integrals) through ``scalar._jl_triple``, and ``theorems.expansion_j2``
-through ``scalar._jl_value``.  For one or two points it costs a fraction of
-``_jl_table``'s per-order numpy calls, and it keeps numpy out of the
-processes that only run the closed-form cell.
+one evaluator, ``_on_table``: it rejects x unless finite and real, builds
+the table at |x| (x = 0 included) and applies each kernel's parity, so a
+kernel only says which table rows it combines.  ``scalar._jl_column`` runs
+the Miller and upward recurrences on Python floats for one point, with
+``math``'s sin and cos; it needs numpy only for an argument below the series
+cutoff, which takes ``_jl_series``.  The callers that hold a fixed handful of
+scalars use it: the closed-form cell (and so the Lommel views and the
+oracle's j=2 self integrals) through ``scalar._jl_triple``, and
+``theorems.expansion_j2`` through ``scalar._jl_value``.  For one or two
+points it costs a fraction of ``_jl_table``'s per-order numpy calls, and it
+keeps numpy out of the processes that only run the closed-form cell.
 
 Accuracy, all arithmetic binary64, checked against mpmath for l <= 50 and
 |x| <= 1e3: the relative error is <= 1e-12 for |x| < l + 1, where j_l has no
@@ -62,6 +62,7 @@ from .scalar import (
     _MILLER_STARTS,
     _RESCALE_LIMIT,
     _SERIES_CUTOFF,
+    _int,
     _u_from_neighbors,
     _upward_column,
     _validate,
@@ -200,28 +201,20 @@ def _jl_table(top, x: np.ndarray) -> np.ndarray:
     return block
 
 
-def _validate_order(l: int, lowest: int = 0) -> int:
-    if not isinstance(l, (int, np.integer)) or isinstance(l, bool):
-        raise InvalidInputError(f"order l must be an integer, got {l!r}")
-    if l < lowest:
-        raise InvalidInputError(f"order l must be >= {lowest}, got {l}")
-    return int(l)
-
-
 def _on_table(x, lmax, kernels) -> list:
     """Kernel values at x from one table of j_0..j_lmax at |x|: the array kernels' one evaluator.
 
     ``lmax`` is an int, or per-point tops of x's shape (see ``_jl_table``).
-    Rejects non-finite x, builds the table at |x| (at x = 0, j_0 = 1 and the
-    higher orders vanish) and calls ``kernels(table, ax, nonzero)``.  That
-    returns a list of (values at |x|, odd) pairs; an odd kernel changes sign
-    at negative x.  Returns the list of kernel values, floats for a scalar x
-    and arrays of x's shape otherwise.
+    Rejects x unless finite and real, builds the table at |x| (at x = 0,
+    j_0 = 1 and the higher orders vanish) and calls
+    ``kernels(table, ax, nonzero)``.  That returns a list of (values at |x|,
+    odd) pairs; an odd kernel changes sign at negative x.  Returns the list
+    of kernel values, floats for a scalar x and arrays of x's shape otherwise.
     """
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("argument must be finite")
-    flat = arr.ravel()
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):    # a bool, complex, str or None is no real
+        raise InvalidInputError("argument must be finite and real")
+    flat = arr.ravel().astype(float, copy=False)
     ax = np.abs(flat)
     nonzero = ax > 0.0
     if nonzero.all():   # the table as built
@@ -254,14 +247,14 @@ def bessel_j(l: int, x):
     -------
     float or ndarray
     """
-    l = _validate_order(l)
+    l = _int("order l", l, 0)
     (vals,) = _on_table(x, l, lambda table, ax, nonzero: [(table[l].copy(), l % 2 == 1)])
     return vals
 
 
 def bessel_j_prime(l: int, x):
     """Derivative j_l'(x), via j_l' = j_{l-1} - (l+1) j_l / x (and j_0' = -j_1)."""
-    l = _validate_order(l)
+    l = _int("order l", l, 0)
 
     def kernels(table, ax, nonzero):
         # parity: j_l' is even for odd l, odd for even l
@@ -295,7 +288,7 @@ def bessel_u(l: int, x):
     l >= 1 (u_1(0) = 2/3, u_l(0) = 0 for l >= 2); u_0(x) = cos(x)/x is
     singular at the origin.
     """
-    l = _validate_order(l)
+    l = _int("order l", l, 0)
     # parity: u_l(-x) = (-1)^{l+1} u_l(x)
     (vals,) = _on_table(x, l + 1, lambda table, ax, nonzero: [(_u_from_table(l, table, ax, nonzero), l % 2 == 0)])
     return vals
@@ -307,7 +300,7 @@ def bessel_j_and_u(l: int, x):
     The mode integrands need both kernels at the same points; this avoids
     building the order table twice.  Requires l >= 1.
     """
-    l = _validate_order(l, 1)
+    l = _int("order l", l, 1)
 
     def kernels(table, ax, nonzero):
         return [(table[l].copy(), l % 2 == 1), (_u_from_table(l, table, ax, nonzero), l % 2 == 0)]
@@ -326,7 +319,7 @@ def lommel_first(l: int, alpha: float, a: float) -> float:
     which is strictly positive for real nonzero alpha.  For l = 0 the
     closed form uses j_{-1}(x) = cos(x)/x.  A view of the closed-form cell.
     """
-    l = _validate_order(l)
+    l = _int("order l", l, 0)
     return _closed_form(2, l, alpha, alpha, a, 1e-12)[0]
 
 
@@ -344,7 +337,7 @@ def lommel_second(l: int, k: float, K: float, a: float) -> float:
     A view of the closed-form cell (``model.radial_integrals`` at rel_tol
     1e-12), whose near-diagonal series takes over where Lommel's difference cancels.
     """
-    l = _validate_order(l)
+    l = _int("order l", l, 0)
     _validate(k, K, a)
     if abs(K) == abs(k):
         raise InvalidInputError("lommel_second requires K^2 != k^2; use lommel_first")

@@ -29,8 +29,7 @@ each distinct one integrated once, all in one lockstep batch
 its batch of one.  Each round evaluates its integrands once, on the flat
 node array of all active integrals (``f(owner, r)``), from one Bessel table,
 each product in a lone integral's order, so every value is identical to the
-bit to a lone integration.  With smaller trims elsewhere, the ``fd_oracle`` benchmark ran
-1.08-1.10x faster than with per-integral evaluation (2-CPU host).
+bit to a lone integration.
 
 Importing this module loads numpy, ``specfun`` and ``quadrature``, which
 the oracle routes need, and ``decimal``, which ``expansion_j2`` needs: a
@@ -52,7 +51,6 @@ from .model import (
     Mode,
     RadialIntegrals,
     _closed_form,
-    _is_int,
     _margin_cell,
     _tuned_K,
     _validate_mu_omega,
@@ -214,7 +212,7 @@ def curl_identity_check(l: int, k: float, K: float, a: float, rel_tol: float = 1
 
     and returns |A - (l(l+1))^2 B| / max(|A|, |(l(l+1))^2 B|).
     """
-    l = specfun._validate_order(l, 1)
+    l = scalar._int("order l", l, 1)
     scalar._validate(k, K, a, rel_tol)
     ll1 = l * (l + 1)
 
@@ -282,15 +280,12 @@ def expansion_j2(l: int, k: float, a: float, mu_omega: float) -> ExpansionCoeffs
     the recurrence would be long and the quartic barely cancels, so f2 takes
     the doubles themselves, in the same Decimal arithmetic.
     """
-    l = specfun._validate_order(l, 1)
-    for name, value in (("k", k), ("a", a)):
-        scalar._real(name, value)
-    if k == 0.0:
-        raise InvalidInputError("k must be nonzero")
+    l = scalar._int("order l", l, 1)
+    scalar._validate(k, k, a)
     _validate_mu_omega(mu_omega)
     x = k * a
-    if not (a > 0.0 and math.isfinite(x)):
-        raise InvalidInputError(f"expansion needs a > 0 and finite k a, got k={k}, a={a}")
+    if not math.isfinite(x):
+        raise InvalidInputError(f"expansion needs a finite k a, got k={k}, a={a}")
     ax = abs(x)    # the bracket and the quartic are even in x
     doubles = [scalar._jl_value(order, ax) for order in (l - 1, l, l + 1)]
     jm1, j, jp1 = doubles
@@ -369,18 +364,12 @@ def expansion_fd(
     M_1(k, K) per step, one integral at chi = 0 for k > 0), 11 cross
     integrals for j=2, whose N_2(K) come from one Bessel table.
     """
-    if j not in (1, 2):
-        raise InvalidInputError(f"j must be 1 or 2, got {j}")
-    _validate_mu_omega(mu_omega)
-    scalar._real("k", k)
-    if k == 0.0 or not math.isfinite(k):
-        raise InvalidInputError(f"k must be finite and nonzero, got {k}")
-
+    mode = Mode(j, l)
+    _tuned_K(k, mu_omega, 0.0)    # the rules of k and mu_omega, before they set the step scale
     scale = k * k / mu_omega
     steps = [t * scale for t in _FD_STEPS]
     chis = [0.0] + [chi for h in steps for chi in (h, -h)]
     Ks = [_tuned_K(k, mu_omega, chi) for chi in chis]
-    mode = Mode(j, l)
     integrals = _quadrature_integrals(mode, k, Ks, a, rel_tol)
     r0, *ladder = (_weight(mode, k, K, ri.n_self_K, ri.m_cross) for K, ri in zip(Ks, integrals))
     d1 = []
@@ -409,7 +398,7 @@ def series_integrals_j1(
     k r are those values with the parity sign (-1)^n of order n for k < 0,
     an exact negation.
     """
-    l = specfun._validate_order(l, 1)
+    l = scalar._int("order l", l, 1)
     scalar._validate(k, k, a, rel_tol)
     _validate_mu_omega(mu_omega)
     ak = abs(k)
@@ -477,8 +466,8 @@ def f1_vanishing_check(
     InvalidInputError unless tol is a finite number >= 0, and
     DegenerateModeError where d0^3 underflows to 0 (orders l >> k a).
     """
-    if not (math.isfinite(scalar._real("tol", tol)) and tol >= 0.0):
-        raise InvalidInputError(f"tol must be a finite number >= 0, got {tol!r}")
+    if not scalar._finite("tol", tol) >= 0.0:
+        raise InvalidInputError(f"tol must be >= 0, got {tol!r}")
     si = series_integrals_j1(l, k, a, mu_omega, rel_tol)
     d0_cubed = abs(si.d0) ** 3
     if d0_cubed == 0.0:
@@ -497,13 +486,11 @@ def default_chi_grid(k: float, mu_omega: float, n: int = 21, span: float = 0.9) 
     [-span, span] and K^2 = k^2 (1 - span..1 + span) remains positive for
     span < 1.
     """
-    if not (_is_int(n) and n >= 1 and n % 2 == 1):
+    if not (scalar._is_int(n) and n >= 1 and n % 2 == 1):
         raise InvalidInputError(f"n must be a positive odd integer, got {n!r}")
-    if not (0.0 < span < 1.0):
+    if not (0.0 < scalar._real("span", span) < 1.0):
         raise InvalidInputError(f"span must lie in (0, 1), got {span}")
-    if scalar._real("k", k) == 0.0 or not math.isfinite(k):
-        raise InvalidInputError(f"k must be finite and nonzero, got {k}")
-    _validate_mu_omega(mu_omega)
+    _tuned_K(k, mu_omega, 0.0)    # the rules of k and mu_omega
     half = (n - 1) // 2
     offsets = np.arange(-half, half + 1, dtype=float)
     if half == 0:

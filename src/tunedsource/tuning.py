@@ -19,13 +19,13 @@ root search imports no numpy.  They give the bits of ``numpy.linspace`` and
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import ConstraintEvaluationError, InvalidInputError, NoTunedSolutionError
-from .scalar import _real
+from .model import _tuned_K
+from .scalar import _finite, _int
 
 __all__ = ["ChiSet", "find_constraint_roots", "select_chi0"]
 
@@ -128,20 +128,21 @@ def find_constraint_roots(
         carries a sign change within [r - tol, r + tol] or satisfies
         |g(r)| = 0 exactly on a grid point.
     k, mu_omega : float, keyword only, optional
-        When both are given, roots with chi * mu_omega >= k^2 are dropped
-        into ``excluded`` (inadmissible tuning, K^2 <= 0).
+        Given together or not at all, under the rules of
+        ``model.tuned_wavenumber`` at chi = 0; when given, roots with
+        chi * mu_omega >= k^2 are dropped into ``excluded`` (inadmissible
+        tuning, K^2 <= 0).
     """
-    for name, value in (("lo", lo), ("hi", hi), ("tol", tol)):
-        _real(name, value)
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+    lo, hi, tol = (_finite(name, value) for name, value in (("lo", lo), ("hi", hi), ("tol", tol)))
+    if not lo < hi:
         raise InvalidInputError(f"need finite lo < hi, got [{lo}, {hi}]")
-    # numbers.Integral admits numpy integers without importing numpy
-    if not (isinstance(grid_n, numbers.Integral) and not isinstance(grid_n, bool) and grid_n >= 2):
-        raise InvalidInputError(f"grid_n must be an integer >= 2, got {grid_n!r}")
-    if not (math.isfinite(tol) and tol > 0.0):
+    grid_n = _int("grid_n", grid_n, 2)
+    if not tol > 0.0:
         raise InvalidInputError(f"tol must be > 0, got {tol}")
+    if k is not None or mu_omega is not None:    # the one left out fails the rule as None
+        _tuned_K(k, mu_omega, 0.0)
 
-    xs = _linspace(lo, hi, int(grid_n))
+    xs = _linspace(lo, hi, grid_n)
     gs = [float(g(x)) for x in xs]
     for x, gx in zip(xs, gs):
         if not math.isfinite(gx):
@@ -161,13 +162,13 @@ def find_constraint_roots(
         if not merged or r - merged[-1] > tol:
             merged.append(r)
 
-    if k is not None and mu_omega is not None:
+    if k is not None:
         admissible = [r for r in merged if r * mu_omega < k * k]
         excluded = tuple(r for r in merged if r * mu_omega >= k * k)
     else:
         admissible, excluded = merged, ()
 
-    return ChiSet(roots=tuple(admissible), bracket_tol=float(tol), excluded=excluded)
+    return ChiSet(roots=tuple(admissible), bracket_tol=tol, excluded=excluded)
 
 
 def select_chi0(xi: ChiSet) -> float:

@@ -454,14 +454,50 @@ class TestEnergies:
 
 class TestSweep:
     def test_one_closed_form_cell_per_row_and_chi0(self, monkeypatch):
-        # a row reads its own cell once, and the chi0 cell once, not its own twice
+        # a row reads its own cell once, and each (mode, k, a) reads its chi0 cell once per run
         from tunedsource import model
 
         calls, closed_form = [], model._closed_form
         monkeypatch.setattr(model, "_closed_form", lambda *args: calls.append(args) or closed_form(*args))
         code, columns, rows = cli.run_sweep(cli.load_config(str(CONFIG_DIR / "sweep_chi_dng.json"), command="sweep"))
         assert code == 0 and len(rows) == 36
-        assert len(calls) == 2 * len(rows)   # 108 when minimality_margin recomputed each row's cell
+        assert len(calls) == len(rows) + 4   # 4 modes; 72 with a chi0 cell per row, 108 with each row's own twice
+
+    def test_failing_chi0_cell_fails_its_rows_after_their_own_checks(self, monkeypatch):
+        # the chi0 cell of mode (2, 1) raises; it is evaluated once, and each of its rows reports that
+        # error, except the row whose own ratio fails first, which keeps its own error
+        from tunedsource.model import Mode
+
+        cfg = cli.load_config(str(CONFIG_DIR / "sweep_chi_dng.json"), command="sweep")
+        s, weight, mode_ratio = cfg.substrate, cli._weight, cli.mode_ratio
+        K_own = tuned_wavenumber(s.k, s.mu_omega, 0.5).K
+        chi0_calls = []
+
+        def failing_weight(mode, k, K, *args):
+            if mode == Mode(2, 1) and K == K_own:
+                raise DegenerateModeError("own failure")
+            return weight(mode, k, K, *args)
+
+        def failing_chi0(mode, *args):
+            chi0_calls.append(mode)
+            if mode == Mode(2, 1):
+                raise DegenerateModeError("chi0 failure")
+            return mode_ratio(mode, *args)
+
+        monkeypatch.setattr(cli, "_weight", failing_weight)
+        monkeypatch.setattr(cli, "mode_ratio", failing_chi0)
+        code, columns, rows = cli.run_sweep(cfg)
+        assert code == 1 and len(rows) == 36
+        assert sorted(chi0_calls) == [Mode(1, 1), Mode(1, 2), Mode(2, 1), Mode(2, 2)]
+        for row in rows:
+            named = dict(zip(columns, row))
+            if (named["j"], named["l"]) != (2, 1):
+                assert named["status"] == "ok" and named["min_scale"] > 0.0
+            elif named["chi"] == 0.5:
+                assert named["status"] == "error: own failure"
+            else:
+                assert named["status"] == "error: chi0 failure"
+                assert named["K"] is None and named["minimality_margin"] is None
 
     def test_chi_sweep_rows_ordered(self, tmp_path):
         payload = base_config()
@@ -618,6 +654,15 @@ class TestTune:
         assert roots[1] == pytest.approx(0.3, abs=1e-9)
         selected = [row for row in rows if row[columns.index("selected")]]
         assert len(selected) == 1
+
+    def test_substrate_whose_k_squared_overflows(self, tmp_path):
+        # the roots' admissibility rule, chi mu_omega < k^2, says nothing at k^2 = inf: every root passed it
+        payload = base_config(substrate={"epsilon_r": 1.0, "mu_r": 1.0, "omega": 1e200, "a": 2.0})
+        del payload["chi_values"]
+        payload["xi_search"] = {"lo": -0.5, "hi": 0.5, "grid_n": 11, "tol": 1e-10,
+                                "table": [[-1.0, -1.0], [1.0, 1.0]]}
+        with pytest.raises(ConfigError, match="xi_search: k\\^2 - chi \\* mu_omega overflows"):
+            cli.load_config(write_config(tmp_path, payload), command="tune")
 
     def test_tune_requires_block(self, tmp_path):
         path = write_config(tmp_path, base_config())

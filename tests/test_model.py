@@ -147,6 +147,58 @@ class TestTunedWavenumber:
             model.minimality_margin(Mode(2, 1), 1.0, 0.5, 0.0, mw, 1.0)
 
 
+# every public entry point with valid arguments; each int or float argument, and the last entry of a list
+# argument, is a numeric argument that the table-driven tests below replace
+_ENTRY_POINTS = [
+    (Mode, (1, 2, 1), {}),
+    (Substrate, (1.0, 1.0, 1.0, 2.0), {}),
+    (model.tuned_wavenumber, (2.0, 1.0, 0.5), {}),
+    (model.radial_integrals, (Mode(1, 2), 1.0, 1.5, 2.0, 1e-12), {}),
+    (model.mode_ratio, (Mode(1, 2), 1.0, 1.5, 2.0, 1e-12), {}),
+    (theorems.boundedness_margin, (Mode(2, 1), 1.0, 0.1, 1.0, 2.0, 1e-12), {}),
+    (model.minimality_margin, (Mode(2, 1), 1.0, 0.1, 0.0, 1.0, 2.0, 1e-12), {}),
+    (specfun.bessel_j, (2, 0.7), {}),
+    (specfun.bessel_j_prime, (2, 0.7), {}),
+    (specfun.bessel_u, (2, 0.7), {}),
+    (specfun.bessel_j_and_u, (2, 0.7), {}),
+    (specfun.lommel_first, (2, 1.3, 2.0), {}),
+    (specfun.lommel_second, (2, 1.3, 0.8, 2.0), {}),
+    (integrate_radial, (np.sin, 2.0, 1e-10), {"osc_scale": 1.0, "max_panels": 64}),
+    (quadrature.integrate_radial_batch, (lambda owner, r: np.sin(r), 2.0, 1e-10),
+     {"osc_scales": [1.0, 2.0], "max_panels": 64}),
+    (tuning.find_constraint_roots, (math.sin, -1.0, 1.0, 5, 1e-9), {"k": 2.0, "mu_omega": 1.0}),
+    (theorems.default_chi_grid, (1.0, 1.0, 5, 0.5), {}),
+    (theorems.expansion_j2, (2, 1.0, 2.0, 1.0), {}),
+    (theorems.expansion_fd, (2, 2, 1.0, 2.0, 1.0, 1e-10), {}),
+    (theorems.series_integrals_j1, (2, 1.0, 2.0, 1.0, 1e-10), {}),
+    (theorems.f1_vanishing_check, (2, 1.0, 2.0, 1.0, 1e-8, 1e-10), {}),
+    (theorems.curl_identity_check, (2, 1.0, 1.5, 2.0, 1e-10), {}),
+]
+
+
+def _numeric(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _with_each_numeric_replaced(args, kwargs, value):
+    """(args, kwargs, where) once for each numeric argument, that argument replaced by ``value``."""
+    for i, arg in enumerate(args):
+        if _numeric(arg):
+            yield args[:i] + (value,) + args[i + 1:], kwargs, i
+    for key, arg in kwargs.items():
+        if isinstance(arg, list):
+            yield args, {**kwargs, key: arg[:-1] + [value]}, key
+        elif _numeric(arg):
+            yield args, {**kwargs, key: value}, key
+
+
+def _assert_each_numeric_rejected(value):
+    for func, args, kwargs in _ENTRY_POINTS:
+        for bad_args, bad_kwargs, where in _with_each_numeric_replaced(args, kwargs, value):
+            with pytest.raises(InvalidInputError):
+                pytest.fail(f"{func.__name__} returned {func(*bad_args, **bad_kwargs)!r} with {value!r} at {where}")
+
+
 @pytest.mark.parametrize("bad", [True, "1", 1j, None])
 class TestNonRealInputsRejected:
     """k, K, a, mu_omega, chi and tolerances take ``scalar._real``'s rule, as quadrature does: a real number, not a bool."""
@@ -183,19 +235,46 @@ class TestNonRealInputsRejected:
             theorems.expansion_fd(2, 1, 1.0, 1.0, 1.0, rel_tol=bad)
 
     def test_expansion_and_chi_grid(self, bad):
-        # expansion_j2(2, True, 1.0, 1.0) and default_chi_grid(True, 1.0) computed with k = 1
+        # expansion_j2(2, True, 1.0, 1.0) and default_chi_grid(True, 1.0) computed with k = 1;
+        # a span of "1" or None raised a bare TypeError
         for k, a, mw in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
             with pytest.raises(InvalidInputError, match="must be a real number"):
                 theorems.expansion_j2(2, k, a, mw)
-        for k, mw in ((bad, 1.0), (1.0, bad)):
+        for k, mw, span in ((bad, 1.0, 0.9), (1.0, bad, 0.9), (1.0, 1.0, bad)):
             with pytest.raises(InvalidInputError, match="must be a real number"):
-                theorems.default_chi_grid(k, mw)
+                theorems.default_chi_grid(k, mw, 21, span)
 
     def test_constraint_roots(self, bad):
         # lo=False and tol=True searched [0, 1] with tol = 1
         for lo, hi, tol in ((bad, 1.0, 1e-8), (-1.0, bad, 1e-8), (-1.0, 1.0, bad)):
             with pytest.raises(InvalidInputError, match="must be a real number"):
                 tuning.find_constraint_roots(lambda c: c, lo, hi, 5, tol)
+
+    def test_every_entry_point(self, bad):
+        # True computed as 1 in specfun's kernels and "1" as 1.0, 1j raised a bare TypeError there;
+        # find_constraint_roots(..., k="1") raised one too
+        _assert_each_numeric_rejected(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_every_entry_point_rejects_nonfinite_numbers(bad):
+    # every numeric argument of the entry points needs a finite value; an integer one is not an integer
+    _assert_each_numeric_rejected(bad)
+
+
+def test_every_entry_point_accepts_numpy_scalars():
+    # numpy integers as orders, modes, grid_n and max_panels, numpy floats as reals: the plain call's result
+    def as_numpy(value):
+        if isinstance(value, list):
+            return [as_numpy(v) for v in value]
+        if _numeric(value):
+            return np.int64(value) if isinstance(value, int) else np.float64(value)
+        return value
+
+    for func, args, kwargs in _ENTRY_POINTS:
+        want = func(*args, **kwargs)
+        got = func(*map(as_numpy, args), **{key: as_numpy(v) for key, v in kwargs.items()})
+        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want, func.__name__
 
 
 def test_numpy_and_int_reals_accepted():

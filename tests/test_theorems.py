@@ -388,6 +388,12 @@ class TestDefaultChiGrid:
         with pytest.raises(InvalidInputError):
             theorems.default_chi_grid(1.0, 1.0, span=1.5)
 
+    @pytest.mark.parametrize("span", [0.0, 1.0, -0.5, math.nan, math.inf, "0.5", None, True])
+    def test_span_must_be_a_real_in_the_open_unit_interval(self, span):
+        # "0.5" and None were compared before any type check and raised a bare TypeError
+        with pytest.raises(InvalidInputError, match="span must"):
+            theorems.default_chi_grid(1.0, 1.0, 21, span)
+
     @pytest.mark.parametrize("n", [True, 3.0, 0, -1])
     def test_n_must_be_a_positive_odd_integer(self, n):
         # True used to give the one-point grid and 3.0 a grid of three

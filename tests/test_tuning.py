@@ -53,6 +53,32 @@ class TestFindConstraintRoots:
         assert len(xi.excluded) == 1
         assert xi.excluded[0] == pytest.approx(2.0, abs=1e-10)
 
+    @pytest.mark.parametrize("k,match", [
+        (math.nan, "k must be finite"), (math.inf, "k must be finite"), (0.0, "k must be nonzero"),
+        (1e200, "overflows"), ("1", "k must be a real number"), (True, "k must be a real number"),
+        (None, "k must be a real number"), (1j, "k must be a real number"),
+    ])
+    def test_admissibility_filter_checks_k(self, k, match):
+        # k=nan returned roots=() and excluded=() although g has a root at 0; "1" raised a bare TypeError
+        with pytest.raises(InvalidInputError, match=match):
+            find_constraint_roots(lambda c: c, -1.0, 1.0, 5, 1e-9, k=k, mu_omega=1.0)
+
+    @pytest.mark.parametrize("mu_omega", [math.nan, -math.inf, 0.0, "1", True, 1j])
+    def test_admissibility_filter_checks_mu_omega(self, mu_omega):
+        with pytest.raises(InvalidInputError, match="mu_omega must be"):
+            find_constraint_roots(lambda c: c, -1.0, 1.0, 5, 1e-9, k=1.0, mu_omega=mu_omega)
+
+    @pytest.mark.parametrize("given,missing", [({"k": 1.0}, "mu_omega"), ({"mu_omega": 1.0}, "k")])
+    def test_k_and_mu_omega_come_together(self, given, missing):
+        # one of the two alone silently skipped the filter, and returned the inadmissible root 2
+        with pytest.raises(InvalidInputError, match=f"^{missing} must be a real number, got None"):
+            find_constraint_roots(lambda c: c - 2.0, 0.0, 3.0, 31, 1e-9, **given)
+
+    def test_numpy_filter_arguments(self):
+        g = lambda c: (c - 0.5) * (c - 2.0)
+        want = find_constraint_roots(g, 0.0, 3.0, 301, 1e-10, k=1.0, mu_omega=1.0)
+        assert find_constraint_roots(g, 0.0, 3.0, 301, 1e-10, k=np.float64(1.0), mu_omega=np.int64(1)) == want
+
     def test_nonfinite_constraint(self):
         with pytest.raises(ConstraintEvaluationError):
             find_constraint_roots(lambda c: math.nan, -1.0, 1.0, 16, 1e-8)
