@@ -21,7 +21,7 @@ Only ``verify`` imports numpy: its expansion columns come from the
 quadrature oracle of ``theorems``, which it imports for its first mode.
 ``sweep``, ``energies`` and ``tune`` run on the closed-form cell of
 ``model`` and the pure-Python root search of ``tuning``, so their processes
-start without numpy (unless a Bessel argument below 0.1 needs its series).
+start without numpy, at any Bessel argument.
 """
 
 from __future__ import annotations
@@ -531,13 +531,12 @@ def run_energies(cfg: RunConfig):
     s = cfg.substrate
     spec = SourceSpec(dict(cfg.amplitudes))
 
-    def energy(chi: float) -> float:
-        t = tuned_wavenumber(s.k, s.mu_omega, chi)
+    def energy(K: float) -> float:
         return source_energy(spec, {
-            mode: mode_ratio(mode, s.k, t.K, s.a, cfg.quad_rel_tol) for mode in spec.amplitudes
+            mode: mode_ratio(mode, s.k, K, s.a, cfg.quad_rel_tol) for mode in spec.amplitudes
         })
 
-    untuned = _or_error(lambda: {"E_untuned": energy(0.0)})
+    untuned = _or_error(lambda: {"E_untuned": energy(_tuned_K(s.k, s.mu_omega, 0.0))})
 
     chi_list = list(cfg.chi_values)
     selected = None
@@ -552,11 +551,11 @@ def run_energies(cfg: RunConfig):
         if "status" in untuned:
             return {}  # every row carries the untuned energy's error
         e_untuned = untuned["E_untuned"]
-        t = tuned_wavenumber(s.k, s.mu_omega, chi)
-        e_tuned = energy(chi)
+        K = _tuned_K(s.k, s.mu_omega, chi)
+        e_tuned = energy(K)
         delta = e_tuned - e_untuned
         scale = max(abs(e_untuned), abs(e_tuned))
-        return {"K": t.K, "E_tuned": e_tuned, "delta": delta,
+        return {"K": K, "E_tuned": e_tuned, "delta": delta,
                 "selected": (selected is not None and chi == selected) or None,
                 "pass": bool(delta >= -cfg.margin_tol * scale), "status": "ok"}
 

@@ -57,7 +57,7 @@ class ConstraintEvaluationError(TunedSourceError):
 
 
 class UnderflowError(TunedSourceError):
-    """K^2 - k^2 or k a underflows to 0, so a closed form would divide by zero."""
+    """k^2, K^2 - k^2 or k a underflows to 0, so a tuning or a closed form would come out wrong or divide by zero."""
 
 
 class IllConditionedExpansionError(TunedSourceError):

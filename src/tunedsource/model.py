@@ -32,6 +32,7 @@ from .errors import (
     EvanescentRegimeError,
     IncompleteSourceSpecError,
     InvalidInputError,
+    UnderflowError,
     UnsupportedMediumError,
 )
 
@@ -207,6 +208,8 @@ def tuned_wavenumber(k: float, mu_omega: float, chi: float) -> TuningState:
         mu_omega is 0, or k^2 - chi * mu_omega overflows.
     EvanescentRegimeError
         If k^2 - chi * mu_omega <= 0 (no propagating tuned current).
+    UnderflowError
+        If k^2 underflows to 0 where chi * mu_omega <= 0, so K^2 >= k^2 > 0.
     """
     return TuningState(chi=chi, K=_tuned_K(k, mu_omega, chi), mu_omega=mu_omega)
 
@@ -223,6 +226,8 @@ def _tuned_K(k: float, mu_omega: float, chi: float) -> float:
     K2 = k * k - chi * mu_omega
     if not 0.0 < K2 < math.inf:
         if K2 <= 0.0:
+            if chi * mu_omega <= 0.0:    # the true K^2 is at least k^2 > 0
+                raise UnderflowError(f"k^2 underflows to 0 at k={k}, chi={chi}, mu_omega={mu_omega}")
             raise EvanescentRegimeError(
                 f"chi={chi} gives K^2 = {K2} <= 0; tuned current would be evanescent"
             )

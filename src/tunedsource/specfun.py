@@ -13,35 +13,31 @@ views of the j=2 closed-form cell, ``model._closed_form``: the one place
 that estimates the rounding of Lommel's difference and switches to the
 near-diagonal series.
 
-Evaluation strategy: one table of orders 0..lmax per call.  Arguments below
-0.1 take an ascending series, evaluated on the whole (orders x points) block
-at once.  Arguments below lmax take the downward (Miller) recurrence with
-normalization, started a number of orders above lmax that grows with the
-argument (``scalar._miller_margin``: 8 below x = 0.5, up to 60 from x = 32
-on).  Other arguments take the upward recurrence (``scalar._upward_column``,
-run elementwise).  Each point's value depends only on its own argument and
-lmax, not on the other points of the table.  ``_jl_table`` also takes one
-top order per point; each column then equals a lone table of its own top,
-to the bit, so one table serves neighbouring orders
-(``theorems.series_integrals_j1``).
+Evaluation strategy: one table of orders 0..lmax per call, in three regimes
+by argument: an ascending series below 0.1; below lmax, the downward
+(Miller) recurrence with normalization, started ``scalar._miller_margin(x)``
+orders above lmax (8 below x = 0.5, up to 60 from x = 32 on); beyond, the
+upward recurrence.  A point's value depends only on its own argument and
+lmax.  ``_jl_table`` also takes one top order per point; each column then
+equals a lone table of its own top, to the bit, so one table serves
+neighbouring orders (``theorems.series_integrals_j1``).
 
-Two builders make such a table, with the same bits.  ``_jl_table``, here,
-runs each recurrence order as numpy calls over all points; its Miller
-overflow check runs only when a Python-float growth bound allows an
-overflow, so a step costs two numpy calls (three for the orders it stores).
-The array kernels (``bessel_j`` and friends) and the quadrature integrands
-use it, where a call holds hundreds of points.  The four array kernels share
-one evaluator, ``_on_table``: it rejects x unless finite and real, builds
-the table at |x| (x = 0 included) and applies each kernel's parity, so a
-kernel only says which table rows it combines.  ``scalar._jl_column`` runs
-the Miller and upward recurrences on Python floats for one point, with
-``math``'s sin and cos; it needs numpy only for an argument below the series
-cutoff, which takes ``_jl_series``.  The callers that hold a fixed handful of
-scalars use it: the closed-form cell (and so the Lommel views and the
-oracle's j=2 self integrals) through ``scalar._jl_triple``, and
-``theorems.expansion_j2`` through ``scalar._jl_value``.  For one or two
-points it costs a fraction of ``_jl_table``'s per-order numpy calls, and it
-keeps numpy out of the processes that only run the closed-form cell.
+Two builders make such a table, with the same bits; the series and upward
+regimes are one ``scalar`` function each for both (``_series_column`` and
+``_upward_column``).  ``_jl_table``, here, runs each order as numpy calls
+over all points, and each series step on the whole (orders x points) block;
+its Miller overflow check runs only when a Python-float growth bound allows
+an overflow, so a step costs two numpy calls (three for the orders it
+stores).  The quadrature integrands and the four array kernels (``bessel_j``
+and friends) use it, where a call holds hundreds of points.  The kernels
+share one evaluator, ``_on_table``: it rejects x unless finite and real,
+builds the table at |x| (x = 0 included) and applies each kernel's parity,
+so a kernel only says which table rows it combines.  ``scalar._jl_column``
+builds the column of one point on Python floats, with ``math``'s sin and
+cos: for one or two points it costs a fraction of ``_jl_table``'s numpy
+calls, and it never imports numpy.  The closed-form cell reads it through
+``scalar._jl_triple`` (and so do the Lommel views and the oracle's j=2 self
+integrals), ``theorems.expansion_j2`` through ``scalar._jl_value``.
 
 Accuracy, all arithmetic binary64, checked against mpmath for l <= 50 and
 |x| <= 1e3: the relative error is <= 1e-12 for |x| < l + 1, where j_l has no
@@ -62,7 +58,11 @@ from .scalar import (
     _MILLER_STARTS,
     _RESCALE_LIMIT,
     _SERIES_CUTOFF,
+    _SERIES_STEPS,
     _int,
+    _j0_j1,
+    _series_column,
+    _series_sum,
     _u_from_neighbors,
     _upward_column,
     _validate,
@@ -81,37 +81,6 @@ __all__ = [
 # _START_MARGINS[number of bounds <= x]
 _START_BOUNDS = np.array([bound for bound, _ in _MILLER_STARTS])
 _START_MARGINS = np.array([margin for _, margin in _MILLER_STARTS] + [_MILLER_MARGIN])
-
-
-def _double_factorial(n: int) -> float:
-    out = 1.0
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
-def _jl_series(lmax: int, x: np.ndarray) -> np.ndarray:
-    """Ascending series for all orders 0..lmax; x small and positive.
-
-    The eleven series steps run on the whole (orders x points) block at once.
-    The prefactor x**order is taken one order at a time: a single
-    ``x ** orders[:, None]`` rounds differently.
-    """
-    block = np.empty((lmax + 1, x.size))
-    for order in range(lmax + 1):
-        block[order] = x**order / _double_factorial(2 * order + 1)
-    m = np.arange(1, 12)[:, None]
-    denominators = 2.0 * m * (2 * np.arange(lmax + 1) + 2 * m + 1)    # [m - 1, order]
-    neg_x2 = -(x * x)
-    term = np.ones_like(block)
-    total = np.ones_like(block)
-    for den in denominators[:, :, None]:
-        term *= neg_x2
-        term /= den
-        total += term
-    block *= total
-    return block
 
 
 def _jl_miller(top, x: np.ndarray) -> np.ndarray:
@@ -166,9 +135,7 @@ def _jl_miller(top, x: np.ndarray) -> np.ndarray:
         if order - 1 <= lmax:
             started[order - 1] = f_cur
     # normalize against whichever of j0, j1 is larger in magnitude (row 1 exists: top > x >= cutoff)
-    sx, cx = np.sin(x), np.cos(x)
-    j0 = sx / x
-    j1 = sx / (x * x) - cx / x
+    j0, j1 = _j0_j1(x, np.sin(x), np.cos(x))
     use0 = np.abs(j0) >= np.abs(j1)
     reference = np.where(use0, j0, j1)
     raw = np.where(use0, block[0], block[1])
@@ -191,7 +158,10 @@ def _jl_table(top, x: np.ndarray) -> np.ndarray:
     down = ~small & (x < top)
     up = ~small & ~down
     if small.any():
-        block[:, small] = _jl_series(lmax, x[small])
+        x_small = x[small]
+        m = np.arange(1, _SERIES_STEPS + 1)[:, None, None]
+        divisors = 2.0 * m * (2 * np.arange(lmax + 1)[:, None] + 2 * m + 1)    # [m - 1, order, 0], as in _jl_column
+        block[:, small] = _series_column(x_small, _series_sum(x_small, divisors))    # each step on the whole block
     if down.any():
         miller = _jl_miller(top[down] if per_point else top, x[down])
         block[:len(miller), down] = miller

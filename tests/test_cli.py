@@ -438,6 +438,23 @@ class TestEnergies:
                                 'K=0.05; the prescription constraint cannot be met at this tuning"')
                    for row in rows)
 
+    def test_each_row_tunes_once(self, monkeypatch):
+        # K once for the untuned energy and once per tuned row, in row order; each row once ran the tuning twice
+        cfg = cli.load_config(str(CONFIG_DIR / "energies_tuned.json"), command="energies")
+        tuned_K, chis = cli._tuned_K, []
+
+        def counted(k, mu_omega, chi):
+            chis.append(chi)
+            return tuned_K(k, mu_omega, chi)
+
+        monkeypatch.setattr(cli, "_tuned_K", counted)
+        monkeypatch.setattr(cli, "tuned_wavenumber", lambda *args: pytest.fail("a second route to K"))
+        code, columns, rows = cli.run_energies(cfg)
+        assert code == 0 and len(rows) == 2
+        assert chis == [0.0] + [row[columns.index("chi")] for row in rows]
+        assert [row[columns.index("K")] for row in rows] == [tuned_K(cfg.substrate.k, cfg.substrate.mu_omega, chi)
+                                                              for chi in chis[1:]]
+
     def test_no_tuned_solution_diagnostic(self, tmp_path):
         payload = base_config()
         del payload["chi_values"]
@@ -663,6 +680,20 @@ class TestTune:
                                 "table": [[-1.0, -1.0], [1.0, 1.0]]}
         with pytest.raises(ConfigError, match="xi_search: k\\^2 - chi \\* mu_omega overflows"):
             cli.load_config(write_config(tmp_path, payload), command="tune")
+
+    @pytest.mark.parametrize("command", ["verify", "energies", "sweep", "tune"])
+    def test_substrate_whose_k_squared_underflows(self, tmp_path, capsys, command):
+        # k = omega = 1e-170: k^2 underflows to 0, which the roots' admissibility rule took for an evanescent tuning
+        payload = base_config(substrate={"epsilon_r": 1.0, "mu_r": 1.0, "omega": 1e-170, "a": 2.0},
+                              amplitudes=[{"j": 2, "l": 1, "re": 1.0}])
+        del payload["chi_values"]
+        payload["xi_search"] = {"lo": -0.5, "hi": 0.5, "grid_n": 11, "tol": 1e-10,
+                                "table": [[-1.0, -1.0], [1.0, 1.0]]}
+        out = tmp_path / "report.csv"
+        assert cli.main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: xi_search: k^2 underflows to 0 at k=1e-170, chi=0.0, mu_omega=1e-170\n")
+        assert not out.exists()
 
     def test_tune_requires_block(self, tmp_path):
         path = write_config(tmp_path, base_config())

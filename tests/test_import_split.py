@@ -74,6 +74,27 @@ def test_near_diagonal_cells_start_without_numpy(command, tmp_path):
     assert result["loaded"] == []
 
 
+@pytest.mark.parametrize("command", ["sweep", "energies", "tune"])
+def test_small_bessel_arguments_start_without_numpy(command, tmp_path):
+    # a = 0.05 and the roots chi = +-0.5 k^2 / mu_omega put every k a and K a
+    # below 0.1, where the columns take the ascending series
+    config = {
+        "substrate": {"epsilon_r": 1.0, "mu_r": 1.0, "omega": 1.0, "a": 0.05},
+        "modes": {"j": [1, 2], "l": [1, 6]},
+        "sweep": {"axis": "chi", "values": [-0.5, 0.5]},
+        "amplitudes": [{"j": 2, "l": 1, "re": 1.0}, {"j": 1, "l": 6, "re": 0.5}],
+        "xi_search": {"lo": -0.75, "hi": 0.75, "grid_n": 31, "tol": 1e-12,
+                      "table": [[-1.0, 0.5], [-0.5, 0.0], [0.0, -0.25], [0.5, 0.0], [1.0, 0.5]]},
+    }
+    path = tmp_path / "small_arguments.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    cfg = cli.load_config(str(path), command=command)
+    assert max(cfg.substrate.k * cfg.substrate.a, 1.5**0.5 * cfg.substrate.a) < 0.1
+    result = probe(command, path, tmp_path)
+    assert result["code"] == 0
+    assert result["loaded"] == []
+
+
 @pytest.mark.parametrize("config", ["verify_vacuum.json", "verify_strict.json"])
 def test_verify_loads_the_oracle(config, tmp_path):
     result = probe("verify", ROOT / "configs" / config, tmp_path)

@@ -623,7 +623,7 @@ class TestOneEvaluator:
 
 
 class TestUnderflow:
-    """K^2 - k^2 or k a that underflows to 0 raises UnderflowError, which the CLI's row handler catches."""
+    """k^2, K^2 - k^2 or k a that underflows to 0 raises UnderflowError, which the CLI's row handler catches."""
 
     @pytest.mark.parametrize("j", [1, 2])
     def test_cross_integral(self, j):
@@ -644,6 +644,22 @@ class TestUnderflow:
         with pytest.raises(UnderflowError, match="underflows"):
             specfun.lommel_second(1, 1e-170, 2e-170, 1.0)
         assert issubclass(UnderflowError, TunedSourceError)
+
+    @pytest.mark.parametrize("call", [
+        lambda: model.tuned_wavenumber(1e-170, 1.0, 0.0),
+        lambda: theorems.expansion_fd(1, 2, 1e-170, 1.0, 1.0),
+        lambda: theorems.default_chi_grid(1e-170, 1.0),
+        lambda: tuning.find_constraint_roots(lambda chi: chi, -1.0, 1.0, 11, 1e-12, k=1e-170, mu_omega=1.0),
+    ], ids=["tuned_wavenumber", "expansion_fd", "default_chi_grid", "find_constraint_roots"])
+    def test_tuning_whose_k_squared_underflows(self, call):
+        # K^2 = k^2 - chi mu_omega = 0.0 at chi mu_omega <= 0 is no evanescent tuning: the true K^2 is >= k^2 > 0
+        with pytest.raises(UnderflowError, match="k\\^2 underflows to 0 at k=1e-170"):
+            call()
+
+    def test_evanescent_tuning_at_tiny_k_keeps_its_error(self):
+        # chi mu_omega > 0: the computed K^2 < 0 may be the true sign, so the tuning stays evanescent
+        with pytest.raises(EvanescentRegimeError, match="K\\^2 = -1e-300 <= 0"):
+            model.tuned_wavenumber(1e-170, 1.0, 1e-300)
 
 
 class TestModeCoefficient:

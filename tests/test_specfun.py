@@ -313,11 +313,13 @@ class TestLommelViewsBitIdentical:
 
 
 def reference_series(lmax, x):
-    """Ascending series, one order at a time."""
+    """Ascending series, one order at a time, with the prefactor x^n / (2n+1)!! as a running product."""
     block = np.empty((lmax + 1, x.size))
     x2 = x * x
+    pref = np.ones_like(x)
     for order in range(lmax + 1):
-        pref = x**order / specfun._double_factorial(2 * order + 1)
+        if order:
+            pref = pref * x / (2 * order + 1)
         term = np.ones_like(x)
         total = np.ones_like(x)
         for m in range(1, 12):
@@ -389,7 +391,7 @@ class TestTableKernelsBitIdentical:
         rng = np.random.default_rng(20)
         for lmax in range(1, 51):
             x = rng.uniform(0.0, specfun._SERIES_CUTOFF, int(rng.integers(1, 40)))
-            assert np.array_equal(specfun._jl_series(lmax, x), reference_series(lmax, x)), lmax
+            assert np.array_equal(specfun._jl_table(lmax, x), reference_series(lmax, x)), lmax
 
     def test_miller(self):
         rng = np.random.default_rng(21)
@@ -671,6 +673,17 @@ class TestAccuracyMap:
             assert err.max() <= self.TOL, (l, err.max())
             # negative arguments take the parity, exactly
             assert np.array_equal(specfun.bessel_j(l, -x), (-1) ** l * specfun.bessel_j(l, x))
+
+    def test_series_regime(self):
+        # scalar._series_column's bound, for both builders: 2e-15 relative for l <= 50 and 1e-12 <= x < 0.1
+        rng = np.random.default_rng(32)
+        cut = specfun._SERIES_CUTOFF
+        x = np.concatenate([[1e-12, np.nextafter(cut, 0.0)], np.exp(rng.uniform(math.log(1e-12), math.log(cut), 60))])
+        table = specfun._jl_table(50, x)
+        assert table.T.tolist() == columns(50, x.tolist())
+        for l in range(51):
+            err = self.errors(l, x, table[l])
+            assert err.max() <= 2e-15, (l, err.max())
 
     @pytest.mark.parametrize("lmax", [8, 50])
     def test_table_rows(self, lmax):
