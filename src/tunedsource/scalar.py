@@ -142,14 +142,14 @@ def _miller_column(lmax: int, x: float, sx: float, cx: float) -> list:
     return [v * ratio for v in column]
 
 
-def _j0_j1(x, sx, cx) -> tuple:
-    """(j_0, j_1) at x from sx = sin x and cx = cos x, at one float x or elementwise at an array x."""
-    return sx / x, sx / (x * x) - cx / x
+def _j0_j1(x, sx, cx) -> list:
+    """[j_0, j_1] at x from sx = sin x and cx = cos x, at one float x or elementwise at an array x."""
+    return [sx / x, sx / (x * x) - cx / x]
 
 
 def _upward_column(lmax: int, x, sx, cx) -> list:
     """Orders 0..lmax by the upward recurrence (stable for x >= lmax) at one float x, or elementwise at an array x."""
-    column = list(_j0_j1(x, sx, cx)) if lmax >= 1 else [sx / x]    # j_1 at order 0 only risks x * x overflowing
+    column = _j0_j1(x, sx, cx) if lmax >= 1 else [sx / x]    # j_1 at order 0 only risks x * x overflowing
     for order in range(1, lmax):
         column.append((2 * order + 1) / x * column[order] - column[order - 1])
     return column
