@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
@@ -108,7 +107,8 @@ class RunConfig:
 
 # kind -> (check, description) of the values ``_check`` accepts
 _KINDS = {
-    "number": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
+    # nan, +-inf and an int past the float range fail the comparison; math.isfinite overflows on that int
+    "number": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max,
                "a finite number"),
     "int": (_is_int, "an integer"),
     "list": (lambda v: isinstance(v, list), "a list"),
@@ -121,7 +121,9 @@ def _check(value, where: str, kind: str):
     """``value`` (as a float for "number"); ConfigError at ``where`` unless it is of ``kind``."""
     accepts, description = _KINDS[kind]
     if not accepts(value):
-        raise ConfigError(f"{where}: expected {description}, got {value!r}")
+        # a rejected int "number" is past the float range; past 4300 digits it has no str
+        got = "an integer too large for a float" if kind == "number" and _is_int(value) else repr(value)
+        raise ConfigError(f"{where}: expected {description}, got {got}")
     return float(value) if kind == "number" else value
 
 
@@ -312,6 +314,8 @@ def load_config(path: str, *, command: str, overrides=None) -> RunConfig:
         raise ConfigError(
             f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:    # an integer past Python's digit limit for int(), or bytes that are not UTF-8
+        raise ConfigError(f"{path}: JSON parse error: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
 

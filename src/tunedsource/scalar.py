@@ -25,7 +25,8 @@ platform (the test suite checks it on random points of all three regimes).
 ``_jl_triple(l, x)``, the (j_(l-1), j_l, j_(l+1)) a cell reads, keeps its
 last _TRIPLE_MEMO results; at l = 0, Lommel's j_(-1)(x) is cos(x) / x.
 The memo is exact, since a column depends only on (l, x), and bounded at
-any l, since an entry holds three floats.
+any l, since an entry holds three floats.  ``theorems.expansion_j2`` reads
+the same triple, so its f0 is the cell's 1 / N_2 to the bit.
 """
 
 from __future__ import annotations
@@ -71,7 +72,10 @@ def _real(name, value):
         return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidInputError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:    # an integer past the float range; past 4300 digits it has no str
+        raise InvalidInputError(f"{name} must be finite, got a value too large for a float") from None
 
 
 def _finite(name, value):
@@ -200,12 +204,6 @@ def _jl_triple(l: int, x: float) -> tuple:
             raise UnderflowError("the argument k a of j_(-1) = cos(k a) / (k a) underflows to 0")
         return (math.cos(x) / x, *_jl_column(1, x))
     return _jl_column(l + 1, x)[l - 1:]
-
-
-def _jl_value(l: int, x: float) -> float:
-    """``specfun.bessel_j(l, x)`` to the bit at one finite float, from ``_jl_column``."""
-    value = _jl_column(l, float(abs(x)))[l]
-    return -value if x < 0.0 and l % 2 == 1 else value
 
 
 def _u_from_neighbors(l: int, jm, jp):

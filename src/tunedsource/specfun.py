@@ -18,9 +18,7 @@ by argument: an ascending series below 0.1; below lmax, the downward
 (Miller) recurrence with normalization, started ``scalar._miller_margin(x)``
 orders above lmax (8 below x = 0.5, up to 60 from x = 32 on); beyond, the
 upward recurrence.  A point's value depends only on its own argument and
-lmax.  ``_jl_table`` also takes one top order per point; each column then
-equals a lone table of its own top, to the bit, so one table serves
-neighbouring orders (``theorems.series_integrals_j1``).
+lmax, so a batch of points gives each the column of a lone table.
 
 Two builders make such a table, with the same bits; the series and upward
 regimes are one ``scalar`` function each for both (``_series_column`` and
@@ -36,8 +34,8 @@ so a kernel only says which table rows it combines.  ``scalar._jl_column``
 builds the column of one point on Python floats, with ``math``'s sin and
 cos: for one or two points it costs a fraction of ``_jl_table``'s numpy
 calls, and it never imports numpy.  The closed-form cell reads it through
-``scalar._jl_triple`` (and so do the Lommel views and the oracle's j=2 self
-integrals), ``theorems.expansion_j2`` through ``scalar._jl_value``.
+``scalar._jl_triple``, and so do the Lommel views, the oracle's j=2 self
+integrals and ``theorems.expansion_j2``.
 
 Accuracy, all arithmetic binary64, checked against mpmath for l <= 50 and
 |x| <= 1e3: the relative error is <= 1e-12 for |x| < l + 1, where j_l has no
@@ -83,13 +81,12 @@ _START_BOUNDS = np.array([bound for bound, _ in _MILLER_STARTS])
 _START_MARGINS = np.array([margin for _, margin in _MILLER_STARTS] + [_MILLER_MARGIN])
 
 
-def _jl_miller(top, x: np.ndarray) -> np.ndarray:
-    """Downward recurrence for orders 0..max(top); x positive, x >= cutoff.
+def _jl_miller(lmax: int, x: np.ndarray) -> np.ndarray:
+    """Downward recurrence for orders 0..lmax; x positive, x >= cutoff.
 
-    ``top`` is an int, or one top per point.  The recurrence
-    f_{n-1} = (2n+1)/x f_n - f_{n+1} starts each column (joins the running
-    block) ``scalar._miller_margin(x)`` orders above its own top, from an
-    arbitrary seed: 8 orders below x = 0.5, rising in steps to
+    The recurrence f_{n-1} = (2n+1)/x f_n - f_{n+1} starts each column
+    (joins the running block) ``scalar._miller_margin(x)`` orders above
+    lmax, from an arbitrary seed: 8 orders below x = 0.5, rising in steps to
     _MILLER_MARGIN = 60 from x = 32 on.  The running block holds its columns
     by descending start order, so the started ones are a prefix.  A column
     that grows past _RESCALE_LIMIT is scaled by 1e-250, together with its
@@ -101,8 +98,7 @@ def _jl_miller(top, x: np.ndarray) -> np.ndarray:
     maxima.  A rescale therefore happens at exactly the orders where a check
     at every order would make it, and the values are the same to the bit.
     """
-    lmax = int(np.max(top))
-    starts = top + _START_MARGINS[np.searchsorted(_START_BOUNDS, x, side="right")]   # scalar._miller_margin
+    starts = lmax + _START_MARGINS[np.searchsorted(_START_BOUNDS, x, side="right")]   # scalar._miller_margin
     by_start = np.argsort(-starts, kind="stable")
     x = x[by_start]
     heads, sizes = np.unique(starts, return_counts=True)
@@ -134,7 +130,7 @@ def _jl_miller(top, x: np.ndarray) -> np.ndarray:
             bound = max(float(np.abs(f_up).max()), float(np.abs(f_cur).max()))
         if order - 1 <= lmax:
             started[order - 1] = f_cur
-    # normalize against whichever of j0, j1 is larger in magnitude (row 1 exists: top > x >= cutoff)
+    # normalize against whichever of j0, j1 is larger in magnitude (row 1 exists: lmax > x >= cutoff)
     j0, j1 = _j0_j1(x, np.sin(x), np.cos(x))
     use0 = np.abs(j0) >= np.abs(j1)
     reference = np.where(use0, j0, j1)
@@ -145,17 +141,11 @@ def _jl_miller(top, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _jl_table(top, x: np.ndarray) -> np.ndarray:
-    """Table of j_0..j_lmax at positive arguments x (1-D array, no zeros).
-
-    ``top`` is an int, or an int array of per-point tops with maximum lmax;
-    each point's rows 0..top then equal a lone table of its top, to the bit.
-    """
-    per_point = isinstance(top, np.ndarray)
-    lmax = int(top.max()) if per_point else top
+def _jl_table(lmax: int, x: np.ndarray) -> np.ndarray:
+    """Table of j_0..j_lmax at positive arguments x (1-D array, no zeros)."""
     block = np.zeros((lmax + 1, x.size))
     small = x < _SERIES_CUTOFF
-    down = ~small & (x < top)
+    down = ~small & (x < lmax)
     up = ~small & ~down
     if small.any():
         x_small = x[small]
@@ -163,8 +153,7 @@ def _jl_table(top, x: np.ndarray) -> np.ndarray:
         divisors = 2.0 * m * (2 * np.arange(lmax + 1)[:, None] + 2 * m + 1)    # [m - 1, order, 0], as in _jl_column
         block[:, small] = _series_column(x_small, _series_sum(x_small, divisors))    # each step on the whole block
     if down.any():
-        miller = _jl_miller(top[down] if per_point else top, x[down])
-        block[:len(miller), down] = miller
+        block[:, down] = _jl_miller(lmax, x[down])
     if up.any():
         x_up = x[up]
         block[:, up] = _upward_column(lmax, x_up, np.sin(x_up), np.cos(x_up))
@@ -174,7 +163,6 @@ def _jl_table(top, x: np.ndarray) -> np.ndarray:
 def _on_table(x, lmax, kernels) -> list:
     """Kernel values at x from one table of j_0..j_lmax at |x|: the array kernels' one evaluator.
 
-    ``lmax`` is an int, or per-point tops of x's shape (see ``_jl_table``).
     Rejects x unless finite and real, builds the table at |x| (at x = 0,
     j_0 = 1 and the higher orders vanish) and calls
     ``kernels(table, ax, nonzero)``.  That returns a list of (values at |x|,
@@ -188,12 +176,11 @@ def _on_table(x, lmax, kernels) -> list:
     ax = np.abs(flat)
     nonzero = ax > 0.0
     if nonzero.all():   # the table as built
-        table = _jl_table(lmax.ravel() if isinstance(lmax, np.ndarray) else lmax, ax)
+        table = _jl_table(lmax, ax)
     else:
-        table = np.zeros((int(np.max(lmax)) + 1, flat.size))
+        table = np.zeros((lmax + 1, flat.size))
         if nonzero.any():
-            part = _jl_table(lmax.ravel()[nonzero] if isinstance(lmax, np.ndarray) else lmax, ax[nonzero])
-            table[:len(part), nonzero] = part
+            table[:, nonzero] = _jl_table(lmax, ax[nonzero])
         table[0, ~nonzero] = 1.0
     out = []
     for vals, odd in kernels(table, ax, nonzero):

@@ -29,7 +29,9 @@ each distinct one integrated once, all in one lockstep batch
 its batch of one.  Each round evaluates its integrands once, on the flat
 node array of all active integrals (``f(owner, r)``), from one Bessel table,
 each product in a lone integral's order, so every value is identical to the
-bit to a lone integration.
+bit to a lone integration.  ``series_integrals_j1`` reads j_(l-1), j_l and
+j_(l+1) from one table of top l+1 per round, and ``expansion_j2`` from the
+closed-form cell's memoized triple, so its f0 is the cell's 1 / N_2.
 
 Importing this module loads numpy, ``specfun`` and ``quadrature``, which
 the oracle routes need, and ``decimal``, which ``expansion_j2`` needs: a
@@ -264,10 +266,14 @@ def _scaled_triple(l: int, x: float, digits: int):
 def expansion_j2(l: int, k: float, a: float, mu_omega: float) -> ExpansionCoeffs:
     """Closed-form expansion coefficients of the j=2 ratio around chi = 0.
 
-    f0 = 2 / (a^3 [j_l(ka)^2 - j_{l-1}(ka) j_{l+1}(ka)]) = 1 / N_2(|k|);
-    f1 vanishes identically; f2 is the chi^2 curvature, assembled from
-    j_l(ka) and j_l'(ka) (even in k, strictly positive on the certified
-    grids).  See the module docstring for the provenance of the f2 form.
+    f0 = 2 / (a^3 [j_l(ka)^2 - j_{l-1}(ka) j_{l+1}(ka)]) = 1 / N_2(|k|),
+    from the closed-form cell's triple (``scalar._jl_triple``), so it is the
+    cell's 1 / N_2(|k|) to the bit; against mpmath it is within 4 (l + 3) eps
+    for l <= 30 and 0.01 <= |k| a <= 40 (where k a < l, the bracket cancels
+    by about 2 / (2l + 3)).  f1 vanishes identically; f2 is the chi^2
+    curvature, assembled from j_l(ka) and j_l'(ka) (even in k, strictly
+    positive on the certified grids).  See the module docstring for the
+    provenance of the f2 form.
     Raises IllConditionedExpansionError where the bracket is not positive,
     or where the cube in f2's denominator underflows to 0 (orders l >> k a).
 
@@ -287,14 +293,14 @@ def expansion_j2(l: int, k: float, a: float, mu_omega: float) -> ExpansionCoeffs
     if not math.isfinite(x):
         raise InvalidInputError(f"expansion needs a finite k a, got k={k}, a={a}")
     ax = abs(x)    # the bracket and the quartic are even in x
-    doubles = [scalar._jl_value(order, ax) for order in (l - 1, l, l + 1)]
+    doubles = scalar._jl_triple(l, ax)
     jm1, j, jp1 = doubles
     bracket = j * j - jm1 * jp1  # the positive Lommel bracket
     if bracket <= 0.0:
         raise IllConditionedExpansionError(
             f"expansion bracket j_l^2 - j_(l-1) j_(l+1) = {bracket} <= 0 at ka = {x}"
         )
-    f0 = 2.0 / (a**3 * bracket)
+    f0 = 1.0 / scalar._lommel_first_from(a, *doubles)
     if (x * x * bracket) ** 3 == 0.0:
         raise IllConditionedExpansionError(
             f"expansion denominator (ka)^6 (j_l^2 - j_(l-1) j_(l+1))^3 underflows to 0 at l = {l}, ka = {x}"
@@ -393,10 +399,10 @@ def series_integrals_j1(
     bookkeeping for negative k).  c0 equals the j=1 self integral N_1(|k|);
     for k > 0, d0 = c0 and c1 = 2 d1 hold pointwise.
 
-    The four run as one lockstep batch.  Each round builds one table at |k| r
-    for all of them, each point at top orders l-1, l and l+1; the kernels at
-    k r are those values with the parity sign (-1)^n of order n for k < 0,
-    an exact negation.
+    The four run as one lockstep batch.  Each round builds one table of top
+    l+1 at |k| r for all of them and reads its rows l-1, l and l+1; the
+    kernels at k r are those values with the parity sign (-1)^n of order n
+    for k < 0, an exact negation.
     """
     l = scalar._int("order l", l, 1)
     scalar._validate(k, k, a, rel_tol)
@@ -441,10 +447,8 @@ def series_integrals_j1(
     forms = (c0_f, c1_f, d0_f, d1_f)
 
     def integrands(owner, r):
-        x = np.tile(ak * r, 3)
-        tops = np.repeat([l - 1, l, l + 1], r.size)   # row n of j_rows is bessel_j(l - 1 + n, |k| r)
-        (j_rows,) = specfun._on_table(x, tops, lambda table, *_: [(table[tops, np.arange(x.size)], False)])
-        jm, j, jp = j_rows.reshape(3, -1)
+        rows = lambda table, *_: [(table[n], False) for n in (l - 1, l, l + 1)]    # one table of top l+1
+        jm, j, jp = specfun._on_table(ak * r, l + 1, rows)
         values = np.empty_like(r)
         for i, form in enumerate(forms):
             at = owner == i

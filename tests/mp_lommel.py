@@ -38,6 +38,18 @@ def mode_integrals(j, l, k, K, a, dps=60):
         return float(n_k), float(n_K), parity * float(m)
 
 
+def f0_j2(l, k, a, dps=40):
+    """f0 = 1 / N_2(|k|) of the j=2 ratio, from Lommel's first integral at ``dps`` digits and the exact product k a.
+
+    Returned as an mpmath number: rounding it to a float would add half an ulp
+    to the error it measures.
+    """
+    with mp.workdps(dps):
+        a = mp.mpf(a)
+        x = abs(mp.mpf(k)) * a
+        return 2 / (a**3 * (_jl(l, x) ** 2 - _jl(l + 1, x) * _jl(l - 1, x)))
+
+
 def f2_j2(l, k, a, mu_omega, dps=160):
     """f2 of the j=2 ratio N_2(K) / M_2(k, K)^2 = f0 + f1 chi + f2 chi^2 + ..., K^2 = k^2 - chi mu_omega.
 

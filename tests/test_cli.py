@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -58,6 +59,37 @@ class TestConfigValidation:
         path.write_text('{\n  "substrate": [,]\n}', encoding="utf-8")
         with pytest.raises(ConfigError, match=r"line 2"):
             cli.load_config(str(path), command="verify")
+
+    @pytest.mark.parametrize("field", [("substrate", "omega"), ("chi_values", 1), ("tolerances", "quad_rel_tol")])
+    def test_integer_too_large_for_a_float(self, tmp_path, field):
+        # math.isfinite(10**400) raised OverflowError from the number rule, a traceback and exit 1
+        payload = base_config()
+        payload[field[0]][field[1]] = 10**400
+        where = rf"{field[0]}\[1\]" if field[1] == 1 else rf"{field[0]}\.{field[1]}"
+        with pytest.raises(ConfigError, match=where + ": expected a finite number, got an integer too large for a float"):
+            cli.load_config(write_config(tmp_path, payload), command="verify")
+
+    @pytest.mark.parametrize("digits", [400, 5000])
+    @pytest.mark.parametrize("command,config", [("verify", "verify_vacuum"), ("sweep", "sweep_chi_dng"),
+                                                ("energies", "energies_tuned"), ("tune", "energies_tuned")])
+    def test_huge_integer_exits_2(self, tmp_path, command, config, digits):
+        # the command's own config with omega an integer: past 4300 digits json.load raised a ValueError
+        # that is no JSONDecodeError, below it the number rule raised OverflowError, each a traceback and exit 1
+        text = (CONFIG_DIR / f"{config}.json").read_text(encoding="utf-8")
+        text, replaced = re.subn(r'"omega": [0-9.]+', '"omega": 1' + "0" * (digits - 1), text)
+        assert replaced == 1
+        path = tmp_path / "huge.json"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "report.txt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "tunedsource", command, "--config", str(path), "--out", str(out)],
+            env=package_env(), capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: ") and "Traceback" not in proc.stderr
+        assert ("substrate.omega: expected a finite number, got an integer too large for a float" if digits == 400
+                else "JSON parse error: ") in proc.stderr
+        assert not out.exists()
 
     def test_inadmissible_chi(self, tmp_path):
         payload = base_config(chi_values=[0.0, 2.0])  # k^2 = 1, chi = 2 evanescent
@@ -196,6 +228,17 @@ class TestVerify:
         text = b1.decode()
         assert text.startswith("# tuned-source v1\n")
         assert "false" not in text
+
+    def test_j2_f0_is_the_rows_reciprocal_n_k(self, tmp_path):
+        # one f0 per mode: expansion_j2's f0 read the Bessel values three per-order columns, not the cell's
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", "--config", str(CONFIG_DIR / "verify_vacuum.json"), "--format", "json",
+                         "--out", str(out)]) == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        rows = [row for row in (dict(zip(report["columns"], values)) for values in report["rows"]) if row["j"] == 2]
+        assert len(rows) == 27
+        for row in rows:
+            assert row["f0"] == 1.0 / row["N_k"], (row["l"], row["chi"])
 
     def test_strict_margin_tolerance_fails(self, tmp_path):
         payload = base_config()

@@ -180,21 +180,21 @@ def _numeric(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _with_each_numeric_replaced(args, kwargs, value):
-    """(args, kwargs, where) once for each numeric argument, that argument replaced by ``value``."""
+def _with_each_numeric_replaced(args, kwargs, value, numeric=_numeric):
+    """(args, kwargs, where) once for each ``numeric`` argument, that argument replaced by ``value``."""
     for i, arg in enumerate(args):
-        if _numeric(arg):
+        if numeric(arg):
             yield args[:i] + (value,) + args[i + 1:], kwargs, i
     for key, arg in kwargs.items():
         if isinstance(arg, list):
             yield args, {**kwargs, key: arg[:-1] + [value]}, key
-        elif _numeric(arg):
+        elif numeric(arg):
             yield args, {**kwargs, key: value}, key
 
 
-def _assert_each_numeric_rejected(value):
+def _assert_each_numeric_rejected(value, numeric=_numeric):
     for func, args, kwargs in _ENTRY_POINTS:
-        for bad_args, bad_kwargs, where in _with_each_numeric_replaced(args, kwargs, value):
+        for bad_args, bad_kwargs, where in _with_each_numeric_replaced(args, kwargs, value, numeric):
             with pytest.raises(InvalidInputError):
                 pytest.fail(f"{func.__name__} returned {func(*bad_args, **bad_kwargs)!r} with {value!r} at {where}")
 
@@ -260,6 +260,14 @@ class TestNonRealInputsRejected:
 def test_every_entry_point_rejects_nonfinite_numbers(bad):
     # every numeric argument of the entry points needs a finite value; an integer one is not an integer
     _assert_each_numeric_rejected(bad)
+
+
+def test_every_entry_point_rejects_integers_past_the_float_range():
+    # float(10**400) raised OverflowError in every real argument; an integer
+    # argument (an order, a count) takes it as the integer it is
+    _assert_each_numeric_rejected(10**400, numeric=lambda arg: type(arg) is float)
+    with pytest.raises(InvalidInputError, match="too large for a float"):
+        model.tuned_wavenumber(-10**5000, 1.0, 0.0)    # past 4300 digits an int has no str
 
 
 def test_every_entry_point_accepts_numpy_scalars():

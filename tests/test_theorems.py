@@ -1,6 +1,7 @@
 """Margin, curl-recast, and expansion-coefficient certification tests."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.special import spherical_jn
 
 import mp_lommel
 from tunedsource import model, quadrature, scalar, specfun, theorems
-from tunedsource.errors import InvalidInputError
+from tunedsource.errors import IllConditionedExpansionError, InvalidInputError
 from tunedsource.model import Mode, radial_integrals, tuned_wavenumber
 from tunedsource.quadrature import integrate_radial
 
@@ -186,16 +187,39 @@ class TestExpansionJ2:
         # j_(l-1), j_l, j_(l+1) moved f2 by 2.5e-8 here
         l, k, a, mw = 6, 0.5, 1.0, 1.0
         want = theorems.expansion_j2(l, k, a, mw).f2
-        value = scalar._jl_value
+        triple = scalar._jl_triple.__wrapped__    # past the memo, which holds the unnudged triple
 
         def nudged(order, x):
-            toward = math.inf if signs[order - (l - 1)] > 0 else -math.inf
-            return math.nextafter(value(order, x), toward)
+            towards = (math.inf if sign > 0 else -math.inf for sign in signs)
+            return tuple(map(math.nextafter, triple(order, x), towards))
 
-        monkeypatch.setattr(scalar, "_jl_value", nudged)
+        monkeypatch.setattr(scalar, "_jl_triple", nudged)
         got = theorems.expansion_j2(l, k, a, mw).f2
         assert got != want
         assert abs(got - want) <= 1e-14 * abs(want)
+
+    def test_f0_is_the_cells_reciprocal_self_integral(self):
+        # one f0 per mode: 1 / N_2(|k|) of the closed-form cell, to the bit
+        for l, k, a, mw, _ in _fd_oracle_bundles(1, 200):
+            assert theorems.expansion_j2(l, k, a, mw).f0 == 1.0 / radial_integrals(Mode(2, l), k, k, a).n_self_k
+
+    def test_f0_against_mpmath(self):
+        # the docstring's bound, 4 (l + 3) eps for l <= 30 and 0.01 <= k a <= 40
+        rng = np.random.default_rng(90)
+        checked = 0
+        for _ in range(300):
+            l = int(rng.integers(1, 31))
+            ka = float(np.exp(rng.uniform(math.log(0.01), math.log(40.0))))
+            a = float(rng.uniform(0.5, 3.0))
+            k = float(rng.choice([1.0, -1.0])) * ka / a
+            try:
+                f0 = theorems.expansion_j2(l, k, a, 1.0).f0
+            except IllConditionedExpansionError:    # f2's denominator underflows at l >> k a
+                continue
+            want = mp_lommel.f0_j2(l, k, a)
+            assert abs((f0 - want) / want) <= 4 * (l + 3) * sys.float_info.epsilon, (l, k, a)
+            checked += 1
+        assert checked >= 250
 
     @pytest.mark.parametrize("l", [10, 20, 25])
     def test_f2_at_high_order_against_mpmath(self, l):
@@ -460,13 +484,18 @@ def reference_expansion_fd(j, l, k, a, mu_omega, rel_tol):
     return theorems.ExpansionCoeffs(j, r0, theorems._scan_richardson(d1), f2, "finite-difference")
 
 
+def _neighbor_rows(l, x):
+    """j_(l-1), j_l and j_(l+1) at x, each with its parity, from one table of top l+1."""
+    return specfun._on_table(x, l + 1, lambda table, *_: [(table[n], n % 2 == 1) for n in (l - 1, l, l + 1)])
+
+
 def reference_series_integrals_j1(l, k, a, mu_omega, rel_tol):
     ak, k2, ll1, two_l1_sq = abs(k), k * k, l * (l + 1), (2 * l + 1) ** 2
     pref_d0 = k ** (2 - l) * ak**l
     pref_d1 = k ** (-l - 2) * ak**l
 
     def c0_f(r):
-        jm, j, jp = (specfun.bessel_j(n, ak * r) for n in (l - 1, l, l + 1))
+        jm, j, jp = _neighbor_rows(l, ak * r)
         r2 = r * r
         return (
             k2 * (l + 1) ** 2 * r2 * jm * jm
@@ -475,19 +504,19 @@ def reference_series_integrals_j1(l, k, a, mu_omega, rel_tol):
         ) / (ll1 * two_l1_sq)
 
     def c1_f(r):
-        j, jp = specfun.bessel_j(l, ak * r), specfun.bessel_j(l + 1, ak * r)
+        _, j, jp = _neighbor_rows(l, ak * r)
         r2 = r * r
         bracket = (l + 1) * (-k2 * r2 + 2 * l * l + l) * j + r * ak * (k2 * r2 - 2 * l * l - 2 * l) * jp
         return -(mu_omega / (ll1 * k2)) * j * bracket
 
     def d0_f(r):
-        jm_s, j_s, jp_s = (specfun.bessel_j(n, k * r) for n in (l - 1, l, l + 1))
-        j_a = specfun.bessel_j(l, ak * r)
+        jm_s, j_s, jp_s = _neighbor_rows(l, k * r)
+        _, j_a, _ = _neighbor_rows(l, ak * r)
         comb = (l + 1) * jm_s - l * jp_s
         return r * r * pref_d0 * comb * comb / (ll1 * two_l1_sq) + j_s * j_a
 
     def d1_f(r):
-        j_s, jp_s = specfun.bessel_j(l, k * r), specfun.bessel_j(l + 1, k * r)
+        _, j_s, jp_s = _neighbor_rows(l, k * r)
         r2 = r * r
         bracket = (l + 1) * (-k2 * r2 + 2 * l * l + l) * j_s + k * r * (k2 * r2 - 2 * l * l - 2 * l) * jp_s
         return -(mu_omega * pref_d1 / (2.0 * ll1)) * j_s * bracket
@@ -562,10 +591,9 @@ class TestLockstepOracleBitIdentical:
                     assert got == model.RadialIntegrals(n_k, n_K, m)
 
     def test_expansion_j2_shares_its_bessel_values(self):
+        # f0 reads the closed-form cell's triple: 1 / N_2(|k|) of the cell
         for l, k, a, mw, _ in _fd_oracle_bundles(3, 12):
-            x = k * a
-            jm, j, jp = (specfun.bessel_j(n, x) for n in (l - 1, l, l + 1))
-            assert theorems.expansion_j2(l, k, a, mw).f0 == 2.0 / (a**3 * (j * j - jm * jp))
+            assert theorems.expansion_j2(l, k, a, mw).f0 == 1.0 / specfun.lommel_first(l, k, a)
 
 
 class TestTableBuildsPerRound:
@@ -577,8 +605,7 @@ class TestTableBuildsPerRound:
         table, eval_panels = specfun._jl_table, quadrature._eval_panels
 
         def counted_table(top, x):
-            # the top order, or the distinct tops of a table with one per point
-            tables.append(top if np.ndim(top) == 0 else tuple(np.unique(top).tolist()))
+            tables.append(top)
             return table(top, x)
 
         def counted_round(f, owner, lo, hi, sizes):
@@ -620,10 +647,10 @@ class TestTableBuildsPerRound:
         self._check(monkeypatch, call, batch=batch, orders=[3], extra=[], expected=(3, 3))
 
     def test_series_integrals_j1(self, monkeypatch):
-        # one table per round for orders l-1, l and l+1 at |k| r, each point
-        # at its own top order; d1 finishes a round before the others
+        # one table of top l+1 per round for orders l-1, l and l+1 at |k| r;
+        # d1 finishes a round before the others
         call = lambda: theorems.series_integrals_j1(2, -1.9, 3.0, 0.9, 1e-14)
-        self._check(monkeypatch, call, batch=4, orders=[(1, 2, 3)], extra=[], expected=(3, 3))
+        self._check(monkeypatch, call, batch=4, orders=[3], extra=[], expected=(3, 3))
 
 
 class TestFlatRound:
@@ -691,8 +718,8 @@ class TestFlatRound:
     @pytest.mark.parametrize("k", [1.3, -1.3])
     def test_series_integrands(self, monkeypatch, k, l):
         # an uneven round of integrals 0, 2 and 3 of the four (c0, c1, d0, d1),
-        # then c1 alone; each formula reads j_(l-1), j_l and j_(l+1) from a
-        # table of that top order, at |k| r and at k r
+        # then c1 alone; each formula reads j_(l-1), j_l and j_(l+1) from one
+        # table of top l+1, at |k| r and at k r
         mw = 0.9
         captured, batch = [], theorems.integrate_radial_batch
         monkeypatch.setattr(theorems, "integrate_radial_batch",
@@ -703,8 +730,8 @@ class TestFlatRound:
         pref_d0, pref_d1 = k ** (2 - l) * ak**l, k ** (-l - 2) * ak**l
 
         def want(i, r):
-            jm, j, jp = (specfun.bessel_j(n, ak * r) for n in (l - 1, l, l + 1))
-            jm_s, j_s, jp_s = (specfun.bessel_j(n, k * r) for n in (l - 1, l, l + 1))
+            jm, j, jp = _neighbor_rows(l, ak * r)
+            jm_s, j_s, jp_s = _neighbor_rows(l, k * r)
             r2 = r * r
             if i == 0:
                 return (k2 * (l + 1) ** 2 * r2 * jm * jm - 2.0 * k2 * ll1 * r2 * jm * jp
