@@ -46,7 +46,7 @@ from .model import (
     source_energy,
     tuned_wavenumber,
 )
-from .scalar import TOL_MIN, _is_int, validate_tol
+from .scalar import TOL_MIN, _is_int, _shown, validate_tol
 
 __all__ = ["RunConfig", "load_config", "run_verify", "run_energies", "run_sweep", "run_tune", "main"]
 
@@ -110,7 +110,7 @@ _KINDS = {
     # nan, +-inf and an int past the float range fail the comparison; math.isfinite overflows on that int
     "number": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max,
                "a finite number"),
-    "int": (_is_int, "an integer"),
+    "int": (lambda v: _is_int(v) and abs(v) <= sys.maxsize, "an integer that an index holds"),
     "list": (lambda v: isinstance(v, list), "a list"),
     "dict": (lambda v: isinstance(v, dict), "an object"),
     "str": (lambda v: isinstance(v, str), "a string"),
@@ -122,7 +122,7 @@ def _check(value, where: str, kind: str):
     accepts, description = _KINDS[kind]
     if not accepts(value):
         # a rejected int "number" is past the float range; past 4300 digits it has no str
-        got = "an integer too large for a float" if kind == "number" and _is_int(value) else repr(value)
+        got = "an integer too large for a float" if kind == "number" and _is_int(value) else _shown(value)
         raise ConfigError(f"{where}: expected {description}, got {got}")
     return float(value) if kind == "number" else value
 
@@ -146,10 +146,11 @@ def _library(where: str, rule, *args):
 
 
 def _orders(entries, path: str) -> Tuple[int, ...]:
-    """A non-empty list of multipole orders (integers >= 1), as a tuple."""
+    """A non-empty list of multipole orders (integers >= 1 that an index holds), as a tuple."""
     for l in entries:
         if not (_is_int(l) and l >= 1):
             raise ConfigError(f"{path}: entries must be integers >= 1, got {l!r}")
+        _check(l, path, "int")
     if not entries:
         raise ConfigError(f"{path}: must not be empty")
     return tuple(entries)

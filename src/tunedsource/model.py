@@ -122,10 +122,10 @@ class Mode:
 
     def __post_init__(self):
         if not (scalar._is_int(self.j) and self.j in (1, 2)):
-            raise InvalidInputError(f"Mode.j must be the integer 1 or 2, got {self.j!r}")
+            raise InvalidInputError(f"Mode.j must be the integer 1 or 2, got {scalar._shown(self.j)}")
         scalar._int("Mode.l", self.l, 1)
         if not (scalar._is_int(self.m) and abs(self.m) <= self.l):
-            raise InvalidInputError(f"Mode.m must satisfy |m| <= l, got m={self.m}, l={self.l}")
+            raise InvalidInputError(f"Mode.m must satisfy |m| <= l, got m={scalar._shown(self.m)}, l={self.l}")
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 A fixed Gauss--Kronrod (7, 15) rule is applied per panel; the difference
 between the embedded Gauss value and the Kronrod value drives adaptive
 bisection of the worst panels.  The initial panelization is oscillation
-aware: panel width never exceeds pi over the largest wavenumber present,
-so products of spherical Bessel kernels are resolved from the first pass.
+aware: panel width never exceeds pi / max(osc_scale, 1), where the caller's
+osc_scale is the integrand's highest wavenumber, |k| + |K| for a product of
+kernels at k r and K r, so such products are resolved from the first pass.
 
 Every node is interior, so integrands only ever see r in (0, a); removable
 endpoint singularities (such as u_0 at the origin) are never sampled.
@@ -250,8 +251,9 @@ def integrate_radial(f, a, rel_tol=1e-12, *, osc_scale=1.0, max_panels=8192):
         Requested relative accuracy, in [1e-14, 1e-3]; an absolute floor
         of 1e-15 applies near zero values.
     osc_scale : float, keyword only
-        Characteristic wavenumber of the integrand (e.g. max(|k|, |K|));
-        sets the initial panel width to at most pi / max(osc_scale, 1).
+        The integrand's highest wavenumber (|k| + |K| for a product of
+        kernels at k r and K r); sets the initial panel width to at most
+        pi / max(osc_scale, 1).
     max_panels : int, keyword only
         Refinement budget, >= 1; exceeding it raises ConvergenceError carrying
         the best estimate.

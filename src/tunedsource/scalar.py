@@ -47,7 +47,10 @@ from .errors import ConvergenceError, InvalidInputError, UnderflowError
 _MILLER_STARTS = ((0.5, 8), (2.0, 12), (7.0, 16), (16.0, 28), (32.0, 40))
 _MILLER_MARGIN = 60
 _SERIES_CUTOFF = 0.1
-_SERIES_STEPS = 11    # terms of the ascending series after its first; below the cutoff the next is < 1e-49
+# terms of the ascending series after its first.  For x < _SERIES_CUTOFF and any
+# order, t_5 < 3e-18 and t_6 < 2e-22, both under half an ulp of the sum, which
+# lies in (0.998, 1): more steps leave it the same to the bit
+_SERIES_STEPS = 5
 _RESCALE_LIMIT = 1e250
 _EPS = sys.float_info.epsilon
 _SERIES_TERMS = 40    # of the near-diagonal Lommel series, before it counts as divergent
@@ -91,10 +94,15 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _shown(value) -> str:
+    """repr(value) for a message; an integer past the largest index (sys.maxsize) as a phrase, since past 4300 digits it has no str."""
+    return "an integer too large for an index" if _is_int(value) and abs(value) > sys.maxsize else repr(value)
+
+
 def _int(name, value, lowest: int) -> int:
-    """``value`` as an int; InvalidInputError unless it is an integer (``_is_int``) >= lowest."""
-    if not (_is_int(value) and value >= lowest):
-        raise InvalidInputError(f"{name} must be an integer >= {lowest}, got {value!r}")
+    """``value`` as an int; InvalidInputError unless it is an integer (``_is_int``) >= lowest that an index (and so a float) holds."""
+    if not (_is_int(value) and lowest <= value <= sys.maxsize):
+        raise InvalidInputError(f"{name} must be an integer >= {lowest} that an index holds, got {_shown(value)}")
     return int(value)
 
 
@@ -160,7 +168,7 @@ def _upward_column(lmax: int, x, sx, cx) -> list:
 
 
 def _series_sum(x, divisors):
-    """j_n(x) / s_n(x) = 1 + t_1 + ... + t_11, t_m = t_(m-1) (-x^2) / divisors[m - 1]; floats, or arrays elementwise."""
+    """j_n(x) / s_n(x) = 1 + t_1 + ... + t_5, t_m = t_(m-1) (-x^2) / divisors[m - 1]; floats, or arrays elementwise."""
     neg_x2 = -(x * x)
     term = total = 1.0
     for divisor in divisors:

@@ -29,7 +29,10 @@ each distinct one integrated once, all in one lockstep batch
 its batch of one.  Each round evaluates its integrands once, on the flat
 node array of all active integrals (``f(owner, r)``), from one Bessel table,
 each product in a lone integral's order, so every value is identical to the
-bit to a lone integration.  ``series_integrals_j1`` reads j_(l-1), j_l and
+bit to a lone integration.  Each integral's first panels are as wide as pi
+over its integrand's highest wavenumber (``_osc``: |p| + |q| for a product
+of kernels at p r and q r), so most batches converge in their first round.
+``series_integrals_j1`` reads j_(l-1), j_l and
 j_(l+1) from one table of top l+1 per round, and ``expansion_j2`` from the
 closed-form cell's memoized triple, so its f0 is the cell's 1 / N_2.
 
@@ -41,6 +44,7 @@ caller that times its first call should not time those imports.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
@@ -129,6 +133,11 @@ def _round_kernels(j: int, l: int, ks, Ks, owner, r):
     return [c[:r.size] for c in columns], [c[at_K] for c in columns]
 
 
+def _osc(p: float, q: float) -> float:
+    """|p| + |q|, the highest wavenumber of a product of kernels at p r and q r: its integral's ``osc_scale``."""
+    return abs(p) + abs(q)
+
+
 def _mode_integrand(mode: Mode, pairs):
     """Lockstep integrand of the mode integrals at the wavenumber pairs (k, K).
 
@@ -169,7 +178,7 @@ def _quadrature_integrals(mode: Mode, k: float, Ks, a: float, rel_tol: float):
     self_pairs = [(alpha, alpha) for alpha in alphas] if mode.j == 1 else []
     pairs = list(dict.fromkeys(self_pairs + crosses))
     results = integrate_radial_batch(_mode_integrand(mode, pairs), a, rel_tol,
-                                     osc_scales=[max(abs(p), abs(q)) for p, q in pairs])
+                                     osc_scales=[_osc(p, q) for p, q in pairs])
     values = {pair: res.value for pair, res in zip(pairs, results)}
     n_self = {alpha: values[alpha, alpha] if mode.j == 1 else _closed_form(2, mode.l, alpha, alpha, a, rel_tol)[0]
               for alpha in alphas}
@@ -227,7 +236,7 @@ def curl_identity_check(l: int, k: float, K: float, a: float, rel_tol: float = 1
         (jk, uk), (jK, uK) = _round_kernels(1, l, ks, Ks, owner, r)
         return c[owner] * jk * jK + q[owner] * r * r * uk * uK / d[owner]
 
-    A, B = (res.value for res in integrate_radial_batch(sides, a, rel_tol, osc_scales=[max(abs(k), abs(K))] * 2))
+    A, B = (res.value for res in integrate_radial_batch(sides, a, rel_tol, osc_scales=[_osc(k, K)] * 2))
     denom = max(abs(A), abs(ll1 * ll1 * B), 1e-300)
     return abs(A - ll1 * ll1 * B) / denom
 
@@ -455,7 +464,7 @@ def series_integrals_j1(
             values[at] = form(r[at], jm[at], j[at], jp[at])
         return values
 
-    results = integrate_radial_batch(integrands, a, rel_tol, osc_scales=[ak] * 4)
+    results = integrate_radial_batch(integrands, a, rel_tol, osc_scales=[_osc(k, k)] * 4)
     c0, c1, d0, d1 = (res.value for res in results)
     return SeriesIntegralsJ1(c0=c0, c1=c1, d0=d0, d1=d1)
 
@@ -490,8 +499,8 @@ def default_chi_grid(k: float, mu_omega: float, n: int = 21, span: float = 0.9) 
     [-span, span] and K^2 = k^2 (1 - span..1 + span) remains positive for
     span < 1.
     """
-    if not (scalar._is_int(n) and n >= 1 and n % 2 == 1):
-        raise InvalidInputError(f"n must be a positive odd integer, got {n!r}")
+    if not (scalar._is_int(n) and 1 <= n <= sys.maxsize and n % 2 == 1):
+        raise InvalidInputError(f"n must be a positive odd integer that an index holds, got {scalar._shown(n)}")
     if not (0.0 < scalar._real("span", span) < 1.0):
         raise InvalidInputError(f"span must lie in (0, 1), got {span}")
     _tuned_K(k, mu_omega, 0.0)    # the rules of k and mu_omega

@@ -5,10 +5,11 @@
 Runs each of the four commands (verify, sweep, energies, tune) on each
 config in ``configs/`` in CSV and in JSON, one fresh process per run with
 PYTHONPATH set to the tree, and prints one tab-separated line per differing
-cell: command, config, format, row (1-based), column, before, after.  A
-differing exit code, stderr or column list is one line of its own, with
-"-" as its row.  A JSON cell is compared as its JSON text.  It always exits
-0: it reports, and never gates.
+cell: command, config, format, row (1-based), column, before, after, and
+the relative change |after - before| / |before| of a numeric cell ("-" for
+any other).  A differing exit code, stderr or column list is one line of its
+own, with "-" as its row and relative change.  A JSON cell is compared as its
+JSON text.  It always exits 0: it reports, and never gates.
 """
 
 from __future__ import annotations
@@ -59,13 +60,22 @@ def differences(old, new):
                 yield number, column, before, after
 
 
+def relative_change(before, after) -> str:
+    """|after - before| / |before| of two numeric cell texts, to 3 digits; "-" unless both are numbers."""
+    try:
+        old, new = float(before), float(after)
+    except ValueError:
+        return "-"
+    return f"{abs(new - old) / abs(old):.3g}" if old else "inf"
+
+
 def main(argv) -> int:
     if len(argv) != 3:
         print(__doc__.strip(), file=sys.stderr)
         return 0
     old_src, new_src = (Path(arg).resolve() for arg in argv[1:])
     changed = runs = 0
-    print("\t".join(("command", "config", "format", "row", "column", "before", "after")))
+    print("\t".join(("command", "config", "format", "row", "column", "before", "after", "relative change")))
     for config in sorted(CONFIG_DIR.glob("*.json")):
         for command in COMMANDS:
             for fmt in FORMATS:
@@ -73,7 +83,8 @@ def main(argv) -> int:
                 found = list(differences(run(old_src, command, config, fmt), run(new_src, command, config, fmt)))
                 changed += bool(found)
                 for row, column, before, after in found:
-                    print("\t".join(map(str, (command, config.stem, fmt, row, column, before, after))))
+                    change = "-" if row == "-" else relative_change(before, after)
+                    print("\t".join(map(str, (command, config.stem, fmt, row, column, before, after, change))))
     print(f"# {changed} of {runs} runs differ", file=sys.stderr)
     return 0
 

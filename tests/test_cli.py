@@ -91,6 +91,35 @@ class TestConfigValidation:
                 else "JSON parse error: ") in proc.stderr
         assert not out.exists()
 
+    # the 17 runs where 10**400 in an integer field raised OverflowError, or numpy's ValueError for an order
+    # list under verify, each a traceback and exit 1: each field under each command that reached the error
+    @pytest.mark.parametrize("command,config,field,value", [
+        *[(command, config, ("modes", "l", "hi"), 10**400)
+          for config in ("verify_vacuum", "verify_strict") for command in ("verify", "sweep", "energies", "tune")],
+        ("verify", "verify_vacuum", ("modes", "l"), [10**400]),
+        ("verify", "verify_strict", ("modes", "l"), [1, 10**400]),
+        ("sweep", "sweep_chi_dng", ("modes", "l", 0), 10**400),
+        ("sweep", "sweep_chi_dng", ("modes", "l", 1), 10**400),
+        *[("energies", "energies_tuned", ("amplitudes", i, "l"), 10**400) for i in range(3)],
+        ("energies", "energies_tuned", ("xi_search", "grid_n"), 10**400),
+        ("tune", "energies_tuned", ("xi_search", "grid_n"), 10**400),
+    ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else str(v).replace(str(10**400), "10**400"))
+    def test_huge_integer_in_an_integer_field_exits_2(self, tmp_path, command, config, field, value):
+        payload = json.loads((CONFIG_DIR / f"{config}.json").read_text(encoding="utf-8"))
+        block = payload
+        for key in field[:-1]:
+            block = block[key]
+        block[field[-1]] = value
+        out = tmp_path / "report.txt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "tunedsource", command, "--config", write_config(tmp_path, payload), "--out", str(out)],
+            env=package_env(), capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: ") and "Traceback" not in proc.stderr
+        assert "expected an integer that an index holds, got an integer too large for an index" in proc.stderr
+        assert not out.exists()
+
     def test_inadmissible_chi(self, tmp_path):
         payload = base_config(chi_values=[0.0, 2.0])  # k^2 = 1, chi = 2 evanescent
         with pytest.raises(ConfigError, match=r"chi_values\[1\]"):

@@ -187,7 +187,8 @@ def _with_each_numeric_replaced(args, kwargs, value, numeric=_numeric):
             yield args[:i] + (value,) + args[i + 1:], kwargs, i
     for key, arg in kwargs.items():
         if isinstance(arg, list):
-            yield args, {**kwargs, key: arg[:-1] + [value]}, key
+            if numeric(arg[-1]):
+                yield args, {**kwargs, key: arg[:-1] + [value]}, key
         elif numeric(arg):
             yield args, {**kwargs, key: value}, key
 
@@ -268,6 +269,13 @@ def test_every_entry_point_rejects_integers_past_the_float_range():
     _assert_each_numeric_rejected(10**400, numeric=lambda arg: type(arg) is float)
     with pytest.raises(InvalidInputError, match="too large for a float"):
         model.tuned_wavenumber(-10**5000, 1.0, 0.0)    # past 4300 digits an int has no str
+
+
+@pytest.mark.parametrize("huge", [2**63 + 1, 10**400 + 1, 10**5000 + 1], ids=["2**63+1", "10**400+1", "10**5000+1"])
+def test_every_entry_point_rejects_integers_no_index_holds(huge):
+    # an order or a count past sys.maxsize: find_constraint_roots raised OverflowError at 10**400, a chi grid
+    # of 10**400 + 1 points did in numpy, and past 4300 digits the messages' repr raised ValueError
+    _assert_each_numeric_rejected(huge, numeric=lambda arg: type(arg) is int)
 
 
 def test_every_entry_point_accepts_numpy_scalars():

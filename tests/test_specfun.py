@@ -313,7 +313,10 @@ class TestLommelViewsBitIdentical:
 
 
 def reference_series(lmax, x):
-    """Ascending series, one order at a time, with the prefactor x^n / (2n+1)!! as a running product."""
+    """Ascending series, one order at a time, with the prefactor x^n / (2n+1)!! as a running product.
+
+    It keeps the eleven steps the builders took before ``scalar._SERIES_STEPS`` went to 5.
+    """
     block = np.empty((lmax + 1, x.size))
     x2 = x * x
     pref = np.ones_like(x)
@@ -392,6 +395,25 @@ class TestTableKernelsBitIdentical:
         for lmax in range(1, 51):
             x = rng.uniform(0.0, specfun._SERIES_CUTOFF, int(rng.integers(1, 40)))
             assert np.array_equal(specfun._jl_table(lmax, x), reference_series(lmax, x)), lmax
+
+    def test_five_series_steps_equal_eleven(self):
+        # both builders equal the eleven-step reference to the bit on 204,000
+        # points of the series regime, 4,000 of them just below its cutoff.
+        # The table takes top 50 on all of them and each top 0..50 on 4,000;
+        # the column, a Python loop per point, takes top 1 on all of them
+        # (orders 0 and 1 have the largest tails) and each top on 400
+        rng = np.random.default_rng(24)
+        cut = specfun._SERIES_CUTOFF
+        below = cut - np.arange(1, 4001) * 2.0**-56    # the 4,000 doubles below 0.1, one ulp apart
+        x = rng.permutation(np.concatenate([rng.uniform(0.0, cut, 150_000), rng.uniform(0.099, cut, 50_000), below]))
+        assert x.min() > 0.0 and x.max() == np.nextafter(cut, 0.0)
+        want = reference_series(50, x)
+        assert np.array_equal(specfun._jl_table(50, x), want)
+        assert [scalar._jl_column(1, v) for v in x.tolist()] == list(zip(*want[:2].tolist()))
+        for top, at in enumerate(np.split(np.arange(x.size), 51)):
+            assert np.array_equal(specfun._jl_table(top, x[at]), want[:top + 1, at]), top
+            at = at[:400]
+            assert [scalar._jl_column(top, v) for v in x[at].tolist()] == list(zip(*want[:top + 1, at].tolist())), top
 
     def test_miller(self):
         rng = np.random.default_rng(21)

@@ -456,7 +456,7 @@ def _reference_integrand(j, l, k, K):
 
 
 def _reference_quadrature(j, l, k, K, a, rel_tol):
-    return integrate_radial(_reference_integrand(j, l, k, K), a, rel_tol, osc_scale=max(abs(k), abs(K))).value
+    return integrate_radial(_reference_integrand(j, l, k, K), a, rel_tol, osc_scale=theorems._osc(k, K)).value
 
 
 def reference_ratio(j, l, k, K, a, rel_tol):
@@ -521,7 +521,7 @@ def reference_series_integrals_j1(l, k, a, mu_omega, rel_tol):
         bracket = (l + 1) * (-k2 * r2 + 2 * l * l + l) * j_s + k * r * (k2 * r2 - 2 * l * l - 2 * l) * jp_s
         return -(mu_omega * pref_d1 / (2.0 * ll1)) * j_s * bracket
 
-    values = [integrate_radial(f, a, rel_tol, osc_scale=ak).value for f in (c0_f, c1_f, d0_f, d1_f)]
+    values = [integrate_radial(f, a, rel_tol, osc_scale=theorems._osc(k, k)).value for f in (c0_f, c1_f, d0_f, d1_f)]
     return theorems.SeriesIntegralsJ1(*values)
 
 
@@ -533,7 +533,7 @@ def reference_curl_identity_check(l, k, K, a, rel_tol):
         (jk, jK), (uk, uK) = np.split(jv, 2), np.split(uv, 2)
         return ll1 * ll1 * jk * jK + ll1 * k * K * r * r * uk * uK
 
-    osc = max(abs(k), abs(K))
+    osc = theorems._osc(k, K)
     A = integrate_radial(curl_side, a, rel_tol, osc_scale=osc).value
     B = integrate_radial(_reference_integrand(1, l, k, K), a, rel_tol, osc_scale=osc).value
     return abs(A - ll1 * ll1 * B) / max(abs(A), abs(ll1 * ll1 * B), 1e-300)
@@ -596,6 +596,24 @@ class TestLockstepOracleBitIdentical:
             assert theorems.expansion_j2(l, k, a, mw).f0 == 1.0 / specfun.lommel_first(l, k, a)
 
 
+class TestOracleAgainstMpmath:
+    """The quadrature oracle itself against Lommel's forms in mpmath (``tests/mp_lommel.py``)."""
+
+    def test_radial_integrals_quadrature(self):
+        # fd_oracle-shaped (l, k, a) at expansion_fd's rel_tol, K 0.1-4 % off |k|
+        # and at 0.5 |k| and 1.5 |k|; each of N_k, N_K and M within 1e-12 sqrt(N_k N_K)
+        rng = np.random.default_rng(64)
+        for l, k, a, _, _ in _fd_oracle_bundles(17, 24):
+            near = abs(k) * (1.0 + float(rng.choice([1.0, -1.0]) * np.exp(rng.uniform(math.log(1e-3), math.log(4e-2)))))
+            for K in (near, 0.5 * abs(k), 1.5 * abs(k)):
+                for j in (1, 2):
+                    got = theorems.radial_integrals_quadrature(Mode(j, l), k, K, a, 1e-13)
+                    want = mp_lommel.mode_integrals(j, l, k, K, a)
+                    bound = 1e-12 * math.sqrt(want[0] * want[1])
+                    for value, exact in zip((got.n_self_k, got.n_self_K, got.m_cross), want):
+                        assert abs(value - exact) <= bound, (j, l, k, K, a)
+
+
 class TestTableBuildsPerRound:
     """Each lockstep round builds one Bessel table per order for all integrals of a theorem call."""
 
@@ -628,7 +646,7 @@ class TestTableBuildsPerRound:
     def test_expansion_fd_j1(self, monkeypatch):
         # N_1(K) and M_1(k, K) at ten steps, one integral at chi = 0; j_l and u_l from order l+1
         call = lambda: theorems.expansion_fd(1, 2, 1.9, 3.0, 0.9, 1e-14)
-        self._check(monkeypatch, call, batch=21, orders=[3], extra=[], expected=(3, 3))
+        self._check(monkeypatch, call, batch=21, orders=[3], extra=[], expected=(2, 2))
 
     def test_expansion_fd_j2(self, monkeypatch):
         # eleven cross integrals of order l; the eleven N_2(K) take the
@@ -636,7 +654,7 @@ class TestTableBuildsPerRound:
         cells, closed_form = [], theorems._closed_form
         monkeypatch.setattr(theorems, "_closed_form", lambda *args: cells.append(args[:2]) or closed_form(*args))
         call = lambda: theorems.expansion_fd(2, 2, -1.9, 3.0, 0.9, 1e-14)
-        self._check(monkeypatch, call, batch=11, orders=[2], extra=[], expected=(3, 3))
+        self._check(monkeypatch, call, batch=11, orders=[2], extra=[], expected=(2, 2))
         assert cells == [(2, 2)] * 22   # eleven per call, and _check makes two
 
     @pytest.mark.parametrize("k,K,batch", [(1.9, 1.9, 1), (-1.9, -1.9, 1), (-1.9, 1.9, 2)])
@@ -644,13 +662,30 @@ class TestTableBuildsPerRound:
         # each distinct integral once: N_1(|k|) = N_1(|K|), and at K == k the
         # cross integral is that self integral; M_1(-|k|, |k|) is its own
         call = lambda: theorems.radial_integrals_quadrature(Mode(1, 2), k, K, 3.0, 1e-14)
-        self._check(monkeypatch, call, batch=batch, orders=[3], extra=[], expected=(3, 3))
+        self._check(monkeypatch, call, batch=batch, orders=[3], extra=[], expected=(2, 2))
 
     def test_series_integrals_j1(self, monkeypatch):
         # one table of top l+1 per round for orders l-1, l and l+1 at |k| r;
         # d1 finishes a round before the others
         call = lambda: theorems.series_integrals_j1(2, -1.9, 3.0, 0.9, 1e-14)
-        self._check(monkeypatch, call, batch=4, orders=[3], extra=[], expected=(3, 3))
+        self._check(monkeypatch, call, batch=4, orders=[3], extra=[], expected=(2, 2))
+
+    def test_rounds_of_the_fd_oracle_bundles(self, monkeypatch):
+        # the four oracle calls of 12 fd_oracle-shaped bundles, at their
+        # default tolerances: with the first panels as wide as pi over an
+        # integrand's highest wavenumber, most batches converge in their first round
+        calls = {
+            "f1_vanishing_check": lambda l, k, a, mw, K_near: theorems.f1_vanishing_check(l, k, a, mw),
+            "expansion_fd_j1": lambda l, k, a, mw, K_near: theorems.expansion_fd(1, l, k, a, mw),
+            "expansion_fd_j2": lambda l, k, a, mw, K_near: theorems.expansion_fd(2, l, k, a, mw),
+            "curl_identity_check": lambda l, k, a, mw, K_near: theorems.curl_identity_check(l, k, K_near, a),
+        }
+        rounds = {}
+        for name, call in calls.items():
+            _, rounds[name] = self._count(monkeypatch, lambda: [call(*bundle) for bundle in _fd_oracle_bundles(1, 12)])
+        counts = {name: len(each) for name, each in rounds.items()}
+        assert counts == {"f1_vanishing_check": 13, "expansion_fd_j1": 12, "expansion_fd_j2": 15, "curl_identity_check": 12}
+        assert sum(counts.values()) == 52
 
 
 class TestFlatRound:

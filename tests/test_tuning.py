@@ -91,9 +91,11 @@ class TestFindConstraintRoots:
         with pytest.raises(InvalidInputError):
             find_constraint_roots(lambda c: c, -1.0, 1.0, 16, 0.0)
 
-    @pytest.mark.parametrize("grid_n", [2.9, 16.0, math.inf, math.nan, "5", True, np.bool_(True), np.float64(16.0)])
+    @pytest.mark.parametrize("grid_n", [2.9, 16.0, math.inf, math.nan, "5", True, np.bool_(True), np.float64(16.0),
+                                        2**63, pytest.param(10**400, id="10**400")])
     def test_grid_n_must_be_an_integer(self, grid_n):
-        # 2.9 used to scan 2 points, inf raised OverflowError and "5" TypeError
+        # 2.9 used to scan 2 points, inf and 10**400 raised OverflowError and "5" TypeError;
+        # past sys.maxsize no index holds it
         with pytest.raises(InvalidInputError, match="grid_n must be an integer"):
             find_constraint_roots(lambda c: c, -1.0, 1.0, grid_n, 1e-8)
 
