@@ -24,7 +24,7 @@ print("l  alpha  a      closed form        quadrature         rel diff")
 for (l, alpha, a) in [(0, 1.0, math.pi), (2, 1.3, 4.0), (5, 7.0, 2.0)]:
     closed = specfun.lommel_first(l, alpha, a)
     quad = integrate_radial(lambda r: r * r * specfun.bessel_j(l, alpha * r) ** 2,
-                            a, 1e-12, osc_scale=alpha)
+                            a, 1e-12, osc_scale=2 * alpha)
     rel = abs(closed - quad.value) / closed
     print(f"{l}  {alpha:<5.2f} {a:<6.3f} {closed:.12e} {quad.value:.12e} {rel:.1e}"
           f"   ({quad.panels_used} panels)")
@@ -34,7 +34,7 @@ for (l, k, K, a) in [(1, 1.0, 2.0, 1.0), (3, -1.5, 0.8, 2.0)]:
     closed = specfun.lommel_second(l, k, K, a)
     quad = integrate_radial(
         lambda r: r * r * specfun.bessel_j(l, k * r) * specfun.bessel_j(l, K * r),
-        a, 1e-12, osc_scale=max(abs(k), abs(K))).value
+        a, 1e-12, osc_scale=abs(k) + abs(K)).value
     print(f"l={l}, k={k}, K={K}: closed={closed:+.12e}  quad={quad:+.12e}")
 
 print("\n=== half-line integral of j_l(alpha r)^2 -> pi / (2 (2l+1) alpha) ===")
@@ -42,7 +42,7 @@ print("l  alpha  truncated at L=2000/alpha   limit value    rel diff")
 for (l, alpha) in [(0, 1.0), (2, 3.0), (4, 0.5)]:
     L = 2000.0 / alpha
     got = integrate_radial(lambda r: specfun.bessel_j(l, alpha * r) ** 2,
-                           L, 1e-10, osc_scale=alpha, max_panels=HALF_LINE_PANELS).value
+                           L, 1e-10, osc_scale=2 * alpha, max_panels=HALF_LINE_PANELS).value
     want = math.pi / (2 * (2 * l + 1) * alpha)
     print(f"{l}  {alpha:<5.2f} {got:.8f}              {want:.8f}     {abs(got-want)/want:.1e}")
 
