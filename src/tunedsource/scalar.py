@@ -13,12 +13,14 @@ numpy's included, not a bool), and the cell's ``_validate`` and
 
 ``_jl_column`` is a column of ``specfun._jl_table`` to the bit: the same
 series / Miller / upward regimes, the same operations in the same order.
-The series and upward regimes are one function each for both builders
-(``_series_column`` and ``_upward_column``), which the table runs
-elementwise on its points.  Both start a Miller column a number of orders
-above its top that depends only on its own argument (``_miller_margin``: 8
-below x = 0.5, rising in steps to 60 from x = 32 on), so a column depends
-only on its argument and its top, whatever else the table holds.  sin and
+All three regimes are one function each for both builders
+(``_series_column``, ``_miller_column`` and ``_upward_column``), which the
+table runs elementwise on its points.  A Miller column starts a number of
+orders above its top that depends only on its own argument
+(``_miller_margin``: 8 below x = 0.5, rising in steps to 60 from x = 32
+on); in a table it is 0 until that start, so a column depends only on its
+argument and its top, whatever else the table holds.  The recurrence's
+rescale check runs only above start order _UNCHECKED_TOP = 86.  sin and
 cos come from ``math``, which agrees with numpy's to the bit on this
 platform (the test suite checks it on random points of all three regimes).
 
@@ -51,7 +53,12 @@ _SERIES_CUTOFF = 0.1
 # order, t_5 < 3e-18 and t_6 < 2e-22, both under half an ulp of the sum, which
 # lies in (0.998, 1): more steps leave it the same to the bit
 _SERIES_STEPS = 5
+_MILLER_SEED = 1e-30
 _RESCALE_LIMIT = 1e250
+# |f_(n-1)| <= ((2n+1)/x + 1) max(|f_n|, |f_(n+1)|) and x >= _SERIES_CUTOFF, so
+# from a top start order no value passes _MILLER_SEED ((2 top + 1) / x + 1)^top:
+# <= 1e249, a tenth of _RESCALE_LIMIT for rounding, up to this top and not above
+_UNCHECKED_TOP = 86
 _EPS = sys.float_info.epsilon
 _SERIES_TERMS = 40    # of the near-diagonal Lommel series, before it counts as divergent
 _TRIPLE_MEMO = 128    # entries of _jl_triple's memo; a chi grid of 21 cells reads 22 triples
@@ -127,31 +134,35 @@ def _miller_margin(x: float) -> int:
     return _MILLER_MARGIN
 
 
-def _miller_column(lmax: int, x: float, sx: float, cx: float) -> list:
-    """``specfun._jl_miller`` for one point: the same operations in the same order.
+def _miller_column(lmax: int, x, seeds: dict) -> list:
+    """Unnormalized orders 0..lmax by the downward recurrence, at one float x or elementwise at an array x.
 
-    The column starts _miller_margin(x) orders above lmax.  The rescale
-    check runs at every order; ``_jl_miller`` rescales a column at exactly
-    those orders (see its docstring), so the values are the same to the bit.
+    ``seeds`` maps each start order (each > lmax) to what joins f_n there:
+    _MILLER_SEED for a float x; for an array x, _MILLER_SEED at the points
+    that start there and 0.0 elsewhere.  A column is 0 until its start, and
+    stays 0; a started one is positive above lmax, so adding 0.0 is exact.
+    A value past _RESCALE_LIMIT scales its column by 1e-250, stored orders
+    included.  The check runs only above a top start order of
+    _UNCHECKED_TOP, up to which no value can get there.
     """
-    limit = _RESCALE_LIMIT
-    f_up, f_cur = 0.0, 1e-30
-    for order in range(lmax + _miller_margin(x), lmax, -1):    # above the table
+    top = max(seeds)
+    checked = top > _UNCHECKED_TOP
+    f_up = f_cur = 0.0
+    column = [0.0] * (lmax + 1)
+    last = lmax + 1    # the first order whose step gives a stored f_(order-1)
+    for order in range(top, 0, -1):
+        if order in seeds:
+            f_cur = f_cur + seeds[order]
         f_up, f_cur = f_cur, (2 * order + 1) / x * f_cur - f_up
-        if abs(f_cur) > limit:
-            f_cur *= 1e-250
-            f_up *= 1e-250
-    column = [0.0] * lmax + [f_cur]
-    for order in range(lmax, 0, -1):
-        f_up, f_cur = f_cur, (2 * order + 1) / x * f_cur - f_up
-        if abs(f_cur) > limit:
-            f_cur *= 1e-250
-            f_up *= 1e-250
-            column[order:] = [v * 1e-250 for v in column[order:]]
-        column[order - 1] = f_cur
-    j0, j1 = _j0_j1(x, sx, cx)
-    ratio = j0 / column[0] if abs(j0) >= abs(j1) else j1 / column[1]
-    return [v * ratio for v in column]
+        if checked:
+            big = abs(f_cur) > _RESCALE_LIMIT    # a bool at a float x, a mask at an array x
+            if big is True or (big is not False and big.any()):
+                scale = 1.0 - big + big * 1e-250    # 1e-250 where big, else 1.0
+                f_up, f_cur = f_up * scale, f_cur * scale
+                column[order:] = [v * scale for v in column[order:]]
+        if order <= last:
+            column[order - 1] = f_cur
+    return column
 
 
 def _j0_j1(x, sx, cx) -> list:
@@ -194,13 +205,18 @@ def _series_column(x, sums) -> list:
 
 
 def _jl_column(lmax: int, x: float) -> tuple:
-    """``tuple(specfun._jl_table(lmax, np.array([x]))[:, 0])`` to the bit, at one float x >= 0."""
+    """``tuple(specfun._jl_table(lmax, np.array([x]))[:, 0])`` to the bit, at one float x >= 0, by the table's regime functions."""
     if x < _SERIES_CUTOFF:    # the steps of order n divide by 2m(2n+2m+1), m = 1.._SERIES_STEPS
         steps = range(1, _SERIES_STEPS + 1)
         sums = (_series_sum(x, [2 * m * (2 * n + 2 * m + 1) for m in steps]) for n in range(lmax + 1))
         return tuple(_series_column(x, sums))
-    recurrence = _miller_column if x < lmax else _upward_column
-    return tuple(recurrence(lmax, x, math.sin(x), math.cos(x)))
+    sx, cx = math.sin(x), math.cos(x)
+    if x >= lmax:
+        return tuple(_upward_column(lmax, x, sx, cx))
+    column = _miller_column(lmax, x, {lmax + _miller_margin(x): _MILLER_SEED})
+    j0, j1 = _j0_j1(x, sx, cx)
+    ratio = j0 / column[0] if abs(j0) >= abs(j1) else j1 / column[1]
+    return tuple([v * ratio for v in column])
 
 
 @functools.lru_cache(maxsize=_TRIPLE_MEMO)
@@ -208,9 +224,10 @@ def _jl_triple(l: int, x: float) -> tuple:
     """(j_(l-1), j_l, j_(l+1)) at x > 0 from ``_jl_column(l + 1, x)``, l >= 0, with j_(-1)(x) = cos(x) / x."""
     x = float(x)
     if l == 0:
-        if x == 0.0:
-            raise UnderflowError("the argument k a of j_(-1) = cos(k a) / (k a) underflows to 0")
-        return (math.cos(x) / x, *_jl_column(1, x))
+        jm = math.cos(x) / x if x else math.inf
+        if not math.isfinite(jm):    # x below 1 / sys.float_info.max, 0.0 included
+            raise UnderflowError(f"the argument k a = {x} of j_(-1) = cos(k a) / (k a) underflows: j_(-1) overflows")
+        return (jm, *_jl_column(1, x))
     return _jl_column(l + 1, x)[l - 1:]
 
 

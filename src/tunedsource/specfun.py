@@ -20,22 +20,22 @@ orders above lmax (8 below x = 0.5, up to 60 from x = 32 on); beyond, the
 upward recurrence.  A point's value depends only on its own argument and
 lmax, so a batch of points gives each the column of a lone table.
 
-Two builders make such a table, with the same bits; the series and upward
-regimes are one ``scalar`` function each for both (``_series_column`` and
-``_upward_column``).  ``_jl_table``, here, runs each order as numpy calls
-over all points, and each series step on the whole (orders x points) block;
-its Miller overflow check runs only when a Python-float growth bound allows
-an overflow, so a step costs two numpy calls (three for the orders it
-stores).  The quadrature integrands and the four array kernels (``bessel_j``
-and friends) use it, where a call holds hundreds of points.  The kernels
-share one evaluator, ``_on_table``: it rejects x unless finite and real,
-builds the table at |x| (x = 0 included) and applies each kernel's parity,
-so a kernel only says which table rows it combines.  ``scalar._jl_column``
-builds the column of one point on Python floats, with ``math``'s sin and
-cos: for one or two points it costs a fraction of ``_jl_table``'s numpy
-calls, and it never imports numpy.  The closed-form cell reads it through
-``scalar._jl_triple``, and so do the Lommel views, the oracle's j=2 self
-integrals and ``theorems.expansion_j2``.
+Two builders make such a table, with the same bits; all three regimes are
+one ``scalar`` function each for both (``_series_column``, ``_miller_column``
+and ``_upward_column``).  ``_jl_table``, here, runs each order as numpy calls
+over all points, and each series step on the whole (orders x points) block.
+Its Miller columns are 0 until their start order, and the recurrence's
+rescale check runs only above start order 86.  The quadrature integrands
+and the four array kernels (``bessel_j`` and friends) use it, where a call
+holds hundreds of points.  The kernels share one evaluator, ``_on_table``:
+it rejects x unless finite and real, builds the table at |x| (x = 0
+included) and applies each kernel's parity, so a kernel only says which
+table rows it combines.  ``scalar._jl_column`` builds the column of one
+point on Python floats, with ``math``'s sin and cos: for one or two points
+it costs a fraction of ``_jl_table``'s numpy calls, and it never imports
+numpy.  The closed-form cell reads it through ``scalar._jl_triple``, and so
+do the Lommel views, the oracle's j=2 self integrals and
+``theorems.expansion_j2``.
 
 Accuracy, all arithmetic binary64, checked against mpmath for l <= 50 and
 |x| <= 1e3: the relative error is <= 1e-12 for |x| < l + 1, where j_l has no
@@ -53,12 +53,13 @@ from .errors import InvalidInputError, SingularityError
 from .model import _closed_form
 from .scalar import (
     _MILLER_MARGIN,
+    _MILLER_SEED,
     _MILLER_STARTS,
-    _RESCALE_LIMIT,
     _SERIES_CUTOFF,
     _SERIES_STEPS,
     _int,
     _j0_j1,
+    _miller_column,
     _series_column,
     _series_sum,
     _u_from_neighbors,
@@ -81,68 +82,12 @@ _START_BOUNDS = np.array([bound for bound, _ in _MILLER_STARTS])
 _START_MARGINS = np.array([margin for _, margin in _MILLER_STARTS] + [_MILLER_MARGIN])
 
 
-def _jl_miller(lmax: int, x: np.ndarray) -> np.ndarray:
-    """Downward recurrence for orders 0..lmax; x positive, x >= cutoff.
-
-    The recurrence f_{n-1} = (2n+1)/x f_n - f_{n+1} starts each column
-    (joins the running block) ``scalar._miller_margin(x)`` orders above
-    lmax, from an arbitrary seed: 8 orders below x = 0.5, rising in steps to
-    _MILLER_MARGIN = 60 from x = 32 on.  The running block holds its columns
-    by descending start order, so the started ones are a prefix.  A column
-    that grows past _RESCALE_LIMIT is scaled by 1e-250, together with its
-    stored orders.  That check costs numpy calls, so it runs only when the
-    Python-float growth bound
-    |f_{n-1}| <= ((2n+1)/min(x) + 1) max(|f_n|, |f_{n+1}|)
-    allows a value above half the limit (the factor 2 covers the rounding of
-    the bound itself); after each check the bound restarts from the true
-    maxima.  A rescale therefore happens at exactly the orders where a check
-    at every order would make it, and the values are the same to the bit.
-    """
-    starts = lmax + _START_MARGINS[np.searchsorted(_START_BOUNDS, x, side="right")]   # scalar._miller_margin
-    by_start = np.argsort(-starts, kind="stable")
-    x = x[by_start]
-    heads, sizes = np.unique(starts, return_counts=True)
-    joins = {int(h): int(n) for h, n in zip(heads, sizes)}   # start order -> columns seeded there
-    start = max(joins)
-    odd = 2 * np.arange(start + 1) + 1
-    coef = odd[:, None] / x                          # coef[n] = (2n+1)/x
-    growth = (odd / float(x.min()) + 1.0).tolist()   # >= 1, so the bound never falls
-    block = np.zeros((lmax + 1, x.size))
-    f_up = f_cur = np.zeros(0)           # f_{n+1} and f_n of the started columns, a prefix
-    bound = 1e-30                        # >= max(|f_n|, |f_{n+1}|)
-    for order in range(start, 0, -1):
-        joined = joins.get(order)
-        if joined:
-            f_up = np.concatenate([f_up, np.zeros(joined)])
-            f_cur = np.concatenate([f_cur, np.full(joined, 1e-30)])
-            started_coef, started = coef[:, :f_cur.size], block[:, :f_cur.size]
-            bound = max(bound, 1e-30)
-        f_up, f_cur = f_cur, started_coef[order] * f_cur - f_up
-        bound *= growth[order]
-        if not bound <= 0.5 * _RESCALE_LIMIT:
-            big = np.abs(f_cur) > _RESCALE_LIMIT
-            if big.any():
-                scale = np.where(big, 1e-250, 1.0)
-                f_cur = f_cur * scale
-                f_up = f_up * scale
-                if order <= lmax:
-                    started[order:] *= scale
-            bound = max(float(np.abs(f_up).max()), float(np.abs(f_cur).max()))
-        if order - 1 <= lmax:
-            started[order - 1] = f_cur
-    # normalize against whichever of j0, j1 is larger in magnitude (row 1 exists: lmax > x >= cutoff)
-    j0, j1 = _j0_j1(x, np.sin(x), np.cos(x))
-    use0 = np.abs(j0) >= np.abs(j1)
-    reference = np.where(use0, j0, j1)
-    raw = np.where(use0, block[0], block[1])
-    block *= reference / raw
-    out = np.empty_like(block)
-    out[:, by_start] = block
-    return out
-
-
 def _jl_table(lmax: int, x: np.ndarray) -> np.ndarray:
-    """Table of j_0..j_lmax at positive arguments x (1-D array, no zeros)."""
+    """Table of j_0..j_lmax at positive arguments x (1-D array, no zeros), by ``scalar``'s regime functions.
+
+    One ``_miller_column`` call takes the Miller points, each column 0 until
+    its start; its rescale check runs only above start order 86.
+    """
     block = np.zeros((lmax + 1, x.size))
     small = x < _SERIES_CUTOFF
     down = ~small & (x < lmax)
@@ -153,7 +98,13 @@ def _jl_table(lmax: int, x: np.ndarray) -> np.ndarray:
         divisors = 2.0 * m * (2 * np.arange(lmax + 1)[:, None] + 2 * m + 1)    # [m - 1, order, 0], as in _jl_column
         block[:, small] = _series_column(x_small, _series_sum(x_small, divisors))    # each step on the whole block
     if down.any():
-        block[:, down] = _jl_miller(lmax, x[down])
+        x_down = x[down]
+        starts = lmax + _START_MARGINS[np.searchsorted(_START_BOUNDS, x_down, side="right")]   # scalar._miller_margin
+        seeds = {start: np.where(starts == start, _MILLER_SEED, 0.0) for start in set(starts.tolist())}
+        column = _miller_column(lmax, x_down, seeds)
+        j0, j1 = _j0_j1(x_down, np.sin(x_down), np.cos(x_down))
+        use0 = np.abs(j0) >= np.abs(j1)    # normalize against the larger of j0, j1 (row 1 exists: lmax > x)
+        block[:, down] = np.array(column) * (np.where(use0, j0, j1) / np.where(use0, column[0], column[1]))
     if up.any():
         x_up = x[up]
         block[:, up] = _upward_column(lmax, x_up, np.sin(x_up), np.cos(x_up))

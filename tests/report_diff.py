@@ -9,7 +9,13 @@ cell: command, config, format, row (1-based), column, before, after, and
 the relative change |after - before| / |before| of a numeric cell ("-" for
 any other).  A differing exit code, stderr or column list is one line of its
 own, with "-" as its row and relative change.  A JSON cell is compared as its
-JSON text.  It always exits 0: it reports, and never gates.
+JSON text.
+
+It also runs this checkout's ``bench/worker.py`` in run mode on each tree:
+``bound_grid`` (1008 calls) and ``fd_oracle`` (36 calls), each at seeds 1
+and 2718.  For each (workload, seed) it prints one line to stderr: whether
+the output digests of the two trees are equal, and each tree's count of
+failed calls.  It always exits 0: it reports, and never gates.
 """
 
 from __future__ import annotations
@@ -19,11 +25,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 COMMANDS = ("verify", "sweep", "energies", "tune")
 FORMATS = ("csv", "json")
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+WORKER = Path(__file__).resolve().parents[1] / "bench" / "worker.py"
+WORKER_CALLS = {"bound_grid": 48 * 21, "fd_oracle": 36}    # one pass of bench/run.py (its PASS_CALLS)
+WORKER_SEEDS = (1, 2718)    # the benchmark's tuning seed and its held-out seed
 
 
 def run(src: Path, command: str, config: Path, fmt: str):
@@ -40,6 +50,19 @@ def run(src: Path, command: str, config: Path, fmt: str):
             columns = report["columns"]
             rows = [[json.dumps(value) for value in row] for row in report["rows"]]
     return proc.returncode, proc.stderr, columns, rows
+
+
+def worker_run(src: Path, workload: str, seed: int):
+    """(output digest, failed calls) of one fresh ``bench/worker.py`` run on the tree ``src``; (None, "exit N") if it fails."""
+    with tempfile.TemporaryDirectory() as work:
+        result = Path(work) / "result.json"
+        spec = {"mode": "run", "workload": workload, "seed": seed, "calls": WORKER_CALLS[workload], "result": str(result)}
+        proc = subprocess.run([sys.executable, str(WORKER), json.dumps(spec)],
+                              env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True)
+        if proc.returncode:
+            return None, f"exit {proc.returncode}"
+        out = json.loads(result.read_text())
+    return out["digest"], out["failed"]
 
 
 def differences(old, new):
@@ -86,6 +109,12 @@ def main(argv) -> int:
                     change = "-" if row == "-" else relative_change(before, after)
                     print("\t".join(map(str, (command, config.stem, fmt, row, column, before, after, change))))
     print(f"# {changed} of {runs} runs differ", file=sys.stderr)
+    for workload in WORKER_CALLS:
+        for seed in WORKER_SEEDS:
+            (old_digest, old_failed), (new_digest, new_failed) = (worker_run(src, workload, seed) for src in (old_src, new_src))
+            digest = "no digest" if None in (old_digest, new_digest) else "equal" if old_digest == new_digest else "different"
+            print(f"# bench/worker.py {workload} seed {seed}: digest {digest}; failed {old_failed} -> {new_failed}",
+                  file=sys.stderr)
     return 0
 
 

@@ -659,6 +659,13 @@ class TestUnderflow:
             specfun.lommel_second(0, 1e-200, 2e-200, 1e-200)
         with pytest.raises(UnderflowError, match="underflows"):
             specfun.lommel_second(1, 1e-170, 2e-170, 1.0)
+        # order 0 at k a below 1 / sys.float_info.max, where j_(-1) = cos(k a) / (k a) overflows:
+        # a math domain error (the first two) or nan (the third)
+        for call in (lambda: specfun.lommel_first(0, 1e-309, 1.0), lambda: specfun.lommel_second(0, 5e-309, 1.0, 1.0),
+                     lambda: specfun.lommel_first(0, 5e-324, 1.0)):
+            with pytest.raises(UnderflowError, match="k a .* underflows"):
+                call()
+        assert abs(specfun.lommel_first(0, 1e-308, 1.0) - 1 / 3) <= 1e-15    # j_(-1) = 1e308 is finite
         assert issubclass(UnderflowError, TunedSourceError)
 
     @pytest.mark.parametrize("call", [

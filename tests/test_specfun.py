@@ -1,6 +1,7 @@
 """Bessel kernel and Lommel closed-form tests against independent oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -347,7 +348,7 @@ def reference_miller(lmax, x, rescaled=None):
         f_cur = np.where(order == starts, 1e-30, f_cur)
         f_down = (2 * order + 1) / x * f_cur - f_up
         f_up, f_cur = f_cur, f_down
-        big = np.abs(f_cur) > specfun._RESCALE_LIMIT
+        big = np.abs(f_cur) > scalar._RESCALE_LIMIT
         if big.any():
             if rescaled is not None:
                 rescaled.append(big)
@@ -420,7 +421,7 @@ class TestTableKernelsBitIdentical:
         for lmax in range(1, 51):
             for size in (1, 2, 33):
                 x = np.exp(rng.uniform(math.log(specfun._SERIES_CUTOFF), math.log(lmax), size))
-                assert np.array_equal(specfun._jl_miller(lmax, x), reference_miller(lmax, x)), (lmax, size)
+                assert np.array_equal(specfun._jl_table(lmax, x), reference_miller(lmax, x)), (lmax, size)
 
     def test_miller_rescale_of_one_column(self):
         # a deep table at small x rescales; the column at x = 30 does not
@@ -428,7 +429,7 @@ class TestTableKernelsBitIdentical:
         rescaled = []
         want = reference_miller(100, x, rescaled)
         assert rescaled and all(big.tolist() == [True, False] for big in rescaled)
-        assert np.array_equal(specfun._jl_miller(100, x), want)
+        assert np.array_equal(specfun._jl_table(100, x), want)
 
     @pytest.mark.parametrize("l", [1, 2, 6, 24])
     def test_merged_integrand_tables(self, l):
@@ -570,6 +571,39 @@ class TestMillerStartRule:
                 for l, got in enumerate(scalar._jl_column(lmax, x)):
                     j, envelope = want[l]
                     assert abs(got - j) <= 1e-14 * (abs(j) if x < l + 1 else envelope), (lmax, l, x)
+
+
+class TestMillerGate:
+    """The rescale check of the downward recurrence runs only above start order ``scalar._UNCHECKED_TOP``."""
+
+    def test_unchecked_top_is_the_largest_safe_top(self):
+        # from the seed, |f_(n-1)| <= ((2n+1)/x + 1) max(|f_n|, |f_(n+1)|) at x >= the series cutoff
+        def bound(top):
+            growth = (2 * top + 1) / Fraction(scalar._SERIES_CUTOFF) + 1
+            return Fraction(scalar._MILLER_SEED) * growth**top
+
+        safe = [top for top in range(1, 200) if bound(top) <= Fraction(scalar._RESCALE_LIMIT) / 10]
+        assert safe == list(range(1, safe[-1] + 1)) and safe[-1] == scalar._UNCHECKED_TOP == 86
+
+    def test_no_rescale_at_the_unchecked_top(self):
+        # x = 0.1 grows fastest; lmax 78 starts it at top 78 + 8 = 86
+        assert 78 + scalar._miller_margin(0.1) == scalar._UNCHECKED_TOP
+        rescaled = []
+        reference_miller(78, np.array([0.1]), rescaled)
+        assert not rescaled
+
+    @pytest.mark.parametrize("lmax", [78, 79, 100, 200])
+    def test_tables_on_both_sides_of_the_gate(self, lmax):
+        # all six start buckets, both sides of each bound; the whole table and
+        # one table per bucket, whose top at lmax 78 and x < 0.5 is the gate's
+        rng = np.random.default_rng(lmax)
+        bounds = [specfun._SERIES_CUTOFF] + [bound for bound, _ in scalar._MILLER_STARTS] + [float(lmax)]
+        buckets = [[lo, *rng.uniform(lo, hi, 3).tolist(), math.nextafter(hi, 0.0)] for lo, hi in zip(bounds, bounds[1:])]
+        for xs in [sum(buckets, [])] + buckets:
+            x = np.array(xs)
+            table = specfun._jl_table(lmax, x)
+            assert np.array_equal(table, reference_miller(lmax, x)), (lmax, xs)
+            assert columns(lmax, xs) == table.T.tolist(), (lmax, xs)
 
 
 class TestAccuracyMap:
