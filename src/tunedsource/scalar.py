@@ -55,8 +55,8 @@ _SERIES_CUTOFF = 0.1
 _SERIES_STEPS = 5
 _MILLER_SEED = 1e-30
 _RESCALE_LIMIT = 1e250
-# |f_(n-1)| <= ((2n+1)/x + 1) max(|f_n|, |f_(n+1)|) and x >= _SERIES_CUTOFF, so
-# from a top start order no value passes _MILLER_SEED ((2 top + 1) / x + 1)^top:
+# |f_(n-1)| <= ((2n+1)/x + 1) max(|f_n|, |f_(n+1)|) and x >= _SERIES_CUTOFF, so from a top
+# start order no value passes _MILLER_SEED ((2 top + 1) / _SERIES_CUTOFF + 1)^top:
 # <= 1e249, a tenth of _RESCALE_LIMIT for rounding, up to this top and not above
 _UNCHECKED_TOP = 86
 _EPS = sys.float_info.epsilon
@@ -158,7 +158,8 @@ def _miller_column(lmax: int, x, seeds: dict) -> list:
             big = abs(f_cur) > _RESCALE_LIMIT    # a bool at a float x, a mask at an array x
             if big is True or (big is not False and big.any()):
                 scale = 1.0 - big + big * 1e-250    # 1e-250 where big, else 1.0
-                f_up, f_cur = f_up * scale, f_cur * scale
+                f_cur = f_cur * scale
+                f_up = f_up * scale
                 column[order:] = [v * scale for v in column[order:]]
         if order <= last:
             column[order - 1] = f_cur
