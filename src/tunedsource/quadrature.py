@@ -13,9 +13,9 @@ endpoint singularities (such as u_0 at the origin) are never sampled.
 One adaptive loop advances a batch of integrals over [0, a] in lockstep
 (``integrate_radial_batch``), each to the bit as a lone run.  A round is
 flat: nodes, the integrand call ``f(owner, r)`` on the flat node array, the
-rule arithmetic, the split decisions and the merge run once over all active
-panels; only the rule products and the convergence sums run per integral,
-as their stacked forms round differently.
+rule sums (row-wise over the panels), the convergence sums (one segmented
+sum over the integrals), the split decisions and the merge run once over all
+active panels.  A row's or a segment's sum depends only on its own values.
 ``integrate_radial`` is a batch of one; a larger ``max_panels`` serves
 truncated half-line integrals over [0, L].
 
@@ -84,25 +84,22 @@ class QuadratureResult:
     panels_used: int
 
 
-def _bounds(sizes):
-    """(start, end) of consecutive blocks of the given sizes."""
-    return list(itertools.pairwise(itertools.accumulate(sizes, initial=0)))
+def _starts(sizes):
+    """The first column of each of consecutive blocks of the given sizes."""
+    return list(itertools.accumulate(sizes[:-1], initial=0))
 
 
-def _eval_panels(f, owner, lo, hi, sizes):
+def _eval_panels(f, owner, lo, hi):
     """Apply the (7,15) rule, in one flat pass, to the panels [lo_n, hi_n] of the integrals owner_n.
 
-    The panels come grouped by integral, in blocks of the given sizes.
     Returns them as the rows (lo, hi, I, err, resabs) of one array, and the
-    set of integrals with a non-finite sample.  Only the (panels x 15) @ w
-    products run per integral, on its own block: a stacked product rounds differently.
+    set of integrals with a non-finite sample.  Each panel's three rule sums
+    are row-wise sums of its own 15 products, so they do not depend on which
+    other panels the round holds.
     """
-    panels = np.empty((5, lo.size))
-    panels[0], panels[1] = lo, hi
-    lo, hi, integral, err, resabs = panels
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (hi + lo)[:, None] + half[:, None] * _NODES).ravel()
-    vals = np.ascontiguousarray(f(np.repeat(owner, 15), nodes), dtype=float)   # a strided product may round differently
+    vals = np.asarray(f(np.repeat(owner, 15), nodes), dtype=float)
     if vals.shape != nodes.shape:
         raise ValueError("the integrand must return one value per node")
     vals = vals.reshape(lo.size, 15)
@@ -110,15 +107,10 @@ def _eval_panels(f, owner, lo, hi, sizes):
     bad = set(owner[~finite.all(axis=1)].tolist())
     if bad:
         vals = np.where(finite, vals, 0.0)   # keeps the rule arithmetic quiet; the sums of a bad integral go unused
-    abs_vals = np.abs(vals)
-    for s, e in _bounds(sizes):
-        np.matmul(vals[s:e], _W_KRONROD, out=integral[s:e])
-        np.matmul(vals[s:e], _W_GAUSS, out=err[s:e])
-        np.matmul(abs_vals[s:e], _W_KRONROD, out=resabs[s:e])
-    integral *= half
-    np.abs(integral - half * err, out=err)
-    resabs *= half
-    return panels, bad
+    integral = half * np.add.reduce(vals * _W_KRONROD, axis=1)
+    err = np.abs(integral - half * np.add.reduce(vals * _W_GAUSS, axis=1))
+    resabs = half * np.add.reduce(np.abs(vals) * _W_KRONROD, axis=1)
+    return np.stack([lo, hi, integral, err, resabs]), bad
 
 
 def _adaptive(f, a, rel_tol, osc_scales, max_panels):
@@ -127,37 +119,36 @@ def _adaptive(f, a, rel_tol, osc_scales, max_panels):
     The panels of the active integrals are the columns of one array, one
     block per integral in ascending order, each in a lone run's order; a
     stable argsort by owner keeps that order through every merge.  The
-    sums that decide convergence run per block (a segmented sum rounds
-    differently).  When integrals fail, the error of the lowest-index one
-    is raised, and integrals after it stop refining.
+    sums that decide convergence are one segmented sum over the blocks.
+    When integrals fail, the error of the lowest-index one is raised, and
+    integrals after it stop refining.
     """
     counts = [min(max(1, math.ceil(a * max(abs(osc), 1.0) / math.pi)), max_panels) for osc in osc_scales]
     edges = {count: np.linspace(0.0, a, count + 1) for count in set(counts)}
     active = list(range(len(counts)))
     owner = np.repeat(active, counts)
     panels, bad = _eval_panels(f, owner, np.concatenate([edges[n][:-1] for n in counts]),
-                               np.concatenate([edges[n][1:] for n in counts]), counts)
+                               np.concatenate([edges[n][1:] for n in counts]))
     results, failures = [None] * len(counts), {}
     while True:
         refine, limits = [], []   # positions in active that refine, and their split limits
-        for n, (i, (s, e)) in enumerate(zip(active, _bounds(counts))):
+        sums = np.add.reduceat(panels[2:], _starts(counts), axis=1).T.tolist()
+        for n, (i, count, (total, total_err, res)) in enumerate(zip(active, counts, sums)):
             if i in bad:
                 failures[i] = IntegrandDomainError("integrand returned a non-finite sample")
                 continue
-            # np.add.reduce is ndarray.sum without its wrapper, the same bits
-            total, total_err, res = (float(np.add.reduce(row[s:e])) for row in panels[2:])
             threshold = max(rel_tol * abs(total), _ABS_FLOOR, 100.0 * _EPS * res)
             if total_err <= threshold:
-                results[i] = QuadratureResult(total, total_err, e - s)
-            elif e - s >= max_panels:
+                results[i] = QuadratureResult(total, total_err, count)
+            elif count >= max_panels:
                 failures[i] = ConvergenceError(
                     f"no convergence within {max_panels} panels "
                     f"(estimate {total_err:.3e} > threshold {threshold:.3e})",
-                    QuadratureResult(total, total_err, e - s),
+                    QuadratureResult(total, total_err, count),
                 )
             elif not failures or i < min(failures):   # after a failure, only lower indices refine
                 refine.append(n)
-                limits.append(threshold / (e - s))
+                limits.append(threshold / count)
         if not refine:
             break
         if len(refine) < len(active):
@@ -165,7 +156,7 @@ def _adaptive(f, a, rel_tol, osc_scales, max_panels):
             panels, owner = panels[:, keep], owner[keep]
             active, counts = [active[n] for n in refine], [counts[n] for n in refine]
         lo, hi, _, err, _ = panels
-        starts = [s for s, _ in _bounds(counts)]
+        starts = _starts(counts)
         split = err > np.repeat(limits, counts)
         splits = np.add.reduceat(split, starts)
         if not splits.all():   # numerical safety; always split the worst panel
@@ -174,14 +165,13 @@ def _adaptive(f, a, rel_tol, osc_scales, max_panels):
         mid = 0.5 * (lo[split] + hi[split])
         order = np.argsort(np.concatenate([owner[split]] * 2), kind="stable")  # left halves, then right halves
         child_lo, child_hi = np.concatenate([lo[split], mid])[order], np.concatenate([mid, hi[split]])[order]
-        sizes = (2 * splits).tolist()
-        child_owner = np.repeat(active, sizes)
-        children, bad = _eval_panels(f, child_owner, child_lo, child_hi, sizes)
+        child_owner = np.repeat(active, 2 * splits)
+        children, bad = _eval_panels(f, child_owner, child_lo, child_hi)
         key = np.concatenate([owner[~split], child_owner])
         order = np.argsort(key, kind="stable")  # kept panels, then left halves, then right halves
         owner = key[order]
         panels = np.concatenate([panels[:, ~split], children], axis=1)[:, order]
-        counts = [count + size // 2 for count, size in zip(counts, sizes)]
+        counts = [count + n for count, n in zip(counts, splits.tolist())]
     if failures:
         raise failures[min(failures)]
     return results
@@ -208,9 +198,10 @@ def integrate_radial_batch(f, a, rel_tol=1e-12, *, osc_scales, max_panels=8192):
 
     Each integral i is refined exactly as ``integrate_radial`` would refine
     it alone, with ``osc_scale=osc_scales[i]``, and its QuadratureResult is
-    the same to the bit.  Only the integrand evaluation is shared: each
-    refinement round makes one call ``f(owner, r)``, where ``r`` is the flat
-    array of the round's nodes, grouped by integral in ascending batch
+    the same to the bit, since a round's rule and convergence sums are
+    row-wise and segmented sums, each depending only on its own panel or
+    integral.  Each round makes one call ``f(owner, r)``, where ``r`` is the
+    flat array of the round's nodes, grouped by integral in ascending batch
     order, and ``owner[n]`` is the batch index of node n's integral.  It
     must return an array of r's shape, one value per node, so that one
     Bessel table can serve the whole round.  The results equal lone runs'

@@ -134,6 +134,13 @@ def _miller_margin(x: float) -> int:
     return _MILLER_MARGIN
 
 
+def _rescale_factor(f):
+    """1e-250 where |f| > _RESCALE_LIMIT and 1.0 elsewhere, or None if no value is past it; f a float or an array."""
+    big = abs(f) > _RESCALE_LIMIT    # a bool at a float x, a mask at an array x
+    if big is True or (big is not False and big.any()):
+        return 1.0 - big + big * 1e-250
+
+
 def _miller_column(lmax: int, x, seeds: dict) -> list:
     """Unnormalized orders 0..lmax by the downward recurrence, at one float x or elementwise at an array x.
 
@@ -148,21 +155,19 @@ def _miller_column(lmax: int, x, seeds: dict) -> list:
     top = max(seeds)
     checked = top > _UNCHECKED_TOP
     f_up = f_cur = 0.0
-    column = [0.0] * (lmax + 1)
-    last = lmax + 1    # the first order whose step gives a stored f_(order-1)
-    for order in range(top, 0, -1):
+    for order in range(top, lmax, -1):    # above lmax the seeds join, and nothing is stored
         if order in seeds:
             f_cur = f_cur + seeds[order]
         f_up, f_cur = f_cur, (2 * order + 1) / x * f_cur - f_up
-        if checked:
-            big = abs(f_cur) > _RESCALE_LIMIT    # a bool at a float x, a mask at an array x
-            if big is True or (big is not False and big.any()):
-                scale = 1.0 - big + big * 1e-250    # 1e-250 where big, else 1.0
-                f_cur = f_cur * scale
-                f_up = f_up * scale
-                column[order:] = [v * scale for v in column[order:]]
-        if order <= last:
-            column[order - 1] = f_cur
+        if checked and (scale := _rescale_factor(f_cur)) is not None:
+            f_up, f_cur = f_up * scale, f_cur * scale
+    column = [0.0] * lmax + [f_cur]
+    for order in range(lmax, 0, -1):    # no seed joins from lmax down
+        f_up, f_cur = f_cur, (2 * order + 1) / x * f_cur - f_up
+        if checked and (scale := _rescale_factor(f_cur)) is not None:
+            f_up, f_cur = f_up * scale, f_cur * scale
+            column[order:] = [v * scale for v in column[order:]]
+        column[order - 1] = f_cur
     return column
 
 

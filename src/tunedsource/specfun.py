@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError, SingularityError
+from .errors import InvalidInputError, SingularityError, UnderflowError
 from .model import _closed_form
 from .scalar import (
     _MILLER_MARGIN,
@@ -182,6 +182,8 @@ def _u_from_table(l: int, table: np.ndarray, ax: np.ndarray, nonzero: np.ndarray
     if l == 0:
         if not nonzero.all():
             raise SingularityError("u_0(x) = cos(x)/x is singular at x = 0")
+        if (ax <= 1.0 / np.finfo(float).max).any():    # exactly where cos(x) / x = 1 / |x| rounds to inf
+            raise UnderflowError(f"the argument |x| = {ax.min()} of u_0 = cos(x) / x underflows: u_0 overflows")
         return np.cos(ax) / ax
     vals = _u_from_neighbors(l, table[l - 1], table[l + 1])
     if not nonzero.all():
@@ -194,7 +196,8 @@ def bessel_u(l: int, x):
 
     Equals [(l+1) j_{l-1}(x) - l j_{l+1}(x)] / (2l+1).  Finite at x = 0 for
     l >= 1 (u_1(0) = 2/3, u_l(0) = 0 for l >= 2); u_0(x) = cos(x)/x is
-    singular at the origin.
+    singular at the origin (SingularityError), and overflows where
+    0 < |x| <= 1 / sys.float_info.max (UnderflowError).
     """
     l = _int("order l", l, 0)
     # parity: u_l(-x) = (-1)^{l+1} u_l(x)

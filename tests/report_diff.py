@@ -15,13 +15,22 @@ It also runs this checkout's ``bench/worker.py`` in run mode on each tree:
 ``bound_grid`` (1008 calls) and ``fd_oracle`` (36 calls), each at seeds 1
 and 2718.  For each (workload, seed) it prints one line to stderr: whether
 the output digests of the two trees are equal, and each tree's count of
-failed calls.  It always exits 0: it reports, and never gates.
+failed calls.  Where the ``fd_oracle`` digests differ, it runs the same 36
+bundles once more in a fresh process per tree, through the worker's own
+call, and prints one line per output field of a bundle (f0, f1, f2,
+residual, curl discrepancy, pass flag and method): in how many bundles it
+differs, and for a number its largest relative change, so a deliberate
+last-bit change of the oracle shows its size.  It always exits 0: it
+reports, and never gates.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -34,6 +43,8 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 WORKER = Path(__file__).resolve().parents[1] / "bench" / "worker.py"
 WORKER_CALLS = {"bound_grid": 48 * 21, "fd_oracle": 36}    # one pass of bench/run.py (its PASS_CALLS)
 WORKER_SEEDS = (1, 2718)    # the benchmark's tuning seed and its held-out seed
+# the parts of bench/worker.py's fd_oracle bundle, in the order its call returns them
+BUNDLE_PARTS = ("f1_vanishing_check", "expansion_fd j=1", "expansion_fd j=2", "expansion_j2", "curl_identity_check")
 
 
 def run(src: Path, command: str, config: Path, fmt: str):
@@ -65,6 +76,52 @@ def worker_run(src: Path, workload: str, seed: int):
     return out["digest"], out["failed"]
 
 
+def bundles(seed: int):
+    """Each fd_oracle bundle of a seed, as a list of {field: value} per part; None for a bundle that raised."""
+    sys.path.insert(0, str(WORKER.parent))
+    import worker
+
+    inputs, call = worker._workload("fd_oracle")[:2]
+    rows = []
+    for args in itertools.islice(inputs(seed), WORKER_CALLS["fd_oracle"]):
+        try:
+            out = call(*args)
+        except Exception:    # the worker counts it as failed; here it is one differing bundle
+            rows.append(None)
+            continue
+        rows.append([dataclasses.asdict(part) if dataclasses.is_dataclass(part) else {"": part} for part in out])
+    return rows
+
+
+def bundle_run(src: Path, seed: int):
+    """``bundles(seed)`` in a fresh process on the tree ``src``; None if that process fails."""
+    child = f"import json, report_diff; print(json.dumps(report_diff.bundles({seed})))"
+    path = os.pathsep.join((str(src), str(Path(__file__).resolve().parent)))
+    proc = subprocess.run([sys.executable, "-c", child], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+    return None if proc.returncode else json.loads(proc.stdout)
+
+
+def bundle_changes(old_rows, new_rows):
+    """{field: (bundles where it differs, largest relative change of a number)} over two runs' bundles."""
+    changes = {}
+    for old, new in zip(old_rows, new_rows):
+        if old is None or new is None:
+            changes["raised"] = (changes.get("raised", (0, None))[0] + (old != new), None)
+            continue
+        for part, old_part, new_part in zip(BUNDLE_PARTS, old, new):
+            for key, before in old_part.items():
+                if type(before) is int:    # a label, such as an expansion's j
+                    continue
+                after = new_part[key]
+                name = f"{part}.{key}" if key else part
+                differ, largest = changes.get(name, (0, None))
+                if type(before) is float and type(after) is float:
+                    largest = max(largest or 0.0, relative(before, after))
+                changes[name] = (differ + (before != after), largest)
+    return changes
+
+
 def differences(old, new):
     """(row, column, before, after) of each difference between two runs."""
     (old_code, old_err, old_columns, old_rows), (new_code, new_err, new_columns, new_rows) = old, new
@@ -83,13 +140,18 @@ def differences(old, new):
                 yield number, column, before, after
 
 
+def relative(old: float, new: float) -> float:
+    """|new - old| / |old|; inf for a change from 0, and 0 for none."""
+    return abs(new - old) / abs(old) if old else (0.0 if new == old else math.inf)
+
+
 def relative_change(before, after) -> str:
-    """|after - before| / |before| of two numeric cell texts, to 3 digits; "-" unless both are numbers."""
+    """``relative`` of two numeric cell texts, to 3 digits; "-" unless both are numbers."""
     try:
         old, new = float(before), float(after)
     except ValueError:
         return "-"
-    return f"{abs(new - old) / abs(old):.3g}" if old else "inf"
+    return f"{relative(old, new):.3g}"
 
 
 def main(argv) -> int:
@@ -115,6 +177,15 @@ def main(argv) -> int:
             digest = "no digest" if None in (old_digest, new_digest) else "equal" if old_digest == new_digest else "different"
             print(f"# bench/worker.py {workload} seed {seed}: digest {digest}; failed {old_failed} -> {new_failed}",
                   file=sys.stderr)
+            if workload == "fd_oracle" and digest == "different":
+                old_rows, new_rows = (bundle_run(src, seed) for src in (old_src, new_src))
+                if None in (old_rows, new_rows):
+                    print(f"#   fd_oracle seed {seed}: bundle fields unavailable (a process failed)", file=sys.stderr)
+                    continue
+                for name, (differ, largest) in bundle_changes(old_rows, new_rows).items():
+                    change = "-" if largest is None else f"{largest:.3g}"
+                    print(f"#   fd_oracle seed {seed} {name}: differs in {differ} of {len(old_rows)} bundles;"
+                          f" largest relative change {change}", file=sys.stderr)
     return 0
 
 

@@ -164,17 +164,17 @@ def reference_adaptive(f, a, rel_tol, osc_scale, max_panels=8192):
         mid = 0.5 * (hi + lo)
         pts = mid[:, None] + half[:, None] * nodes[None, :]
         vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-        integral = half * (vals @ w_kronrod)
-        err = np.abs(integral - half * (vals @ w_gauss))
-        return integral, err, half * (np.abs(vals) @ w_kronrod)
+        integral = half * np.add.reduce(vals * w_kronrod, axis=1)
+        err = np.abs(integral - half * np.add.reduce(vals * w_gauss, axis=1))
+        return integral, err, half * np.add.reduce(np.abs(vals) * w_kronrod, axis=1)
 
     n0 = min(max(1, math.ceil(a * max(abs(osc_scale), 1.0) / math.pi)), max_panels)
     edges = np.linspace(0.0, a, n0 + 1)
     lo, hi = edges[:-1], edges[1:]
     integral, err, resabs = eval_panels(lo, hi)
     while True:
-        total, total_err = float(integral.sum()), float(err.sum())
-        threshold = max(rel_tol * abs(total), 1e-15, 100.0 * quadrature._EPS * float(resabs.sum()))
+        total, total_err, res = np.add.reduceat(np.stack([integral, err, resabs]), [0], axis=1)[:, 0].tolist()
+        threshold = max(rel_tol * abs(total), 1e-15, 100.0 * quadrature._EPS * res)
         if total_err <= threshold:
             return QuadratureResult(total, total_err, lo.size)
         split = err > threshold / lo.size
@@ -397,3 +397,49 @@ class TestLockstepBatch:
             integrate_radial(lambda r: r, 1.0, osc_scale=bad)
         with pytest.raises(InvalidInputError):
             integrate_radial_batch(_batch_of([np.sin, np.cos]), 1.0, osc_scales=[1.0, bad])
+
+
+class TestPositionIndependentSums:
+    """A round's rule sums and convergence sums depend only on their own panel or block, not on where it sits."""
+
+    # past np.add.reduce's and np.add.reduceat's 8-element unroll and 128-element pairwise blocks
+    SIZES = [*range(1, 20), 31, 63, 64, 65, 127, 128, 129, 130, 131, 255, 256, 257]
+    NEIGHBORS = [(0, 0), (0, 1), (1, 0), (0, 130), (130, 0), (7, 129), (1, 1)]    # panels before and after
+
+    @staticmethod
+    def _values(rng, shape):
+        """Random values of both signs over a few decades, so that a change in the order of a sum shows."""
+        return rng.standard_normal(shape) * np.exp(rng.uniform(-3.0, 3.0, shape))
+
+    def _panels(self, rng, n):
+        lo = rng.uniform(0.0, 3.0, n)
+        return lo, lo + rng.uniform(1e-6, 1.0, n), self._values(rng, (n, 15))
+
+    def test_rule_sums_are_row_wise(self):
+        rng = np.random.default_rng(24)
+        for size in self.SIZES:
+            lo, hi, vals = block = self._panels(rng, size)
+            alone, _ = quadrature._eval_panels(lambda owner, r: vals.ravel(), np.zeros(size, dtype=int), lo, hi)
+            for before, after in self.NEIGHBORS:
+                parts = [self._panels(rng, before), block, self._panels(rng, after)]
+                lo_all, hi_all, vals_all = (np.concatenate(part) for part in zip(*parts))
+                owner = np.repeat([0, 1, 2], [before, size, after])
+                panels, bad = quadrature._eval_panels(lambda o, r: vals_all.ravel(), owner, lo_all, hi_all)
+                assert not bad
+                assert panels[:, before:before + size].tobytes() == alone.tobytes(), (size, before, after)
+
+    def test_convergence_sums_are_segment_wise(self):
+        # the segmented sum of _adaptive: np.add.reduceat over the rows (I, err, resabs) of the round's panels
+        rng = np.random.default_rng(25)
+        reordered = 0    # blocks whose sums read differently in reverse order: the values show a change of order
+        for size in self.SIZES:
+            block = self._values(rng, (5, size))
+            alone = np.add.reduceat(block[2:], quadrature._starts([size]), axis=1)
+            reordered += alone.tobytes() != np.add.reduceat(block[2:, ::-1], [0], axis=1).tobytes()
+            for before, after in ([], []), ([], [1]), ([1], []), ([130, 1, 9], [3, 129]), ([1] * 5, [1] * 3):
+                counts = [*before, size, *after]
+                panels = np.concatenate([self._values(rng, (5, sum(before))), block,
+                                         self._values(rng, (5, sum(after)))], axis=1)
+                sums = np.add.reduceat(panels[2:], quadrature._starts(counts), axis=1)
+                assert sums[:, len(before)].tobytes() == alone[:, 0].tobytes(), (size, before, after)
+        assert reordered > len(self.SIZES) // 2

@@ -1,6 +1,8 @@
 """Bessel kernel and Lommel closed-form tests against independent oracles."""
 
 import math
+import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +13,7 @@ from scipy.special import spherical_jn
 
 import mp_lommel
 from tunedsource import model, scalar, specfun, theorems
-from tunedsource.errors import InvalidInputError, SingularityError
+from tunedsource.errors import InvalidInputError, SingularityError, UnderflowError
 from tunedsource.model import Mode
 from tunedsource.quadrature import integrate_radial
 
@@ -120,6 +122,27 @@ class TestBesselU:
     def test_u0_singularity(self):
         with pytest.raises(SingularityError):
             specfun.bessel_u(0, 0.0)
+
+    @pytest.mark.parametrize("x", [1e-309, -1e-309, 5e-324, -5e-324, 2.0**-1024, -(2.0**-1024)])
+    def test_u0_overflow_raises(self, x):
+        # u_0 = cos(x) / x = 1 / |x| overflows for 0 < |x| <= 2^-1024 = 1 / sys.float_info.max;
+        # it used to return +-inf with numpy's RuntimeWarning
+        assert 2.0**-1024 == 1.0 / sys.float_info.max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnderflowError, match=r"\|x\| = .* of u_0 = cos\(x\) / x underflows: u_0 overflows"):
+                specfun.bessel_u(0, x)
+            with pytest.raises(UnderflowError, match="u_0 overflows"):
+                specfun.bessel_u(0, np.array([1.0, x, -2.0]))
+
+    def test_u0_finite_just_above_the_overflow(self):
+        # the next double above 2^-1024: 1 / x is finite, just below sys.float_info.max
+        x = math.nextafter(2.0**-1024, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert specfun.bessel_u(0, x) == 1.0 / x < math.inf
+            assert specfun.bessel_u(0, -x) == -1.0 / x
+            assert specfun.bessel_u(0, np.array([x, -x])).tolist() == [1.0 / x, -1.0 / x]
 
     def test_finite_difference_oracle_l3(self):
         # u_l(x) = x^{-1} d/dx [x j_l(x)], checked by step-halved central differences
