@@ -402,8 +402,8 @@ class TestLockstepBatch:
 class TestPositionIndependentSums:
     """A round's rule sums and convergence sums depend only on their own panel or block, not on where it sits."""
 
-    # past np.add.reduce's and np.add.reduceat's 8-element unroll and 128-element pairwise blocks
-    SIZES = [*range(1, 20), 31, 63, 64, 65, 127, 128, 129, 130, 131, 255, 256, 257]
+    # every size up to and past np.add.reduce's and np.add.reduceat's 8-element unroll and 128-element pairwise blocks
+    SIZES = [*range(1, 132), 255, 256, 257]
     NEIGHBORS = [(0, 0), (0, 1), (1, 0), (0, 130), (130, 0), (7, 129), (1, 1)]    # panels before and after
 
     @staticmethod
