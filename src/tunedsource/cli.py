@@ -21,7 +21,9 @@ Only ``verify`` imports numpy: its expansion columns come from the
 quadrature oracle of ``theorems``, which it imports for its first mode.
 ``sweep``, ``energies`` and ``tune`` run on the closed-form cell of
 ``model`` and the pure-Python root search of ``tuning``, so their processes
-start without numpy, at any Bessel argument.
+start without numpy, at any Bessel argument.  They also start without
+``dataclasses`` (and the ``inspect`` it loads): the package's records are
+``typing.NamedTuple`` classes.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from . import tuning
 from .errors import ConfigError, NoTunedSolutionError, TunedSourceError
@@ -65,8 +66,7 @@ _MIN_STRICT = 1e-12
 _REGIME = 0.1
 
 
-@dataclass(frozen=True)
-class XiSearch:
+class XiSearch(NamedTuple):
     lo: float
     hi: float
     grid_n: int
@@ -83,8 +83,7 @@ class XiSearch:
         return g
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     substrate: Substrate
     j_list: Tuple[int, ...]
     l_values: Tuple[int, ...]
@@ -278,7 +277,7 @@ def _load_sweep(raw, substrate: Substrate):
         raise ConfigError("sweep.values: must not be empty")
     rule = {"chi": lambda v: tuned_wavenumber(substrate.k, substrate.mu_omega, v),
             "k": lambda v: tuned_wavenumber(v, substrate.mu_omega, 0.0),
-            "a": lambda v: replace(substrate, a=v)}[axis]
+            "a": lambda v: Substrate(substrate.epsilon_r, substrate.mu_r, substrate.omega, v)}[axis]
     for i, v in enumerate(values):
         _library(f"sweep.values[{i}]", rule, v)
     return axis, tuple(values)

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import scalar
 from .errors import (
@@ -67,27 +66,23 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class Substrate:
+class Substrate(NamedTuple("Substrate", [("epsilon_r", float), ("mu_r", float), ("omega", float), ("a", float)])):
     """Spherical source region: relative constitutive parameters, frequency, radius."""
 
-    epsilon_r: float
-    mu_r: float
-    omega: float
-    a: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("epsilon_r", "mu_r", "omega", "a"):
-            scalar._finite(f"Substrate.{name}", getattr(self, name))
-        if self.omega <= 0.0:
-            raise InvalidInputError(f"Substrate.omega must be > 0, got {self.omega}")
-        if self.a <= 0.0:
-            raise InvalidInputError(f"Substrate.a must be > 0, got {self.a}")
-        product = self.epsilon_r * self.mu_r
+    def __new__(cls, epsilon_r: float, mu_r: float, omega: float, a: float):
+        for name, value in (("epsilon_r", epsilon_r), ("mu_r", mu_r), ("omega", omega), ("a", a)):
+            scalar._finite(f"Substrate.{name}", value)
+        if omega <= 0.0:
+            raise InvalidInputError(f"Substrate.omega must be > 0, got {omega}")
+        if a <= 0.0:
+            raise InvalidInputError(f"Substrate.a must be > 0, got {a}")
+        product = epsilon_r * mu_r
         if product < 0.0:
             raise UnsupportedMediumError(
                 "substrate requires epsilon_r * mu_r > 0 "
-                f"(got epsilon_r={self.epsilon_r}, mu_r={self.mu_r}); "
+                f"(got epsilon_r={epsilon_r}, mu_r={mu_r}); "
                 "single-negative media are outside the certified class"
             )
         if product == 0.0:
@@ -95,6 +90,7 @@ class Substrate:
                 "nihility substrate (k = 0) is outside the certified class; "
                 "epsilon_r * mu_r must be > 0"
             )
+        return super().__new__(cls, epsilon_r, mu_r, omega, a)
 
     @property
     def k0(self) -> float:
@@ -112,24 +108,21 @@ class Substrate:
         return self.mu_r * self.omega
 
 
-@dataclass(frozen=True, order=True)
-class Mode:
+class Mode(NamedTuple("Mode", [("j", int), ("l", int), ("m", int)])):
     """Multipole channel (j, l, m); j=1 and j=2 are the two vector families."""
 
-    j: int
-    l: int
-    m: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (scalar._is_int(self.j) and self.j in (1, 2)):
-            raise InvalidInputError(f"Mode.j must be the integer 1 or 2, got {scalar._shown(self.j)}")
-        scalar._int("Mode.l", self.l, 1)
-        if not (scalar._is_int(self.m) and abs(self.m) <= self.l):
-            raise InvalidInputError(f"Mode.m must satisfy |m| <= l, got m={scalar._shown(self.m)}, l={self.l}")
+    def __new__(cls, j: int, l: int, m: int = 0):
+        if not (scalar._is_int(j) and j in (1, 2)):
+            raise InvalidInputError(f"Mode.j must be the integer 1 or 2, got {scalar._shown(j)}")
+        scalar._int("Mode.l", l, 1)
+        if not (scalar._is_int(m) and abs(m) <= l):
+            raise InvalidInputError(f"Mode.m must satisfy |m| <= l, got m={scalar._shown(m)}, l={l}")
+        return super().__new__(cls, j, l, m)
 
 
-@dataclass(frozen=True)
-class TuningState:
+class TuningState(NamedTuple):
     """A Lagrange-multiplier value with its tuned wavenumber K = sqrt(k^2 - chi mu omega)."""
 
     chi: float
@@ -137,8 +130,7 @@ class TuningState:
     mu_omega: float
 
 
-@dataclass(frozen=True)
-class RadialIntegrals:
+class RadialIntegrals(NamedTuple):
     """Self integrals N_j(k), N_j(K) and the cross integral M_j(k, K) of one mode."""
 
     n_self_k: float
@@ -146,8 +138,7 @@ class RadialIntegrals:
     m_cross: float
 
 
-@dataclass(frozen=True)
-class MarginReport:
+class MarginReport(NamedTuple):
     """Signed slack of one certified inequality, with its positive normalizer."""
 
     mode: Mode
@@ -157,14 +148,14 @@ class MarginReport:
     scale: float
 
 
-@dataclass(frozen=True)
-class SourceSpec:
-    """Prescribed multipole amplitudes of the radiated field."""
+class SourceSpec(NamedTuple("SourceSpec", [("amplitudes", Mapping[Mode, complex])])):
+    """Prescribed multipole amplitudes of the radiated field; none given is a new empty dict."""
 
-    amplitudes: Mapping[Mode, complex] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for mode, amp in self.amplitudes.items():
+    def __new__(cls, amplitudes: Mapping[Mode, complex] = None):
+        amplitudes = {} if amplitudes is None else amplitudes
+        for mode, amp in amplitudes.items():
             if not isinstance(mode, Mode):
                 raise InvalidInputError(f"amplitude keys must be Mode instances, got {mode!r}")
             if not isinstance(amp, numbers.Number) or isinstance(amp, bool):
@@ -172,6 +163,7 @@ class SourceSpec:
             c = complex(amp)
             if not (math.isfinite(c.real) and math.isfinite(c.imag)):
                 raise InvalidInputError(f"amplitude for {mode} must be finite, got {amp!r}")
+        return super().__new__(cls, amplitudes)
 
 
 def classify_substrate(s: Substrate) -> str:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +75,7 @@ _ABS_FLOOR = 1e-15
 _EPS = np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     """Value, conservative error estimate, and panel count of one integral."""
 
     value: float

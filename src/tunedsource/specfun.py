@@ -161,17 +161,17 @@ def bessel_j(l: int, x):
 
 
 def bessel_j_prime(l: int, x):
-    """Derivative j_l'(x), via j_l' = j_{l-1} - (l+1) j_l / x (and j_0' = -j_1)."""
+    """Derivative j_l'(x), via j_l' = [l j_{l-1} - (l+1) j_{l+1}] / (2l+1) (and j_0' = -j_1).
+
+    The form divides by no x, so it holds at x = 0 and at subnormal x, where j_l underflows.
+    """
     l = _int("order l", l, 0)
 
     def kernels(table, ax, nonzero):
         # parity: j_l' is even for odd l, odd for even l
         if l == 0:
             return [(-table[1], True)]
-        vals = table[l - 1] - (l + 1) * table[l] / np.where(nonzero, ax, 1.0)
-        # exact limits at x = 0: j_1'(0) = 1/3, higher orders 0
-        vals[~nonzero] = (1.0 / 3.0) if l == 1 else 0.0
-        return [(vals, l % 2 == 0)]
+        return [((l * table[l - 1] - (l + 1) * table[l + 1]) / (2 * l + 1), l % 2 == 0)]
 
     (vals,) = _on_table(x, l + 1, kernels)
     return vals

@@ -45,8 +45,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,8 +83,7 @@ __all__ = [
 BOUNDEDNESS = "boundedness"
 
 
-@dataclass(frozen=True)
-class ExpansionCoeffs:
+class ExpansionCoeffs(NamedTuple):
     """Coefficients of ratio(chi) = f0 + f1 chi + f2 chi^2 + O(chi^3)."""
 
     j: int
@@ -94,8 +93,7 @@ class ExpansionCoeffs:
     method: str  # "closed-form" | "finite-difference"
 
 
-@dataclass(frozen=True)
-class SeriesIntegralsJ1:
+class SeriesIntegralsJ1(NamedTuple):
     """Zeroth/first-order radial integrals of the j=1 ratio's series (numerator c, denominator d)."""
 
     c0: float
@@ -104,8 +102,7 @@ class SeriesIntegralsJ1:
     d1: float
 
 
-@dataclass(frozen=True)
-class F1VanishingReport:
+class F1VanishingReport(NamedTuple):
     """Result of the first-order-coefficient vanishing check for j=1."""
 
     passed: bool

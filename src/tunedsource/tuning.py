@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConstraintEvaluationError, InvalidInputError, NoTunedSolutionError
 from .model import _tuned_K
@@ -30,8 +29,7 @@ from .scalar import _finite, _int
 __all__ = ["ChiSet", "find_constraint_roots", "select_chi0"]
 
 
-@dataclass(frozen=True)
-class ChiSet:
+class ChiSet(NamedTuple):
     """Sorted roots of the tuning constraint on the searched interval.
 
     ``excluded`` lists sign-change locations that were dropped because they

@@ -20,8 +20,9 @@ bundles once more in a fresh process per tree, through the worker's own
 call, and prints one line per output field of a bundle (f0, f1, f2,
 residual, curl discrepancy, pass flag and method): in how many bundles it
 differs, and for a number its largest relative change, so a deliberate
-last-bit change of the oracle shows its size.  It always exits 0: it
-reports, and never gates.
+last-bit change of the oracle shows its size.  A part's fields are read
+from a NamedTuple or from a dataclass, so the two trees may hold either.
+It always exits 0: it reports, and never gates.
 """
 
 from __future__ import annotations
@@ -76,6 +77,13 @@ def worker_run(src: Path, workload: str, seed: int):
     return out["digest"], out["failed"]
 
 
+def fields(part):
+    """{field: value} of a bundle part: a NamedTuple's ``_asdict()``, a dataclass's ``asdict``, else {"": part}."""
+    if hasattr(part, "_asdict"):
+        return part._asdict()
+    return dataclasses.asdict(part) if dataclasses.is_dataclass(part) else {"": part}
+
+
 def bundles(seed: int):
     """Each fd_oracle bundle of a seed, as a list of {field: value} per part; None for a bundle that raised."""
     sys.path.insert(0, str(WORKER.parent))
@@ -89,7 +97,7 @@ def bundles(seed: int):
         except Exception:    # the worker counts it as failed; here it is one differing bundle
             rows.append(None)
             continue
-        rows.append([dataclasses.asdict(part) if dataclasses.is_dataclass(part) else {"": part} for part in out])
+        rows.append([fields(part) for part in out])
     return rows
 
 

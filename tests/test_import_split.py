@@ -1,5 +1,9 @@
 """The production path imports no numpy; the quadrature oracle loads only where it is used.
 
+The closed-form commands also start without ``dataclasses`` and ``inspect``,
+which cost a fresh process milliseconds of import time; ``verify`` loads
+``inspect`` through numpy.
+
 Each check runs in a fresh process, because a module imported anywhere in
 the test session stays in ``sys.modules``.
 """
@@ -18,8 +22,9 @@ from tunedsource import cli
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 ORACLE = ("numpy", "tunedsource.quadrature", "tunedsource.specfun", "tunedsource.theorems")
+STARTUP = ("dataclasses", "inspect")
 
-# runs ``python -m tunedsource <argv>``, then prints which oracle modules it loaded
+# runs ``python -m tunedsource <argv>``, then prints which oracle and STARTUP modules it loaded
 _PROBE = """
 import json, runpy, sys
 sys.argv = ["tunedsource", *json.loads(sys.argv[1])]
@@ -28,8 +33,9 @@ try:
     code = 0
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"code": code, "loaded": [m for m in %r if m in sys.modules]}), file=sys.stderr)
-""" % (ORACLE,)
+print(json.dumps({"code": code, "loaded": [m for m in %r if m in sys.modules],
+                  "startup": [m for m in %r if m in sys.modules]}), file=sys.stderr)
+""" % (ORACLE, STARTUP)
 
 
 def package_env():
@@ -50,6 +56,7 @@ def test_closed_form_commands_start_without_numpy(command, tmp_path):
     for config in CONFIGS:
         result = probe(command, config, tmp_path)
         assert result["loaded"] == [], (command, config.name)
+        assert result["startup"] == [], (command, config.name)
         codes.append(result["code"])
     assert 0 in codes  # at least one checked-in config is a real run of this command
 

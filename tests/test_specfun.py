@@ -202,6 +202,14 @@ class TestBesselJPrime:
         assert specfun.bessel_j_prime(1, 0.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
         assert specfun.bessel_j_prime(2, 0.0) == 0.0
 
+    @pytest.mark.parametrize("x", [1e-309, -1e-309, 5e-324, -5e-324, 1e-300])
+    def test_tiny_and_subnormal_arguments(self, x):
+        # the leading terms j_0' = -x/3, j_1' = 1/3, j_2' = 2x/15; their next terms are below rounding here
+        for l, want in ((0, -x / 3.0), (1, 1.0 / 3.0), (2, 2.0 * x / 15.0)):
+            got = specfun.bessel_j_prime(l, x)
+            assert abs(got - want) <= 1e-12 * abs(want) + 5e-324, (l, x, got, want)
+            assert specfun.bessel_j_prime(l, np.array([x]))[0] == got
+
 
 class TestLommelFirst:
     def test_l0_sin_squared(self):
