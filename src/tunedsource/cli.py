@@ -479,7 +479,7 @@ def _mode_expansion(cfg: RunConfig, j: int, l: int) -> dict:
             "pass_f1": bool(f1_res <= cfg.f1_tol), "pass_f2": pass_f2}
 
 
-def _margin_cells(cfg: RunConfig, mode: Mode, k: float, a: float, chi: float, chi0: float, ratios0: dict) -> dict:
+def _margin_cells(cfg: RunConfig, mode: Mode, k: float, a: float, chi: float, chi0: float) -> dict:
     """Margin columns and pass rules of one (mode, k, a, chi) cell, shared by verify and sweep."""
     mw = cfg.substrate.mu_omega
     K, n_k, n_K, m, margin, scale = _margin_cell(mode, k, chi, mw, a, cfg.quad_rel_tol)
@@ -488,11 +488,7 @@ def _margin_cells(cfg: RunConfig, mode: Mode, k: float, a: float, chi: float, ch
         pass_bound = pass_bound and abs(margin) <= cfg.margin_tol * scale
     K0 = _tuned_K(k, mw, chi0)    # minimality_margin's checks, in its order, with ratio(chi) from this cell
     ratio = _weight(mode, k, K, n_K, m)
-    if (mode, k, a) not in ratios0:    # one chi0 cell per (mode, k, a) and run, its error kept too
-        ratios0[mode, k, a] = _or_error(lambda: {"ratio0": mode_ratio(mode, k, K0, a, cfg.quad_rel_tol)})
-    if "status" in ratios0[mode, k, a]:
-        return ratios0[mode, k, a]    # the chi0 cell's error, after this row's own
-    ratio0 = ratios0[mode, k, a]["ratio0"]
+    ratio0 = mode_ratio(mode, k, K0, a, cfg.quad_rel_tol)    # the chi0 cell raises after this row's own checks
     regime_cap = _REGIME * k * k
     pass_min = None
     if abs(chi * mw) <= regime_cap and abs(chi0 * mw) <= regime_cap and chi * chi > chi0 * chi0:
@@ -512,13 +508,12 @@ def run_verify(cfg: RunConfig):
     else:
         expansions = {(j, l): _or_error(_mode_expansion, cfg, j, l) for j in cfg.j_list for l in cfg.l_values}
         rows = []
-        ratios0 = {}    # (mode, k, a) -> ratio(chi0), or the chi0 cell's error
         for j in cfg.j_list:
             for l in cfg.l_values:
                 for chi in cfg.chi_values:
                     row = {"j": j, "l": l, "k": s.k, "chi": chi, **expansions[(j, l)]}
                     if "status" not in row:
-                        row.update(_or_error(_margin_cells, cfg, Mode(j, l), s.k, s.a, chi, chi0, ratios0))
+                        row.update(_or_error(_margin_cells, cfg, Mode(j, l), s.k, s.a, chi, chi0))
                     rows.append(_row(VERIFY_COLUMNS, row))
     return _exit_code(VERIFY_COLUMNS, rows), VERIFY_COLUMNS, rows
 
@@ -588,7 +583,6 @@ def run_sweep(cfg: RunConfig):
         rows = [_row(SWEEP_COLUMNS, _NO_TUNED)]
     else:
         fixed = {"axis": axis, "k": s.k, "a": s.a, "mu_omega": s.mu_omega}
-        ratios0 = {}    # (mode, k, a) -> ratio(chi0), or the chi0 cell's error
         # the swept value stands in for one of k, a, l, chi; the sort is stable,
         # so duplicate sweep values keep the order they were made in
         points = sorted(
@@ -599,7 +593,7 @@ def run_sweep(cfg: RunConfig):
             key=lambda p: (p["value"], p["j"], p["l"], p["chi"]),
         )
         rows = [_row(SWEEP_COLUMNS, {**p, **_or_error(
-                    _margin_cells, cfg, Mode(p["j"], p["l"]), p["k"], p["a"], p["chi"], chi0, ratios0)})
+                    _margin_cells, cfg, Mode(p["j"], p["l"]), p["k"], p["a"], p["chi"], chi0)})
                 for p in points]
     return _exit_code(SWEEP_COLUMNS, rows), SWEEP_COLUMNS, rows
 

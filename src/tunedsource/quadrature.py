@@ -176,22 +176,6 @@ def _adaptive(f, a, rel_tol, osc_scales, max_panels):
     return results
 
 
-def _lone(f):
-    """A single integrand as a batch of one; a scalar-only f is sampled point by point."""
-
-    def batch(owner, r):
-        try:
-            vals = np.asarray(f(r), dtype=float)
-            if vals.shape != r.shape:
-                raise TypeError("integrand is not vectorized")
-        except (TypeError, ValueError, IndexError):
-            # scalar-only integrand: fall back to a per-point loop
-            return np.fromiter((float(f(p)) for p in r), dtype=float, count=r.size)
-        return vals
-
-    return batch
-
-
 def integrate_radial_batch(f, a, rel_tol=1e-12, *, osc_scales, max_panels=8192):
     """Integrate a batch of integrands over [0, a] in lockstep.
 
@@ -231,9 +215,9 @@ def integrate_radial(f, a, rel_tol=1e-12, *, osc_scale=1.0, max_panels=8192):
     Parameters
     ----------
     f : callable
-        Real integrand of r; preferably vectorized over numpy arrays (a
-        scalar-only f is sampled point by point).  Never sampled at r = 0
-        or r = a (all nodes are interior).
+        Real integrand of r, vectorized: called on an array of nodes, it
+        returns one value per node (anything else raises ValueError).
+        Never sampled at r = 0 or r = a (all nodes are interior).
     a : float
         Upper limit, > 0; for a truncated half-line integral, the cutoff L
         (with a larger ``max_panels``; the tail is the caller's business).
@@ -252,5 +236,5 @@ def integrate_radial(f, a, rel_tol=1e-12, *, osc_scale=1.0, max_panels=8192):
     -------
     QuadratureResult
     """
-    (res,) = integrate_radial_batch(_lone(f), a, rel_tol, osc_scales=[osc_scale], max_panels=max_panels)
+    (res,) = integrate_radial_batch(lambda owner, r: f(r), a, rel_tol, osc_scales=[osc_scale], max_panels=max_panels)
     return res

@@ -16,13 +16,14 @@ series / Miller / upward regimes, the same operations in the same order.
 All three regimes are one function each for both builders
 (``_series_column``, ``_miller_column`` and ``_upward_column``), which the
 table runs elementwise on its points.  A Miller column starts a number of
-orders above its top that depends only on its own argument
-(``_miller_margin``: 8 below x = 0.5, rising in steps to 60 from x = 32
-on); in a table it is 0 until that start, so a column depends only on its
-argument and its top, whatever else the table holds.  The recurrence's
-rescale check runs only above start order _UNCHECKED_TOP = 86.  sin and
-cos come from ``math``, which agrees with numpy's to the bit on this
-platform (the test suite checks it on random points of all three regimes).
+orders above its top that depends only on that top (``_miller_margin``:
+12 up to top 2, rising in steps to 60 from top 33 on), so every Miller
+point of a table starts at the same order, and a column depends only on
+its argument and its top, whatever else the table holds.  The
+recurrence's rescale check runs only above start order _UNCHECKED_TOP =
+86.  sin and cos come from ``math``, which agrees with numpy's to the bit
+on this platform (the test suite checks it on random points of all three
+regimes).
 
 ``_jl_triple(l, x)``, the (j_(l-1), j_l, j_(l+1)) a cell reads, keeps its
 last _TRIPLE_MEMO results; at l = 0, Lommel's j_(-1)(x) is cos(x) / x.
@@ -40,13 +41,14 @@ import sys
 
 from .errors import ConvergenceError, InvalidInputError, UnderflowError
 
-# The downward recurrence of a column at x starts _miller_margin(x) orders
-# above its top: the margin of the first bound in _MILLER_STARTS above x,
-# else _MILLER_MARGIN.  The start's truncation error at the top is about the
-# fall of j_n / y_n from the top to the start.  With top > x that fall is
-# below 2e-19 in every bucket (the worst case is x just below 7 at top 7),
-# so the rounding of the recurrence, not its start, sets the accuracy.
-_MILLER_STARTS = ((0.5, 8), (2.0, 12), (7.0, 16), (16.0, 28), (32.0, 40))
+# The downward recurrence of a column of top lmax starts _miller_margin(lmax)
+# orders above it: the margin of the first bound in _MILLER_STARTS at or above
+# lmax, else _MILLER_MARGIN, which is the margin each x < lmax needs.  The
+# start's truncation error at the top is about the fall of j_n / y_n from the
+# top to the start.  With top > x that fall is below 2e-19 at every top (the
+# worst case is x just below 7 at top 7), so the rounding of the recurrence,
+# not its start, sets the accuracy.
+_MILLER_STARTS = ((2, 12), (7, 16), (16, 28), (32, 40))
 _MILLER_MARGIN = 60
 _SERIES_CUTOFF = 0.1
 # terms of the ascending series after its first.  For x < _SERIES_CUTOFF and any
@@ -98,7 +100,7 @@ def _finite(name, value):
 
 def _is_int(value) -> bool:
     """True for an integer other than a bool; ``numbers.Integral`` admits numpy's integers without importing numpy."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
 def _shown(value) -> str:
@@ -126,10 +128,10 @@ def _validate(k, K, a, rel_tol=1e-12) -> None:
     validate_tol(rel_tol)
 
 
-def _miller_margin(x: float) -> int:
-    """Orders between a Miller column's top and its start at argument x (see _MILLER_STARTS)."""
+def _miller_margin(lmax: int) -> int:
+    """Orders between a Miller column's top lmax and its start, for every x < lmax (see _MILLER_STARTS)."""
     for bound, margin in _MILLER_STARTS:
-        if x < bound:
+        if lmax <= bound:
             return margin
     return _MILLER_MARGIN
 
@@ -141,28 +143,24 @@ def _rescale_factor(f):
         return 1.0 - big + big * 1e-250
 
 
-def _miller_column(lmax: int, x, seeds: dict) -> list:
+def _miller_column(lmax: int, x) -> list:
     """Unnormalized orders 0..lmax by the downward recurrence, at one float x or elementwise at an array x.
 
-    ``seeds`` maps each start order (each > lmax) to what joins f_n there:
-    _MILLER_SEED for a float x; for an array x, _MILLER_SEED at the points
-    that start there and 0.0 elsewhere.  A column is 0 until its start, and
-    stays 0; a started one is positive above lmax, so adding 0.0 is exact.
-    A value past _RESCALE_LIMIT scales its column by 1e-250, stored orders
-    included.  The check runs only above a top start order of
-    _UNCHECKED_TOP, up to which no value can get there.
+    Every column starts from _MILLER_SEED at order lmax + _miller_margin(lmax),
+    so a column depends only on its own x and lmax.  A value past
+    _RESCALE_LIMIT scales its column by 1e-250, stored orders included.  The
+    check runs only above a start order of _UNCHECKED_TOP, up to which no
+    value can get there.
     """
-    top = max(seeds)
+    top = lmax + _miller_margin(lmax)
     checked = top > _UNCHECKED_TOP
-    f_up = f_cur = 0.0
-    for order in range(top, lmax, -1):    # above lmax the seeds join, and nothing is stored
-        if order in seeds:
-            f_cur = f_cur + seeds[order]
+    f_up, f_cur = 0.0, _MILLER_SEED
+    for order in range(top, lmax, -1):    # above lmax nothing is stored
         f_up, f_cur = f_cur, (2 * order + 1) / x * f_cur - f_up
         if checked and (scale := _rescale_factor(f_cur)) is not None:
             f_up, f_cur = f_up * scale, f_cur * scale
     column = [0.0] * lmax + [f_cur]
-    for order in range(lmax, 0, -1):    # no seed joins from lmax down
+    for order in range(lmax, 0, -1):
         f_up, f_cur = f_cur, (2 * order + 1) / x * f_cur - f_up
         if checked and (scale := _rescale_factor(f_cur)) is not None:
             f_up, f_cur = f_up * scale, f_cur * scale
@@ -219,7 +217,7 @@ def _jl_column(lmax: int, x: float) -> tuple:
     sx, cx = math.sin(x), math.cos(x)
     if x >= lmax:
         return tuple(_upward_column(lmax, x, sx, cx))
-    column = _miller_column(lmax, x, {lmax + _miller_margin(x): _MILLER_SEED})
+    column = _miller_column(lmax, x)
     j0, j1 = _j0_j1(x, sx, cx)
     ratio = j0 / column[0] if abs(j0) >= abs(j1) else j1 / column[1]
     return tuple([v * ratio for v in column])

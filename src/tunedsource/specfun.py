@@ -15,8 +15,8 @@ near-diagonal series.
 
 Evaluation strategy: one table of orders 0..lmax per call, in three regimes
 by argument: an ascending series below 0.1; below lmax, the downward
-(Miller) recurrence with normalization, started ``scalar._miller_margin(x)``
-orders above lmax (8 below x = 0.5, up to 60 from x = 32 on); beyond, the
+(Miller) recurrence with normalization, started ``scalar._miller_margin(lmax)``
+orders above lmax (12 up to lmax 2, up to 60 from lmax 33 on); beyond, the
 upward recurrence.  A point's value depends only on its own argument and
 lmax, so a batch of points gives each the column of a lone table.
 
@@ -24,8 +24,8 @@ Two builders make such a table, with the same bits; all three regimes are
 one ``scalar`` function each for both (``_series_column``, ``_miller_column``
 and ``_upward_column``).  ``_jl_table``, here, runs each order as numpy calls
 over all points, and each series step on the whole (orders x points) block.
-Its Miller columns are 0 until their start order, and the recurrence's
-rescale check runs only above start order 86.  The quadrature integrands
+All its Miller columns start at one order, and the recurrence's rescale
+check runs only above start order 86.  The quadrature integrands
 and the four array kernels (``bessel_j`` and friends) use it, where a call
 holds hundreds of points.  The kernels share one evaluator, ``_on_table``:
 it rejects x unless finite and real, builds the table at |x| (x = 0
@@ -52,9 +52,6 @@ import numpy as np
 from .errors import InvalidInputError, SingularityError, UnderflowError
 from .model import _closed_form
 from .scalar import (
-    _MILLER_MARGIN,
-    _MILLER_SEED,
-    _MILLER_STARTS,
     _SERIES_CUTOFF,
     _SERIES_STEPS,
     _int,
@@ -76,17 +73,12 @@ __all__ = [
     "lommel_second",
 ]
 
-# scalar's Miller start rule as arrays: the margin of a column at x is
-# _START_MARGINS[number of bounds <= x]
-_START_BOUNDS = np.array([bound for bound, _ in _MILLER_STARTS])
-_START_MARGINS = np.array([margin for _, margin in _MILLER_STARTS] + [_MILLER_MARGIN])
-
 
 def _jl_table(lmax: int, x: np.ndarray) -> np.ndarray:
     """Table of j_0..j_lmax at positive arguments x (1-D array, no zeros), by ``scalar``'s regime functions.
 
-    One ``_miller_column`` call takes the Miller points, each column 0 until
-    its start; its rescale check runs only above start order 86.
+    One ``_miller_column`` call takes the Miller points, all from the start
+    order of top lmax; its rescale check runs only above start order 86.
     """
     block = np.zeros((lmax + 1, x.size))
     small = x < _SERIES_CUTOFF
@@ -99,9 +91,7 @@ def _jl_table(lmax: int, x: np.ndarray) -> np.ndarray:
         block[:, small] = _series_column(x_small, _series_sum(x_small, divisors))    # each step on the whole block
     if down.any():
         x_down = x[down]
-        starts = lmax + _START_MARGINS[np.searchsorted(_START_BOUNDS, x_down, side="right")]   # scalar._miller_margin
-        seeds = {start: np.where(starts == start, _MILLER_SEED, 0.0) for start in set(starts.tolist())}
-        column = _miller_column(lmax, x_down, seeds)
+        column = _miller_column(lmax, x_down)
         j0, j1 = _j0_j1(x_down, np.sin(x_down), np.cos(x_down))
         use0 = np.abs(j0) >= np.abs(j1)    # normalize against the larger of j0, j1 (row 1 exists: lmax > x)
         block[:, down] = np.array(column) * (np.where(use0, j0, j1) / np.where(use0, column[0], column[1]))

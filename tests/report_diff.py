@@ -22,7 +22,10 @@ residual, curl discrepancy, pass flag and method): in how many bundles it
 differs, and for a number its largest relative change, so a deliberate
 last-bit change of the oracle shows its size.  A part's fields are read
 from a NamedTuple or from a dataclass, so the two trees may hold either.
-It always exits 0: it reports, and never gates.
+Its last stderr line counts the differing verdicts of the report runs:
+exit codes, stderr, ``status`` cells and ``pass*`` cells, so a log shows
+at a glance whether any verdict moved.  It always exits 0: it reports, and
+never gates.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 WORKER = Path(__file__).resolve().parents[1] / "bench" / "worker.py"
 WORKER_CALLS = {"bound_grid": 48 * 21, "fd_oracle": 36}    # one pass of bench/run.py (its PASS_CALLS)
 WORKER_SEEDS = (1, 2718)    # the benchmark's tuning seed and its held-out seed
+VERDICTS = ("exit code", "stderr", "status", "pass*")    # the differences that move a verdict
 # the parts of bench/worker.py's fd_oracle bundle, in the order its call returns them
 BUNDLE_PARTS = ("f1_vanishing_check", "expansion_fd j=1", "expansion_fd j=2", "expansion_j2", "curl_identity_check")
 
@@ -168,6 +172,7 @@ def main(argv) -> int:
         return 0
     old_src, new_src = (Path(arg).resolve() for arg in argv[1:])
     changed = runs = 0
+    verdicts = dict.fromkeys(VERDICTS, 0)
     print("\t".join(("command", "config", "format", "row", "column", "before", "after", "relative change")))
     for config in sorted(CONFIG_DIR.glob("*.json")):
         for command in COMMANDS:
@@ -176,6 +181,9 @@ def main(argv) -> int:
                 found = list(differences(run(old_src, command, config, fmt), run(new_src, command, config, fmt)))
                 changed += bool(found)
                 for row, column, before, after in found:
+                    kind = "pass*" if column.startswith("pass") else column
+                    if kind in verdicts:
+                        verdicts[kind] += 1
                     change = "-" if row == "-" else relative_change(before, after)
                     print("\t".join(map(str, (command, config.stem, fmt, row, column, before, after, change))))
     print(f"# {changed} of {runs} runs differ", file=sys.stderr)
@@ -194,6 +202,7 @@ def main(argv) -> int:
                     change = "-" if largest is None else f"{largest:.3g}"
                     print(f"#   fd_oracle seed {seed} {name}: differs in {differ} of {len(old_rows)} bundles;"
                           f" largest relative change {change}", file=sys.stderr)
+    print("# differing verdicts: " + ", ".join(f"{kind} {n}" for kind, n in verdicts.items()), file=sys.stderr)
     return 0
 
 

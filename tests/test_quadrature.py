@@ -33,9 +33,13 @@ class TestIntegrateRadial:
         # panel density tracks the oscillation count ~ 50*2/pi
         assert res.panels_used >= 30
 
-    def test_scalar_only_integrand_fallback(self):
-        res = integrate_radial(lambda r: float(r) ** 2, 1.0)
-        assert res.value == pytest.approx(1.0 / 3.0, rel=1e-13)
+    def test_scalar_only_and_wrong_shape_integrands_raise(self):
+        # f is called on the array of a round's nodes; a scalar-only f or one value for
+        # the whole array raises, and is never turned into a number
+        with pytest.raises(TypeError):
+            integrate_radial(lambda r: float(r) ** 2, 1.0)
+        with pytest.raises(ValueError, match="one value per node"):
+            integrate_radial(lambda r: np.sum(r), 1.0)
 
     def test_invalid_limits_and_tolerance(self):
         with pytest.raises(InvalidInputError):
@@ -360,14 +364,6 @@ class TestLockstepBatch:
         assert integrate_radial_batch(never, 1.0, osc_scales=[]) == []
         with pytest.raises(InvalidInputError):
             integrate_radial_batch(never, 0.0, osc_scales=[])
-
-    def test_scalar_only_fallback_is_bit_identical(self):
-        scalar = lambda r: float(r) * float(r) * 3.0 + 1.0
-        vector = lambda r: r * r * 3.0 + 1.0
-        assert integrate_radial(scalar, 2.0, 1e-13, osc_scale=4.0) == integrate_radial(vector, 2.0, 1e-13, osc_scale=4.0)
-        assert integrate_radial(scalar, 2.0, 1e-13, max_panels=_HALF_LINE_PANELS) == integrate_radial(
-            vector, 2.0, 1e-13, max_panels=_HALF_LINE_PANELS
-        )
 
     def test_invalid_batch_limits(self):
         with pytest.raises(InvalidInputError):

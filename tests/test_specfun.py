@@ -367,16 +367,13 @@ def reference_series(lmax, x):
 def reference_miller(lmax, x, rescaled=None):
     """Downward recurrence with the rescale check at every order.
 
-    Each column starts ``scalar._miller_margin`` of its own x above lmax;
-    until then it holds zeros, which the recurrence and the check keep.
+    Every column starts from 1e-30 at order lmax + ``scalar._miller_margin(lmax)``.
     Appends the boolean column mask of each rescale to ``rescaled``.
     """
-    starts = np.array([lmax + scalar._miller_margin(v) for v in x.tolist()])
     block = np.zeros((lmax + 1, x.size))
     f_up = np.zeros_like(x)
-    f_cur = np.zeros_like(x)
-    for order in range(int(starts.max()), 0, -1):
-        f_cur = np.where(order == starts, 1e-30, f_cur)
+    f_cur = np.full_like(x, 1e-30)
+    for order in range(lmax + scalar._miller_margin(lmax), 0, -1):
         f_down = (2 * order + 1) / x * f_cur - f_up
         f_up, f_cur = f_cur, f_down
         big = np.abs(f_cur) > scalar._RESCALE_LIMIT
@@ -573,19 +570,40 @@ class TestTripleMemo:
 
 
 class TestMillerStartRule:
-    """The per-point start of the downward recurrence, shared by both builders."""
+    """The start of the downward recurrence, one per top, shared by both builders."""
 
     @staticmethod
     def straddling():
-        """Both sides of every bound of the start rule: nextafter(b, 0) and b."""
-        return [v for bound, _ in scalar._MILLER_STARTS for v in (math.nextafter(bound, 0.0), bound)]
+        """Both sides of every top bound of the start rule: nextafter(b, 0), the last x of top b, and b."""
+        return [v for bound, _ in scalar._MILLER_STARTS for v in (math.nextafter(bound, 0.0), float(bound))]
 
     def test_margins(self):
-        margins = [margin for _, margin in scalar._MILLER_STARTS] + [scalar._MILLER_MARGIN]
-        assert [scalar._miller_margin(x) for x in self.straddling()] == [
-            m for pair in zip(margins, margins[1:]) for m in pair]
-        assert scalar._miller_margin(specfun._SERIES_CUTOFF) == margins[0]
-        assert scalar._miller_margin(1e3) == scalar._MILLER_MARGIN
+        # each top takes the margin that its largest Miller argument, just below the top,
+        # had under the per-point rule the top rule replaced, so no column starts closer
+        per_point = ((0.5, 8), (2.0, 12), (7.0, 16), (16.0, 28), (32.0, 40))
+
+        def margin_at(x):
+            return next((margin for bound, margin in per_point if x < bound), 60)
+
+        tops = range(1, 121)
+        assert [scalar._miller_margin(top) for top in tops] == [margin_at(math.nextafter(top, 0.0)) for top in tops]
+        assert [scalar._miller_margin(top) for top in (2, 3, 7, 8, 16, 17, 32, 33)] == [12, 16, 16, 28, 28, 40, 40, 60]
+        assert scalar._miller_margin(1000) == scalar._MILLER_MARGIN
+
+    def test_start_truncation_below_2e_19(self):
+        # the comment above scalar._MILLER_STARTS: the fall of j_n / y_n from the top to the
+        # start, at 40 digits, for tops 1..60 at x just below the top, 0.9 top, 0.5 top and 0.1
+        mp = pytest.importorskip("mpmath")
+        falls = {}
+        with mp.workdps(40):
+            for top in range(1, 61):
+                start = top + scalar._miller_margin(top)
+                for x in (math.nextafter(top, 0.0), 0.9 * top, 0.5 * top, specfun._SERIES_CUTOFF):
+                    ratio = [mp.besselj(n + 0.5, x) / mp.bessely(n + 0.5, x) for n in (top, start)]
+                    falls[top, x] = float(abs(ratio[1] / ratio[0]))
+        worst = max(falls, key=falls.get)
+        assert len(falls) == 240 and worst == (7, math.nextafter(7.0, 0.0))
+        assert 1.6e-19 < falls[worst] < 2e-19
 
     def test_rows_equal_table_across_buckets(self):
         rng = np.random.default_rng(70)
@@ -595,8 +613,8 @@ class TestMillerStartRule:
 
     def test_miller_rows_at_bounds_against_mpmath(self):
         # every row of every Miller table (x < lmax <= 50) on both sides of
-        # each bound, relative to |j_l| below l + 1 and to the envelope above
-        for x in self.straddling():
+        # each bound and of 0.5, relative to |j_l| below l + 1 and to the envelope above
+        for x in [math.nextafter(0.5, 0.0), 0.5] + self.straddling():
             want = [TestAccuracyMap.reference(l, x) for l in range(51)]
             for lmax in range(math.floor(x) + 1, 51):
                 for l, got in enumerate(scalar._jl_column(lmax, x)):
@@ -617,24 +635,27 @@ class TestMillerGate:
         assert safe == list(range(1, safe[-1] + 1)) and safe[-1] == scalar._UNCHECKED_TOP == 86
 
     def test_no_rescale_at_the_unchecked_top(self):
-        # x = 0.1 grows fastest; lmax 78 starts it at top 78 + 8 = 86
-        assert 78 + scalar._miller_margin(0.1) == scalar._UNCHECKED_TOP
+        # the largest start order that runs unchecked is 32 + 40 = 72, at lmax 32, where
+        # x = 0.1 grows fastest; lmax 33 starts at 93 and is checked
+        starts = {lmax: lmax + scalar._miller_margin(lmax) for lmax in range(1, 200)}
+        unchecked = {lmax: top for lmax, top in starts.items() if top <= scalar._UNCHECKED_TOP}
+        assert max(unchecked) == 32 and unchecked[32] == max(unchecked.values()) == 72 and starts[33] == 93
         rescaled = []
-        reference_miller(78, np.array([0.1]), rescaled)
+        reference_miller(32, np.array([0.1]), rescaled)
         assert not rescaled
 
-    @pytest.mark.parametrize("lmax", [78, 79, 100, 200])
+    @pytest.mark.parametrize("lmax", [32, 33, 78, 79, 100, 200])
     def test_tables_on_both_sides_of_the_gate(self, lmax):
-        # all six start buckets, both sides of each bound; the whole table and
-        # one table per bucket, whose top at lmax 78 and x < 0.5 is the gate's
+        # points across the Miller range and next to its ends; the whole table
+        # and one table per third of it, since every column starts at one order
         rng = np.random.default_rng(lmax)
-        bounds = [specfun._SERIES_CUTOFF] + [bound for bound, _ in scalar._MILLER_STARTS] + [float(lmax)]
-        buckets = [[lo, *rng.uniform(lo, hi, 3).tolist(), math.nextafter(hi, 0.0)] for lo, hi in zip(bounds, bounds[1:])]
-        for xs in [sum(buckets, [])] + buckets:
-            x = np.array(xs)
+        cut = specfun._SERIES_CUTOFF
+        xs = [cut, *np.exp(rng.uniform(math.log(cut), math.log(lmax), 16)).tolist(), math.nextafter(lmax, 0.0)]
+        for chosen in [xs, xs[0::3], xs[1::3], xs[2::3]]:
+            x = np.array(chosen)
             table = specfun._jl_table(lmax, x)
-            assert np.array_equal(table, reference_miller(lmax, x)), (lmax, xs)
-            assert columns(lmax, xs) == table.T.tolist(), (lmax, xs)
+            assert np.array_equal(table, reference_miller(lmax, x)), (lmax, chosen)
+            assert columns(lmax, chosen) == table.T.tolist(), (lmax, chosen)
 
 
 class TestAccuracyMap:
