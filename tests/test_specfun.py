@@ -578,8 +578,8 @@ class TestMillerStartRule:
         return [v for bound, _ in scalar._MILLER_STARTS for v in (math.nextafter(bound, 0.0), float(bound))]
 
     def test_margins(self):
-        # each top takes the margin that its largest Miller argument, just below the top,
-        # had under the per-point rule the top rule replaced, so no column starts closer
+        # each top takes the margin that the per-x buckets below give its largest Miller
+        # argument, just below the top, so no point starts closer than its bucket needs
         per_point = ((0.5, 8), (2.0, 12), (7.0, 16), (16.0, 28), (32.0, 40))
 
         def margin_at(x):
