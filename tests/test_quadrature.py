@@ -33,9 +33,9 @@ class TestIntegrateRadial:
         # panel density tracks the oscillation count ~ 50*2/pi
         assert res.panels_used >= 30
 
-    def test_scalar_only_and_wrong_shape_integrands_raise(self):
-        # f is called on the array of a round's nodes; a scalar-only f or one value for
-        # the whole array raises, and is never turned into a number
+    def test_scalar_only_integrand_fallback(self):
+        # there is no point-by-point fallback: f is called on the array of a round's nodes,
+        # and a scalar-only f or one value for the whole array raises, never a number
         with pytest.raises(TypeError):
             integrate_radial(lambda r: float(r) ** 2, 1.0)
         with pytest.raises(ValueError, match="one value per node"):
@@ -364,6 +364,22 @@ class TestLockstepBatch:
         assert integrate_radial_batch(never, 1.0, osc_scales=[]) == []
         with pytest.raises(InvalidInputError):
             integrate_radial_batch(never, 0.0, osc_scales=[])
+
+    def test_scalar_only_fallback_is_bit_identical(self):
+        # a lone run is a batch of one through the one vectorized path: on a vectorized f it
+        # equals the batch and the reference loop to the bit, and a scalar-only f raises in both
+        scalar = lambda r: float(r) * float(r) * 3.0 + 1.0
+        vector = lambda r: r * r * 3.0 + 1.0
+        for kwargs, osc in (({"osc_scale": 4.0}, 4.0), ({"max_panels": _HALF_LINE_PANELS}, 1.0)):
+            budget = {"max_panels": kwargs.get("max_panels", 8192)}
+            (got,) = integrate_radial_batch(_batch_of([vector]), 2.0, 1e-13, osc_scales=[osc], **budget)
+            assert got == integrate_radial(vector, 2.0, 1e-13, **kwargs) == reference_adaptive(
+                vector, 2.0, 1e-13, osc, **budget
+            )
+            with pytest.raises(TypeError):
+                integrate_radial(scalar, 2.0, 1e-13, **kwargs)
+            with pytest.raises(TypeError):
+                integrate_radial_batch(_batch_of([scalar]), 2.0, 1e-13, osc_scales=[osc], **budget)
 
     def test_invalid_batch_limits(self):
         with pytest.raises(InvalidInputError):
