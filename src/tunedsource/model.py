@@ -34,6 +34,7 @@ from .errors import (
     UnderflowError,
     UnsupportedMediumError,
 )
+from .scalar import _EPS, _jl_triple, _lommel_second_from, _lommel_second_series, _u_from_neighbors, _validate
 
 __all__ = [
     "Substrate",
@@ -208,13 +209,13 @@ def tuned_wavenumber(k: float, mu_omega: float, chi: float) -> TuningState:
 
 def _tuned_K(k: float, mu_omega: float, chi: float) -> float:
     """``tuned_wavenumber(k, mu_omega, chi).K`` as a float, with its checks in its order."""
-    if not (type(k) is type(mu_omega) is type(chi) is float    # the fast path's one test, then finiteness
-            and math.isfinite(k) and math.isfinite(mu_omega) and math.isfinite(chi)):
+    if not (type(k) is type(mu_omega) is type(chi) is float    # the fast path's one test; else each check in turn
+            and math.isfinite(k) and math.isfinite(mu_omega) and math.isfinite(chi) and k != 0.0 and mu_omega != 0.0):
         for name, value in (("k", k), ("mu_omega", mu_omega), ("chi", chi)):
             scalar._finite(name, value)
-    if k == 0.0:
-        raise InvalidInputError("k must be nonzero")
-    _validate_mu_omega(mu_omega)
+        if k == 0.0:
+            raise InvalidInputError("k must be nonzero")
+        _validate_mu_omega(mu_omega)
     K2 = k * k - chi * mu_omega
     if not 0.0 < K2 < math.inf:
         if K2 <= 0.0:
@@ -240,27 +241,28 @@ def _closed_form(j: int, l: int, k: float, K: float, a: float, rel_tol: float):
     N_K underflows to 0, which happens far from the diagonal too.  At |k| == |K|, M equals
     +-N exactly.  l = 0 serves j = 2 only.  Raises UnderflowError where K^2 - k^2 underflows.
     """
-    scalar._validate(k, K, a, rel_tol)
+    _validate(k, K, a, rel_tol)
     flip = l % 2 == 1 and (k < 0.0) != (K < 0.0)    # the parity factor (-1)^l of M
     k, K = abs(k), abs(K)
-    jm_k, j_k, jp_k = scalar._jl_triple(l, k * a)
-    jm_K, j_K, jp_K = scalar._jl_triple(l, K * a)
-    n_k = scalar._lommel_first_from(a, jm_k, j_k, jp_k)
-    n_K = scalar._lommel_first_from(a, jm_K, j_K, jp_K)
-    m, err = (0.0, 0.0) if k == K else scalar._lommel_second_from(a, k, K, j_k, jp_k, j_K, jp_K)
+    jm_k, j_k, jp_k = _jl_triple(l, k * a)
+    jm_K, j_K, jp_K = _jl_triple(l, K * a)
+    half_a3 = 0.5 * a**3    # Lommel's first integral N_2 = (a^3 / 2) [j_l^2 - j_(l+1) j_(l-1)]
+    n_k = half_a3 * (j_k * j_k - jp_k * jm_k)
+    n_K = half_a3 * (j_K * j_K - jp_K * jm_K)
+    m, err = (0.0, 0.0) if k == K else _lommel_second_from(a, k, K, j_k, jp_k, j_K, jp_K)
     if j == 1:
-        u_k = scalar._u_from_neighbors(l, jm_k, jp_k)
-        u_K = scalar._u_from_neighbors(l, jm_K, jp_K)
+        u_k = _u_from_neighbors(l, jm_k, jp_k)
+        u_K = _u_from_neighbors(l, jm_K, jp_K)
         if k != K:
             # M_2's error, plus the rounding of the two terms of the reduction
             terms = abs(K * K * m) + abs(a * a * K * j_k * u_K)
-            err = (K * K * err + scalar._EPS * terms) / (l * (l + 1))
+            err = (K * K * err + _EPS * terms) / (l * (l + 1))
         n_k = _j1_from_j2(l, a, k, n_k, j_k, u_k)
         n_K = _j1_from_j2(l, a, K, n_K, j_K, u_K)
     scale = math.sqrt(n_k) * math.sqrt(n_K)  # N can be as small as 1e-300 for l >> k a
     err = err / scale if scale > 0.0 else math.inf
     if rel_tol < err < math.inf:    # an underflowed N says nothing about the diagonal
-        m = scalar._lommel_second_series(l, a, k * a, K * a, jm_k, j_k, jp_k)
+        m = _lommel_second_series(l, a, k * a, K * a, jm_k, j_k, jp_k)
     if j == 1 and k != K:
         m = _j1_from_j2(l, a, K, m, j_k, u_K)
     if k == K:
@@ -344,7 +346,7 @@ def minimality_margin(
     K0 = _tuned_K(k, mu_omega, chi0)
     r_chi = mode_ratio(mode, k, K, a, rel_tol)
     r_chi0 = mode_ratio(mode, k, K0, a, rel_tol)
-    return MarginReport(mode=mode, chi=chi, margin=r_chi - r_chi0, kind=MINIMALITY, scale=r_chi0)
+    return MarginReport(mode, chi, r_chi - r_chi0, MINIMALITY, r_chi0)
 
 
 def mode_coefficient(mode: Mode, s: Substrate, t: TuningState, rel_tol: float = 1e-12) -> float:

@@ -4,32 +4,32 @@ The production path of the library (the closed-form cell of
 ``model.radial_integrals``, and with it the ``sweep``, ``energies`` and
 ``tune`` commands of the CLI) runs on a fixed handful of scalars per cell.
 This module holds what it needs, without numpy: the column j_0..j_lmax at
-one point (``_jl_column``), the kernel u_l, Lommel's integrals from a
-column's values (with a near-diagonal series; ``model._closed_form`` alone
-picks one) and the shared input rules: ``_real`` (a real number, not a
-bool), ``_finite`` (a finite one), ``_is_int`` and ``_int`` (an integer,
-numpy's included, not a bool), and the cell's ``_validate`` and
-``validate_tol`` built on them.
+one point (``_jl_column``), the kernel u_l, Lommel's cross integral and
+its near-diagonal series (``model._closed_form`` picks one) and the shared
+input rules: ``_real`` (a real number, not a bool), ``_finite`` (a finite
+one), ``_is_int`` and ``_int`` (an integer, numpy's included, not a bool),
+and the cell's ``_validate`` (a radius up to A_MAX, whose cube is finite)
+and ``validate_tol`` built on them, each with one fast test on floats.
 
 ``_jl_column`` is a column of ``specfun._jl_table`` to the bit: the same
 series / Miller / upward regimes, the same operations in the same order.
 All three regimes are one function each for both builders
 (``_series_column``, ``_miller_column`` and ``_upward_column``), which the
-table runs elementwise on its points.  A Miller column starts a number of
-orders above its top that depends only on that top (``_miller_margin``:
-12 up to top 2, rising in steps to 60 from top 33 on), so every Miller
-point of a table starts at the same order, and a column depends only on
-its argument and its top, whatever else the table holds.  The
-recurrence's rescale check runs only above start order _UNCHECKED_TOP =
-86.  sin and cos come from ``math``, which agrees with numpy's to the bit
-on this platform (the test suite checks it on random points of all three
-regimes).
+table runs elementwise on its points; both recurrences step over their
+odd factors 2n+1 directly.  A Miller column starts a number of orders
+above its top that depends only on that top (``_miller_margin``: 12 up to
+top 2, rising in steps to 60 from top 33 on), so every Miller point of a
+table starts at the same order, and a column depends only on its argument
+and its top, whatever else the table holds.  The recurrence's rescale
+check runs only above start order _UNCHECKED_TOP = 86.  sin and cos come
+from ``math``, which agrees with numpy's to the bit on this platform (the
+test suite checks it on random points of all three regimes).
 
 ``_jl_triple(l, x)``, the (j_(l-1), j_l, j_(l+1)) a cell reads, keeps its
 last _TRIPLE_MEMO results; at l = 0, Lommel's j_(-1)(x) is cos(x) / x.
 The memo is exact, since a column depends only on (l, x), and bounded at
 any l, since an entry holds three floats.  ``theorems.expansion_j2`` reads
-the same triple, so its f0 is the cell's 1 / N_2 to the bit.
+the same triple for its f2, and its f0 from the cell itself.
 """
 
 from __future__ import annotations
@@ -68,6 +68,8 @@ _TRIPLE_MEMO = 128    # entries of _jl_triple's memo; a chi grid of 21 cells rea
 
 # the relative tolerances the library accepts
 TOL_MIN, TOL_MAX = 1e-14, 1e-3
+# the largest radius the library accepts, the largest double whose cube a**3 is finite
+A_MAX = 5.643803094122361e+102
 
 
 def validate_tol(rel_tol):
@@ -116,16 +118,19 @@ def _int(name, value, lowest: int) -> int:
 
 
 def _validate(k, K, a, rel_tol=1e-12) -> None:
-    """Reject k, K or a that is not a finite real (``_finite``), a zero wavenumber, a radius a <= 0 and a rel_tol out of range."""
-    if not (type(k) is type(K) is type(a) is float    # the fast path's one test, then finiteness
-            and math.isfinite(k) and math.isfinite(K) and math.isfinite(a)):
+    """Reject k, K or a that is not a finite real (``_finite``), a zero wavenumber, a radius outside (0, A_MAX] and a rel_tol out of range."""
+    if not (type(k) is type(K) is type(a) is type(rel_tol) is float    # the fast path's one test; else each check in turn
+            and math.isfinite(k) and math.isfinite(K) and k != 0.0 and K != 0.0
+            and 0.0 < a <= A_MAX and TOL_MIN <= rel_tol <= TOL_MAX):
         for name, value in (("k", k), ("K", K), ("a", a)):
             _finite(name, value)
-    if k == 0.0 or K == 0.0:
-        raise InvalidInputError("wavenumbers must be nonzero")
-    if a <= 0.0:
-        raise InvalidInputError(f"radius a must be > 0, got {a}")
-    validate_tol(rel_tol)
+        if k == 0.0 or K == 0.0:
+            raise InvalidInputError("wavenumbers must be nonzero")
+        if a <= 0.0:
+            raise InvalidInputError(f"radius a must be > 0, got {a}")
+        if a > A_MAX:
+            raise InvalidInputError(f"radius a must be <= {A_MAX}, past which a**3 overflows, got {a}")
+        validate_tol(rel_tol)
 
 
 def _miller_margin(lmax: int) -> int:
@@ -147,25 +152,28 @@ def _miller_column(lmax: int, x) -> list:
     """Unnormalized orders 0..lmax by the downward recurrence, at one float x or elementwise at an array x.
 
     Every column starts from _MILLER_SEED at order lmax + _miller_margin(lmax),
-    so a column depends only on its own x and lmax.  A value past
-    _RESCALE_LIMIT scales its column by 1e-250, stored orders included.  The
-    check runs only above a start order of _UNCHECKED_TOP, up to which no
-    value can get there.
+    so a column depends only on its own x and lmax; the loops step over the
+    odd factors 2n+1.  A value past _RESCALE_LIMIT scales its column by
+    1e-250, stored orders included.  The check runs only above a start order
+    of _UNCHECKED_TOP, up to which no value can get there.
     """
     top = lmax + _miller_margin(lmax)
     checked = top > _UNCHECKED_TOP
+    column = [0.0] * (lmax + 1)    # up front, so that an absurd lmax fails at once
     f_up, f_cur = 0.0, _MILLER_SEED
-    for order in range(top, lmax, -1):    # above lmax nothing is stored
-        f_up, f_cur = f_cur, (2 * order + 1) / x * f_cur - f_up
+    for odd in range(2 * top + 1, 2 * lmax + 1, -2):    # orders top..lmax+1, of which nothing is stored
+        f_up, f_cur = f_cur, odd / x * f_cur - f_up
         if checked and (scale := _rescale_factor(f_cur)) is not None:
             f_up, f_cur = f_up * scale, f_cur * scale
-    column = [0.0] * lmax + [f_cur]
-    for order in range(lmax, 0, -1):
-        f_up, f_cur = f_cur, (2 * order + 1) / x * f_cur - f_up
+    n = lmax
+    column[n] = f_cur
+    for odd in range(2 * lmax + 1, 1, -2):    # orders lmax..1, each giving the order below it
+        f_up, f_cur = f_cur, odd / x * f_cur - f_up
         if checked and (scale := _rescale_factor(f_cur)) is not None:
             f_up, f_cur = f_up * scale, f_cur * scale
-            column[order:] = [v * scale for v in column[order:]]
-        column[order - 1] = f_cur
+            column[n:] = [v * scale for v in column[n:]]
+        n -= 1
+        column[n] = f_cur
     return column
 
 
@@ -177,8 +185,10 @@ def _j0_j1(x, sx, cx) -> list:
 def _upward_column(lmax: int, x, sx, cx) -> list:
     """Orders 0..lmax by the upward recurrence (stable for x >= lmax) at one float x, or elementwise at an array x."""
     column = _j0_j1(x, sx, cx) if lmax >= 1 else [sx / x]    # j_1 at order 0 only risks x * x overflowing
-    for order in range(1, lmax):
-        column.append((2 * order + 1) / x * column[order] - column[order - 1])
+    f_down, f_cur = column[0], column[-1]    # (j_0, j_1); at lmax 0 the loop is empty
+    for odd in range(3, 2 * lmax + 1, 2):    # f_(n+1) from orders n and n-1, odd = 2n+1
+        f_down, f_cur = f_cur, odd / x * f_cur - f_down
+        column.append(f_cur)
     return column
 
 
@@ -238,11 +248,6 @@ def _jl_triple(l: int, x: float) -> tuple:
 def _u_from_neighbors(l: int, jm, jp):
     """u_l = [(l+1) j_{l-1} - l j_{l+1}] / (2l+1), l >= 1; floats or arrays."""
     return ((l + 1) * jm - l * jp) / (2 * l + 1)
-
-
-def _lommel_first_from(a: float, jm: float, j: float, jp: float) -> float:
-    """(a^3 / 2) [j_l^2 - j_{l+1} j_{l-1}] from (j_{l-1}, j_l, j_{l+1}) at |alpha| a."""
-    return 0.5 * a**3 * (j * j - jp * jm)
 
 
 def _lommel_second_from(a, k, K, j_k, jp_k, j_K, jp_K):

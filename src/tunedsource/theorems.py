@@ -205,7 +205,7 @@ def boundedness_margin(
     expected (within rounding) exactly at chi = 0.  The report is the one record a call builds.
     """
     _, _, _, _, margin, scale = _margin_cell(mode, k, chi, mu_omega, a, rel_tol)
-    return MarginReport(mode=mode, chi=chi, margin=margin, kind=BOUNDEDNESS, scale=scale)
+    return MarginReport(mode, chi, margin, BOUNDEDNESS, scale)
 
 
 def curl_identity_check(l: int, k: float, K: float, a: float, rel_tol: float = 1e-12) -> float:
@@ -273,7 +273,7 @@ def expansion_j2(l: int, k: float, a: float, mu_omega: float) -> ExpansionCoeffs
     """Closed-form expansion coefficients of the j=2 ratio around chi = 0.
 
     f0 = 2 / (a^3 [j_l(ka)^2 - j_{l-1}(ka) j_{l+1}(ka)]) = 1 / N_2(|k|),
-    from the closed-form cell's triple (``scalar._jl_triple``), so it is the
+    read from the closed-form cell (``model._closed_form``), so it is the
     cell's 1 / N_2(|k|) to the bit; against mpmath it is within 4 (l + 3) eps
     for l <= 30 and 0.01 <= |k| a <= 40 (where k a < l, the bracket cancels
     by about 2 / (2l + 3)).  f1 vanishes identically; f2 is the chi^2
@@ -306,7 +306,7 @@ def expansion_j2(l: int, k: float, a: float, mu_omega: float) -> ExpansionCoeffs
         raise IllConditionedExpansionError(
             f"expansion bracket j_l^2 - j_(l-1) j_(l+1) = {bracket} <= 0 at ka = {x}"
         )
-    f0 = 1.0 / scalar._lommel_first_from(a, *doubles)
+    f0 = 1.0 / _closed_form(2, l, k, k, a, 1e-12)[0]
     if (x * x * bracket) ** 3 == 0.0:
         raise IllConditionedExpansionError(
             f"expansion denominator (ka)^6 (j_l^2 - j_(l-1) j_(l+1))^3 underflows to 0 at l = {l}, ka = {x}"

@@ -715,6 +715,20 @@ class TestSweep:
         assert len(rows) == 4
         assert all('"error: cross integral vanished' in row for row in rows)
 
+    @pytest.mark.parametrize("command,config", [("sweep", "sweep_chi_dng"), ("energies", "energies_tuned")])
+    def test_radius_whose_cube_overflows_gives_error_rows(self, tmp_path, command, config):
+        # substrate.a = 1e103: a**3 raised a bare OverflowError, a traceback and exit 1
+        payload = json.loads((CONFIG_DIR / f"{config}.json").read_text(encoding="utf-8"))
+        payload["substrate"]["a"] = 1e103
+        proc = subprocess.run(
+            [sys.executable, "-m", "tunedsource", command, "--config", write_config(tmp_path, payload)],
+            env=package_env(), capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (1, "")
+        rows = proc.stdout.splitlines()[2:]
+        assert rows and all('"error: radius a must be <= 5.643803094122361e+102, past which a**3 overflows, got 1e+103"'
+                            in row for row in rows)
+
     def test_sweep_without_tuned_solution_is_diagnosed(self, tmp_path):
         payload = base_config()
         del payload["chi_values"]

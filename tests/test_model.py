@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -301,6 +302,63 @@ def test_numpy_and_int_reals_accepted():
         assert model.radial_integrals(Mode(j, 3), 2, np.float64(1.5), np.int64(1)) == want
 
 
+# the closed-form cell's entry points as calls of (a, rel_tol) on floats, which take the input rules' one
+# fast test; the specfun views take no tolerance
+_CELL_TOL_ROUTES = {
+    "radial_integrals": lambda a, tol: model.radial_integrals(Mode(1, 2), 1.0, 1.5, a, tol),
+    "mode_ratio": lambda a, tol: model.mode_ratio(Mode(1, 2), 1.0, 1.5, a, tol),
+    "minimality_margin": lambda a, tol: model.minimality_margin(Mode(2, 1), 1.0, 0.1, 0.0, 1.0, a, tol),
+    "boundedness_margin": lambda a, tol: theorems.boundedness_margin(Mode(2, 1), 1.0, 0.1, 1.0, a, tol),
+}
+_CELL_ROUTES = {
+    **_CELL_TOL_ROUTES,
+    "lommel_first": lambda a, tol: specfun.lommel_first(2, 1.3, a),
+    "lommel_second": lambda a, tol: specfun.lommel_second(2, 1.3, 0.8, a),
+}
+_FIRST_OVERFLOWING_A = math.nextafter(scalar.A_MAX, math.inf)
+
+
+@pytest.mark.parametrize("route", sorted(_CELL_TOL_ROUTES))
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, 1e-15, 2e-3])
+def test_cell_rejects_out_of_range_float_tolerances(route, tol):
+    # a float that fails the fast test reaches validate_tol, whose message it keeps
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(f'rel_tol must lie in [1e-14, 1e-3], got {tol}')}$"):
+        _CELL_TOL_ROUTES[route](2.0, tol)
+
+
+@pytest.mark.parametrize("route", sorted(_CELL_ROUTES))
+@pytest.mark.parametrize("a", [0.0, -1.0, _FIRST_OVERFLOWING_A])
+def test_cell_rejects_out_of_range_float_radii(route, a):
+    rule = "> 0" if a <= 0.0 else f"<= {scalar.A_MAX}, past which a**3 overflows"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(f'radius a must be {rule}, got {a}')}$"):
+        _CELL_ROUTES[route](a, 1e-12)
+
+
+class TestRadiusLimit:
+    """A radius whose cube overflows raised a bare OverflowError from a**3; the cell's input rule rejects it."""
+
+    def test_limit_is_the_largest_double_with_a_finite_cube(self):
+        assert math.isfinite(scalar.A_MAX**3)
+        with pytest.raises(OverflowError):
+            _FIRST_OVERFLOWING_A**3
+
+    def test_last_good_radius_gives_finite_values(self):
+        for route in _CELL_ROUTES.values():
+            value = route(scalar.A_MAX, 1e-12)
+            numbers = [value] if isinstance(value, float) else [v for v in value if isinstance(v, float)]
+            assert numbers and all(math.isfinite(v) for v in numbers), value
+        assert math.isfinite(theorems.expansion_j2(2, 1.0, scalar.A_MAX, 1.0).f0)
+
+    def test_first_bad_radius_rejected_off_the_cell(self):
+        # expansion_j2 raised OverflowError from a**3; the quadrature routes integrated over [0, a]
+        # and gave up with a ConvergenceError
+        for route in (lambda a: theorems.expansion_j2(2, 1.0, a, 1.0),
+                      lambda a: theorems.radial_integrals_quadrature(Mode(2, 1), 1.0, 1.2, a),
+                      lambda a: theorems.curl_identity_check(2, 1.0, 1.2, a)):
+            with pytest.raises(InvalidInputError, match="past which a\\*\\*3 overflows"):
+                route(_FIRST_OVERFLOWING_A)
+
+
 class TestRadialIntegrals:
     def test_j2_diagonal_equals_lommel(self):
         ri = model.radial_integrals(Mode(2, 3), 1.7, 1.7, 2.0)
@@ -364,6 +422,7 @@ class TestRadialIntegrals:
 
         for builder in ("_jl_column", "_jl_triple"):
             monkeypatch.setattr(scalar, builder, no_table)
+        monkeypatch.setattr(model, "_jl_triple", no_table)    # the name the cell calls
         monkeypatch.setattr(specfun, "_jl_table", no_table)
         for k, K, a in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
             for route in (model.radial_integrals, theorems.radial_integrals_quadrature, model.mode_ratio):
@@ -496,14 +555,14 @@ class TestClosedFormAccuracy:
     @pytest.mark.parametrize("j", [1, 2])
     def test_near_diagonal_takes_the_series(self, j, monkeypatch):
         quadrature_calls, series_calls = [], []
-        series = scalar._lommel_second_series
+        series = model._lommel_second_series
 
         def spy(*args):
             series_calls.append(args)
             return series(*args)
 
         monkeypatch.setattr(quadrature, "integrate_radial_batch", lambda *args, **kw: quadrature_calls.append(1))
-        monkeypatch.setattr(scalar, "_lommel_second_series", spy)
+        monkeypatch.setattr(model, "_lommel_second_series", spy)    # the name the cell calls
         mode, k, a = Mode(j, 3), 1.3, 2.0
         K = k * math.sqrt(1.0 + 1e-3)
         closed = model.radial_integrals(mode, k, K, a)
@@ -561,8 +620,8 @@ def reference_integrals(j, l, k, K, a, rel_tol=1e-12):
     ak, aK = abs(k), abs(K)
     jm_k, j_k, jp_k = scalar._jl_column(l + 1, ak * a)[l - 1:]
     jm_K, j_K, jp_K = scalar._jl_column(l + 1, aK * a)[l - 1:]
-    n_k = scalar._lommel_first_from(a, jm_k, j_k, jp_k)
-    n_K = scalar._lommel_first_from(a, jm_K, j_K, jp_K)
+    n_k = 0.5 * a**3 * (j_k * j_k - jp_k * jm_k)
+    n_K = 0.5 * a**3 * (j_K * j_K - jp_K * jm_K)
     m, err = (0.0, 0.0) if ak == aK else scalar._lommel_second_from(a, ak, aK, j_k, jp_k, j_K, jp_K)
     if j == 1:
         u_k, u_K = scalar._u_from_neighbors(l, jm_k, jp_k), scalar._u_from_neighbors(l, jm_K, jp_K)

@@ -299,7 +299,7 @@ def reference_lommel_first(l, alpha, a):
     x = abs(alpha) * a
     column = scalar._jl_column(l + 1, x)
     jlm1 = math.cos(x) / x if l == 0 else column[l - 1]
-    return scalar._lommel_first_from(a, jlm1, column[l], column[l + 1])
+    return 0.5 * a**3 * (column[l] * column[l] - column[l + 1] * jlm1)
 
 
 def reference_lommel_second(l, k, K, a):
@@ -310,7 +310,7 @@ def reference_lommel_second(l, k, K, a):
     (j_k, jp_k), (j_K, jp_K) = col_k[l:], col_K[l:]
     jm_k, jm_K = (math.cos(x) / x, math.cos(y) / y) if l == 0 else (col_k[l - 1], col_K[l - 1])
     value, err = scalar._lommel_second_from(a, ak, aK, j_k, jp_k, j_K, jp_K)
-    n_k, n_K = scalar._lommel_first_from(a, jm_k, j_k, jp_k), scalar._lommel_first_from(a, jm_K, j_K, jp_K)
+    n_k, n_K = 0.5 * a**3 * (j_k * j_k - jp_k * jm_k), 0.5 * a**3 * (j_K * j_K - jp_K * jm_K)
     if n_k == 0.0 or n_K == 0.0:
         return None
     if err > 1e-12 * math.sqrt(n_k) * math.sqrt(n_K):
@@ -542,11 +542,22 @@ class TestRowsBitIdentical:
 class TestTripleMemo:
     """``_jl_triple`` against a one-point ``_jl_table``, on its first (cold) and second (warm) call."""
 
-    def test_all_regimes_cold_and_warm(self):
+    def test_all_regimes_cold_and_warm(self, monkeypatch):
+        # orders up to 200: Miller tops from 27 on start above _UNCHECKED_TOP, where the float loop checks
+        # for rescaling, and at small x past a few dozen orders it rescales
+        rescale_factor, float_rescales = scalar._rescale_factor, []
+
+        def spy(f):
+            scale = rescale_factor(f)
+            if type(f) is float and scale is not None:
+                float_rescales.append(f)
+            return scale
+
+        monkeypatch.setattr(scalar, "_rescale_factor", spy)
         rng = np.random.default_rng(44)
         cut = specfun._SERIES_CUTOFF
-        for _ in range(300):
-            l = int(rng.integers(1, 51))
+        for _ in range(600):
+            l = int(rng.integers(1, 201))
             series, miller, upward = (cut * 1e-5, cut), (cut, l + 1), (l + 1, 1e3)
             lo, hi = (series, miller, upward)[int(rng.integers(0, 3))]
             x = float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
@@ -558,6 +569,7 @@ class TestTripleMemo:
             assert (after.misses - before.misses, after.hits - before.hits) == (1, 1), (l, x)
             assert type(cold) is tuple and list(cold) == want and warm == cold, (l, x)
         assert scalar._jl_triple.cache_info().currsize <= scalar._TRIPLE_MEMO
+        assert len(float_rescales) > 10
 
     def test_order_zero_takes_cos_over_x(self):
         # j_(-1)(x) = cos(x) / x, the convention of Lommel's integrals at l = 0
