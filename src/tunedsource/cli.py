@@ -74,14 +74,6 @@ class XiSearch(NamedTuple):
     table_chi: Tuple[float, ...]
     table_g: Tuple[float, ...]
 
-    def interpolator(self):
-        xs, gs = self.table_chi, self.table_g
-
-        def g(chi: float) -> float:
-            return tuning._interp(chi, xs, gs)
-
-        return g
-
 
 class RunConfig(NamedTuple):
     substrate: Substrate
@@ -176,8 +168,7 @@ def _load_modes(raw, need_modes: bool):
     block = _expect(raw, "", "modes", "dict")
     j_list = tuple(_expect(block, "modes", "j", "list", required=False, default=[1, 2]))
     for j in j_list:
-        if not (_is_int(j) and j in (1, 2)):
-            raise ConfigError(f"modes.j: entries must be 1 or 2, got {j!r}")
+        _library("modes.j", Mode, j, 1)
     if not j_list:
         raise ConfigError("modes.j: must not be empty")
     lspec = block.get("l")
@@ -217,13 +208,7 @@ def _load_xi_search(raw, substrate: Substrate):
     grid_n = _expect(block, "xi_search", "grid_n", "int")
     tol = _expect(block, "xi_search", "tol", "number")
     table = _expect(block, "xi_search", "table", "list")
-    if lo >= hi:
-        raise ConfigError(f"xi_search: need lo < hi, got [{lo}, {hi}]")
-    _library("xi_search", tuned_wavenumber, substrate.k, substrate.mu_omega, 0.0)    # the roots' admissibility rule
-    if grid_n < 2:
-        raise ConfigError(f"xi_search.grid_n: must be >= 2, got {grid_n}")
-    if tol <= 0.0:
-        raise ConfigError(f"xi_search.tol: must be > 0, got {tol}")
+    _library("xi_search", tuning._search_rules, lo, hi, grid_n, tol, substrate.k, substrate.mu_omega)
     if len(table) < 2:
         raise ConfigError("xi_search.table: need at least two (chi, g) pairs")
     chis, gs = [], []
@@ -414,7 +399,7 @@ def _chi0_for(cfg: RunConfig):
         return 0.0, None
     xs = cfg.xi_search
     chi_set = tuning.find_constraint_roots(
-        xs.interpolator(), xs.lo, xs.hi, xs.grid_n, xs.tol,
+        lambda chi: tuning._interp(chi, xs.table_chi, xs.table_g), xs.lo, xs.hi, xs.grid_n, xs.tol,
         k=cfg.substrate.k, mu_omega=cfg.substrate.mu_omega,
     )
     try:

@@ -8,9 +8,9 @@ loses no generality.
 
 Radial integrals are computed in closed form (``_closed_form``) from the
 Bessel triples at |k| a and |K| a in ``scalar._jl_triple``'s exact memo, so a
-chi grid builds its untuned triple once.  ``_margin_cell``, a cell's one
-evaluator, gives K, the integrals and the margin as floats; each public
-function builds only the record it returns.  None of it loads numpy.  Their
+chi grid builds its untuned triple once; ``_margin_cell`` adds K and the
+margin, as floats.  Each public function builds only the record it returns,
+and a Substrate takes the cell's input rules.  None of it loads numpy.  Their
 oracle, adaptive quadrature, is ``theorems.radial_integrals_quadrature``.
 
 Per-mode energy weights R are normalized with the per-mode constant set
@@ -68,7 +68,7 @@ def __getattr__(name):
 
 
 class Substrate(NamedTuple("Substrate", [("epsilon_r", float), ("mu_r", float), ("omega", float), ("a", float)])):
-    """Spherical source region: relative constitutive parameters, frequency, radius."""
+    """Spherical source region: relative constitutive parameters, frequency, radius; k and a take the cell's rules (``_validate``)."""
 
     __slots__ = ()
 
@@ -77,8 +77,6 @@ class Substrate(NamedTuple("Substrate", [("epsilon_r", float), ("mu_r", float), 
             scalar._finite(f"Substrate.{name}", value)
         if omega <= 0.0:
             raise InvalidInputError(f"Substrate.omega must be > 0, got {omega}")
-        if a <= 0.0:
-            raise InvalidInputError(f"Substrate.a must be > 0, got {a}")
         product = epsilon_r * mu_r
         if product < 0.0:
             raise UnsupportedMediumError(
@@ -91,7 +89,9 @@ class Substrate(NamedTuple("Substrate", [("epsilon_r", float), ("mu_r", float), 
                 "nihility substrate (k = 0) is outside the certified class; "
                 "epsilon_r * mu_r must be > 0"
             )
-        return super().__new__(cls, epsilon_r, mu_r, omega, a)
+        substrate = super().__new__(cls, epsilon_r, mu_r, omega, a)
+        _validate(substrate.k, substrate.k, a)
+        return substrate
 
     @property
     def k0(self) -> float:

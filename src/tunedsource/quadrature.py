@@ -122,7 +122,8 @@ def _adaptive(f, a, rel_tol, osc_scales, max_panels):
     When integrals fail, the error of the lowest-index one is raised, and
     integrals after it stop refining.
     """
-    counts = [min(max(1, math.ceil(a * max(abs(osc), 1.0) / math.pi)), max_panels) for osc in osc_scales]
+    # clamped before rounding: a * osc / pi can overflow to inf, which math.ceil rejects
+    counts = [max(1, math.ceil(min(a * max(abs(osc), 1.0) / math.pi, max_panels))) for osc in osc_scales]
     edges = {count: np.linspace(0.0, a, count + 1) for count in set(counts)}
     active = list(range(len(counts)))
     owner = np.repeat(active, counts)

@@ -8,8 +8,9 @@ one point (``_jl_column``), the kernel u_l, Lommel's cross integral and
 its near-diagonal series (``model._closed_form`` picks one) and the shared
 input rules: ``_real`` (a real number, not a bool), ``_finite`` (a finite
 one), ``_is_int`` and ``_int`` (an integer, numpy's included, not a bool),
-and the cell's ``_validate`` (a radius up to A_MAX, whose cube is finite)
-and ``validate_tol`` built on them, each with one fast test on floats.
+and the cell's ``_validate`` (a radius up to A_MAX, whose cube is finite,
+and finite k a and K a) and ``validate_tol`` built on them, each with one
+fast test on floats, and each the one statement of its rule.
 
 ``_jl_column`` is a column of ``specfun._jl_table`` to the bit: the same
 series / Miller / upward regimes, the same operations in the same order.
@@ -118,18 +119,19 @@ def _int(name, value, lowest: int) -> int:
 
 
 def _validate(k, K, a, rel_tol=1e-12) -> None:
-    """Reject k, K or a that is not a finite real (``_finite``), a zero wavenumber, a radius outside (0, A_MAX] and a rel_tol out of range."""
+    """Reject k, K or a that is not a finite real (``_finite``), a zero wavenumber, a radius outside (0, A_MAX], an infinite k a or K a and a rel_tol out of range."""
     if not (type(k) is type(K) is type(a) is type(rel_tol) is float    # the fast path's one test; else each check in turn
-            and math.isfinite(k) and math.isfinite(K) and k != 0.0 and K != 0.0
+            and math.isfinite(k * a) and math.isfinite(K * a) and k != 0.0 and K != 0.0
             and 0.0 < a <= A_MAX and TOL_MIN <= rel_tol <= TOL_MAX):
-        for name, value in (("k", k), ("K", K), ("a", a)):
-            _finite(name, value)
+        k, K, a = (_finite(name, value) for name, value in (("k", k), ("K", K), ("a", a)))
         if k == 0.0 or K == 0.0:
             raise InvalidInputError("wavenumbers must be nonzero")
         if a <= 0.0:
             raise InvalidInputError(f"radius a must be > 0, got {a}")
         if a > A_MAX:
             raise InvalidInputError(f"radius a must be <= {A_MAX}, past which a**3 overflows, got {a}")
+        if not (math.isfinite(k * a) and math.isfinite(K * a)):
+            raise InvalidInputError(f"k a and K a must be finite, got k={k}, K={K}, a={a}")
         validate_tol(rel_tol)
 
 

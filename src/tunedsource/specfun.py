@@ -61,7 +61,6 @@ from .scalar import (
     _series_sum,
     _u_from_neighbors,
     _upward_column,
-    _validate,
 )
 
 __all__ = [
@@ -236,10 +235,11 @@ def lommel_second(l: int, k: float, K: float, a: float) -> float:
     wavenumbers enter through the parity j_l(-x) = (-1)^l j_l(x).
 
     A view of the closed-form cell (``model.radial_integrals`` at rel_tol
-    1e-12), whose near-diagonal series takes over where Lommel's difference cancels.
+    1e-12), whose near-diagonal series takes over where Lommel's difference
+    cancels; the cell's input rules apply, and then K^2 != k^2.
     """
     l = _int("order l", l, 0)
-    _validate(k, K, a)
+    m = _closed_form(2, l, k, K, a, 1e-12)[2]
     if abs(K) == abs(k):
         raise InvalidInputError("lommel_second requires K^2 != k^2; use lommel_first")
-    return _closed_form(2, l, k, K, a, 1e-12)[2]
+    return m

@@ -43,7 +43,6 @@ caller that times its first call should not time those imports.
 
 from __future__ import annotations
 
-import math
 import sys
 from decimal import Decimal, localcontext
 from typing import NamedTuple
@@ -280,8 +279,10 @@ def expansion_j2(l: int, k: float, a: float, mu_omega: float) -> ExpansionCoeffs
     curvature, assembled from j_l(ka) and j_l'(ka) (even in k, strictly
     positive on the certified grids).  See the module docstring for the
     provenance of the f2 form.
-    Raises IllConditionedExpansionError where the bracket is not positive,
-    or where the cube in f2's denominator underflows to 0 (orders l >> k a).
+    Raises InvalidInputError where the cell's input rules (``scalar._validate``,
+    k a finite among them) or mu_omega's fail, and IllConditionedExpansionError
+    where N_2(|k|) is not positive (a^3 underflows at tiny a), or where the cube
+    in f2's denominator underflows to 0 (orders l >> k a).
 
     f2's quartic numerator cancels: at l = 6, k a = 0.5 a relative change of
     1e-16 in the Bessel values moves its doubles by about 3e-8.  Quartic and
@@ -293,20 +294,16 @@ def expansion_j2(l: int, k: float, a: float, mu_omega: float) -> ExpansionCoeffs
     the doubles themselves, in the same Decimal arithmetic.
     """
     l = scalar._int("order l", l, 1)
-    scalar._validate(k, k, a)
+    n = _closed_form(2, l, k, k, a, 1e-12)[0]    # N_2(|k|), after the cell's input rules
     _validate_mu_omega(mu_omega)
     x = k * a
-    if not math.isfinite(x):
-        raise InvalidInputError(f"expansion needs a finite k a, got k={k}, a={a}")
+    if not n > 0.0:
+        raise IllConditionedExpansionError(f"expansion self integral N_2(|k|) = {n} is not positive at l = {l}, ka = {x}")
+    f0 = 1.0 / n
     ax = abs(x)    # the bracket and the quartic are even in x
     doubles = scalar._jl_triple(l, ax)
     jm1, j, jp1 = doubles
     bracket = j * j - jm1 * jp1  # the positive Lommel bracket
-    if bracket <= 0.0:
-        raise IllConditionedExpansionError(
-            f"expansion bracket j_l^2 - j_(l-1) j_(l+1) = {bracket} <= 0 at ka = {x}"
-        )
-    f0 = 1.0 / _closed_form(2, l, k, k, a, 1e-12)[0]
     if (x * x * bracket) ** 3 == 0.0:
         raise IllConditionedExpansionError(
             f"expansion denominator (ka)^6 (j_l^2 - j_(l-1) j_(l+1))^3 underflows to 0 at l = {l}, ka = {x}"

@@ -99,6 +99,19 @@ def _bisect(g: Callable[[float], float], lo: float, hi: float, g_lo: float, tol:
     return 0.5 * (lo + hi)
 
 
+def _search_rules(lo, hi, grid_n, tol, k, mu_omega) -> tuple:
+    """(lo, hi, grid_n, tol) as floats and an int, after ``find_constraint_roots``' input rules, in its order."""
+    lo, hi, tol = (_finite(name, value) for name, value in (("lo", lo), ("hi", hi), ("tol", tol)))
+    if not lo < hi:
+        raise InvalidInputError(f"need finite lo < hi, got [{lo}, {hi}]")
+    grid_n = _int("grid_n", grid_n, 2)
+    if not tol > 0.0:
+        raise InvalidInputError(f"tol must be > 0, got {tol}")
+    if k is not None or mu_omega is not None:    # the one left out fails the rule as None
+        _tuned_K(k, mu_omega, 0.0)
+    return lo, hi, grid_n, tol
+
+
 def find_constraint_roots(
     g: Callable[[float], float],
     lo: float,
@@ -130,16 +143,10 @@ def find_constraint_roots(
         ``model.tuned_wavenumber`` at chi = 0; when given, roots with
         chi * mu_omega >= k^2 are dropped into ``excluded`` (inadmissible
         tuning, K^2 <= 0).
-    """
-    lo, hi, tol = (_finite(name, value) for name, value in (("lo", lo), ("hi", hi), ("tol", tol)))
-    if not lo < hi:
-        raise InvalidInputError(f"need finite lo < hi, got [{lo}, {hi}]")
-    grid_n = _int("grid_n", grid_n, 2)
-    if not tol > 0.0:
-        raise InvalidInputError(f"tol must be > 0, got {tol}")
-    if k is not None or mu_omega is not None:    # the one left out fails the rule as None
-        _tuned_K(k, mu_omega, 0.0)
 
+    Raises InvalidInputError where an input breaks these rules (``_search_rules``).
+    """
+    lo, hi, grid_n, tol = _search_rules(lo, hi, grid_n, tol, k, mu_omega)
     xs = _linspace(lo, hi, grid_n)
     gs = [float(g(x)) for x in xs]
     for x, gx in zip(xs, gs):

@@ -21,7 +21,7 @@ call, and prints one line per output field of a bundle (f0, f1, f2,
 residual, curl discrepancy, pass flag and method): in how many bundles it
 differs, and for a number its largest relative change, so a deliberate
 last-bit change of the oracle shows its size.  A part's fields are read
-from a NamedTuple or from a dataclass, so the two trees may hold either.
+from its NamedTuple.
 Its last stderr line counts the differing verdicts of the report runs:
 exit codes, stderr, ``status`` cells and ``pass*`` cells, so a log shows
 at a glance whether any verdict moved.  It always exits 0: it reports, and
@@ -31,7 +31,6 @@ never gates.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import itertools
 import json
 import math
@@ -82,10 +81,8 @@ def worker_run(src: Path, workload: str, seed: int):
 
 
 def fields(part):
-    """{field: value} of a bundle part: a NamedTuple's ``_asdict()``, a dataclass's ``asdict``, else {"": part}."""
-    if hasattr(part, "_asdict"):
-        return part._asdict()
-    return dataclasses.asdict(part) if dataclasses.is_dataclass(part) else {"": part}
+    """{field: value} of a bundle part: a NamedTuple's ``_asdict()``, else {"": part}."""
+    return part._asdict() if hasattr(part, "_asdict") else {"": part}
 
 
 def bundles(seed: int):

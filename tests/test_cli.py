@@ -2,6 +2,7 @@
 
 import collections
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from tunedsource import cli, theorems
+from tunedsource import cli, theorems, tuning
 from tunedsource.errors import ConfigError, DegenerateModeError, EvanescentRegimeError, InvalidInputError
 from tunedsource.model import Substrate, tuned_wavenumber
 from tunedsource.scalar import validate_tol
@@ -129,8 +130,32 @@ class TestConfigValidation:
     def test_bad_mode_j(self, tmp_path):
         payload = base_config()
         payload["modes"]["j"] = [1, 3]
-        with pytest.raises(ConfigError, match=r"modes\.j"):
+        with pytest.raises(ConfigError, match=r"^modes\.j: Mode\.j must be the integer 1 or 2, got 3$"):
             cli.load_config(write_config(tmp_path, payload), command="verify")
+
+    @pytest.mark.parametrize("command,config", [("verify", "verify_vacuum"), ("sweep", "sweep_chi_dng"),
+                                                ("energies", "energies_tuned"), ("tune", "energies_tuned")])
+    def test_radius_whose_cube_overflows_exits_2(self, tmp_path, capsys, command, config):
+        # substrate.a = 1e103 passed the loader: sweep and energies gave an error row per cell (exit 1), tune exit 0
+        payload = json.loads((CONFIG_DIR / f"{config}.json").read_text(encoding="utf-8"))
+        payload["substrate"]["a"] = 1e103
+        out = tmp_path / "report.csv"
+        assert cli.main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("config error: substrate: radius a must be <= 5.643803094122361e+102, "
+                                           "past which a**3 overflows, got 1e+103\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field,value", [("hi", -0.5), ("grid_n", 1), ("tol", 0.0), ("tol", -1e-10)])
+    def test_xi_search_takes_the_root_search_rules(self, tmp_path, field, value):
+        # the loader's message is find_constraint_roots' own, at xi_search
+        search = {"lo": -0.5, "hi": 0.5, "grid_n": 11, "tol": 1e-10, "table": [[-1.0, -1.0], [1.0, 1.0]]}
+        search[field] = value
+        payload = base_config(xi_search=search)
+        with pytest.raises(InvalidInputError) as library:
+            tuning.find_constraint_roots(math.sin, search["lo"], search["hi"], search["grid_n"], search["tol"])
+        with pytest.raises(ConfigError) as info:
+            cli.load_config(write_config(tmp_path, payload), command="verify")
+        assert str(info.value) == f"xi_search: {library.value}"
 
     @pytest.mark.parametrize("bad", [True, 1.0])
     def test_mode_j_must_be_integer(self, tmp_path, bad):
@@ -180,6 +205,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("axis,bad,rule", [
         ("a", 0.0, lambda a: Substrate(1.0, 1.0, 1.0, a)),
         ("a", -2.0, lambda a: Substrate(1.0, 1.0, 1.0, a)),
+        ("a", 1e103, lambda a: Substrate(1.0, 1.0, 1.0, a)),    # past A_MAX: sweep gave an error row per cell
         ("k", 0.0, lambda k: tuned_wavenumber(k, 1.0, 0.0)),
     ])
     def test_sweep_values_take_the_library_rules(self, tmp_path, axis, bad, rule):
@@ -714,20 +740,6 @@ class TestSweep:
         rows = proc.stdout.splitlines()[2:]
         assert len(rows) == 4
         assert all('"error: cross integral vanished' in row for row in rows)
-
-    @pytest.mark.parametrize("command,config", [("sweep", "sweep_chi_dng"), ("energies", "energies_tuned")])
-    def test_radius_whose_cube_overflows_gives_error_rows(self, tmp_path, command, config):
-        # substrate.a = 1e103: a**3 raised a bare OverflowError, a traceback and exit 1
-        payload = json.loads((CONFIG_DIR / f"{config}.json").read_text(encoding="utf-8"))
-        payload["substrate"]["a"] = 1e103
-        proc = subprocess.run(
-            [sys.executable, "-m", "tunedsource", command, "--config", write_config(tmp_path, payload)],
-            env=package_env(), capture_output=True, text=True,
-        )
-        assert (proc.returncode, proc.stderr) == (1, "")
-        rows = proc.stdout.splitlines()[2:]
-        assert rows and all('"error: radius a must be <= 5.643803094122361e+102, past which a**3 overflows, got 1e+103"'
-                            in row for row in rows)
 
     def test_sweep_without_tuned_solution_is_diagnosed(self, tmp_path):
         payload = base_config()

@@ -20,6 +20,7 @@ from tunedsource.errors import (
     ConvergenceError,
     DegenerateModeError,
     EvanescentRegimeError,
+    IllConditionedExpansionError,
     IncompleteSourceSpecError,
     InvalidInputError,
     TunedSourceError,
@@ -316,6 +317,21 @@ _CELL_ROUTES = {
     "lommel_second": lambda a, tol: specfun.lommel_second(2, 1.3, 0.8, a),
 }
 _FIRST_OVERFLOWING_A = math.nextafter(scalar.A_MAX, math.inf)
+# every route that evaluates or integrates a cell, as a call of (k, a); at a = 1e10 the first k past the last
+# finite k a raised ValueError (the first four), OverflowError (the three oracle routes) or, from expansion_j2's
+# own copy of the rule, InvalidInputError
+_KA_ROUTES = {
+    "radial_integrals": lambda k, a: model.radial_integrals(Mode(1, 2), k, 1.5, a),
+    "mode_ratio": lambda k, a: model.mode_ratio(Mode(1, 2), k, 1.5, a),
+    "lommel_first": lambda k, a: specfun.lommel_first(2, k, a),
+    "lommel_second": lambda k, a: specfun.lommel_second(2, k, 0.8, a),
+    "radial_integrals_quadrature": lambda k, a: theorems.radial_integrals_quadrature(Mode(1, 2), k, 1.5, a),
+    "curl_identity_check": lambda k, a: theorems.curl_identity_check(2, k, 1.5, a),
+    "series_integrals_j1": lambda k, a: theorems.series_integrals_j1(2, k, a, 1.0),
+    "expansion_j2": lambda k, a: theorems.expansion_j2(2, k, a, 1.0),
+}
+_KA_RADIUS = 1e10
+_FIRST_OVERFLOWING_K = math.nextafter(sys.float_info.max / _KA_RADIUS, math.inf)
 
 
 @pytest.mark.parametrize("route", sorted(_CELL_TOL_ROUTES))
@@ -357,6 +373,41 @@ class TestRadiusLimit:
                       lambda a: theorems.curl_identity_check(2, 1.0, 1.2, a)):
             with pytest.raises(InvalidInputError, match="past which a\\*\\*3 overflows"):
                 route(_FIRST_OVERFLOWING_A)
+
+    def test_first_k_is_the_first_whose_product_overflows(self):
+        assert math.isfinite(math.nextafter(_FIRST_OVERFLOWING_K, 0.0) * _KA_RADIUS)
+        assert _FIRST_OVERFLOWING_K * _KA_RADIUS == math.inf
+
+    @pytest.mark.parametrize("route", sorted(_KA_ROUTES))
+    def test_infinite_k_a_rejected_by_every_route(self, route):
+        want = f"k a and K a must be finite, got k={_FIRST_OVERFLOWING_K}, K="
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(want)}"):
+            _KA_ROUTES[route](_FIRST_OVERFLOWING_K, _KA_RADIUS)
+
+    def test_expansion_self_integral_underflowing_to_zero(self):
+        # k a = 1 but a**3 = 1e-330 underflows N_2 to 0: f0 = 1 / N_2 raised ZeroDivisionError
+        with pytest.raises(IllConditionedExpansionError, match="N_2"):
+            theorems.expansion_j2(1, 1e110, 1e-110, 1.0)
+
+    @pytest.mark.parametrize("a", [0.0, -1.0, _FIRST_OVERFLOWING_A])
+    def test_substrate_takes_the_cells_radius_rule(self, a):
+        # Substrate checked a > 0 with its own message and took a radius past A_MAX, which every cell rejects
+        with pytest.raises(InvalidInputError) as cell:
+            model.radial_integrals(Mode(2, 1), 1.0, 1.0, a)
+        with pytest.raises(InvalidInputError) as substrate:
+            Substrate(epsilon_r=1.0, mu_r=1.0, omega=1.0, a=a)
+        assert str(substrate.value) == str(cell.value)
+
+    def test_substrate_takes_the_cells_k_a_rule(self):
+        # both were accepted, with k a = inf, and with k = inf where epsilon_r mu_r overflows
+        with pytest.raises(InvalidInputError, match="k a and K a must be finite"):
+            Substrate(epsilon_r=1.0, mu_r=1.0, omega=_FIRST_OVERFLOWING_K, a=_KA_RADIUS)
+        with pytest.raises(InvalidInputError, match="^k must be finite, got inf$"):
+            Substrate(epsilon_r=1e200, mu_r=1e200, omega=1.0, a=1.0)
+
+    def test_substrate_checks_the_medium_before_the_radius(self):
+        with pytest.raises(UnsupportedMediumError):
+            Substrate(epsilon_r=-1.0, mu_r=1.0, omega=1.0, a=_FIRST_OVERFLOWING_A)
 
 
 class TestRadialIntegrals:

@@ -33,6 +33,13 @@ class TestIntegrateRadial:
         # panel density tracks the oscillation count ~ 50*2/pi
         assert res.panels_used >= 30
 
+    @pytest.mark.parametrize("max_panels", [8192, 64])
+    def test_panel_count_past_the_float_range(self, max_panels):
+        # a * osc_scale / pi overflows to inf, and math.ceil(inf) raised a bare OverflowError; it is clamped first
+        res = integrate_radial(lambda r: r, 10.0, osc_scale=1e308, max_panels=max_panels)
+        assert res.value == pytest.approx(50.0, rel=1e-14)
+        assert res.panels_used == max_panels
+
     def test_scalar_only_integrand_fallback(self):
         # there is no point-by-point fallback: f is called on the array of a round's nodes,
         # and a scalar-only f or one value for the whole array raises, never a number
