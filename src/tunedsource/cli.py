@@ -47,7 +47,7 @@ from .model import (
     source_energy,
     tuned_wavenumber,
 )
-from .scalar import TOL_MIN, _is_int, _shown, validate_tol
+from .scalar import TOL_MIN, _finite, _int, _shown, validate_tol
 
 __all__ = ["RunConfig", "load_config", "run_verify", "run_energies", "run_sweep", "run_tune", "main"]
 
@@ -96,12 +96,8 @@ class RunConfig(NamedTuple):
 # config loading
 
 
-# kind -> (check, description) of the values ``_check`` accepts
+# kind -> (check, description) of the values ``_check`` accepts besides numbers, which take ``_finite``
 _KINDS = {
-    # nan, +-inf and an int past the float range fail the comparison; math.isfinite overflows on that int
-    "number": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max,
-               "a finite number"),
-    "int": (lambda v: _is_int(v) and abs(v) <= sys.maxsize, "an integer that an index holds"),
     "list": (lambda v: isinstance(v, list), "a list"),
     "dict": (lambda v: isinstance(v, dict), "an object"),
     "str": (lambda v: isinstance(v, str), "a string"),
@@ -109,27 +105,27 @@ _KINDS = {
 
 
 def _check(value, where: str, kind: str):
-    """``value`` (as a float for "number"); ConfigError at ``where`` unless it is of ``kind``."""
+    """``value``, or ConfigError at ``where`` unless it is of ``kind``; a "number" takes ``scalar._finite``, as a float (reports print 0.0, not 0)."""
+    if kind == "number":
+        return _library(where, _finite, "value", value)
     accepts, description = _KINDS[kind]
     if not accepts(value):
-        # a rejected int "number" is past the float range; past 4300 digits it has no str
-        got = "an integer too large for a float" if kind == "number" and _is_int(value) else _shown(value)
-        raise ConfigError(f"{where}: expected {description}, got {got}")
-    return float(value) if kind == "number" else value
+        raise ConfigError(f"{where}: expected {description}, got {_shown(value)}")
+    return value
 
 
-def _expect(block, path, key, kind, required=True, default=None):
-    """``block[key]`` checked as ``kind``; ``default`` when an optional key is absent."""
+def _expect(block, path, key, kind=None, required=True, default=None):
+    """``block[key]``, checked as ``kind`` unless that is None (a library rule checks it); ``default`` when an optional key is absent."""
     where = f"{path}.{key}" if path else key
     if key not in block:
         if required:
             raise ConfigError(f"{where}: required field is missing")
         return default
-    return _check(block[key], where, kind)
+    return block[key] if kind is None else _check(block[key], where, kind)
 
 
 def _library(where: str, rule, *args):
-    """``rule(*args)``; the library error it raises becomes a ConfigError at ``where``."""
+    """``rule(*args)``; the library error it raises becomes a ConfigError at ``where``: the loader's one wrapper."""
     try:
         return rule(*args)
     except TunedSourceError as exc:
@@ -137,11 +133,9 @@ def _library(where: str, rule, *args):
 
 
 def _orders(entries, path: str) -> Tuple[int, ...]:
-    """A non-empty list of multipole orders (integers >= 1 that an index holds), as a tuple."""
+    """A non-empty list of multipole orders (``scalar._int``, >= 1), as a tuple."""
     for l in entries:
-        if not (_is_int(l) and l >= 1):
-            raise ConfigError(f"{path}: entries must be integers >= 1, got {l!r}")
-        _check(l, path, "int")
+        _library(path, _int, "entries", l, 1)
     if not entries:
         raise ConfigError(f"{path}: must not be empty")
     return tuple(entries)
@@ -171,14 +165,11 @@ def _load_modes(raw, need_modes: bool):
         _library("modes.j", Mode, j, 1)
     if not j_list:
         raise ConfigError("modes.j: must not be empty")
-    lspec = block.get("l")
-    if lspec is None:
-        raise ConfigError("modes.l: required field is missing")
+    lspec = _expect(block, "modes", "l")
     if isinstance(lspec, dict):
-        lo = _expect(lspec, "modes.l", "lo", "int")
-        hi = _expect(lspec, "modes.l", "hi", "int")
-        if not (1 <= lo <= hi):
-            raise ConfigError(f"modes.l: need 1 <= lo <= hi, got lo={lo}, hi={hi}")
+        lo, hi = (_library("modes.l", _int, name, _expect(lspec, "modes.l", name), 1) for name in ("lo", "hi"))
+        if not lo <= hi:
+            raise ConfigError(f"modes.l: need lo <= hi, got lo={lo}, hi={hi}")
         l_values = tuple(range(lo, hi + 1))
     elif isinstance(lspec, list):
         l_values = _orders(lspec, "modes.l")
@@ -203,12 +194,9 @@ def _load_xi_search(raw, substrate: Substrate):
     if "xi_search" not in raw:
         return None
     block = _expect(raw, "", "xi_search", "dict")
-    lo = _expect(block, "xi_search", "lo", "number")
-    hi = _expect(block, "xi_search", "hi", "number")
-    grid_n = _expect(block, "xi_search", "grid_n", "int")
-    tol = _expect(block, "xi_search", "tol", "number")
+    fields = [_expect(block, "xi_search", name) for name in ("lo", "hi", "grid_n", "tol")]
+    lo, hi, grid_n, tol = _library("xi_search", tuning._search_rules, *fields, substrate.k, substrate.mu_omega)
     table = _expect(block, "xi_search", "table", "list")
-    _library("xi_search", tuning._search_rules, lo, hi, grid_n, tol, substrate.k, substrate.mu_omega)
     if len(table) < 2:
         raise ConfigError("xi_search.table: need at least two (chi, g) pairs")
     chis, gs = [], []
@@ -234,9 +222,9 @@ def _load_amplitudes(raw):
     for i, entry in enumerate(entries):
         path = f"amplitudes[{i}]"
         _check(entry, path, "dict")
-        j = _expect(entry, path, "j", "int")
-        l = _expect(entry, path, "l", "int")
-        m = _expect(entry, path, "m", "int", required=False, default=0)
+        j = _expect(entry, path, "j")
+        l = _expect(entry, path, "l")
+        m = _expect(entry, path, "m", required=False, default=0)
         re = _expect(entry, path, "re", "number")
         im = _expect(entry, path, "im", "number", required=False, default=0.0)
         mode = _library(path, Mode, j, l, m)

@@ -78,6 +78,8 @@ def _jl_table(lmax: int, x: np.ndarray) -> np.ndarray:
 
     One ``_miller_column`` call takes the Miller points, all from the start
     order of top lmax; its rescale check runs only above start order 86.
+    The upward points run with overflow warnings off: past x ~ 1.3e154, x * x
+    is inf, and j_1's term sin x / (x * x), below an ulp of cos x / x, is 0.0.
     """
     block = np.zeros((lmax + 1, x.size))
     small = x < _SERIES_CUTOFF
@@ -96,7 +98,8 @@ def _jl_table(lmax: int, x: np.ndarray) -> np.ndarray:
         block[:, down] = np.array(column) * (np.where(use0, j0, j1) / np.where(use0, column[0], column[1]))
     if up.any():
         x_up = x[up]
-        block[:, up] = _upward_column(lmax, x_up, np.sin(x_up), np.cos(x_up))
+        with np.errstate(over="ignore"):
+            block[:, up] = _upward_column(lmax, x_up, np.sin(x_up), np.cos(x_up))
     return block
 
 

@@ -43,7 +43,6 @@ caller that times its first call should not time those imports.
 
 from __future__ import annotations
 
-import sys
 from decimal import Decimal, localcontext
 from typing import NamedTuple
 
@@ -488,13 +487,14 @@ def f1_vanishing_check(
 def default_chi_grid(k: float, mu_omega: float, n: int = 21, span: float = 0.9) -> np.ndarray:
     """Symmetric admissible chi grid containing 0 exactly.
 
-    Returns n (odd) values chi_i = i * (span / half) * k^2 / mu_omega for
+    Returns n values chi_i = i * (span / half) * k^2 / mu_omega for
     i in -half..half, half = (n-1)/2, so chi * mu_omega / k^2 stays within
     [-span, span] and K^2 = k^2 (1 - span..1 + span) remains positive for
-    span < 1.
+    span < 1.  n takes ``scalar._int``'s rule (an integer >= 1 that an
+    index holds) and must be odd; n = 1 gives [0.0].
     """
-    if not (scalar._is_int(n) and 1 <= n <= sys.maxsize and n % 2 == 1):
-        raise InvalidInputError(f"n must be a positive odd integer that an index holds, got {scalar._shown(n)}")
+    if scalar._int("n", n, 1) % 2 == 0:
+        raise InvalidInputError(f"n must be odd, got {n}")
     if not (0.0 < scalar._real("span", span) < 1.0):
         raise InvalidInputError(f"span must lie in (0, 1), got {span}")
     _tuned_K(k, mu_omega, 0.0)    # the rules of k and mu_omega

@@ -67,9 +67,10 @@ class TestConfigValidation:
         # math.isfinite(10**400) raised OverflowError from the number rule, a traceback and exit 1
         payload = base_config()
         payload[field[0]][field[1]] = 10**400
-        where = rf"{field[0]}\[1\]" if field[1] == 1 else rf"{field[0]}\.{field[1]}"
-        with pytest.raises(ConfigError, match=where + ": expected a finite number, got an integer too large for a float"):
+        where = f"{field[0]}[1]" if field[1] == 1 else f"{field[0]}.{field[1]}"
+        with pytest.raises(ConfigError) as info:
             cli.load_config(write_config(tmp_path, payload), command="verify")
+        assert str(info.value) == f"{where}: value must be finite, got a value too large for a float"
 
     @pytest.mark.parametrize("digits", [400, 5000])
     @pytest.mark.parametrize("command,config", [("verify", "verify_vacuum"), ("sweep", "sweep_chi_dng"),
@@ -89,8 +90,10 @@ class TestConfigValidation:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error: ") and "Traceback" not in proc.stderr
-        assert ("substrate.omega: expected a finite number, got an integer too large for a float" if digits == 400
-                else "JSON parse error: ") in proc.stderr
+        if digits == 400:
+            assert proc.stderr == "config error: substrate.omega: value must be finite, got a value too large for a float\n"
+        else:
+            assert "JSON parse error: " in proc.stderr
         assert not out.exists()
 
     # the 17 runs where 10**400 in an integer field raised OverflowError, or numpy's ValueError for an order
@@ -117,9 +120,55 @@ class TestConfigValidation:
             [sys.executable, "-m", "tunedsource", command, "--config", write_config(tmp_path, payload), "--out", str(out)],
             env=package_env(), capture_output=True, text=True,
         )
+        # each field's own rule: modes.l's lo and hi and its entries, Mode.l, and find_constraint_roots' grid_n
+        where, name, lowest = {"modes": ("modes.l", "hi" if field[-1] == "hi" else "entries", 1),
+                               "amplitudes": (f"amplitudes[{field[1]}]", "Mode.l", 1),
+                               "xi_search": ("xi_search", "grid_n", 2)}[field[0]]
         assert proc.returncode == 2
-        assert proc.stderr.startswith("config error: ") and "Traceback" not in proc.stderr
-        assert "expected an integer that an index holds, got an integer too large for an index" in proc.stderr
+        assert proc.stderr == (f"config error: {where}: {name} must be an integer >= {lowest} that an index holds, "
+                               "got an integer too large for an index\n")
+        assert not out.exists()
+
+    # the loader's own rules, one case each: (command, payload written as the config or None for no file, whole
+    # message with {path} for the config's path)
+    @pytest.mark.parametrize("command,payload,message", [
+        pytest.param("verify", base_config(modes={"j": [], "l": [1]}), "modes.j: must not be empty", id="modes.j-empty"),
+        pytest.param("verify", base_config(modes={"j": [1]}), "modes.l: required field is missing", id="modes.l-missing"),
+        pytest.param("verify", base_config(modes={"j": [1], "l": {"lo": 3, "hi": 2}}),
+                     "modes.l: need lo <= hi, got lo=3, hi=2", id="modes.l-lo-above-hi"),
+        pytest.param("verify", base_config(modes={"j": [1], "l": "1-3"}),
+                     "modes.l: expected an object or list, got '1-3'", id="modes.l-wrong-type"),
+        pytest.param("verify", base_config(chi=0.0), "chi: give only one of chi, chi_values", id="chi-and-chi_values"),
+        pytest.param("verify", base_config(xi_search={"lo": -0.5, "hi": 0.5, "grid_n": 11, "tol": 1e-10,
+                                                      "table": [[-1.0, -1.0]]}),
+                     "xi_search.table: need at least two (chi, g) pairs", id="table-one-pair"),
+        pytest.param("verify", base_config(xi_search={"lo": -0.5, "hi": 0.5, "grid_n": 11, "tol": 1e-10,
+                                                      "table": [[-1.0, -1.0], [1.0]]}),
+                     "xi_search.table[1]: expected a [chi, g] pair, got [1.0]", id="table-entry-not-a-pair"),
+        pytest.param("verify", base_config(xi_search={"lo": -0.5, "hi": 1.5, "grid_n": 11, "tol": 1e-10,
+                                                      "table": [[-1.0, -1.0], [1.0, 1.0]]}),
+                     "xi_search: interval [-0.5, 1.5] must lie inside the table span [-1.0, 1.0]",
+                     id="interval-outside-table"),
+        pytest.param("sweep", base_config(sweep={"axis": "omega", "values": [1.0]}),
+                     "sweep.axis: must be one of chi, k, a, l; got 'omega'", id="sweep.axis"),
+        pytest.param("sweep", base_config(sweep={"axis": "k", "values": []}), "sweep.values: must not be empty",
+                     id="sweep.values-empty"),
+        pytest.param("verify", base_config(tolerances={"f1_tol": -1e-8}), "tolerances.f1_tol: must be >= 0, got -1e-08",
+                     id="tolerance-below-0"),
+        pytest.param("verify", None, "cannot read config {path!r}: [Errno 2] No such file or directory: {path!r}",
+                     id="unreadable-file"),
+        pytest.param("verify", [base_config()], "{path}: top level must be a JSON object", id="top-level-list"),
+        pytest.param("verify", base_config(output={"format": "xml"}), "output.format: must be 'csv' or 'json', got 'xml'",
+                     id="output.format"),
+        pytest.param("sweep", {key: value for key, value in base_config(sweep={"axis": "l", "values": [1]}).items()
+                               if key != "chi_values"},
+                     "sweep over k, a or l needs chi values (chi, chi_values) as well", id="sweep-without-chi"),
+    ])
+    def test_loader_rule_exits_2(self, tmp_path, capsys, command, payload, message):
+        path = str(tmp_path / "missing.json") if payload is None else write_config(tmp_path, payload)
+        out = tmp_path / "report.csv"
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: " + message.format(path=path) + "\n"
         assert not out.exists()
 
     def test_inadmissible_chi(self, tmp_path):
@@ -217,9 +266,9 @@ class TestConfigValidation:
         assert str(info.value) == f"sweep.values[1]: {library.value}"
 
     @pytest.mark.parametrize("bad,message", [
-        ([1, 0], "entries must be integers >= 1, got 0"),
-        ([1, 2.0], "entries must be integers >= 1, got 2.0"),
-        ([True], "entries must be integers >= 1, got True"),
+        ([1, 0], "entries must be an integer >= 1 that an index holds, got 0"),
+        ([1, 2.0], "entries must be an integer >= 1 that an index holds, got 2.0"),
+        ([True], "entries must be an integer >= 1 that an index holds, got True"),
         ([], "must not be empty"),
     ])
     @pytest.mark.parametrize("command,place,where", [
@@ -348,7 +397,7 @@ class TestVerify:
         out = tmp_path / "never.csv"
         assert cli.main(["verify", "--config", path, "--out", str(out), f"{flag}={value}"]) == 2
         assert not out.exists()
-        assert f"{flag}: expected a finite number" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {flag}: value must be finite, got {float(value)}\n"
 
     def test_failing_expansion_blanks_only_its_mode(self, tmp_path, monkeypatch):
         cfg = cli.load_config(write_config(tmp_path, base_config()), command="verify")
@@ -772,13 +821,15 @@ class TestTune:
         assert len(selected) == 1
 
     def test_substrate_whose_k_squared_overflows(self, tmp_path):
-        # the roots' admissibility rule, chi mu_omega < k^2, says nothing at k^2 = inf: every root passed it
+        # the roots' admissibility rule, chi mu_omega < k^2, says nothing at k^2 = inf: every root passed it.
+        # The cell's k^2 rule rejects the substrate before the search is read
         payload = base_config(substrate={"epsilon_r": 1.0, "mu_r": 1.0, "omega": 1e200, "a": 2.0})
         del payload["chi_values"]
         payload["xi_search"] = {"lo": -0.5, "hi": 0.5, "grid_n": 11, "tol": 1e-10,
                                 "table": [[-1.0, -1.0], [1.0, 1.0]]}
-        with pytest.raises(ConfigError, match="xi_search: k\\^2 - chi \\* mu_omega overflows"):
+        with pytest.raises(ConfigError) as info:
             cli.load_config(write_config(tmp_path, payload), command="tune")
+        assert str(info.value) == "substrate: k^2 and K^2 must be finite, got k=1e+200, K=1e+200"
 
     @pytest.mark.parametrize("command", ["verify", "energies", "sweep", "tune"])
     def test_substrate_whose_k_squared_underflows(self, tmp_path, capsys, command):

@@ -332,6 +332,7 @@ _KA_ROUTES = {
 }
 _KA_RADIUS = 1e10
 _FIRST_OVERFLOWING_K = math.nextafter(sys.float_info.max / _KA_RADIUS, math.inf)
+_FIRST_OVERFLOWING_SQUARE = math.nextafter(math.sqrt(sys.float_info.max), math.inf)
 
 
 @pytest.mark.parametrize("route", sorted(_CELL_TOL_ROUTES))
@@ -383,6 +384,31 @@ class TestRadiusLimit:
         want = f"k a and K a must be finite, got k={_FIRST_OVERFLOWING_K}, K="
         with pytest.raises(InvalidInputError, match=f"^{re.escape(want)}"):
             _KA_ROUTES[route](_FIRST_OVERFLOWING_K, _KA_RADIUS)
+
+    def test_first_k_is_the_first_whose_square_overflows(self):
+        last = math.nextafter(_FIRST_OVERFLOWING_SQUARE, 0.0)
+        assert math.isfinite(last * last)
+        assert _FIRST_OVERFLOWING_SQUARE * _FIRST_OVERFLOWING_SQUARE == math.inf
+
+    @pytest.mark.parametrize("route", sorted(_KA_ROUTES))
+    def test_infinite_k_squared_rejected_by_every_route(self, route):
+        # at a = 1, k a is finite
+        want = f"k^2 and K^2 must be finite, got k={_FIRST_OVERFLOWING_SQUARE}, K="
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(want)}"):
+            _KA_ROUTES[route](_FIRST_OVERFLOWING_SQUARE, 1.0)
+
+    @pytest.mark.parametrize("k,K,a", [(1.0, 1.79e298, 1e10), (1.0, 1.35e154, 1.0), (sys.float_info.max / 1e10, 1.5, 1e10)])
+    def test_j1_cell_where_a_square_overflows(self, k, K, a):
+        # K K or k k in the j = 1 reduction overflowed: (2.5e9, nan, nan), (0.091, inf, nan) and a nan n_self_k
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(f'k^2 and K^2 must be finite, got k={k}, K={K}')}$"):
+            model.radial_integrals(Mode(1, 1), k, K, a)
+
+    @pytest.mark.parametrize("route", ["radial_integrals_quadrature", "curl_identity_check", "series_integrals_j1"])
+    def test_oracle_at_the_last_finite_k_a(self, route):
+        # numpy's "overflow encountered in multiply" escaped, which the suite turns into an error
+        k = sys.float_info.max / _KA_RADIUS
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(f'k^2 and K^2 must be finite, got k={k}, K=')}"):
+            _KA_ROUTES[route](k, _KA_RADIUS)
 
     def test_expansion_self_integral_underflowing_to_zero(self):
         # k a = 1 but a**3 = 1e-330 underflows N_2 to 0: f0 = 1 / N_2 raised ZeroDivisionError
@@ -886,6 +912,12 @@ class TestSourceEnergy:
     def test_nonfinite_amplitude_rejected(self):
         with pytest.raises(InvalidInputError):
             SourceSpec({Mode(1, 1): complex("inf")})
+
+    @pytest.mark.parametrize("key", [(1, 1, 0), "Mode(1, 1)", None])
+    def test_non_mode_key_rejected(self, key):
+        # the tuple (1, 1, 0) equals Mode(1, 1) but is not one
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(f'amplitude keys must be Mode instances, got {key!r}')}$"):
+            SourceSpec({key: 1.0})
 
     @pytest.mark.parametrize("amp", ["abc", "1", None, True, [1.0]])
     def test_non_number_amplitude_rejected(self, amp):

@@ -539,6 +539,21 @@ class TestRowsBitIdentical:
         assert points >= 10_000
 
 
+@pytest.mark.parametrize("x", [1e200, -1e200, 1e300, -1e300])
+@pytest.mark.parametrize("l", [1, 2])
+def test_kernels_where_x_squared_overflows(l, x):
+    # j_1's sin x / (x * x) overflowed x * x: numpy warned, though the values were right
+    jm, j, jp = scalar._jl_column(l + 1, abs(x))[l - 1:]
+    sign = -1.0 if x < 0.0 else 1.0
+    want_j = sign**l * j
+    want_u = sign ** (l + 1) * scalar._u_from_neighbors(l, jm, jp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert specfun.bessel_j(l, x) == want_j
+        assert specfun.bessel_u(l, x) == want_u
+        assert specfun.bessel_j_and_u(l, x) == (want_j, want_u)
+
+
 class TestTripleMemo:
     """``_jl_triple`` against a one-point ``_jl_table``, on its first (cold) and second (warm) call."""
 

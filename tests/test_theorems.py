@@ -407,7 +407,7 @@ class TestDefaultChiGrid:
         assert np.all(k * k - grid * mw > 0.0)
 
     def test_validation(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"^n must be odd, got 20$"):
             theorems.default_chi_grid(1.0, 1.0, n=20)
         with pytest.raises(InvalidInputError):
             theorems.default_chi_grid(1.0, 1.0, span=1.5)
@@ -420,9 +420,13 @@ class TestDefaultChiGrid:
 
     @pytest.mark.parametrize("n", [True, 3.0, 0, -1])
     def test_n_must_be_a_positive_odd_integer(self, n):
-        # True used to give the one-point grid and 3.0 a grid of three
-        with pytest.raises(InvalidInputError, match="odd integer"):
+        # True used to give the one-point grid and 3.0 a grid of three; n takes scalar._int's rule, then must be odd
+        with pytest.raises(InvalidInputError, match=rf"^n must be an integer >= 1 that an index holds, got {n!r}$"):
             theorems.default_chi_grid(1.0, 1.0, n=n)
+
+    def test_one_point_grid(self):
+        grid = theorems.default_chi_grid(1.5, 2.0, n=1)
+        assert grid.tolist() == [0.0]
 
     @pytest.mark.parametrize("mw", [0.0, -0.0, math.inf, -math.inf, math.nan])
     def test_rejects_zero_or_nonfinite_mu_omega(self, mw):

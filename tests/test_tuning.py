@@ -83,6 +83,12 @@ class TestFindConstraintRoots:
         with pytest.raises(ConstraintEvaluationError):
             find_constraint_roots(lambda c: math.nan, -1.0, 1.0, 16, 1e-8)
 
+    def test_nonfinite_constraint_at_a_bisection_midpoint(self):
+        # finite on the grid [-1, 1], not at the first midpoint
+        g = lambda c: math.nan if c == 0.0 else c
+        with pytest.raises(ConstraintEvaluationError, match=r"^constraint returned non-finite value at chi=0\.0$"):
+            find_constraint_roots(g, -1.0, 1.0, 2, 1e-8)
+
     def test_input_validation(self):
         with pytest.raises(InvalidInputError):
             find_constraint_roots(lambda c: c, 2.0, -2.0, 16, 1e-8)
