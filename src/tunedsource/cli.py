@@ -217,8 +217,7 @@ def _load_xi_search(raw, substrate: Substrate):
 
 def _load_amplitudes(raw):
     entries = _expect(raw, "", "amplitudes", "list", required=False, default=[])
-    out = []
-    seen = set()
+    amplitudes = {}
     for i, entry in enumerate(entries):
         path = f"amplitudes[{i}]"
         _check(entry, path, "dict")
@@ -228,11 +227,11 @@ def _load_amplitudes(raw):
         re = _expect(entry, path, "re", "number")
         im = _expect(entry, path, "im", "number", required=False, default=0.0)
         mode = _library(path, Mode, j, l, m)
-        if mode in seen:
+        if mode in amplitudes:
             raise ConfigError(f"{path}: duplicate mode (j={j}, l={l}, m={m})")
-        seen.add(mode)
-        out.append((mode, complex(re, im)))
-    return tuple(out)
+        amplitudes[mode] = complex(re, im)
+    _library("amplitudes", SourceSpec, amplitudes)    # the library's amplitude rule: a finite |a|^2
+    return tuple(amplitudes.items())
 
 
 def _load_sweep(raw, substrate: Substrate):

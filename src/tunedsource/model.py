@@ -68,7 +68,7 @@ def __getattr__(name):
 
 
 class Substrate(NamedTuple("Substrate", [("epsilon_r", float), ("mu_r", float), ("omega", float), ("a", float)])):
-    """Spherical source region: relative constitutive parameters, frequency, radius; k and a take the cell's rules (``_validate``)."""
+    """Spherical source region: relative constitutive parameters, frequency, radius; k and a take the cell's rules (``_validate``: a finite k^2, so a finite k a)."""
 
     __slots__ = ()
 
@@ -150,7 +150,7 @@ class MarginReport(NamedTuple):
 
 
 class SourceSpec(NamedTuple("SourceSpec", [("amplitudes", Mapping[Mode, complex])])):
-    """Prescribed multipole amplitudes of the radiated field; none given is a new empty dict."""
+    """Prescribed multipole amplitudes of the radiated field, each a number with a finite |a|^2; none given is a new empty dict."""
 
     __slots__ = ()
 
@@ -161,9 +161,12 @@ class SourceSpec(NamedTuple("SourceSpec", [("amplitudes", Mapping[Mode, complex]
                 raise InvalidInputError(f"amplitude keys must be Mode instances, got {mode!r}")
             if not isinstance(amp, numbers.Number) or isinstance(amp, bool):
                 raise InvalidInputError(f"amplitude for {mode} must be a number, got {amp!r}")
-            c = complex(amp)
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise InvalidInputError(f"amplitude for {mode} must be finite, got {amp!r}")
+            try:
+                power = abs(complex(amp)) ** 2    # source_energy's |a|^2; nan or inf where a part is
+            except OverflowError:    # an integer past the float range, or |a| or |a|^2 past it
+                power = math.inf
+            if not math.isfinite(power):
+                raise InvalidInputError(f"amplitude for {mode} must have a finite |a|^2, got |a|^2 = {power}")
         return super().__new__(cls, amplitudes)
 
 

@@ -98,7 +98,8 @@ def _eval_panels(f, owner, lo, hi):
     """
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (hi + lo)[:, None] + half[:, None] * _NODES).ravel()
-    vals = np.asarray(f(np.repeat(owner, 15), nodes), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):    # a non-finite sample is caught below
+        vals = np.asarray(f(np.repeat(owner, 15), nodes), dtype=float)
     if vals.shape != nodes.shape:
         raise ValueError("the integrand must return one value per node")
     vals = vals.reshape(lo.size, 15)

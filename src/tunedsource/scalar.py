@@ -9,8 +9,9 @@ its near-diagonal series (``model._closed_form`` picks one) and the shared
 input rules: ``_real`` (a real number, not a bool), ``_finite`` (a finite
 one), ``_is_int`` and ``_int`` (an integer, numpy's included, not a bool),
 and the cell's ``_validate`` (a radius up to A_MAX, whose cube is finite,
-and finite k a, K a, k^2 and K^2) and ``validate_tol`` built on them, each
-with one fast test on floats, and each the one statement of its rule.
+and finite k^2 and K^2, so finite k a and K a) and ``validate_tol`` built
+on them, each with one fast test on floats, and each the one statement of
+its rule.
 
 ``_jl_column`` is a column of ``specfun._jl_table`` to the bit: the same
 series / Miller / upward regimes, the same operations in the same order.
@@ -119,8 +120,8 @@ def _int(name, value, lowest: int) -> int:
 
 
 def _validate(k, K, a, rel_tol=1e-12) -> None:
-    """Reject k, K or a that is not a finite real (``_finite``), a zero wavenumber, a radius outside (0, A_MAX], an infinite k a, K a, k^2 or K^2 and a rel_tol out of range."""
-    # the fast path's one test, else each check in turn; finite squares and a <= A_MAX bound |k a| by 7.6e256
+    """Reject k, K or a that is not a finite real (``_finite``), a zero wavenumber, a radius outside (0, A_MAX], an infinite k^2 or K^2 and a rel_tol out of range."""
+    # the fast path's one test, else each check in turn; finite squares and a <= A_MAX bound |k a| and |K a| by 7.6e256
     if not (type(k) is type(K) is type(a) is type(rel_tol) is float and math.isfinite(k * k) and math.isfinite(K * K)
             and k != 0.0 and K != 0.0 and 0.0 < a <= A_MAX and TOL_MIN <= rel_tol <= TOL_MAX):
         k, K, a = (_finite(name, value) for name, value in (("k", k), ("K", K), ("a", a)))
@@ -130,8 +131,6 @@ def _validate(k, K, a, rel_tol=1e-12) -> None:
             raise InvalidInputError(f"radius a must be > 0, got {a}")
         if a > A_MAX:
             raise InvalidInputError(f"radius a must be <= {A_MAX}, past which a**3 overflows, got {a}")
-        if not (math.isfinite(k * a) and math.isfinite(K * a)):
-            raise InvalidInputError(f"k a and K a must be finite, got k={k}, K={K}, a={a}")
         if not (math.isfinite(k * k) and math.isfinite(K * K)):    # the j = 1 reduction and the oracle's integrands form both
             raise InvalidInputError(f"k^2 and K^2 must be finite, got k={k}, K={K}")
         validate_tol(rel_tol)
@@ -207,7 +206,7 @@ def _series_sum(x, divisors):
 
 
 def _series_column(x, sums) -> list:
-    """Orders n = 0, 1, ... at 0 < x < _SERIES_CUTOFF by the ascending series s_n(x) sums[n]; x a float or an array.
+    """Orders n = 0, 1, ... at 0 <= x < _SERIES_CUTOFF by the ascending series s_n(x) sums[n]; x a float or an array.
 
     s_n(x) = x^n / (2n+1)!! is the running product s_0 = 1, s_n = s_(n-1) x / (2n+1),
     and sums[n] is ``_series_sum`` of order n.  Each step is one correctly

@@ -28,9 +28,9 @@ All its Miller columns start at one order, and the recurrence's rescale
 check runs only above start order 86.  The quadrature integrands
 and the four array kernels (``bessel_j`` and friends) use it, where a call
 holds hundreds of points.  The kernels share one evaluator, ``_on_table``:
-it rejects x unless finite and real, builds the table at |x| (x = 0
-included) and applies each kernel's parity, so a kernel only says which
-table rows it combines.  ``scalar._jl_column`` builds the column of one
+it rejects x unless finite and real, builds the table at |x| (x = 0 takes
+the series regime) and applies each kernel's parity, so a kernel only says
+which table rows it combines.  ``scalar._jl_column`` builds the column of one
 point on Python floats, with ``math``'s sin and cos: for one or two points
 it costs a fraction of ``_jl_table``'s numpy calls, and it never imports
 numpy.  The closed-form cell reads it through ``scalar._jl_triple``, and so
@@ -74,12 +74,14 @@ __all__ = [
 
 
 def _jl_table(lmax: int, x: np.ndarray) -> np.ndarray:
-    """Table of j_0..j_lmax at positive arguments x (1-D array, no zeros), by ``scalar``'s regime functions.
+    """Table of j_0..j_lmax at arguments x >= 0 (1-D array), by ``scalar``'s regime functions.
 
     One ``_miller_column`` call takes the Miller points, all from the start
     order of top lmax; its rescale check runs only above start order 86.
     The upward points run with overflow warnings off: past x ~ 1.3e154, x * x
     is inf, and j_1's term sin x / (x * x), below an ulp of cos x / x, is 0.0.
+    At x = 0 the series regime gives j_0 = 1.0 and +0.0 above it, since its
+    running prefactor x^n / (2n+1)!! multiplies by x.
     """
     block = np.zeros((lmax + 1, x.size))
     small = x < _SERIES_CUTOFF
@@ -106,27 +108,18 @@ def _jl_table(lmax: int, x: np.ndarray) -> np.ndarray:
 def _on_table(x, lmax, kernels) -> list:
     """Kernel values at x from one table of j_0..j_lmax at |x|: the array kernels' one evaluator.
 
-    Rejects x unless finite and real, builds the table at |x| (at x = 0,
-    j_0 = 1 and the higher orders vanish) and calls
-    ``kernels(table, ax, nonzero)``.  That returns a list of (values at |x|,
-    odd) pairs; an odd kernel changes sign at negative x.  Returns the list
-    of kernel values, floats for a scalar x and arrays of x's shape otherwise.
+    Rejects x unless finite and real, builds the table at |x| and calls
+    ``kernels(table, ax)``.  That returns a list of (values at |x|, odd)
+    pairs; an odd kernel changes sign at negative x.  Returns the list of
+    kernel values, floats for a scalar x and arrays of x's shape otherwise.
     """
     arr = np.asarray(x)
     if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):    # a bool, complex, str or None is no real
         raise InvalidInputError("argument must be finite and real")
     flat = arr.ravel().astype(float, copy=False)
     ax = np.abs(flat)
-    nonzero = ax > 0.0
-    if nonzero.all():   # the table as built
-        table = _jl_table(lmax, ax)
-    else:
-        table = np.zeros((lmax + 1, flat.size))
-        if nonzero.any():
-            table[:, nonzero] = _jl_table(lmax, ax[nonzero])
-        table[0, ~nonzero] = 1.0
     out = []
-    for vals, odd in kernels(table, ax, nonzero):
+    for vals, odd in kernels(_jl_table(lmax, ax), ax):
         if odd:
             vals = np.where(flat < 0.0, -vals, vals)
         out.append(float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape))
@@ -148,7 +141,7 @@ def bessel_j(l: int, x):
     float or ndarray
     """
     l = _int("order l", l, 0)
-    (vals,) = _on_table(x, l, lambda table, ax, nonzero: [(table[l].copy(), l % 2 == 1)])
+    (vals,) = _on_table(x, l, lambda table, ax: [(table[l].copy(), l % 2 == 1)])
     return vals
 
 
@@ -159,7 +152,7 @@ def bessel_j_prime(l: int, x):
     """
     l = _int("order l", l, 0)
 
-    def kernels(table, ax, nonzero):
+    def kernels(table, ax):
         # parity: j_l' is even for odd l, odd for even l
         if l == 0:
             return [(-table[1], True)]
@@ -169,18 +162,15 @@ def bessel_j_prime(l: int, x):
     return vals
 
 
-def _u_from_table(l: int, table: np.ndarray, ax: np.ndarray, nonzero: np.ndarray) -> np.ndarray:
-    """u_l at |x| from a j-table that reaches order l+1."""
+def _u_from_table(l: int, table: np.ndarray, ax: np.ndarray) -> np.ndarray:
+    """u_l at |x| from a j-table that reaches order l+1; at x = 0, u_1 = 2/3 and u_l = 0 for l >= 2."""
     if l == 0:
-        if not nonzero.all():
+        if not ax.all():
             raise SingularityError("u_0(x) = cos(x)/x is singular at x = 0")
         if (ax <= 1.0 / np.finfo(float).max).any():    # exactly where cos(x) / x = 1 / |x| rounds to inf
             raise UnderflowError(f"the argument |x| = {ax.min()} of u_0 = cos(x) / x underflows: u_0 overflows")
         return np.cos(ax) / ax
-    vals = _u_from_neighbors(l, table[l - 1], table[l + 1])
-    if not nonzero.all():
-        vals[~nonzero] = (2.0 / 3.0) if l == 1 else 0.0
-    return vals
+    return _u_from_neighbors(l, table[l - 1], table[l + 1])
 
 
 def bessel_u(l: int, x):
@@ -193,7 +183,7 @@ def bessel_u(l: int, x):
     """
     l = _int("order l", l, 0)
     # parity: u_l(-x) = (-1)^{l+1} u_l(x)
-    (vals,) = _on_table(x, l + 1, lambda table, ax, nonzero: [(_u_from_table(l, table, ax, nonzero), l % 2 == 0)])
+    (vals,) = _on_table(x, l + 1, lambda table, ax: [(_u_from_table(l, table, ax), l % 2 == 0)])
     return vals
 
 
@@ -205,8 +195,8 @@ def bessel_j_and_u(l: int, x):
     """
     l = _int("order l", l, 1)
 
-    def kernels(table, ax, nonzero):
-        return [(table[l].copy(), l % 2 == 1), (_u_from_table(l, table, ax, nonzero), l % 2 == 0)]
+    def kernels(table, ax):
+        return [(table[l].copy(), l % 2 == 1), (_u_from_table(l, table, ax), l % 2 == 0)]
 
     return tuple(_on_table(x, l + 1, kernels))
 

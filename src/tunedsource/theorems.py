@@ -278,10 +278,12 @@ def expansion_j2(l: int, k: float, a: float, mu_omega: float) -> ExpansionCoeffs
     curvature, assembled from j_l(ka) and j_l'(ka) (even in k, strictly
     positive on the certified grids).  See the module docstring for the
     provenance of the f2 form.
-    Raises InvalidInputError where the cell's input rules (``scalar._validate``,
-    k a finite among them) or mu_omega's fail, and IllConditionedExpansionError
-    where N_2(|k|) is not positive (a^3 underflows at tiny a), or where the cube
-    in f2's denominator underflows to 0 (orders l >> k a).
+    Raises InvalidInputError where the cell's input rules (``scalar._validate``)
+    or mu_omega's fail, and IllConditionedExpansionError where N_2(|k|) is not
+    positive (a^3 underflows at tiny a), or where a coefficient leaves the
+    doubles: f0 = inf (a subnormal N_2), f2 = inf or f2 = 0.0 (mu_omega^2 past
+    the float range either way).  f2 itself is formed in Decimal, where
+    nothing underflows, so orders l >> k a keep a finite f2.
 
     f2's quartic numerator cancels: at l = 6, k a = 0.5 a relative change of
     1e-16 in the Bessel values moves its doubles by about 3e-8.  Quartic and
@@ -301,12 +303,6 @@ def expansion_j2(l: int, k: float, a: float, mu_omega: float) -> ExpansionCoeffs
     f0 = 1.0 / n
     ax = abs(x)    # the bracket and the quartic are even in x
     doubles = scalar._jl_triple(l, ax)
-    jm1, j, jp1 = doubles
-    bracket = j * j - jm1 * jp1  # the positive Lommel bracket
-    if (x * x * bracket) ** 3 == 0.0:
-        raise IllConditionedExpansionError(
-            f"expansion denominator (ka)^6 (j_l^2 - j_(l-1) j_(l+1))^3 underflows to 0 at l = {l}, ka = {x}"
-        )
 
     # The curvature numerator is a quartic in t = x j_l'/j_l whose monomial
     # form cancels catastrophically at small ka.  Re-expanded around t = l
@@ -333,6 +329,8 @@ def expansion_j2(l: int, k: float, a: float, mu_omega: float) -> ExpansionCoeffs
                 den = 24 * Decimal(k) * Decimal(x) * (X * (fl * fl - fm * fp)) ** 3
                 f2 = float(Decimal(mu_omega) ** 2 * num * scale * scale / den)
                 break
+    if not (f0 < np.inf and 0.0 < f2 < np.inf):
+        raise IllConditionedExpansionError(f"expansion f0 = {f0}, f2 = {f2} at l = {l}, ka = {x}: need f0 < inf, 0 < f2 < inf")
     return ExpansionCoeffs(j=2, f0=f0, f1=0.0, f2=f2, method="closed-form")
 
 
@@ -449,8 +447,7 @@ def series_integrals_j1(
     forms = (c0_f, c1_f, d0_f, d1_f)
 
     def integrands(owner, r):
-        rows = lambda table, *_: [(table[n], False) for n in (l - 1, l, l + 1)]    # one table of top l+1
-        jm, j, jp = specfun._on_table(ak * r, l + 1, rows)
+        jm, j, jp = specfun._jl_table(l + 1, ak * r)[l - 1:]    # one table of top l+1; the nodes are positive and finite
         values = np.empty_like(r)
         for i, form in enumerate(forms):
             at = owner == i

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mp_lommel
 import pytest
 
 from tunedsource import cli, theorems, tuning
@@ -461,13 +462,12 @@ class TestVerify:
         assert proc.returncode == 0
         assert proc.stdout.startswith("# tuned-source v1")
 
-    @pytest.mark.parametrize("j,error", [
-        (1, "d0^3 underflows to 0"),
-        (2, "expansion denominator (ka)^6 (j_l^2 - j_(l-1) j_(l+1))^3 underflows to 0"),
-    ], ids=["j1", "j2"])
-    def test_high_order_expansion_gives_error_rows(self, tmp_path, j, error):
-        # at k a = 0.25 and l = 30 the expansion's cubed denominator underflows;
-        # this used to end verify with a ZeroDivisionError and no report
+    @pytest.mark.parametrize("j", [1, 2], ids=["j1", "j2"])
+    def test_high_order_expansion_gives_error_rows(self, tmp_path, j):
+        # at k a = 0.25 and l = 30 the j = 1 expansion's cubed denominator d0^3 underflows; this used to end
+        # verify with a ZeroDivisionError and no report.  The j = 2 f2 is formed in Decimal, where nothing
+        # underflows, so its rows carry the finite f2 (they carried the error of a float copy of its
+        # denominator underflowing); they exit 1 from the quadrature oracle's flags
         payload = {"substrate": {"epsilon_r": 1.0, "mu_r": 1.0, "omega": 1.0, "a": 0.25},
                    "modes": {"j": [j], "l": [30]}, "chi_values": [-0.01, 0.0]}
         path = write_config(tmp_path, payload)
@@ -481,12 +481,40 @@ class TestVerify:
         lines = out.read_text().splitlines()
         assert lines[:2] == ["# tuned-source v1", ",".join(cli.VERIFY_COLUMNS)]
         assert len(lines) == 4
+        want = mp_lommel.f2_j2(30, 1.0, 0.25, 1.0)
         for line in lines[2:]:
-            assert line.startswith(f"{j},30,1,,")
-            assert f'"error: {error}' in line
+            if j == 1:
+                assert line.startswith("1,30,1,,")
+                assert '"error: d0^3 underflows to 0' in line
+            else:
+                row = dict(zip(cli.VERIFY_COLUMNS, line.split(",")))
+                assert row["status"] == "ok"
+                assert float(row["f2_closed"]) == pytest.approx(want, rel=1e-12)
 
 
 class TestEnergies:
+    @pytest.mark.parametrize("last_good", [True, False], ids=["last-good", "first-bad"])
+    def test_amplitude_whose_square_overflows(self, tmp_path, last_good):
+        # re = 1e200 exited 1 with source_energy's OverflowError and no report; the last good |a| runs, and
+        # its energies overflow to inf, which fails pass
+        amp = math.sqrt(sys.float_info.max)
+        payload = json.loads((CONFIG_DIR / "energies_tuned.json").read_text(encoding="utf-8"))
+        payload["amplitudes"][0]["re"] = amp if last_good else math.nextafter(amp, math.inf)
+        out = tmp_path / "report.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "tunedsource", "energies", "--config", write_config(tmp_path, payload), "--out", str(out)],
+            env=package_env(), capture_output=True, text=True,
+        )
+        if last_good:
+            assert (proc.returncode, proc.stderr) == (1, "")
+            rows = out.read_text().splitlines()[2:]
+            assert rows and all(",inf,inf,nan," in row and row.endswith(",false,ok") for row in rows)
+        else:
+            assert proc.returncode == 2
+            assert proc.stderr == ("config error: amplitudes: amplitude for Mode(j=1, l=1, m=0) "
+                                   "must have a finite |a|^2, got |a|^2 = inf\n")
+            assert not out.exists()
+
     def test_chi_zero_equality(self, tmp_path):
         payload = base_config(chi=0.0)
         del payload["chi_values"]

@@ -319,7 +319,7 @@ _CELL_ROUTES = {
 _FIRST_OVERFLOWING_A = math.nextafter(scalar.A_MAX, math.inf)
 # every route that evaluates or integrates a cell, as a call of (k, a); at a = 1e10 the first k past the last
 # finite k a raised ValueError (the first four), OverflowError (the three oracle routes) or, from expansion_j2's
-# own copy of the rule, InvalidInputError
+# own copy of the rule, InvalidInputError.  Such a k has an infinite square, since a <= A_MAX
 _KA_ROUTES = {
     "radial_integrals": lambda k, a: model.radial_integrals(Mode(1, 2), k, 1.5, a),
     "mode_ratio": lambda k, a: model.mode_ratio(Mode(1, 2), k, 1.5, a),
@@ -381,7 +381,8 @@ class TestRadiusLimit:
 
     @pytest.mark.parametrize("route", sorted(_KA_ROUTES))
     def test_infinite_k_a_rejected_by_every_route(self, route):
-        want = f"k a and K a must be finite, got k={_FIRST_OVERFLOWING_K}, K="
+        # the k^2 rule decides it: the cell's own "k a and K a must be finite" rule restated it
+        want = f"k^2 and K^2 must be finite, got k={_FIRST_OVERFLOWING_K}, K="
         with pytest.raises(InvalidInputError, match=f"^{re.escape(want)}"):
             _KA_ROUTES[route](_FIRST_OVERFLOWING_K, _KA_RADIUS)
 
@@ -426,7 +427,7 @@ class TestRadiusLimit:
 
     def test_substrate_takes_the_cells_k_a_rule(self):
         # both were accepted, with k a = inf, and with k = inf where epsilon_r mu_r overflows
-        with pytest.raises(InvalidInputError, match="k a and K a must be finite"):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(f'k^2 and K^2 must be finite, got k={_FIRST_OVERFLOWING_K}, K=')}"):
             Substrate(epsilon_r=1.0, mu_r=1.0, omega=_FIRST_OVERFLOWING_K, a=_KA_RADIUS)
         with pytest.raises(InvalidInputError, match="^k must be finite, got inf$"):
             Substrate(epsilon_r=1e200, mu_r=1e200, omega=1.0, a=1.0)
@@ -912,6 +913,14 @@ class TestSourceEnergy:
     def test_nonfinite_amplitude_rejected(self):
         with pytest.raises(InvalidInputError):
             SourceSpec({Mode(1, 1): complex("inf")})
+
+    def test_amplitude_whose_square_overflows(self):
+        # source_energy's abs(complex(a)) ** 2 raised a bare OverflowError past |a| = sqrt(max)
+        last = math.sqrt(sys.float_info.max)
+        assert model.source_energy(SourceSpec({Mode(1, 1): last}), {Mode(1, 1): 1.0}) == last * last
+        for amp in (math.nextafter(last, math.inf), -1e200, 1e200j, complex(1.5e308, 1.5e308), 10**400):
+            with pytest.raises(InvalidInputError, match=r"^amplitude for Mode\(j=1, l=1, m=0\) must have a finite \|a\|\^2, got \|a\|\^2 = inf$"):
+                SourceSpec({Mode(1, 1): amp})
 
     @pytest.mark.parametrize("key", [(1, 1, 0), "Mode(1, 1)", None])
     def test_non_mode_key_rejected(self, key):

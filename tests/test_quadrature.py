@@ -71,6 +71,13 @@ class TestIntegrateRadial:
         with pytest.raises(IntegrandDomainError):
             integrate_radial(lambda r: np.where(r > 0.5, np.inf, 1.0), 1.0)
 
+    @pytest.mark.parametrize("f", [lambda r: 1e200 * r * 1e200, lambda r: (r - r) * np.inf],
+                             ids=["overflow", "invalid"])
+    def test_integrand_whose_arithmetic_overflows(self, f):
+        # numpy's overflow and invalid-value warnings escaped from the integrand, which the suite turns into errors
+        with pytest.raises(IntegrandDomainError):
+            integrate_radial(f, 1.0)
+
     def test_convergence_error_carries_best_estimate(self):
         # heavily under-resolved oscillation within a tiny panel budget
         with pytest.raises(ConvergenceError) as info:

@@ -40,6 +40,15 @@ class TestBesselJ:
         for l in (1, 2, 7):
             assert specfun.bessel_j(l, 0.0) == 0.0
 
+    def test_tables_at_zero(self):
+        # the series regime's running prefactor multiplies by x: j_0 = 1.0 and +0.0 above it, with no zero branch
+        for top in range(31):
+            want = [1.0] + [0.0] * top
+            table = specfun._jl_table(top, np.array([0.0]))[:, 0]
+            assert table.tolist() == want and not np.signbit(table).any(), top
+            column = scalar._jl_column(top, 0.0)
+            assert list(column) == want and not any(math.copysign(1.0, v) < 0.0 for v in column), top
+
     def test_j1_at_pi(self):
         assert specfun.bessel_j(1, math.pi) == pytest.approx(1.0 / math.pi, rel=1e-14)
 
@@ -539,6 +548,31 @@ class TestRowsBitIdentical:
         assert points >= 10_000
 
 
+def bits(values):
+    """The IEEE bit patterns of float values, so that 0.0 and -0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+# zeros and the least subnormal, of both signs, and points of the series (0.05), Miller (0.7 and 4, at tops
+# above them) and upward (25) regimes
+_MIXED_ZEROS = [0.0, -0.0, 5e-324, -5e-324, 0.05, -0.05, 0.7, -0.7, 4.0, -4.0, 25.0, -25.0]
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 7])
+def test_kernels_on_arrays_with_zeros_equal_scalar_calls(l):
+    # one table at |x| for the whole array, zeros included, gives each point the bits of a lone call
+    x = np.array(_MIXED_ZEROS)
+    kernels = [specfun.bessel_j, specfun.bessel_j_prime] + ([specfun.bessel_u] if l else [])
+    for kernel in kernels:
+        assert bits(kernel(l, x)) == bits([kernel(l, v) for v in _MIXED_ZEROS]), kernel.__name__
+    if l:
+        pairs = [specfun.bessel_j_and_u(l, v) for v in _MIXED_ZEROS]
+        assert [bits(vals) for vals in specfun.bessel_j_and_u(l, x)] == [bits(vals) for vals in zip(*pairs)]
+    else:    # u_0 = cos(x) / x: singular at a zero wherever it lies in the array
+        with pytest.raises(SingularityError):
+            specfun.bessel_u(0, x)
+
+
 @pytest.mark.parametrize("x", [1e200, -1e200, 1e300, -1e300])
 @pytest.mark.parametrize("l", [1, 2])
 def test_kernels_where_x_squared_overflows(l, x):
@@ -670,6 +704,25 @@ class TestMillerGate:
         rescaled = []
         reference_miller(32, np.array([0.1]), rescaled)
         assert not rescaled
+
+    @pytest.mark.parametrize("lmax,fires", [(2000, False), (3000, True)])
+    def test_rescale_in_the_unstored_stretch(self, monkeypatch, lmax, fires):
+        # from top 3000 on at x = 0.1, a value passes the rescale limit above the top, where no order is stored
+        calls, rescale = [], scalar._rescale_factor
+
+        def spy(f):
+            scale = rescale(f)
+            calls.append(scale is not None)
+            return scale
+
+        monkeypatch.setattr(scalar, "_rescale_factor", spy)
+        column = scalar._jl_column(lmax, 0.1)
+        assert any(calls[:scalar._miller_margin(lmax)]) == fires
+        assert all(map(math.isfinite, column))
+        assert column == tuple(specfun._jl_table(lmax, np.array([0.1]))[:, 0].tolist())
+        for l in (0, 1, 2, 20):
+            want, _ = TestAccuracyMap.reference(l, 0.1)
+            assert abs(column[l] - want) <= 1e-14 * abs(want), l
 
     @pytest.mark.parametrize("lmax", [32, 33, 78, 79, 100, 200])
     def test_tables_on_both_sides_of_the_gate(self, lmax):

@@ -10,7 +10,7 @@ from scipy.special import spherical_jn
 
 import mp_lommel
 from tunedsource import model, quadrature, scalar, specfun, theorems
-from tunedsource.errors import IllConditionedExpansionError, InvalidInputError
+from tunedsource.errors import IllConditionedExpansionError, IntegrandDomainError, InvalidInputError
 from tunedsource.model import Mode, radial_integrals, tuned_wavenumber
 from tunedsource.quadrature import integrate_radial
 
@@ -161,6 +161,16 @@ class TestExpansionJ2:
     def test_f1_identically_zero(self):
         assert theorems.expansion_j2(4, 1.2, 2.0, 0.7).f1 == 0.0
 
+    @pytest.mark.parametrize("k,mw,bad", [
+        (1.3407807929942596e154, 1.0, "f0 = inf"),    # N_2 is the subnormal 2.78e-309
+        (1.0, 1e200, "f2 = inf"),
+        (1.0, 1e-200, "f2 = 0.0"),
+    ], ids=["f0_overflows", "f2_overflows", "f2_underflows"])
+    def test_coefficient_outside_the_doubles_raises(self, k, mw, bad):
+        # each was returned as a plausible coefficient
+        with pytest.raises(IllConditionedExpansionError, match=f"^expansion .*{bad}.*: need f0 < inf, 0 < f2 < inf$"):
+            theorems.expansion_j2(2, k, 1.0, mw)
+
     # frozen oracle: 40..50-digit evaluations of the second chi-derivative of
     # the ratio N_2(K)/M_2(k,K)^2 built from the Lommel closed forms
     F2_ORACLE = [
@@ -212,18 +222,16 @@ class TestExpansionJ2:
             ka = float(np.exp(rng.uniform(math.log(0.01), math.log(40.0))))
             a = float(rng.uniform(0.5, 3.0))
             k = float(rng.choice([1.0, -1.0])) * ka / a
-            try:
-                f0 = theorems.expansion_j2(l, k, a, 1.0).f0
-            except IllConditionedExpansionError:    # f2's denominator underflows at l >> k a
-                continue
+            f0 = theorems.expansion_j2(l, k, a, 1.0).f0
             want = mp_lommel.f0_j2(l, k, a)
             assert abs((f0 - want) / want) <= 4 * (l + 3) * sys.float_info.epsilon, (l, k, a)
             checked += 1
-        assert checked >= 250
+        assert checked == 300
 
-    @pytest.mark.parametrize("l", [10, 20, 25])
+    @pytest.mark.parametrize("l", [10, 20, 25, 27, 30, 40, 60])
     def test_f2_at_high_order_against_mpmath(self, l):
-        # the quartic in doubles was off by 4.5e-6, 6.5e-5 and 3.1e-2 here
+        # the quartic in doubles was off by 4.5e-6, 6.5e-5 and 3.1e-2 at l = 10, 20 and 25; from l = 27 on, a
+        # float copy of f2's denominator underflowed to 0 and raised, though f2 is a finite double
         want = mp_lommel.f2_j2(l, 1.0, 0.25, 1.0)
         assert theorems.expansion_j2(l, 1.0, 0.25, 1.0).f2 == pytest.approx(want, rel=1e-12)
 
@@ -348,6 +356,11 @@ class TestSeriesIntegralsJ1:
     def test_rejects_zero_or_nonfinite_k(self, bad):
         with pytest.raises(InvalidInputError):
             theorems.series_integrals_j1(2, bad, 1.0, 0.7)
+
+    def test_integrand_overflow_at_the_last_finite_k_squared(self):
+        # (l + 1) k^2 r^2 in c1's integrand overflows: numpy's "overflow encountered in multiply" escaped
+        with pytest.raises(IntegrandDomainError, match="non-finite sample"):
+            theorems.series_integrals_j1(2, 1.3407807929942596e154, 1.0, 1.0)
 
 
 class TestF1VanishingCheck:
