@@ -21,14 +21,19 @@ cell, energies), ``tuning`` (constraint roots), ``theorems`` (the
 quadrature oracle, margin and expansion certification), ``cli`` (batch
 reports).
 
-The production path (``scalar``, ``model``, ``tuning``, ``cli``) imports no
-numpy.  The oracle layer (``specfun``, ``quadrature``, ``theorems``) loads
-on first access, as ``tunedsource.theorems`` or through an import.
+No module imports numpy when it is imported.  The production path
+(``scalar``, ``model``, ``tuning``, ``cli``) never loads it, and the oracle
+layer (``specfun``, ``quadrature``, ``theorems``) loads it on its first Bessel
+table or integration, so a boundedness certificate from ``theorems`` runs
+without it.  Importing the package loads ``errors``, ``scalar`` and
+``model``; every other module loads on first access, as
+``tunedsource.theorems`` or through an import (``python -m tunedsource``
+imports ``cli``).
 """
 
 import importlib
 
-from . import cli, model, scalar, tuning
+from . import model, scalar
 from .errors import (
     ConfigError,
     ConstraintEvaluationError,
@@ -49,11 +54,11 @@ from .model import Mode, RadialIntegrals, SourceSpec, Substrate, TuningState
 
 __version__ = "0.1.0"
 
-_ORACLE = ("quadrature", "specfun", "theorems")
+_LAZY = ("cli", "quadrature", "specfun", "theorems", "tuning")
 
 
 def __getattr__(name):
-    if name in _ORACLE:
+    if name in _LAZY:
         return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

@@ -17,8 +17,8 @@ report it as a ``no-tuned-solution`` row and exit 0.
 Reports are byte-identical across runs for identical configs: floats are
 rendered with 17 significant digits and all iteration orders are fixed.
 
-Only ``verify`` imports numpy: its expansion columns come from the
-quadrature oracle of ``theorems``, which it imports for its first mode.
+Only ``verify`` loads numpy: its expansion columns come from the
+quadrature oracle of ``theorems``, whose first integration imports it.
 ``sweep``, ``energies`` and ``tune`` run on the closed-form cell of
 ``model`` and the pure-Python root search of ``tuning``, so their processes
 start without numpy, at any Bessel argument.  They also start without

@@ -362,10 +362,17 @@ def mode_coefficient(mode: Mode, s: Substrate, t: TuningState, rel_tol: float = 
 
 
 def source_energy(spec: SourceSpec, coefficients: Mapping[Mode, float]) -> float:
-    """Total source energy sum_modes R |a|^2 for prescribed amplitudes."""
+    """Total source energy sum_modes R |a|^2 for prescribed amplitudes.
+
+    Raises IncompleteSourceSpecError where an amplitude's mode has no
+    coefficient, and InvalidInputError where the sum is not finite: each
+    |a|^2 is finite (``SourceSpec``), but R |a|^2 or the sum can overflow.
+    """
     total = 0.0
     for mode, amp in spec.amplitudes.items():
         if mode not in coefficients:
             raise IncompleteSourceSpecError(f"no coefficient supplied for {mode}")
         total += coefficients[mode] * abs(complex(amp)) ** 2
+    if not math.isfinite(total):
+        raise InvalidInputError(f"source energy sum_modes R |a|^2 = {total} is not finite")
     return total

@@ -21,23 +21,24 @@ truncated half-line integrals over [0, L].
 
 Production computes the mode integrals in closed form (``model.radial_integrals``);
 this is the independent oracle that the tests and ``theorems.expansion_fd`` use.
+Importing it loads no numpy: the functions that run the rule import numpy
+themselves, and ``_rule`` builds the rule's arrays on the first integration.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import ConvergenceError, IntegrandDomainError, InvalidInputError
-from .scalar import _finite, _int, validate_tol
+from .scalar import _EPS, _finite, _int, validate_tol
 
 __all__ = ["QuadratureResult", "integrate_radial", "integrate_radial_batch"]
 
 # Gauss-Kronrod (7, 15) nodes and weights on [-1, 1]
-_XGK = np.array([
+_XGK = (
     0.9914553711208126392068547,
     0.9491079123427585245261897,
     0.8648644233597690727897128,
@@ -46,8 +47,8 @@ _XGK = np.array([
     0.4058451513773971669066064,
     0.2077849550078984676006894,
     0.0,
-])
-_WGK = np.array([
+)
+_WGK = (
     0.0229353220105292249637320,
     0.0630920926299785532907007,
     0.1047900103222501838398763,
@@ -56,23 +57,29 @@ _WGK = np.array([
     0.1903505780647854099132564,
     0.2044329400752988924141620,
     0.2094821410847278280129992,
-])
-_WG7 = np.array([
+)
+_WG7 = (
     0.1294849661688696932706114,
     0.2797053914892766679014678,
     0.3818300505051189449503698,
     0.4179591836734693877551020,
-])
-
-_NODES = np.concatenate([-_XGK[:7], [0.0], _XGK[6::-1]])
-_W_KRONROD = np.concatenate([_WGK[:7], [_WGK[7]], _WGK[6::-1]])
-_W_GAUSS = np.zeros(15)
-_W_GAUSS[[1, 3, 5]] = _WG7[:3]
-_W_GAUSS[7] = _WG7[3]
-_W_GAUSS[[9, 11, 13]] = _WG7[2::-1]
+)
 
 _ABS_FLOOR = 1e-15
-_EPS = np.finfo(float).eps
+
+
+@functools.cache
+def _rule():
+    """The 15 nodes and their Kronrod and Gauss weights on [-1, 1], as arrays built on first use.
+
+    The Gauss weights sit at the odd positions, which are the 7-point rule's
+    nodes, and are 0.0 elsewhere.
+    """
+    import numpy as np
+
+    w_gauss = [0.0] * 15
+    w_gauss[1::2] = _WG7 + _WG7[2::-1]
+    return np.array([-x for x in _XGK[:7]] + list(_XGK[::-1])), np.array(_WGK + _WGK[6::-1]), np.array(w_gauss)
 
 
 class QuadratureResult(NamedTuple):
@@ -96,8 +103,11 @@ def _eval_panels(f, owner, lo, hi):
     are row-wise sums of its own 15 products, so they do not depend on which
     other panels the round holds.
     """
+    import numpy as np
+
+    rule_nodes, w_kronrod, w_gauss = _rule()
     half = 0.5 * (hi - lo)
-    nodes = (0.5 * (hi + lo)[:, None] + half[:, None] * _NODES).ravel()
+    nodes = (0.5 * (hi + lo)[:, None] + half[:, None] * rule_nodes).ravel()
     with np.errstate(over="ignore", invalid="ignore"):    # a non-finite sample is caught below
         vals = np.asarray(f(np.repeat(owner, 15), nodes), dtype=float)
     if vals.shape != nodes.shape:
@@ -107,9 +117,9 @@ def _eval_panels(f, owner, lo, hi):
     bad = set(owner[~finite.all(axis=1)].tolist())
     if bad:
         vals = np.where(finite, vals, 0.0)   # keeps the rule arithmetic quiet; the sums of a bad integral go unused
-    integral = half * np.add.reduce(vals * _W_KRONROD, axis=1)
-    err = np.abs(integral - half * np.add.reduce(vals * _W_GAUSS, axis=1))
-    resabs = half * np.add.reduce(np.abs(vals) * _W_KRONROD, axis=1)
+    integral = half * np.add.reduce(vals * w_kronrod, axis=1)
+    err = np.abs(integral - half * np.add.reduce(vals * w_gauss, axis=1))
+    resabs = half * np.add.reduce(np.abs(vals) * w_kronrod, axis=1)
     return np.stack([lo, hi, integral, err, resabs]), bad
 
 
@@ -123,6 +133,8 @@ def _adaptive(f, a, rel_tol, osc_scales, max_panels):
     When integrals fail, the error of the lowest-index one is raised, and
     integrals after it stop refining.
     """
+    import numpy as np
+
     # clamped before rounding: a * osc / pi can overflow to inf, which math.ceil rejects
     counts = [max(1, math.ceil(min(a * max(abs(osc), 1.0) / math.pi, max_panels))) for osc in osc_scales]
     edges = {count: np.linspace(0.0, a, count + 1) for count in set(counts)}

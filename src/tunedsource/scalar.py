@@ -221,12 +221,16 @@ def _series_column(x, sums) -> list:
     return column
 
 
+@functools.cache
+def _series_divisors(n: int) -> tuple:
+    """The divisors 2m(2n+2m+1), m = 1.._SERIES_STEPS, of the series steps of order n."""
+    return tuple(2 * m * (2 * n + 2 * m + 1) for m in range(1, _SERIES_STEPS + 1))
+
+
 def _jl_column(lmax: int, x: float) -> tuple:
     """``tuple(specfun._jl_table(lmax, np.array([x]))[:, 0])`` to the bit, at one float x >= 0, by the table's regime functions."""
-    if x < _SERIES_CUTOFF:    # the steps of order n divide by 2m(2n+2m+1), m = 1.._SERIES_STEPS
-        steps = range(1, _SERIES_STEPS + 1)
-        sums = (_series_sum(x, [2 * m * (2 * n + 2 * m + 1) for m in steps]) for n in range(lmax + 1))
-        return tuple(_series_column(x, sums))
+    if x < _SERIES_CUTOFF:
+        return tuple(_series_column(x, (_series_sum(x, _series_divisors(n)) for n in range(lmax + 1))))
     sx, cx = math.sin(x), math.cos(x)
     if x >= lmax:
         return tuple(_upward_column(lmax, x, sx, cx))

@@ -42,12 +42,15 @@ Accuracy, all arithmetic binary64, checked against mpmath for l <= 50 and
 zeros, and <= 1e-12 of the envelope sqrt(j_l^2 + y_l^2) beyond.  This holds
 where |j_l(x)| >= 1e-300; smaller values underflow towards 0.
 
-All functions are pure and accept scalars or numpy arrays.
+All functions are pure and accept scalars or numpy arrays.  Importing the
+module loads no numpy: ``_jl_table``, ``_on_table`` and ``_u_from_table``
+import it when they run, so the Lommel views, which read the closed-form
+cell, never load it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidInputError, SingularityError, UnderflowError
 from .model import _closed_form
@@ -62,6 +65,9 @@ from .scalar import (
     _u_from_neighbors,
     _upward_column,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "bessel_j",
@@ -83,6 +89,8 @@ def _jl_table(lmax: int, x: np.ndarray) -> np.ndarray:
     At x = 0 the series regime gives j_0 = 1.0 and +0.0 above it, since its
     running prefactor x^n / (2n+1)!! multiplies by x.
     """
+    import numpy as np
+
     block = np.zeros((lmax + 1, x.size))
     small = x < _SERIES_CUTOFF
     down = ~small & (x < lmax)
@@ -90,7 +98,7 @@ def _jl_table(lmax: int, x: np.ndarray) -> np.ndarray:
     if small.any():
         x_small = x[small]
         m = np.arange(1, _SERIES_STEPS + 1)[:, None, None]
-        divisors = 2.0 * m * (2 * np.arange(lmax + 1)[:, None] + 2 * m + 1)    # [m - 1, order, 0], as in _jl_column
+        divisors = 2.0 * m * (2 * np.arange(lmax + 1)[:, None] + 2 * m + 1)    # [m - 1, order, 0]: scalar._series_divisors(order)
         block[:, small] = _series_column(x_small, _series_sum(x_small, divisors))    # each step on the whole block
     if down.any():
         x_down = x[down]
@@ -113,6 +121,8 @@ def _on_table(x, lmax, kernels) -> list:
     pairs; an odd kernel changes sign at negative x.  Returns the list of
     kernel values, floats for a scalar x and arrays of x's shape otherwise.
     """
+    import numpy as np
+
     arr = np.asarray(x)
     if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):    # a bool, complex, str or None is no real
         raise InvalidInputError("argument must be finite and real")
@@ -164,6 +174,8 @@ def bessel_j_prime(l: int, x):
 
 def _u_from_table(l: int, table: np.ndarray, ax: np.ndarray) -> np.ndarray:
     """u_l at |x| from a j-table that reaches order l+1; at x = 0, u_1 = 2/3 and u_l = 0 for l >= 2."""
+    import numpy as np
+
     if l == 0:
         if not ax.all():
             raise SingularityError("u_0(x) = cos(x)/x is singular at x = 0")

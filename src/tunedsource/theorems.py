@@ -36,17 +36,22 @@ of kernels at p r and q r), so most batches converge in their first round.
 j_(l+1) from one table of top l+1 per round, and ``expansion_j2`` from the
 closed-form cell's memoized triple, so its f0 is the cell's 1 / N_2.
 
-Importing this module loads numpy, ``specfun`` and ``quadrature``, which
-the oracle routes need, and ``decimal``, which ``expansion_j2`` needs: a
-caller that times its first call should not time those imports.
+Importing this module loads ``specfun`` and ``quadrature``, which the
+oracle routes need, and ``decimal``, which ``expansion_j2`` needs, but not
+numpy: the functions that build a Bessel table or run an integration import
+it when they run.  So ``boundedness_margin`` over ``default_chi_grid`` (the
+closed-form cell) and ``expansion_j2`` run without numpy, and the first
+oracle call (``expansion_fd``, ``curl_identity_check``,
+``series_integrals_j1``, ``f1_vanishing_check``,
+``radial_integrals_quadrature``) imports it: a caller that times its first
+oracle call should import numpy first.
 """
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal, localcontext
-from typing import NamedTuple
-
-import numpy as np
+from typing import NamedTuple, Tuple
 
 from . import scalar, specfun
 from .errors import DegenerateModeError, IllConditionedExpansionError, InvalidInputError
@@ -119,6 +124,8 @@ def _round_kernels(j: int, l: int, ks, Ks, owner, r):
     nodes whose K != k (a self pair puts its points in once); a point's value
     does not depend on the other points of its table.
     """
+    import numpy as np
+
     k, K = ks[owner], Ks[owner]
     cross = K != k
     x = np.concatenate([k * r, K[cross] * r[cross]])
@@ -141,6 +148,8 @@ def _mode_integrand(mode: Mode, pairs):
     j_l(kr) j_l(Kr) for j=2, j_l(kr) j_l(Kr) + k K r^2 u_l(kr) u_l(Kr) /
     (l(l+1)) for j=1, each product in the order of a lone pair's.
     """
+    import numpy as np
+
     ll1 = mode.l * (mode.l + 1)
     ks, Ks = (np.array(side) for side in zip(*pairs))
     kKs = ks * Ks
@@ -218,6 +227,8 @@ def curl_identity_check(l: int, k: float, K: float, a: float, rel_tol: float = 1
 
     and returns |A - (l(l+1))^2 B| / max(|A|, |(l(l+1))^2 B|).
     """
+    import numpy as np
+
     l = scalar._int("order l", l, 1)
     scalar._validate(k, K, a, rel_tol)
     ll1 = l * (l + 1)
@@ -329,7 +340,7 @@ def expansion_j2(l: int, k: float, a: float, mu_omega: float) -> ExpansionCoeffs
                 den = 24 * Decimal(k) * Decimal(x) * (X * (fl * fl - fm * fp)) ** 3
                 f2 = float(Decimal(mu_omega) ** 2 * num * scale * scale / den)
                 break
-    if not (f0 < np.inf and 0.0 < f2 < np.inf):
+    if not (f0 < math.inf and 0.0 < f2 < math.inf):
         raise IllConditionedExpansionError(f"expansion f0 = {f0}, f2 = {f2} at l = {l}, ka = {x}: need f0 < inf, 0 < f2 < inf")
     return ExpansionCoeffs(j=2, f0=f0, f1=0.0, f2=f2, method="closed-form")
 
@@ -404,6 +415,8 @@ def series_integrals_j1(
     kernels at k r are those values with the parity sign (-1)^n of order n
     for k < 0, an exact negation.
     """
+    import numpy as np
+
     l = scalar._int("order l", l, 1)
     scalar._validate(k, k, a, rel_tol)
     _validate_mu_omega(mu_omega)
@@ -481,14 +494,15 @@ def f1_vanishing_check(
     return F1VanishingReport(passed=bool(residual <= tol), residual=residual, f0=f0, f1=f1)
 
 
-def default_chi_grid(k: float, mu_omega: float, n: int = 21, span: float = 0.9) -> np.ndarray:
+def default_chi_grid(k: float, mu_omega: float, n: int = 21, span: float = 0.9) -> Tuple[float, ...]:
     """Symmetric admissible chi grid containing 0 exactly.
 
-    Returns n values chi_i = i * (span / half) * k^2 / mu_omega for
-    i in -half..half, half = (n-1)/2, so chi * mu_omega / k^2 stays within
-    [-span, span] and K^2 = k^2 (1 - span..1 + span) remains positive for
-    span < 1.  n takes ``scalar._int``'s rule (an integer >= 1 that an
-    index holds) and must be odd; n = 1 gives [0.0].
+    Returns the tuple of n floats chi_i = i * (span / half) * (k * k / mu_omega),
+    in that operation order, for i in -half..half, half = (n-1)/2, so
+    chi * mu_omega / k^2 stays within [-span, span] and K^2 = k^2 (1 - span..1 + span)
+    remains positive for span < 1.  chi_0 is -0.0 where mu_omega < 0.  n takes
+    ``scalar._int``'s rule (an integer >= 1 that an index holds) and must be
+    odd; n = 1 gives (0.0,).
     """
     if scalar._int("n", n, 1) % 2 == 0:
         raise InvalidInputError(f"n must be odd, got {n}")
@@ -496,7 +510,7 @@ def default_chi_grid(k: float, mu_omega: float, n: int = 21, span: float = 0.9) 
         raise InvalidInputError(f"span must lie in (0, 1), got {span}")
     _tuned_K(k, mu_omega, 0.0)    # the rules of k and mu_omega
     half = (n - 1) // 2
-    offsets = np.arange(-half, half + 1, dtype=float)
     if half == 0:
-        return np.zeros(1)
-    return offsets * (span / half) * (k * k / mu_omega)
+        return (0.0,)
+    step, scale = span / half, k * k / mu_omega
+    return tuple(i * step * scale for i in range(-half, half + 1))

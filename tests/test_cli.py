@@ -496,7 +496,7 @@ class TestEnergies:
     @pytest.mark.parametrize("last_good", [True, False], ids=["last-good", "first-bad"])
     def test_amplitude_whose_square_overflows(self, tmp_path, last_good):
         # re = 1e200 exited 1 with source_energy's OverflowError and no report; the last good |a| runs, and
-        # its energies overflow to inf, which fails pass
+        # its energies overflow, which marks every row as an error (they read inf with status ok)
         amp = math.sqrt(sys.float_info.max)
         payload = json.loads((CONFIG_DIR / "energies_tuned.json").read_text(encoding="utf-8"))
         payload["amplitudes"][0]["re"] = amp if last_good else math.nextafter(amp, math.inf)
@@ -508,7 +508,8 @@ class TestEnergies:
         if last_good:
             assert (proc.returncode, proc.stderr) == (1, "")
             rows = out.read_text().splitlines()[2:]
-            assert rows and all(",inf,inf,nan," in row and row.endswith(",false,ok") for row in rows)
+            error = ",,,,,,,error: source energy sum_modes R |a|^2 = inf is not finite"
+            assert rows and all(row.endswith(error) and "inf" not in row[:-len(error)] for row in rows)
         else:
             assert proc.returncode == 2
             assert proc.stderr == ("config error: amplitudes: amplitude for Mode(j=1, l=1, m=0) "

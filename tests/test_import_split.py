@@ -1,4 +1,4 @@
-"""The production path imports no numpy; the quadrature oracle loads only where it is used.
+"""The production path imports no numpy; the quadrature oracle loads it only where it runs.
 
 The closed-form commands also start without ``dataclasses`` and ``inspect``,
 which cost a fresh process milliseconds of import time; ``verify`` loads
@@ -109,11 +109,46 @@ def test_verify_loads_the_oracle(config, tmp_path):
     assert result["loaded"] == list(ORACLE)
 
 
-def test_theorems_import_loads_the_oracle_before_any_call():
-    code = "import sys, tunedsource.theorems; print(' '.join(m for m in %r if m in sys.modules))" % (ORACLE,)
+# imports theorems, runs tests/certify_bounds.py (criterion 03's grid and expansion_j2) and then one
+# expansion_fd call, and prints the package and numpy modules loaded after each step as its last line
+_CERTIFY = """
+import json, runpy, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "numpy" or m.startswith("tunedsource."))
+
+import tunedsource.theorems
+steps = {"import": loaded()}
+runpy.run_path(sys.argv[1], run_name="__main__")
+steps["certify"] = loaded()
+tunedsource.theorems.expansion_fd(2, 2, 1.0, 2.0, 1.0)
+steps["expansion_fd"] = loaded()
+print(json.dumps(steps))
+"""
+# runs a script where numpy cannot be imported, as in an environment without it
+_NO_NUMPY = "import runpy, sys; sys.modules['numpy'] = None; runpy.run_path(sys.argv[1], run_name='__main__')"
+
+
+def test_theorems_certifies_boundedness_without_numpy():
+    # importing theorems loaded numpy, 0.07 s of a 0.13 s start; numpy now loads on the first Bessel table or integral
+    script = str(ROOT / "tests" / "certify_bounds.py")
+    proc = subprocess.run([sys.executable, "-c", _CERTIFY, script], capture_output=True, text=True,
+                          env=package_env(), timeout=120, check=True)
+    *report, steps = proc.stdout.splitlines()
+    oracle = ["tunedsource.errors", "tunedsource.model", "tunedsource.quadrature", "tunedsource.scalar",
+              "tunedsource.specfun", "tunedsource.theorems"]
+    assert json.loads(steps) == {"import": oracle, "certify": oracle, "expansion_fd": ["numpy", *oracle]}
+    assert report[-1].startswith(f"cells {2 * 6 * 8 * 4 * 3 * 21} failing 0 sha256 ")
+    bare = subprocess.run([sys.executable, "-c", _NO_NUMPY, script], capture_output=True, text=True,
+                          env=package_env(), timeout=120, check=True)
+    assert bare.stdout.splitlines() == report
+
+
+def test_package_import_loads_its_records_only():
+    code = "import json, sys, tunedsource; print(json.dumps(sorted(m for m in sys.modules if m.startswith('tunedsource'))))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=package_env(), timeout=120, check=True)
-    assert proc.stdout.split() == list(ORACLE)
+    assert json.loads(proc.stdout) == ["tunedsource", "tunedsource.errors", "tunedsource.model", "tunedsource.scalar"]
 
 
 def test_theorems_exports_only_its_own_names():
@@ -125,7 +160,8 @@ def test_theorems_exports_only_its_own_names():
 def test_package_attributes_resolve_lazily():
     import tunedsource
 
-    assert tunedsource.theorems is importlib.import_module("tunedsource.theorems")
+    for name in ("cli", "quadrature", "specfun", "theorems", "tuning"):
+        assert getattr(tunedsource, name) is importlib.import_module(f"tunedsource.{name}")
     with pytest.raises(AttributeError):
         tunedsource.no_such_module
 

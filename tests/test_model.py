@@ -922,6 +922,16 @@ class TestSourceEnergy:
             with pytest.raises(InvalidInputError, match=r"^amplitude for Mode\(j=1, l=1, m=0\) must have a finite \|a\|\^2, got \|a\|\^2 = inf$"):
                 SourceSpec({Mode(1, 1): amp})
 
+    @pytest.mark.parametrize("spec, coefficients", [
+        ({Mode(1, 1): math.sqrt(sys.float_info.max)}, {Mode(1, 1): 2.0}),             # R |a|^2 overflows
+        ({Mode(1, 1): 1e154, Mode(2, 2): 1e154}, {Mode(1, 1): 1e0, Mode(2, 2): 1e0}),  # the sum overflows
+        ({Mode(1, 1): 1.0}, {Mode(1, 1): math.nan}),
+    ], ids=["term", "sum", "nan-coefficient"])
+    def test_energy_that_is_not_finite_raises(self, spec, coefficients):
+        # these returned inf or nan, which energies reported as a row with status ok
+        with pytest.raises(InvalidInputError, match=r"^source energy sum_modes R \|a\|\^2 = (inf|nan) is not finite$"):
+            model.source_energy(SourceSpec(spec), coefficients)
+
     @pytest.mark.parametrize("key", [(1, 1, 0), "Mode(1, 1)", None])
     def test_non_mode_key_rejected(self, key):
         # the tuple (1, 1, 0) equals Mode(1, 1) but is not one

@@ -175,7 +175,7 @@ class TestRefinementProperties:
 
 def reference_adaptive(f, a, rel_tol, osc_scale, max_panels=8192):
     """The one-integral adaptive loop the lockstep batch replaced, for bit comparison."""
-    nodes, w_kronrod, w_gauss = quadrature._NODES, quadrature._W_KRONROD, quadrature._W_GAUSS
+    nodes, w_kronrod, w_gauss = quadrature._rule()
 
     def eval_panels(lo, hi):
         half = 0.5 * (hi - lo)

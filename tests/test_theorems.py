@@ -415,7 +415,7 @@ class TestDefaultChiGrid:
 
     def test_symmetric_and_admissible(self):
         k, mw = 1.5, 2.0
-        grid = theorems.default_chi_grid(k, mw)
+        grid = np.asarray(theorems.default_chi_grid(k, mw))
         assert np.allclose(grid, -grid[::-1])
         assert np.all(k * k - grid * mw > 0.0)
 
@@ -439,7 +439,22 @@ class TestDefaultChiGrid:
 
     def test_one_point_grid(self):
         grid = theorems.default_chi_grid(1.5, 2.0, n=1)
-        assert grid.tolist() == [0.0]
+        assert list(grid) == [0.0]
+
+    def test_grid_has_the_bits_of_the_array_formula(self):
+        # the grid was the float array arange(-half, half + 1) * (span / half) * (k * k / mu_omega); the tuple of
+        # floats keeps its bits, the -0.0 of a negative mu_omega included, and its n = 1 grid [0.0]
+        rng = np.random.default_rng(33)
+        for _ in range(400):
+            k, mw = (float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0)) for _ in range(2))
+            n = 2 * int(rng.integers(0, 21)) + 1
+            span = float(rng.choice([0.9, rng.uniform(1e-3, 1.0)]))
+            half = (n - 1) // 2
+            want = np.zeros(1) if half == 0 else np.arange(-half, half + 1, dtype=float) * (span / half) * (k * k / mw)
+            got = theorems.default_chi_grid(k, mw, n, span)
+            assert type(got) is tuple and all(type(chi) is float for chi in got)
+            assert np.array(got).tobytes() == want.tobytes(), (k, mw, n, span)
+        assert math.copysign(1.0, theorems.default_chi_grid(1.0, -1.0)[10]) == -1.0
 
     @pytest.mark.parametrize("mw", [0.0, -0.0, math.inf, -math.inf, math.nan])
     def test_rejects_zero_or_nonfinite_mu_omega(self, mw):
