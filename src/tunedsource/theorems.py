@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from decimal import Decimal, localcontext
-from typing import NamedTuple, Tuple
+from typing import NamedTuple
 
 from . import scalar, specfun
 from .errors import DegenerateModeError, IllConditionedExpansionError, InvalidInputError
@@ -494,7 +494,7 @@ def f1_vanishing_check(
     return F1VanishingReport(passed=bool(residual <= tol), residual=residual, f0=f0, f1=f1)
 
 
-def default_chi_grid(k: float, mu_omega: float, n: int = 21, span: float = 0.9) -> Tuple[float, ...]:
+def default_chi_grid(k: float, mu_omega: float, n: int = 21, span: float = 0.9) -> tuple[float, ...]:
     """Symmetric admissible chi grid containing 0 exactly.
 
     Returns the tuple of n floats chi_i = i * (span / half) * (k * k / mu_omega),
