@@ -98,10 +98,12 @@ def _starts(sizes):
 def _eval_panels(f, owner, lo, hi):
     """Apply the (7,15) rule, in one flat pass, to the panels [lo_n, hi_n] of the integrals owner_n.
 
-    Returns them as the rows (lo, hi, I, err, resabs) of one array, and the
-    set of integrals with a non-finite sample.  Each panel's three rule sums
-    are row-wise sums of its own 15 products, so they do not depend on which
-    other panels the round holds.
+    Returns them as the rows (lo, hi, I, err, resabs) of one array, each
+    written in place, and the set of integrals with a non-finite sample.
+    One finiteness test covers the round; only a round that fails it builds
+    the per-panel mask.  Each panel's three rule sums are row-wise sums of
+    its own 15 products, so they do not depend on which other panels the
+    round holds.
     """
     import numpy as np
 
@@ -114,13 +116,17 @@ def _eval_panels(f, owner, lo, hi):
         raise ValueError("the integrand must return one value per node")
     vals = vals.reshape(lo.size, 15)
     finite = np.isfinite(vals)
-    bad = set(owner[~finite.all(axis=1)].tolist())
-    if bad:
+    bad = set()
+    if not finite.all():
+        bad = set(owner[~finite.all(axis=1)].tolist())
         vals = np.where(finite, vals, 0.0)   # keeps the rule arithmetic quiet; the sums of a bad integral go unused
-    integral = half * np.add.reduce(vals * w_kronrod, axis=1)
-    err = np.abs(integral - half * np.add.reduce(vals * w_gauss, axis=1))
-    resabs = half * np.add.reduce(np.abs(vals) * w_kronrod, axis=1)
-    return np.stack([lo, hi, integral, err, resabs]), bad
+    panels = np.empty((5, lo.size))
+    panels[0], panels[1] = lo, hi
+    integral, err, resabs = panels[2:]
+    np.multiply(half, np.add.reduce(vals * w_kronrod, axis=1), out=integral)
+    np.abs(integral - half * np.add.reduce(vals * w_gauss, axis=1), out=err)
+    np.multiply(half, np.add.reduce(np.abs(vals) * w_kronrod, axis=1), out=resabs)
+    return panels, bad
 
 
 def _adaptive(f, a, rel_tol, osc_scales, max_panels):

@@ -23,7 +23,11 @@ lmax, so a batch of points gives each the column of a lone table.
 Two builders make such a table, with the same bits; all three regimes are
 one ``scalar`` function each for both (``_series_column``, ``_miller_column``
 and ``_upward_column``).  ``_jl_table``, here, runs each order as numpy calls
-over all points, and each series step on the whole (orders x points) block.
+over all points, and each series step on the whole (orders x points) block,
+with the divisors of ``scalar._series_divisors`` as one block per top
+(``_series_divisor_block``, built on the first table of that top).  Each
+regime writes its rows into the table's columns of its points; the Miller
+normalisation multiplies row by row into one preallocated block.
 All its Miller columns start at one order, and the recurrence's rescale
 check runs only above start order 86.  The quadrature integrands
 and the four array kernels (``bessel_j`` and friends) use it, where a call
@@ -50,17 +54,18 @@ cell, never load it.
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING
 
 from .errors import InvalidInputError, SingularityError, UnderflowError
 from .model import _closed_form
 from .scalar import (
     _SERIES_CUTOFF,
-    _SERIES_STEPS,
     _int,
     _j0_j1,
     _miller_column,
     _series_column,
+    _series_divisors,
     _series_sum,
     _u_from_neighbors,
     _upward_column,
@@ -79,11 +84,27 @@ __all__ = [
 ]
 
 
+@functools.cache
+def _series_divisor_block(lmax: int) -> np.ndarray:
+    """``scalar._series_divisors`` of orders 0..lmax as one read-only block [m - 1, order, 0], built once per top."""
+    import numpy as np
+
+    block = np.array([_series_divisors(n) for n in range(lmax + 1)], dtype=float).T[:, :, None]
+    block.setflags(write=False)
+    return block
+
+
 def _jl_table(lmax: int, x: np.ndarray) -> np.ndarray:
     """Table of j_0..j_lmax at arguments x >= 0 (1-D array), by ``scalar``'s regime functions.
 
+    Each regime writes its rows into the table's columns of its points, and
+    the three cover every point, so the table starts uninitialised.  The
+    series points take each step on the whole (orders x points) block, with
+    the divisors of ``_series_divisor_block(lmax)``, built once per top.
     One ``_miller_column`` call takes the Miller points, all from the start
     order of top lmax; its rescale check runs only above start order 86.
+    Their normalisation multiplies row by row, with ``out=``, into one
+    preallocated block, so the rows are not first copied into an array.
     The upward points run with overflow warnings off: past x ~ 1.3e154, x * x
     is inf, and j_1's term sin x / (x * x), below an ulp of cos x / x, is 0.0.
     At x = 0 the series regime gives j_0 = 1.0 and +0.0 above it, since its
@@ -91,21 +112,23 @@ def _jl_table(lmax: int, x: np.ndarray) -> np.ndarray:
     """
     import numpy as np
 
-    block = np.zeros((lmax + 1, x.size))
+    block = np.empty((lmax + 1, x.size))    # the three regimes cover every point
     small = x < _SERIES_CUTOFF
     down = ~small & (x < lmax)
     up = ~small & ~down
     if small.any():
         x_small = x[small]
-        m = np.arange(1, _SERIES_STEPS + 1)[:, None, None]
-        divisors = 2.0 * m * (2 * np.arange(lmax + 1)[:, None] + 2 * m + 1)    # [m - 1, order, 0]: scalar._series_divisors(order)
-        block[:, small] = _series_column(x_small, _series_sum(x_small, divisors))    # each step on the whole block
+        block[:, small] = _series_column(x_small, _series_sum(x_small, _series_divisor_block(lmax)))
     if down.any():
         x_down = x[down]
         column = _miller_column(lmax, x_down)
         j0, j1 = _j0_j1(x_down, np.sin(x_down), np.cos(x_down))
         use0 = np.abs(j0) >= np.abs(j1)    # normalize against the larger of j0, j1 (row 1 exists: lmax > x)
-        block[:, down] = np.array(column) * (np.where(use0, j0, j1) / np.where(use0, column[0], column[1]))
+        ratio = np.where(use0, j0, j1) / np.where(use0, column[0], column[1])
+        rows = np.empty((lmax + 1, x_down.size))
+        for n, row in enumerate(column):
+            np.multiply(row, ratio, out=rows[n])
+        block[:, down] = rows
     if up.any():
         x_up = x[up]
         with np.errstate(over="ignore"):

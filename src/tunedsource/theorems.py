@@ -379,7 +379,8 @@ def expansion_fd(
     j=1.  The tuned wavenumbers of the whole ladder are computed first, and
     all its integrals run as one lockstep batch: 21 for j=1 (N_1(K) and
     M_1(k, K) per step, one integral at chi = 0 for k > 0), 11 cross
-    integrals for j=2, whose N_2(K) come from one Bessel table.
+    integrals for j=2, whose N_2(K) come from the closed-form cell
+    (``model._closed_form``), as in ``_quadrature_integrals``.
     """
     mode = Mode(j, l)
     _tuned_K(k, mu_omega, 0.0)    # the rules of k and mu_omega, before they set the step scale
@@ -413,7 +414,8 @@ def series_integrals_j1(
     The four run as one lockstep batch.  Each round builds one table of top
     l+1 at |k| r for all of them and reads its rows l-1, l and l+1; the
     kernels at k r are those values with the parity sign (-1)^n of order n
-    for k < 0, an exact negation.
+    for k < 0, an exact negation.  A round's owners ascend, so each form
+    evaluates the contiguous slice of its own integral's nodes.
     """
     import numpy as np
 
@@ -462,9 +464,11 @@ def series_integrals_j1(
     def integrands(owner, r):
         jm, j, jp = specfun._jl_table(l + 1, ak * r)[l - 1:]    # one table of top l+1; the nodes are positive and finite
         values = np.empty_like(r)
-        for i, form in enumerate(forms):
-            at = owner == i
-            values[at] = form(r[at], jm[at], j[at], jp[at])
+        bounds = np.searchsorted(owner, range(len(forms) + 1)).tolist()    # owners ascend: one slice per form
+        for form, start, stop in zip(forms, bounds, bounds[1:]):
+            if start < stop:
+                at = slice(start, stop)
+                values[at] = form(r[at], jm[at], j[at], jp[at])
         return values
 
     results = integrate_radial_batch(integrands, a, rel_tol, osc_scales=[_osc(k, k)] * 4)

@@ -454,6 +454,20 @@ class TestPositionIndependentSums:
                 assert not bad
                 assert panels[:, before:before + size].tobytes() == alone.tobytes(), (size, before, after)
 
+    def test_non_finite_samples_name_their_integrals(self):
+        # one finiteness test per round; only a round that fails it builds the per-panel mask
+        rng = np.random.default_rng(26)
+        owner = np.repeat([0, 1, 2, 3], [3, 5, 2, 4])
+        lo, hi, vals = self._panels(rng, owner.size)
+        finite_round, bad = quadrature._eval_panels(lambda o, r: vals.ravel(), owner, lo, hi)
+        assert bad == set()
+        vals[4, 7], vals[9, 0] = np.nan, np.inf    # a panel of integral 1 and one of integral 2
+        panels, bad = quadrature._eval_panels(lambda o, r: vals.ravel(), owner, lo, hi)
+        assert bad == {1, 2}
+        for n in sorted(set(range(owner.size)) - {4, 9}):
+            alone, _ = quadrature._eval_panels(lambda o, r: vals[n], owner[n:n + 1], lo[n:n + 1], hi[n:n + 1])
+            assert panels[:, n].tobytes() == alone[:, 0].tobytes() == finite_round[:, n].tobytes(), n
+
     def test_convergence_sums_are_segment_wise(self):
         # the segmented sum of _adaptive: np.add.reduceat over the rows (I, err, resabs) of the round's panels
         rng = np.random.default_rng(25)

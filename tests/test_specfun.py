@@ -523,6 +523,28 @@ class TestRowsBitIdentical:
         for xs in ([0.1], [0.1, 30.0], [60.0, 0.1, 0.05], [120.0, 0.1, 31.0]):
             assert columns(100, xs) == specfun._jl_table(100, np.array(xs)).T.tolist()
 
+    def test_round_sized_tables(self):
+        # a round's table: a few hundred points with the three regimes interleaved, repeated
+        # arguments, +0.0 and the regime boundaries; each regime writes its rows into its own
+        # columns, so every column holds the lone column's bits (0.0 and -0.0 differ here)
+        rng = np.random.default_rng(44)
+        cut = specfun._SERIES_CUTOFF
+        rescaled = []
+        reference_miller(100, np.array([cut]), rescaled)
+        assert rescaled    # at top 100 the column at x = 0.1 rescales on the way down
+        for lmax in [*range(31), 100]:
+            top = max(lmax, 2 * cut)
+            xs = np.concatenate([
+                rng.uniform(0.0, cut, 60),
+                np.exp(rng.uniform(math.log(cut), math.log(top), 150)),
+                np.exp(rng.uniform(math.log(top), math.log(1e3), 90)),
+                [0.0, np.nextafter(cut, 0.0), cut, np.nextafter(float(lmax), 0.0), float(lmax)],
+            ])
+            xs = rng.permutation(np.concatenate([xs, rng.choice(xs, 60)]))    # 60 repeated arguments
+            assert (xs < cut).any() and (xs >= max(lmax, cut)).any() and ((xs >= cut) & (xs < lmax)).any() == (lmax > cut)
+            table = specfun._jl_table(lmax, xs)
+            assert bits(table.T) == [bits(scalar._jl_column(lmax, x)) for x in xs.tolist()], lmax
+
     def test_random_cells(self):
         rng = np.random.default_rng(41)
         for _ in range(2000):
